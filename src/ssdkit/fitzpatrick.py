@@ -36,20 +36,20 @@ def theta(space: SsdSpace, a: PointSet, bstar) -> float | np.ndarray:
 def phi(space: SsdSpace, a: PointSet, b) -> float | np.ndarray:
     """Primal representer, as a finite max over the set (exact).
 
-    Computed both as max[pair(a, b) - q(a)] and as q(b) - inf q(b - a); the
-    two agree to floating-point accuracy and the first is returned.
+    Computed as max[pair(a, b) - q(a)]; `phi_two_ways` adds the second
+    formula q(b) - inf q(b - a) for the check that the two agree.
     """
-    v1, v2 = phi_two_ways(space, a, b)
-    return v1
-
-
-def phi_two_ways(space: SsdSpace, a: PointSet, b):
     if len(a) == 0:
         raise EmptySet("representer needs a nonempty set")
     pts = np.atleast_2d(np.asarray(b, dtype=float))
+    vals, _ = sup_linear_minus(a.points @ space.pairing, space.q(a.points), pts)
+    return float(vals[0]) if np.asarray(b).ndim == 1 else vals
+
+
+def phi_two_ways(space: SsdSpace, a: PointSet, b):
+    pts = np.atleast_2d(np.asarray(b, dtype=float))
     single = np.asarray(b).ndim == 1
-    source = a.points @ space.pairing
-    vals, _ = sup_linear_minus(source, space.q(a.points), pts)
+    vals = phi(space, a, pts)
     qb = space.q(pts)
     inf_q = np.min(space.q(pts)[:, None] - pts @ space.pairing @ a.points.T
                    + space.q(a.points)[None, :], axis=1)

@@ -221,13 +221,14 @@ def _interpolate(grid: GridSpec, values_nd, pts):
     return out
 
 
-# -- brute-force sup/inf kernels ---------------------------------------------------
+# -- sup/inf kernels ---------------------------------------------------
 
 def sup_linear_minus(source_points, offsets, targets):
     """For each target t: max_i [t . source_i - offsets_i], with argmax.
 
     Rows with +inf offset never attain the max; raises Improper if none is
-    finite.  Ties break to the lowest source index.
+    finite.  Ties break to the lowest source index.  One score block of at
+    most `_BLOCK` entries is live at a time.
     """
     offsets = np.asarray(offsets, dtype=float).ravel()
     finite = np.isfinite(offsets)
@@ -237,18 +238,119 @@ def sup_linear_minus(source_points, offsets, targets):
     c = offsets[finite]
     back = np.flatnonzero(finite)
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    m = targets.shape[0]
+    m, n = targets.shape[0], x.shape[0]
     vals = np.empty(m)
     args = np.empty(m, dtype=int)
-    chunk = max(1, _BLOCK // max(1, x.shape[0]))
+    chunk = max(1, _BLOCK // max(1, n))
+    buf = np.empty(min(m, chunk) * n)
     for start in range(0, m, chunk):
-        scores = targets[start:start + chunk] @ x.T
+        t = targets[start:start + chunk]
+        scores = buf[:t.shape[0] * n].reshape(t.shape[0], n)
+        np.matmul(t, x.T, out=scores)
         scores -= c[None, :]
         a = np.argmax(scores, axis=1)
-        rows = np.arange(scores.shape[0])
-        vals[start:start + chunk] = scores[rows, a]
+        vals[start:start + chunk] = scores[np.arange(t.shape[0]), a]
         args[start:start + chunk] = back[a]
     return vals, args
+
+
+def _sup_separable(src_axes, offsets_nd, tgt_axes):
+    """`sup_linear_minus` with tensor-grid sources and targets, one axis at a
+    time: max_x [t . x - f(x)] = max_x1 [x1 t1 + max_x2 [x2 t2 - f(x1, x2)]].
+
+    Axes may be descending.  Offsets are shaped like the source grid; the
+    results are row-major over the target grid, argmax row-major over the
+    source grid.  The last source axis is swept first; each step keeps a
+    running max with a strict `>`, so ties go to the lowest row-major index,
+    and no block holds more than `_BLOCK` entries.  The per-axis sums round
+    differently from t . x, so the winner and its 3^d grid neighbours are
+    re-scored as t . x - f(x) and the best kept (ties to the lowest flat
+    index): a near-tie between neighbouring nodes then resolves on the same
+    score `sup_linear_minus` takes the max of.
+    """
+    src_axes = [np.asarray(a, dtype=float) for a in src_axes]
+    tgt_axes = [np.asarray(b, dtype=float) for b in tgt_axes]
+    offsets = np.asarray(offsets_nd, dtype=float).ravel()
+    finite = np.isfinite(offsets)
+    if not np.any(finite):
+        raise Improper("no finite values to take a supremum over")
+    neg = np.where(finite, -offsets, -np.inf)
+    table = neg.reshape(-1, src_axes[-1].size, 1)
+    arg = None
+    stride = 1
+    for k in range(len(src_axes) - 1, -1, -1):
+        table, j = _sweep_axis(src_axes[k], table, tgt_axes[k])
+        arg = j if arg is None else j * stride + np.take_along_axis(arg, j, axis=1)
+        stride *= src_axes[k].size
+        if k:
+            shape = (-1, src_axes[k - 1].size, table.shape[1] * table.shape[2])
+            table, arg = table.reshape(shape), arg.reshape(shape)
+    return _rescore(src_axes, neg, tgt_axes, arg.ravel())
+
+
+def _sweep_axis(a, table, b):
+    """best[p, s, q] = max_j [a_j b_s + table[p, j, q]] with its lowest argmax j."""
+    p_len, n, q_len = table.shape
+    m = b.size
+    best = np.full((p_len, m, q_len), -np.inf)
+    arg = np.zeros((p_len, m, q_len), dtype=np.intp)
+    qc = min(q_len, max(1, _BLOCK // m))
+    pc = min(p_len, max(1, _BLOCK // (m * qc)))
+    cand_buf = np.empty(pc * m * qc)
+    better_buf = np.empty(cand_buf.size, dtype=bool)
+    for p0 in range(0, p_len, pc):
+        for q0 in range(0, q_len, qc):
+            bv = best[p0:p0 + pc, :, q0:q0 + qc]
+            av = arg[p0:p0 + pc, :, q0:q0 + qc]
+            cand = cand_buf[:bv.size].reshape(bv.shape)
+            better = better_buf[:bv.size].reshape(bv.shape)
+            for j in range(n):
+                np.add((a[j] * b)[:, None], table[p0:p0 + pc, j, None, q0:q0 + qc], out=cand)
+                np.greater(cand, bv, out=better)
+                np.copyto(bv, cand, where=better)
+                np.copyto(av, j, where=better)
+    return best, arg
+
+
+def _rescore(src_axes, neg, tgt_axes, args):
+    """Score each target against its sweep winner and the winner's 3^d grid
+    neighbours as t . x + neg(x); keep the max, ties to the lowest flat index."""
+    src_shape = tuple(a.size for a in src_axes)
+    tgt_shape = tuple(b.size for b in tgt_axes)
+    d = len(src_shape)
+    m = args.size
+    vals = np.empty(m)
+    best_args = np.empty(m, dtype=int)
+    chunk = max(1, _BLOCK // (4 * d))
+    for start in range(0, m, chunk):
+        rows = np.arange(start, min(m, start + chunk))
+        t = np.stack([b[i] for b, i in zip(tgt_axes, np.unravel_index(rows, tgt_shape))], axis=1)
+        win = np.unravel_index(args[rows], src_shape)
+        best = np.full(rows.size, -np.inf)
+        best_arg = np.full(rows.size, np.iinfo(np.intp).max)
+        for step in itertools.product((-1, 0, 1), repeat=d):
+            idx = tuple(np.clip(i + s, 0, k - 1) for i, s, k in zip(win, step, src_shape))
+            flat = np.ravel_multi_index(idx, src_shape)
+            x = np.stack([a[i] for a, i in zip(src_axes, idx)], axis=1)
+            score = np.matmul(t[:, None, :], x[:, :, None])[:, 0, 0] + neg[flat]
+            better = (score > best) | ((score == best) & (flat < best_arg))
+            np.copyto(best, score, where=better)
+            np.copyto(best_arg, flat, where=better)
+        vals[rows] = best
+        best_args[rows] = best_arg
+    return vals, best_args
+
+
+def _pairing_permutation(pairing):
+    """(perm, scale) when the pairing matrix has exactly one nonzero in every
+    row and column, M[perm[j], j] = scale[j]; None otherwise.  Then the nodes
+    x @ M of a tensor grid form a tensor grid again, with axis j the grid's
+    axis perm[j] times scale[j] (a signed permutation has scale +-1)."""
+    nz = pairing != 0
+    if not (np.all(nz.sum(axis=0) == 1) and np.all(nz.sum(axis=1) == 1)):
+        return None
+    perm = np.argmax(nz, axis=0)
+    return perm, pairing[perm, np.arange(perm.size)]
 
 
 def min_values_plus_gauge(space: SsdSpace, add_on_nodes, nodes, c_rows, gauge=pairwise_p):
@@ -283,9 +385,9 @@ def min_values_plus_gauge(space: SsdSpace, add_on_nodes, nodes, c_rows, gauge=pa
         total = gauge(space, c_rows[start:start + chunk], y)
         total += a[None, :]
         j = np.argmin(total, axis=1)
-        rows = np.arange(total.shape[0])
-        vals[start:start + chunk] = total[rows, j]
+        vals[start:start + chunk] = total[np.arange(total.shape[0]), j]
         args[start:start + chunk] = back[j]
+        del total
     return vals, args
 
 
@@ -293,7 +395,7 @@ def min_values_plus_gauge(space: SsdSpace, add_on_nodes, nodes, c_rows, gauge=pa
 
 def conjugate(f: GridFn, dual_grid: GridSpec) -> GridFn:
     """Dot-product conjugate: f*(y) = max over grid nodes x of [x.y - f(x)]."""
-    vals, _ = sup_linear_minus(f.grid.points(), f.values, dual_grid.points())
+    vals, _ = _sup_separable(f.grid.axes(), f.values_nd(), dual_grid.axes())
     return GridFn._raw(dual_grid, vals, form="conjugate")
 
 
@@ -302,13 +404,22 @@ def intrinsic_conjugate(f: GridFn, space: SsdSpace, target_grid: GridSpec | None
 
     Identical arithmetic to composing the dot-product conjugate with the
     canonical dual map; `conjugate_composition_gap` quantifies the grid gap
-    between the two routes.
+    between the two routes.  When the pairing permutes and rescales the
+    axes, the source nodes x @ M form a tensor grid and the separable kernel
+    takes the same max; otherwise the scattered kernel does.
     """
     if space.dim != f.grid.dim:
         raise DimensionMismatch("space and grid dimensions differ")
     grid = f.grid if target_grid is None else target_grid
-    source = f.grid.points() @ space.pairing
-    vals, _ = sup_linear_minus(source, f.values, grid.points())
+    perm = _pairing_permutation(space.pairing)
+    if perm is None:
+        source = f.grid.points() @ space.pairing
+        vals, _ = sup_linear_minus(source, f.values, grid.points())
+    else:
+        cols, scale = perm
+        axes = f.grid.axes()
+        src_axes = [axes[i] * s for i, s in zip(cols, scale)]
+        vals, _ = _sup_separable(src_axes, np.transpose(f.values_nd(), cols), grid.axes())
     return GridFn._raw(grid, vals, form="pairing-conjugate")
 
 
@@ -352,13 +463,10 @@ def inf_conv(h: GridFn, k, out_grid: GridSpec | None = None) -> GridFn:
         xc = xs[start:start + chunk]
         diffs = xc[:, None, :] - ys[None, :, :]
         kv = k_eval(diffs.reshape(-1, xc.shape[1])).reshape(xc.shape[0], ys.shape[0])
+        del diffs
         vals[start:start + chunk] = np.min(kv + hv[None, :], axis=1)
+        del kv
     return GridFn._raw(grid, vals, form="inf-conv")
-
-
-def gauge_fn(space: SsdSpace, which: str = "p"):
-    """Exact callable for one of the space gauges q, g, p."""
-    return {"q": space.q, "g": space.g, "p": space.p}[which]
 
 
 def minus_q(f: GridFn, space: SsdSpace) -> GridFn:
@@ -383,7 +491,7 @@ def lsc_biconjugate_envelope(f: GridFn, slope_grid: GridSpec | None = None) -> G
     star = conjugate(f, slope_grid)
     if not np.any(np.isfinite(star.values)):
         raise NoAffineMinorant("conjugate is +inf on the whole slope grid")
-    vals, _ = sup_linear_minus(slope_grid.points(), star.values, f.grid.points())
+    vals, _ = _sup_separable(slope_grid.axes(), star.values_nd(), f.grid.axes())
     return GridFn._raw(f.grid, vals, form="biconjugate")
 
 
@@ -451,10 +559,11 @@ def is_mas(f: GridFn, space: SsdSpace, dual, tol: float | None = None) -> Verify
     if tol is None:
         tol = tols.ATOL_GRID
     pts = f.grid.points()
+    path = "scattered" if _pairing_permutation(space.pairing) is None else "separable"
     report = VerifyReport(suite="is_mas", grid=f.grid.to_dict(),
                           tolerances={"tol": tol},
                           meta={"space": space.label, "fn": f.form,
-                                "dual_side": "image lattice"})
+                                "dual_side": "image lattice", "conjugate_path": path})
     gap = f.values - space.q(pts)
     i = int(np.argmin(gap))
     report.add("primal_minorization", "def_4_8", float(gap[i]) >= -tol,
@@ -487,7 +596,9 @@ def rockafellar_sum_identity(f: GridFn, h: GridFn, dual_grid: GridSpec,
         xc = ys[start:start + chunk]
         diffs = xc[:, None, :] - ys[None, :, :]
         hv = hstar.evaluate(diffs.reshape(-1, xc.shape[1])).reshape(xc.shape[0], m)
+        del diffs
         rhs[start:start + chunk] = np.min(hv + fstar.values[None, :], axis=1)
+        del hv
     if tol is None:
         h_d = float(np.max(dual_grid.spacing))
         lip = tols.observed_lipschitz(lhs.values_nd(), dual_grid.spacing)

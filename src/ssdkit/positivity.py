@@ -67,11 +67,33 @@ class PointSet:
 
 
 def _dedup(pts, tol=1e-12):
-    keep = []
-    for i in range(pts.shape[0]):
-        if not any(np.max(np.abs(pts[i] - pts[j])) <= tol for j in keep):
-            keep.append(i)
-    return pts[keep].copy()
+    """Drop every row within Chebyshev distance `tol` of an earlier kept row.
+
+    The first occurrence survives and the order is kept.  Exact duplicates
+    go by a sort; rows left with a distinct neighbour within `tol` (found by
+    a window on the sorted first column) go by the greedy first-kept rule.
+    """
+    _, first = np.unique(pts, axis=0, return_index=True)
+    rows = pts[np.sort(first)]
+    near = np.zeros(rows.shape[0], dtype=bool)
+    order = np.argsort(rows[:, 0], kind="stable")
+    col = rows[order, 0]
+    for lag in range(1, rows.shape[0]):
+        alive = np.flatnonzero(col[lag:] - col[:-lag] <= tol)
+        if alive.size == 0:
+            break
+        i, j = order[alive], order[alive + lag]
+        close = np.max(np.abs(rows[i] - rows[j]), axis=1) <= tol
+        near[i[close]] = True
+        near[j[close]] = True
+    drop = np.zeros(rows.shape[0], dtype=bool)
+    kept = []
+    for i in np.flatnonzero(near):
+        if kept and np.any(np.max(np.abs(rows[kept] - rows[i]), axis=1) <= tol):
+            drop[i] = True
+        else:
+            kept.append(i)
+    return rows[~drop]
 
 
 def sets_match(space: SsdSpace, a_rows, b_rows, radius: float) -> tuple[bool, float]:

@@ -207,9 +207,6 @@ class SsdSpace:
         out = 0.5 * np.einsum("ni,ij,nj->n", bb, self.pairing, bb)
         return float(out[0]) if single else out
 
-    def norm_of(self, b):
-        return self.norm(b)
-
     def g(self, b):
         bb, single = _as_points(b, self.dim)
         out = 0.5 * self.norm(bb) ** 2

@@ -69,6 +69,16 @@ def brute_force_conjugate(points, values, targets):
     return out
 
 
+def greedy_dedup(pts, tol=1e-12):
+    """Reference PointSet dedup: keep a row unless an earlier kept row lies
+    within Chebyshev distance tol; first occurrences, original order."""
+    keep = []
+    for i in range(pts.shape[0]):
+        if not any(np.max(np.abs(pts[i] - pts[j])) <= tol for j in keep):
+            keep.append(i)
+    return pts[keep].copy()
+
+
 def lower_convex_hull_1d(xs, ys):
     """Monotone-chain lower hull, evaluated back at the sample abscissae."""
     pts = sorted(zip(xs, ys))

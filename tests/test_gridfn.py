@@ -361,3 +361,115 @@ class TestRockafellar:
         dual = GridSpec.box(-2, 2, 41, 2)
         rep = rockafellar_sum_identity(worked_fn61, g_fn, dual, tol=1e-2)
         assert rep.passed
+
+
+def _random_grid_fn(rng, dim, max_num):
+    """Nonconvex sample on a non-square box grid with some +inf nodes."""
+    lo = rng.uniform(-2.0, 0.0, dim)
+    grid = GridSpec(lo, lo + rng.uniform(0.5, 3.0, dim), rng.integers(2, max_num + 1, dim))
+    vals = rng.normal(size=grid.size)
+    vals[rng.random(grid.size) < 0.25] = np.inf
+    vals[rng.integers(grid.size)] = 0.0
+    return GridFn._raw(grid, vals)
+
+
+def _random_target_grid(rng, dim, max_num):
+    lo = rng.uniform(-2.0, 0.0, dim)
+    return GridSpec(lo, lo + rng.uniform(0.5, 3.0, dim), rng.integers(2, max_num + 1, dim))
+
+
+class TestSeparableKernel:
+    """Every caller routed through the separable tensor-grid kernel against
+    the brute-force double loop."""
+
+    MAX_NUM = {1: 12, 2: 7, 3: 4}
+
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=3))
+    @settings(max_examples=30, deadline=None)
+    def test_conjugate(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        f = _random_grid_fn(rng, dim, self.MAX_NUM[dim])
+        dual = _random_target_grid(rng, dim, self.MAX_NUM[dim])
+        ref = brute_force_conjugate(f.grid.points(), f.values, dual.points())
+        assert np.allclose(conjugate(f, dual).values, ref, rtol=0.0, atol=1e-12)
+
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=3))
+    @settings(max_examples=20, deadline=None)
+    def test_biconjugate_envelope(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        f = _random_grid_fn(rng, dim, self.MAX_NUM[dim])
+        slopes = _random_target_grid(rng, dim, self.MAX_NUM[dim])
+        star = brute_force_conjugate(f.grid.points(), f.values, slopes.points())
+        ref = brute_force_conjugate(slopes.points(), star, f.grid.points())
+        got = lsc_biconjugate_envelope(f, slopes).values
+        assert np.allclose(got, ref, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("pairing", [
+        [[0.0, 1.0], [1.0, 0.0]],
+        [[0.0, -1.0], [-1.0, 0.0]],
+        [[-1.0, 0.0], [0.0, 1.0]],
+        [[0.0, 0.0, -1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]],
+        [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]],
+        [[2.0, 0.0], [0.0, -0.5]],
+    ])
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=10, deadline=None)
+    def test_signed_permutation_pairing_conjugate(self, pairing, seed):
+        from ssdkit import make_ssd
+
+        space = make_ssd(np.array(pairing))
+        rng = np.random.default_rng(seed)
+        f = _random_grid_fn(rng, space.dim, self.MAX_NUM[space.dim])
+        target = _random_target_grid(rng, space.dim, self.MAX_NUM[space.dim])
+        ref = brute_force_conjugate(f.grid.points() @ space.pairing, f.values, target.points())
+        got = intrinsic_conjugate(f, space, target).values
+        assert np.allclose(got, ref, rtol=0.0, atol=1e-12)
+
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=3))
+    @settings(max_examples=20, deadline=None)
+    def test_descending_axes_and_argmax(self, seed, dim):
+        from ssdkit.gridfn import _sup_separable
+
+        rng = np.random.default_rng(seed)
+        f = _random_grid_fn(rng, dim, self.MAX_NUM[dim])
+        flip = rng.choice([-1.0, 1.0], size=dim)
+        src_axes = [ax * s for ax, s in zip(f.grid.axes(), flip)]
+        target = _random_target_grid(rng, dim, self.MAX_NUM[dim])
+        src = np.stack([m.ravel() for m in np.meshgrid(*src_axes, indexing="ij")], axis=1)
+        vals, args = _sup_separable(src_axes, f.values_nd(), target.axes())
+        ref = brute_force_conjugate(src, f.values, target.points())
+        assert np.allclose(vals, ref, rtol=0.0, atol=1e-12)
+        attained = [float(np.dot(t, src[i])) - f.values[i]
+                    for t, i in zip(target.points(), args)]
+        assert np.allclose(attained, vals, rtol=0.0, atol=1e-12)
+
+    def test_ties_break_to_lowest_row_major_index(self):
+        from ssdkit.gridfn import _sup_separable, sup_linear_minus
+
+        grid = GridSpec.box(-1, 1, 5, 2)
+        vals, args = _sup_separable(grid.axes(), np.zeros(grid.shape()), [[0.0], [0.0]])
+        assert vals[0] == 0.0 and args[0] == 0
+        ref_vals, ref_args = sup_linear_minus(grid.points(), np.zeros(grid.size), [[0.0, 0.0]])
+        assert args[0] == ref_args[0]
+
+    def test_small_blocks_give_same_result(self, monkeypatch):
+        from ssdkit import gridfn
+
+        rng = np.random.default_rng(3)
+        f = _random_grid_fn(rng, 3, 6)
+        dual = _random_target_grid(rng, 3, 6)
+        full = conjugate(f, dual).values
+        scattered, _ = gridfn.sup_linear_minus(f.grid.points(), f.values, dual.points())
+        monkeypatch.setattr(gridfn, "_BLOCK", 7)
+        assert np.array_equal(conjugate(f, dual).values, full)
+        small, _ = gridfn.sup_linear_minus(f.grid.points(), f.values, dual.points())
+        assert np.allclose(small, scattered, rtol=0.0, atol=1e-12)  # BLAS rounds by shape
+
+    def test_is_mas_records_conjugate_path(self, prod_space, prod_dual, worked_fn61):
+        from ssdkit import make_ssd
+
+        rep = is_mas(worked_fn61, prod_space, prod_dual)
+        assert rep.meta["conjugate_path"] == "separable"
+        tilted = make_ssd(np.array([[1.0, 0.5], [0.5, 1.0]]))
+        rep = is_mas(worked_fn61, tilted, None)
+        assert rep.meta["conjugate_path"] == "scattered"

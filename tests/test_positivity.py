@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssdkit import (
     EmptySet,
@@ -27,6 +29,9 @@ from ssdkit.catalog import (
     singleton_origin,
     space_identity,
 )
+from ssdkit.positivity import _dedup
+
+from conftest import greedy_dedup
 
 SQRT2 = np.sqrt(2.0)
 
@@ -259,3 +264,49 @@ class TestEquivalenceOfVzAndDensity:
             dense = (len(ps) > 0
                      and p_dense_check(space, ps, fn.grid).passed)
             assert (gap_ok and dense) is expect, fn.form
+
+
+class TestDedup:
+    """The sort-based PointSet dedup against the greedy reference loop."""
+
+    @staticmethod
+    def _noisy_rows(rng, d):
+        n = int(rng.integers(1, 40))
+        base = np.round(rng.uniform(-2, 2, size=(n, d)), 1)
+        dups = base[rng.integers(0, n, size=int(rng.integers(0, 15)))]
+        step = rng.choice([4e-13, 1e-12, 3e-12])
+        near = (base[rng.integers(0, n, size=int(rng.integers(0, 10)))]
+                + rng.choice([-1.0, 0.0, 1.0], size=d) * step)
+        pts = np.vstack([base, dups, near])
+        return pts[rng.permutation(pts.shape[0])]
+
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=4))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_greedy_loop(self, seed, d):
+        pts = self._noisy_rows(np.random.default_rng(seed), d)
+        got = _dedup(pts)
+        assert np.array_equal(got, greedy_dedup(pts))
+        first = [int(np.flatnonzero(np.all(pts == row, axis=1))[0]) for row in got]
+        assert first == sorted(first)
+
+    def test_chain_keeps_both_ends(self):
+        pts = np.array([[5.0, 0.0], [0.0, 0.0], [0.6e-12, 0.0], [1.2e-12, 0.0], [0.0, 0.0]])
+        got = _dedup(pts)
+        assert np.array_equal(got, greedy_dedup(pts))
+        assert np.array_equal(got, pts[[0, 1, 3]])
+
+    def test_signed_zero_is_a_duplicate(self):
+        pts = np.array([[-0.0, 1.0], [1.0, 1.0], [0.0, 1.0]])
+        got = _dedup(pts)
+        assert got.shape == (2, 2)
+        assert np.signbit(got[0, 0])
+        assert np.array_equal(got, greedy_dedup(pts))
+
+    def test_single_row(self):
+        pts = np.array([[0.25, -1.0, 3.0]])
+        assert np.array_equal(_dedup(pts), pts)
+
+    def test_pointset_drops_near_duplicates_in_order(self):
+        pts = [[1.0, 0.0], [0.0, 0.0], [1.0, 5e-13], [0.0, 0.0], [2.0, 0.0]]
+        ps = PointSet(pts)
+        assert np.array_equal(ps.points, np.array([[1.0, 0.0], [0.0, 0.0], [2.0, 0.0]]))
