@@ -173,10 +173,8 @@ def cmd_fitzpatrick(cfg: RunConfig) -> int:
     triple.phi_fn.to_csv(cfg.out / "phi.csv")
     triple.theta_fn.to_csv(cfg.out / "theta.csv")
     triple.star_theta_fn.to_csv(cfg.out / "star_theta.csv")
-    from .fitzpatrick import theta
-
-    image = grid.points() @ space.pairing.T
-    gap = float(np.max(np.abs(triple.phi_fn.values - theta(space, pts, image))))
+    _, theta_on_image = triple.dual_blocks[1]  # theta at grid @ M.T
+    gap = float(np.max(np.abs(triple.phi_fn.values - theta_on_image)))
     doc = {"set_size": len(pts), "grid": grid.to_dict(),
            "phi_equals_theta_through_map_gap": gap}
     (cfg.out / "fitz_checks.json").write_text(

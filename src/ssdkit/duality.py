@@ -22,11 +22,14 @@ from .errors import (
 from .fitzpatrick import fitz_triple, phi, theta
 from .gridfn import (
     GridFn,
+    Lattice,
+    block_points,
     intrinsic_conjugate,
     is_mas,
     is_vz,
     min_values_plus_gauge,
-    sup_linear_minus,
+    sup_over_blocks,
+    sup_paths,
     zero_infconv_residuals,
 )
 from .grids import GridSpec, image_box
@@ -274,11 +277,10 @@ def lemma_4_7_identity(space: SsdSpace, dual: DualSsd, f: GridFn, c_grid: GridSp
                   + tols.one_cell_p_bound(dual.as_space, f.grid))
     c_pts = c_grid.points()
     term1, _ = zero_infconv_residuals(f, space, c_pts)
-    if dual_grid is None:
-        dual_nodes = f.grid.points() @ space.pairing.T
-    else:
-        dual_nodes = dual_grid.points()
-    fstar, _ = sup_linear_minus(f.grid.points(), f.values, dual_nodes)
+    dual_block = Lattice(f.grid, space.pairing.T) if dual_grid is None else Lattice(dual_grid)
+    dual_nodes = dual_block.points()
+    sources = [(Lattice(f.grid), f.values)]
+    fstar, _ = sup_over_blocks(sources, [dual_block])
     gap = fstar - dual.q_tilde(dual_nodes)
     term2, _ = min_values_plus_gauge(dual.as_space, gap, dual_nodes,
                                      c_pts @ space.pairing.T)
@@ -287,7 +289,9 @@ def lemma_4_7_identity(space: SsdSpace, dual: DualSsd, f: GridFn, c_grid: GridSp
     report = VerifyReport(suite="lemma_4_7", grid=c_grid.to_dict(),
                           tolerances={"tol": tol},
                           meta={"space": space.label, "fn": f.form,
-                                "dual_lattice": "image of the sample grid"})
+                                "dual_lattice": ("image of the sample grid" if dual_grid is None
+                                                 else "dual grid"),
+                                "sup_path": {"fstar": sup_paths(sources, [dual_block])}})
     report.add("two_sided_zero_sum", "lemma_4_7", float(resid[i]) <= tol,
                residual=float(resid[i]), witness=c_pts[i],
                note=f"term1 {float(term1[i]):+.3e}, term2 {float(term2[i]):+.3e} at witness")
@@ -331,9 +335,9 @@ def theorem_4_10_battery(space: SsdSpace, dual: DualSsd, a: PointSet, grid: Grid
 
     triple = fitz_triple(space, a, grid)
     nodes = grid.points()
-    image_nodes = np.vstack([image_box(grid, space.pairing, inflate=1.0,
-                                       include_source=False).points(),
-                             nodes @ space.pairing.T])
+    image_blocks = [Lattice(image_box(grid, space.pairing, inflate=1.0, include_source=False)),
+                    Lattice(grid, space.pairing.T)]
+    image_nodes = block_points(image_blocks)
     report = VerifyReport(suite="theorem_4_10", grid=grid.to_dict(),
                           tolerances={"tol": tol},
                           meta={"space": space.label, "set": a.label,
@@ -354,10 +358,10 @@ def theorem_4_10_battery(space: SsdSpace, dual: DualSsd, a: PointSet, grid: Grid
     report.add("b_theta_dominates_qt", "thm_4_10b", verdicts["b"],
                residual=max(0.0, float(gap_b[j])), witness=image_nodes[j])
 
-    phi_star, _ = sup_linear_minus(np.vstack([nodes, a.points]),
-                                   np.concatenate([triple.phi_fn.values,
-                                                   phi(space, a, a.points)]),
-                                   image_nodes)
+    phi_sources = [(Lattice(grid), triple.phi_fn.values), (a.points, phi(space, a, a.points))]
+    phi_star, _ = sup_over_blocks(phi_sources, image_blocks)
+    report.meta["sup_path"] = {"star_theta": triple.star_theta_path(),
+                               "phi_star": sup_paths(phi_sources, image_blocks)}
     gap_c = qt - phi_star
     k = int(np.argmax(gap_c))
     verdicts["c"] = float(gap_c[k]) <= tol

@@ -14,11 +14,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketViolated, EmptySet, NotAMinorant
-from .gridfn import GridFn, intrinsic_conjugate, is_vz, sup_linear_minus
+from .gridfn import (
+    GridFn,
+    Lattice,
+    block_points,
+    intrinsic_conjugate,
+    is_vz,
+    sup_linear_minus,
+    sup_over_blocks,
+    sup_paths,
+)
 from .grids import GridSpec, image_box
 from .positivity import PointSet, is_maximally_q_positive, p_set, sets_match
 from .reports import VerifyReport
-from .spaces import SsdSpace
+from .spaces import SsdSpace, pairwise_q
 from . import tolerances as tols
 
 DUAL_INFLATION = 1.5
@@ -50,25 +59,27 @@ def phi_two_ways(space: SsdSpace, a: PointSet, b):
     pts = np.atleast_2d(np.asarray(b, dtype=float))
     single = np.asarray(b).ndim == 1
     vals = phi(space, a, pts)
-    qb = space.q(pts)
-    inf_q = np.min(space.q(pts)[:, None] - pts @ space.pairing @ a.points.T
-                   + space.q(a.points)[None, :], axis=1)
-    v2 = qb - inf_q
+    v2 = space.q(pts) - np.min(pairwise_q(space, pts, a.points), axis=1)
     if single:
         return float(vals[0]), float(v2[0])
     return vals, v2
 
 
+def dual_probe_blocks(space: SsdSpace, grid: GridSpec,
+                      inflation: float = DUAL_INFLATION) -> list:
+    """Probe lattices on the dual side: the image box of the grid under the
+    canonical map (merged with the grid itself so degenerate maps still get a
+    box), inflated, and the exact image of the grid nodes."""
+    box = image_box(grid, space.pairing, inflate=inflation, include_source=True)
+    return [Lattice(box), Lattice(grid, space.pairing.T)]
+
+
 def dual_probe_points(space: SsdSpace, grid: GridSpec, inflation: float = DUAL_INFLATION,
                       include_image: bool = True) -> np.ndarray:
-    """Probe lattice on the dual side: the image box of the grid under the
-    canonical map (merged with the grid itself so degenerate maps still get a
-    box), inflated, plus the exact image of the grid nodes."""
-    box = image_box(grid, space.pairing, inflate=inflation, include_source=True)
-    pts = box.points()
-    if include_image:
-        pts = np.vstack([pts, grid.points() @ space.pairing.T])
-    return pts
+    """The rows of `dual_probe_blocks`, stacked (the box alone without
+    `include_image`)."""
+    blocks = dual_probe_blocks(space, grid, inflation=inflation)
+    return block_points(blocks if include_image else blocks[:1])
 
 
 def star_theta(space: SsdSpace, a: PointSet, dual_points, c) -> float | np.ndarray:
@@ -92,23 +103,37 @@ class FitzTriple:
     theta_fn: GridFn          # on the dual box lattice
     phi_fn: GridFn            # on the primal grid (exact finite max)
     star_theta_fn: GridFn     # on the primal grid (dual-probe sup)
-    dual_points: np.ndarray
+    dual_blocks: tuple        # (block, theta on it): box, image of the grid, image of the set
+
+    @property
+    def dual_points(self) -> np.ndarray:
+        return block_points([b for b, _ in self.dual_blocks])
+
+    @property
+    def dual_theta(self) -> np.ndarray:
+        return np.concatenate([vals for _, vals in self.dual_blocks])
+
+    def star_theta_path(self) -> list:
+        """`sup_paths` of the sup behind `star_theta_fn`."""
+        return sup_paths(self.dual_blocks, [Lattice(self.star_theta_fn.grid)])
 
 
 def fitz_triple(space: SsdSpace, a: PointSet, grid: GridSpec,
                 inflation: float = DUAL_INFLATION) -> FitzTriple:
-    dual_box = image_box(grid, space.pairing, inflate=inflation, include_source=True)
-    dual_pts = np.vstack([dual_probe_points(space, grid, inflation=inflation),
-                          a.points @ space.pairing.T])
-    theta_fn = GridFn._raw(dual_box, theta(space, a, dual_box.points()), form="theta")
+    box, image = dual_probe_blocks(space, grid, inflation=inflation)
+    theta_fn = GridFn._raw(box.grid, theta(space, a, box.points()), form="theta")
+    set_image = a.points @ space.pairing.T
+    dual_blocks = ((box, theta_fn.values),
+                   (image, theta(space, a, image.points())),
+                   (set_image, theta(space, a, set_image)))
     pts = grid.points()
     phi_fn = GridFn._raw(
         grid, phi(space, a, pts),
         exact=(lambda xs, _s=space, _a=a: phi(_s, _a, np.atleast_2d(xs))),
         form="phi")
-    st = star_theta(space, a, dual_pts, pts)
+    st, _ = sup_over_blocks(dual_blocks, [Lattice(grid)])
     star_fn = GridFn._raw(grid, st, form="star_theta")
-    return FitzTriple(a, space, theta_fn, phi_fn, star_fn, dual_pts)
+    return FitzTriple(a, space, theta_fn, phi_fn, star_fn, dual_blocks)
 
 
 def lemma_2_13_suite(space: SsdSpace, a: PointSet, grid: GridSpec,
@@ -142,16 +167,17 @@ def lemma_2_13_suite(space: SsdSpace, a: PointSet, grid: GridSpec,
 
     # sup sources augmented with the set itself so the finite-max identities
     # stay exact even when the set does not sit on grid nodes
-    aug_pts = np.vstack([pts, a.points])
-    aug_phi = np.concatenate([triple.phi_fn.values, phi_on_a])
-    st_aug = star_theta(space, a, triple.dual_points, aug_pts)
-    st_nodes, st_on_a = st_aug[: pts.shape[0]], st_aug[pts.shape[0]:]
+    st_nodes = triple.star_theta_fn.values
+    st_on_a, _ = sup_over_blocks(triple.dual_blocks, [a.points])
+    mapped_grid = Lattice(grid, space.pairing)
+    mapped_set = a.points @ space.pairing
 
     if tol_conj is None:
         h_d = float(np.max(triple.theta_fn.grid.spacing))
         lip = tols.observed_lipschitz(triple.star_theta_fn.values_nd(), grid.spacing)
         tol_conj = max(tols.ATOL_GRID, 0.5 * lip * h_d)
-    back, _ = sup_linear_minus(aug_pts @ space.pairing, st_aug, pts)
+    back_sources = [(mapped_grid, st_nodes), (mapped_set, st_on_a)]
+    back, _ = sup_over_blocks(back_sources, [Lattice(grid)])
     d_res = np.abs(back - triple.phi_fn.values)
     k = int(np.argmax(d_res))
     report.tolerances["tol_conj"] = tol_conj
@@ -164,8 +190,14 @@ def lemma_2_13_suite(space: SsdSpace, a: PointSet, grid: GridSpec,
     report.add("e_star_below_q", "lemma_2_13e", float(e_res[m]) <= tol_exact,
                residual=max(0.0, float(e_res[m])), witness=a.points[m])
 
-    phi_at_aug, _ = sup_linear_minus(aug_pts @ space.pairing, aug_phi, aug_pts)
+    phi_sources = [(mapped_grid, triple.phi_fn.values), (mapped_set, phi_on_a)]
+    phi_at_aug, _ = sup_over_blocks(phi_sources, [Lattice(grid), a.points])
     phi_at, phi_at_on_a = phi_at_aug[: pts.shape[0]], phi_at_aug[pts.shape[0]:]
+    report.meta["sup_path"] = {
+        "star_theta": triple.star_theta_path() + sup_paths(triple.dual_blocks, [a.points]),
+        "conjugate_back": sup_paths(back_sources, [Lattice(grid)]),
+        "phi_at": sup_paths(phi_sources, [Lattice(grid), a.points]),
+    }
     f1 = phi_at - st_nodes
     f2 = np.maximum(triple.phi_fn.values, qv) - phi_at
     r1, r2 = int(np.argmax(f1)), int(np.argmax(f2))
@@ -232,14 +264,15 @@ def theorem_2_15_suite(space: SsdSpace, f: GridFn, h: GridFn | None,
     report.add("f_below_star", "thm_2_15_1", float(hi[j]) <= tol if finite.any() else True,
                residual=max(0.0, float(hi[j])) if finite.any() else 0.0, witness=pts[j])
     dual_pts = triple.dual_points
-    f_star, _ = sup_linear_minus(np.vstack([pts, a.points]),
-                                 np.concatenate([f.values, f.evaluate(a.points)]),
-                                 dual_pts)
-    theta_vals = theta(space, a, dual_pts)
-    phi_star, _ = sup_linear_minus(np.vstack([pts, a.points]),
-                                   np.concatenate([triple.phi_fn.values,
-                                                   phi(space, a, a.points)]),
-                                   dual_pts)
+    duals = [b for b, _ in triple.dual_blocks]
+    f_sources = [(Lattice(grid), f.values), (a.points, f.evaluate(a.points))]
+    f_star, _ = sup_over_blocks(f_sources, duals)
+    theta_vals = triple.dual_theta
+    phi_sources = [(Lattice(grid), triple.phi_fn.values), (a.points, phi(space, a, a.points))]
+    phi_star, _ = sup_over_blocks(phi_sources, duals)
+    report.meta["sup_path"] = {"star_theta": triple.star_theta_path(),
+                               "f_star": sup_paths(f_sources, duals),
+                               "phi_star": sup_paths(phi_sources, duals)}
     c1 = theta_vals - f_star - slack
     c2 = f_star - phi_star - slack
     k1, k2 = int(np.argmax(c1)), int(np.argmax(c2))

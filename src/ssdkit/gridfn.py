@@ -11,6 +11,7 @@ index so witnesses are deterministic.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,8 +125,7 @@ class GridFn:
                 fh.write(f"axis,{i},{float(self.grid.lower[i])!r},"
                          f"{float(self.grid.upper[i])!r},{int(self.grid.num[i])}\n")
             fh.write("values\n")
-            for v in self.values:
-                fh.write("inf\n" if np.isposinf(v) else f"{float(v)!r}\n")
+            fh.write("\n".join(map(repr, self.values.tolist())) + "\n")
 
     @classmethod
     def from_csv(cls, path):
@@ -227,8 +227,9 @@ def sup_linear_minus(source_points, offsets, targets):
     """For each target t: max_i [t . source_i - offsets_i], with argmax.
 
     Rows with +inf offset never attain the max; raises Improper if none is
-    finite.  Ties break to the lowest source index.  One score block of at
-    most `_BLOCK` entries is live at a time.
+    finite.  Ties break to the lowest source index.  Bitwise-equal target
+    rows are scored once.  One score block of at most `_BLOCK` entries is
+    live at a time.
     """
     offsets = np.asarray(offsets, dtype=float).ravel()
     finite = np.isfinite(offsets)
@@ -237,7 +238,11 @@ def sup_linear_minus(source_points, offsets, targets):
     x = np.asarray(source_points, dtype=float)[finite]
     c = offsets[finite]
     back = np.flatnonzero(finite)
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    targets = np.ascontiguousarray(np.atleast_2d(np.asarray(targets, dtype=float)))
+    first, inverse = _distinct_rows(targets)
+    collapse = first.size < targets.shape[0]
+    if collapse:
+        targets = targets[first]
     m, n = targets.shape[0], x.shape[0]
     vals = np.empty(m)
     args = np.empty(m, dtype=int)
@@ -251,7 +256,132 @@ def sup_linear_minus(source_points, offsets, targets):
         a = np.argmax(scores, axis=1)
         vals[start:start + chunk] = scores[np.arange(t.shape[0]), a]
         args[start:start + chunk] = back[a]
+    if collapse:
+        return vals[inverse], args[inverse]
     return vals, args
+
+
+def _distinct_rows(x):
+    """(first, inverse) over bitwise-equal rows of a C-contiguous float
+    matrix: x[first] holds each distinct row once and x[first][inverse] is x."""
+    keys = x.view(np.int64)
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    new = np.ones(order.size, dtype=bool)
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
+@dataclass(frozen=True, eq=False)
+class Lattice:
+    """A block of sup sources or targets laid out on a box grid: the nodes
+    `grid.points() @ matrix`, row-major over the grid (no matrix: the grid
+    nodes themselves).  Any other block is an array of scattered points."""
+
+    grid: GridSpec
+    matrix: np.ndarray | None = None
+
+    @property
+    def size(self) -> int:
+        return self.grid.size
+
+    def points(self) -> np.ndarray:
+        pts = self.grid.points()
+        return pts if self.matrix is None else pts @ self.matrix
+
+
+def _rows(block) -> np.ndarray:
+    return block.points() if isinstance(block, Lattice) else np.atleast_2d(block)
+
+
+def block_points(blocks) -> np.ndarray:
+    """The rows of the blocks, stacked in order."""
+    return np.vstack([_rows(b) for b in blocks])
+
+
+def _block_size(block) -> int:
+    return block.size if isinstance(block, Lattice) else int(np.atleast_2d(block).shape[0])
+
+
+def _separable_map(source, target):
+    """(perm, scale) when the score t . x between two lattices factors by
+    axis; None otherwise.  With t = z @ N and x = y @ M over grid nodes z, y
+    the score is (z @ P) . y with P = N @ M.T, so the pair is separable when
+    P has one nonzero per row and column (`_pairing_permutation`)."""
+    if not (isinstance(source, Lattice) and isinstance(target, Lattice)):
+        return None
+    m = np.eye(source.grid.dim) if source.matrix is None else source.matrix
+    n = np.eye(target.grid.dim) if target.matrix is None else target.matrix
+    p = n @ m.T
+    if p.shape[0] != p.shape[1]:
+        return None
+    return _pairing_permutation(p)
+
+
+def _sup_pair(source, offsets, target):
+    """`sup_linear_minus` for one source block against one target block."""
+    mapping = _separable_map(source, target)
+    if mapping is None:
+        return sup_linear_minus(_rows(source), offsets, _rows(target))
+    # the effective targets z @ P form a tensor grid whose axis j is the
+    # target grid's axis perm[j] times scale[j]; results come back in that
+    # axis order and are transposed to the target grid's row-major order
+    perm, scale = mapping
+    z_axes = target.grid.axes()
+    t_axes = [z_axes[i] * s for i, s in zip(perm, scale)]
+    vals, args = _sup_separable(source.grid.axes(), offsets.reshape(source.grid.shape()), t_axes)
+    shape = tuple(a.size for a in t_axes)
+    order = np.argsort(perm)
+    return (np.transpose(vals.reshape(shape), order).ravel(),
+            np.transpose(args.reshape(shape), order).ravel())
+
+
+def sup_over_blocks(sources, targets):
+    """`sup_linear_minus` over stacked blocks, without stacking them.
+
+    `sources` is a sequence of (block, offsets) pairs and `targets` a
+    sequence of blocks, each a `Lattice` or an array of points.  Returns the
+    max over all source rows for each target row, targets in concatenated
+    order, with the argmax in concatenated source order.  A lattice pair
+    whose score factors by axis runs the separable kernel, any other pair
+    the scattered one (`sup_paths` says which); blocks merge with a strict
+    `>`, so ties go to the lowest concatenated index, as in one stacked call.
+    """
+    sources = [(b, np.asarray(off, dtype=float).ravel()) for b, off in sources]
+    for block, off in sources:
+        if off.size != _block_size(block):
+            raise DimensionMismatch(f"block of {_block_size(block)} rows has {off.size} offsets")
+    live = [np.any(np.isfinite(off)) for _, off in sources]
+    if not any(live):
+        raise Improper("no finite values to take a supremum over")
+    vals_out, args_out = [], []
+    for target in targets:
+        best = arg = None
+        start = 0
+        for (block, off), ok in zip(sources, live):
+            if ok:
+                vals, args = _sup_pair(block, off, target)
+                args += start
+                if best is None:
+                    best, arg = vals, args
+                else:
+                    better = vals > best
+                    best = np.where(better, vals, best)
+                    arg = np.where(better, args, arg)
+            start += off.size
+        vals_out.append(best)
+        args_out.append(arg)
+    return np.concatenate(vals_out), np.concatenate(args_out)
+
+
+def sup_paths(sources, targets) -> list:
+    """The kernel `sup_over_blocks` runs on each (source, target) block pair,
+    with the block sizes, target blocks outermost."""
+    return [{"kernel": "scattered" if _separable_map(block, target) is None else "separable",
+             "sources": _block_size(block), "targets": _block_size(target)}
+            for target in targets for block, _ in sources]
 
 
 def _sup_separable(src_axes, offsets_nd, tgt_axes):
@@ -342,10 +472,10 @@ def _rescore(src_axes, neg, tgt_axes, args):
 
 
 def _pairing_permutation(pairing):
-    """(perm, scale) when the pairing matrix has exactly one nonzero in every
-    row and column, M[perm[j], j] = scale[j]; None otherwise.  Then the nodes
-    x @ M of a tensor grid form a tensor grid again, with axis j the grid's
-    axis perm[j] times scale[j] (a signed permutation has scale +-1)."""
+    """(perm, scale) when the matrix has exactly one nonzero in every row and
+    column, M[perm[j], j] = scale[j]; None otherwise.  Then the nodes x @ M
+    of a tensor grid form a tensor grid again, with axis j the grid's axis
+    perm[j] times scale[j] (a signed permutation has scale +-1)."""
     nz = pairing != 0
     if not (np.all(nz.sum(axis=0) == 1) and np.all(nz.sum(axis=1) == 1)):
         return None
@@ -395,7 +525,7 @@ def min_values_plus_gauge(space: SsdSpace, add_on_nodes, nodes, c_rows, gauge=pa
 
 def conjugate(f: GridFn, dual_grid: GridSpec) -> GridFn:
     """Dot-product conjugate: f*(y) = max over grid nodes x of [x.y - f(x)]."""
-    vals, _ = _sup_separable(f.grid.axes(), f.values_nd(), dual_grid.axes())
+    vals, _ = sup_over_blocks([(Lattice(f.grid), f.values)], [Lattice(dual_grid)])
     return GridFn._raw(dual_grid, vals, form="conjugate")
 
 
@@ -411,15 +541,7 @@ def intrinsic_conjugate(f: GridFn, space: SsdSpace, target_grid: GridSpec | None
     if space.dim != f.grid.dim:
         raise DimensionMismatch("space and grid dimensions differ")
     grid = f.grid if target_grid is None else target_grid
-    perm = _pairing_permutation(space.pairing)
-    if perm is None:
-        source = f.grid.points() @ space.pairing
-        vals, _ = sup_linear_minus(source, f.values, grid.points())
-    else:
-        cols, scale = perm
-        axes = f.grid.axes()
-        src_axes = [axes[i] * s for i, s in zip(cols, scale)]
-        vals, _ = _sup_separable(src_axes, np.transpose(f.values_nd(), cols), grid.axes())
+    vals, _ = sup_over_blocks([(Lattice(f.grid, space.pairing), f.values)], [Lattice(grid)])
     return GridFn._raw(grid, vals, form="pairing-conjugate")
 
 
@@ -491,7 +613,7 @@ def lsc_biconjugate_envelope(f: GridFn, slope_grid: GridSpec | None = None) -> G
     star = conjugate(f, slope_grid)
     if not np.any(np.isfinite(star.values)):
         raise NoAffineMinorant("conjugate is +inf on the whole slope grid")
-    vals, _ = _sup_separable(slope_grid.axes(), star.values_nd(), f.grid.axes())
+    vals, _ = sup_over_blocks([(Lattice(slope_grid), star.values)], [Lattice(f.grid)])
     return GridFn._raw(f.grid, vals, form="biconjugate")
 
 
@@ -559,7 +681,8 @@ def is_mas(f: GridFn, space: SsdSpace, dual, tol: float | None = None) -> Verify
     if tol is None:
         tol = tols.ATOL_GRID
     pts = f.grid.points()
-    path = "scattered" if _pairing_permutation(space.pairing) is None else "separable"
+    source = [(Lattice(f.grid, space.pairing), f.values)]
+    path = sup_paths(source, [Lattice(f.grid)])[0]["kernel"]
     report = VerifyReport(suite="is_mas", grid=f.grid.to_dict(),
                           tolerances={"tol": tol},
                           meta={"space": space.label, "fn": f.form,

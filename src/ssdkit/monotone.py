@@ -19,7 +19,7 @@ from .gridfn import GridFn, is_mas
 from .grids import GridSpec
 from .positivity import PointSet, is_q_positive, p_set, sets_match
 from .reports import VerifyReport
-from .spaces import SsdSpace, pairwise_q
+from .spaces import SsdSpace, pairwise_q, pairwise_sq_dists
 from . import tolerances as tols
 
 _SQRT2 = np.sqrt(2.0)
@@ -345,7 +345,8 @@ def projection_closure_check(f: GridFn, space: SsdSpace,
         cell = float(np.max(h[cols]))
         pa = touch.points[:, cols]
         pb = dom[:, cols]
-        d_ab = _hausdorff_euclid(pa, pb)
+        d = np.sqrt(pairwise_sq_dists(pa, pb))
+        d_ab = max(float(np.max(np.min(d, axis=1))), float(np.max(np.min(d, axis=0))))
         report.add(f"{name}_projections_match", "thm_5_5f",
                    d_ab <= tol_cells * cell, residual=d_ab,
                    note="symmetric Hausdorff distance of the two projections")
@@ -356,9 +357,3 @@ def projection_closure_check(f: GridFn, space: SsdSpace,
                        residual=float(np.max(gaps)) if gaps.size else 0.0,
                        note="index gaps within tolerance = interval on the grid")
     return report
-
-
-def _hausdorff_euclid(a, b):
-    d = np.sqrt(np.maximum(
-        np.sum(a**2, axis=1)[:, None] - 2 * a @ b.T + np.sum(b**2, axis=1)[None, :], 0.0))
-    return max(float(np.max(np.min(d, axis=1))), float(np.max(np.min(d, axis=0))))

@@ -421,7 +421,6 @@ def lemma_2_8_suite(space: SsdSpace, a: PointSet, h: GridFn, c_grid: GridSpec,
     touch = p_set(h, space) if above else None
     covers = False
     if touch is not None and len(touch):
-        covers, _ = sets_match(space, a.points, touch.points, radius=np.inf)
         near = np.min(pairwise_norm(space, a.points, touch.points), axis=1)
         covers = bool(np.max(near) <= 2.0 * cell)
     if above and covers:

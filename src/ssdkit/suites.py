@@ -98,21 +98,29 @@ def _grid(opts: SuiteOptions, dim=2, n=61) -> GridSpec:
     return default_grid(dim, -3.0, 3.0, n)
 
 
-def _finish(reports, started):
-    elapsed = time.perf_counter() - started
-    for rep in reports:
-        if rep.wall_time == 0.0:
-            rep.wall_time = elapsed / max(1, len(reports))
-    return reports
+class _Reports(list):
+    """The reports of one suite run.  Each report's wall_time is the time
+    since the previous one was added (the first: since the suite started),
+    so shared setup is charged to the first report that needs it and the
+    wall times add up to the suite's run time."""
+
+    def __init__(self):
+        super().__init__()
+        self._mark = time.perf_counter()
+
+    def append(self, rep):
+        now = time.perf_counter()
+        rep.wall_time = now - self._mark
+        self._mark = now
+        super().append(rep)
 
 
 # -- individual suites ---------------------------------------------------------------
 
 
 def suite_banach_ssd(opts: SuiteOptions):
-    t0 = time.perf_counter()
+    reports = _Reports()
     grid = _grid(opts)
-    reports = []
     spaces = [space_identity(2), space_negated(2), space_swap_r3(),
               space_r2_product("one"), space_r2_product("two"), space_r2_product("inf")]
     for sp in spaces:
@@ -141,13 +149,12 @@ def suite_banach_ssd(opts: SuiteOptions):
     comp.add("conjugate_composition", "eq_2_1_6", gap <= 1e-10, residual=gap,
              note="pairing-conjugate vs dot-conjugate through the dual map")
     reports.append(comp)
-    return _finish(reports, t0)
+    return reports
 
 
 def suite_helix(opts: SuiteOptions):
-    t0 = time.perf_counter()
+    reports = _Reports()
     sp = space_swap_r3()
-    reports = []
     good = is_q_positive(sp, helix_set(pitch=1.0))
     good.suite = "helix"
     reports.append(good)
@@ -172,11 +179,11 @@ def suite_helix(opts: SuiteOptions):
     single = is_q_positive(sp, PointSet([[1.0, 0.0, 0.0]], label="singleton"))
     single.suite = "helix"
     reports.append(single)
-    return _finish(reports, t0)
+    return reports
 
 
 def suite_remark_2_17(opts: SuiteOptions):
-    t0 = time.perf_counter()
+    reports = _Reports()
     sp = space_r2_product("two", tau=1.0)
     grid = _grid(opts, n=121)
     f = half_sq_norm_fn(grid)
@@ -199,7 +206,7 @@ def suite_remark_2_17(opts: SuiteOptions):
         np.max(np.abs(touching.points[:, 0] - touching.points[:, 1]))) < 1e-12
     rep.add("touching_set_is_diagonal", "remark_2_17", on_diag,
             residual=0.0 if on_diag else 1.0)
-    reports = [rep]
+    reports.append(rep)
     probe = grid.subsample(2)
     db = dist_bounds_check(f, sp, probe)
     db.suite = "remark_2_17"
@@ -211,14 +218,13 @@ def suite_remark_2_17(opts: SuiteOptions):
     sharp.add("sharpness_ratio", "eq_2_7_1", ok, residual=abs(ratio - SQRT2),
               note=f"max distance ratio {ratio:.12f} vs sqrt(2)")
     reports.append(sharp)
-    return _finish(reports, t0)
+    return reports
 
 
 def suite_lemma_1_6(opts: SuiteOptions):
-    t0 = time.perf_counter()
+    reports = _Reports()
     grid = _grid(opts)
     rng = np.random.default_rng(opts.seed)
-    reports = []
     cases = [
         (space_r2_product("two"), half_sq_norm_fn(grid), "worked example"),
         (space_identity(2), q_plus_const_fn(space_identity(2), grid), "shifted form"),
@@ -261,14 +267,13 @@ def suite_lemma_1_6(opts: SuiteOptions):
     rep.add("touching_conjugate_value", "lemma_1_11b", worst_conj <= 1e-6,
             residual=worst_conj)
     reports.append(rep)
-    return _finish(reports, t0)
+    return reports
 
 
 def suite_lemma_2_13(opts: SuiteOptions):
-    t0 = time.perf_counter()
+    reports = _Reports()
     sp = space_r2_product("two")
     grid = _grid(opts)
-    reports = []
     if opts.point_set is not None:
         space = sp if opts.point_set.dim == 2 else space_swap_r3()
         if opts.point_set.dim not in (2, 3):
@@ -276,7 +281,8 @@ def suite_lemma_2_13(opts: SuiteOptions):
         rep = lemma_2_13_suite(space, opts.point_set, _grid(opts, dim=opts.point_set.dim,
                                                            n=61 if opts.point_set.dim == 2 else 17))
         rep.meta["set"] = opts.point_set.label or "user set"
-        return _finish([rep], t0)
+        reports.append(rep)
+        return reports
     diag = diagonal_set(-3, 3, 121)
     rep = lemma_2_13_suite(sp, diag.underlying, grid)
     rep.meta["set"] = "diagonal"
@@ -298,15 +304,14 @@ def suite_lemma_2_13(opts: SuiteOptions):
             witness=witness,
             note="conjugate-back and pullback-conjugate must differ here")
     reports.append(rep)
-    return _finish(reports, t0)
+    return reports
 
 
 def suite_theorem_2_9(opts: SuiteOptions):
-    t0 = time.perf_counter()
+    reports = _Reports()
     sp = space_r2_product("two")
     grid = _grid(opts, n=121)
     f = half_sq_norm_fn(grid)
-    reports = []
     db = dist_bounds_check(f, sp, grid.subsample(2))
     db.suite = "theorem_2_9"
     reports.append(db)
@@ -317,11 +322,11 @@ def suite_theorem_2_9(opts: SuiteOptions):
         rep.suite = "theorem_2_9"
         rep.meta["fn"] = label
         reports.append(rep)
-    return _finish(reports, t0)
+    return reports
 
 
 def suite_lemma_2_7(opts: SuiteOptions, n_points: int = 50):
-    t0 = time.perf_counter()
+    reports = _Reports()
     sp = space_r2_product("two")
     grid = _grid(opts, n=121)
     f = half_sq_norm_fn(grid)
@@ -343,29 +348,28 @@ def suite_lemma_2_7(opts: SuiteOptions, n_points: int = 50):
             residual=worst_cert, note=f"{n_points} random starts")
     rep.add("distance_bound", "eq_2_7_2", worst_dist <= 0.0,
             residual=max(0.0, worst_dist))
-    return _finish([rep], t0)
+    reports.append(rep)
+    return reports
 
 
 def suite_theorem_2_15(opts: SuiteOptions):
-    t0 = time.perf_counter()
+    reports = _Reports()
     sp = space_r2_product("two")
     grid = _grid(opts)
     f = half_sq_norm_fn(grid)
     diag = diagonal_set(-3, 3, 121)
     phi_fn, star_fn = representer_fns(sp, diag, grid)
-    reports = []
     for h, label in ((phi_fn, "primal representer"), (star_fn, "conjugate-back"),
                      (GridFn._raw(grid, 0.5 * (phi_fn.values + star_fn.values),
                                   form="midpoint"), "midpoint")):
         rep = theorem_2_15_suite(sp, f, h)
         rep.meta["candidate"] = label
         reports.append(rep)
-    return _finish(reports, t0)
+    return reports
 
 
 def suite_example_2_4(opts: SuiteOptions):
-    t0 = time.perf_counter()
-    reports = []
+    reports = _Reports()
     for sp in all_special_spaces():
         dual = make_dual(sp)
         rep = dual_norm_check(sp, dual, n_samples=100, seed=opts.seed)
@@ -392,13 +396,12 @@ def suite_example_2_4(opts: SuiteOptions):
         ordered &= bool(np.all(n1 <= n2 + 1e-12) and np.all(n2 <= ni + 1e-12))
     rep.add("norms_increase", "ex_2_4", ordered, residual=0.0 if ordered else 1.0)
     reports.append(rep)
-    return _finish(reports, t0)
+    return reports
 
 
 def suite_example_4_4(opts: SuiteOptions):
-    t0 = time.perf_counter()
+    reports = _Reports()
     grid = _grid(opts)
-    reports = []
     rep = VerifyReport(suite="example_4_4", tolerances={"exact": 1e-12})
     try:
         make_dual(space_nodual())
@@ -418,12 +421,11 @@ def suite_example_4_4(opts: SuiteOptions):
         dens.suite = "example_4_4"
         dens.meta["norm"] = f"{sp.norm.variant},{sp.norm.tau:g}"
         reports.append(dens)
-    return _finish(reports, t0)
+    return reports
 
 
 def suite_lemma_4_7(opts: SuiteOptions):
-    t0 = time.perf_counter()
-    reports = []
+    reports = _Reports()
     sp = space_r2_product("two")
     dual = make_dual(sp)
     grid = _grid(opts, n=121)
@@ -442,13 +444,12 @@ def suite_lemma_4_7(opts: SuiteOptions):
                              c_grid, tol=opts.tol or 5e-3)
     rep.meta["fn"] = "shifted quadratic (terms +1/-1)"
     reports.append(rep)
-    return _finish(reports, t0)
+    return reports
 
 
 def suite_theorem_4_9(opts: SuiteOptions):
-    t0 = time.perf_counter()
+    reports = _Reports()
     grid = _grid(opts)
-    reports = []
     verdict_table = {}
     for sp in all_special_spaces():
         dual = make_dual(sp)
@@ -473,23 +474,23 @@ def suite_theorem_4_9(opts: SuiteOptions):
     cross.add("expected_verdicts", "thm_4_9c", right,
               residual=0.0 if right else 1.0)
     reports.append(cross)
-    return _finish(reports, t0)
+    return reports
 
 
 def suite_theorem_4_10(opts: SuiteOptions):
-    t0 = time.perf_counter()
+    reports = _Reports()
     sp = space_r2_product("two")
     dual = make_dual(sp)
     grid = _grid(opts)
     diag = diagonal_set(-3, 3, 121)
     rep = theorem_4_10_battery(sp, dual, diag.underlying, grid)
-    return _finish([rep], t0)
+    reports.append(rep)
+    return reports
 
 
 def suite_theorem_5_5(opts: SuiteOptions):
-    t0 = time.perf_counter()
+    reports = _Reports()
     diag = diagonal_set(-3, 3, 121)
-    reports = []
     rep = alignment_report(diag, [1.0], [-1.0], 1.0, 1.0)
     rep.meta["case"] = "unit weights at (1, -1)"
     reports.append(rep)
@@ -522,15 +523,14 @@ def suite_theorem_5_5(opts: SuiteOptions):
     pc = projection_closure_check(phi_sign, sp)
     pc.meta["fn"] = "sign-graph representer"
     reports.append(pc)
-    return _finish(reports, t0)
+    return reports
 
 
 def suite_theorem_5_8(opts: SuiteOptions):
-    t0 = time.perf_counter()
+    reports = _Reports()
     sp = space_r2_product("two")
     dual = make_dual(sp)
     grid = _grid(opts)
-    reports = []
     sets = ([(opts.monotone_set.underlying.label or "user set", opts.monotone_set)]
             if opts.monotone_set is not None else
             [("diagonal", diagonal_set(-3, 3, 121)),
@@ -549,14 +549,13 @@ def suite_theorem_5_8(opts: SuiteOptions):
         sr.suite = "theorem_5_8"
         sr.meta["set"] = label
         reports.append(sr)
-    return _finish(reports, t0)
+    return reports
 
 
 def suite_remark_5_6(opts: SuiteOptions):
-    t0 = time.perf_counter()
+    reports = _Reports()
     sp = space_r2_product("two")
     grid = _grid(opts, n=121)
-    reports = []
     diag = diagonal_set(-3, 3, 121)
     rep = remark_5_6_bound(diag, half_sq_norm_fn(grid), sp, grid.subsample(2))
     rep.meta["fn"] = "worked example"
@@ -566,11 +565,12 @@ def suite_remark_5_6(opts: SuiteOptions):
     rep = remark_5_6_bound(cubic, phi_fn, sp, grid.subsample(4))
     rep.meta["fn"] = "cubic-graph representer"
     reports.append(rep)
-    return _finish(reports, t0)
+    return reports
 
 
-def _lower_hull_1d(xs, ys):
-    order = np.argsort(xs)
+def lower_hull_1d(xs, ys):
+    """Monotone-chain lower convex hull, evaluated back at the sample abscissae."""
+    order = np.lexsort((ys, xs))
     hull = []
     for x, y in zip(xs[order], ys[order]):
         while len(hull) >= 2:
@@ -605,7 +605,7 @@ def _random_convex_fn(rng, grid):
 
 
 def suite_fenchel_moreau(opts: SuiteOptions, n_random: int = 20):
-    t0 = time.perf_counter()
+    reports = _Reports()
     rng = np.random.default_rng(opts.seed)
     rep = VerifyReport(suite="fenchel_moreau", seed=opts.seed,
                        tolerances={"bound": "5 * spacing * observed slope"})
@@ -624,7 +624,7 @@ def suite_fenchel_moreau(opts: SuiteOptions, n_random: int = 20):
     grid = GridSpec.box(-2, 2, 81, 1)
     dw = double_well_fn(grid)
     fss = lsc_biconjugate_envelope(dw)
-    hull = _lower_hull_1d(grid.points()[:, 0], dw.values)
+    hull = lower_hull_1d(grid.points()[:, 0], dw.values)
     lip = tols.observed_lipschitz(dw.values_nd(), grid.spacing)
     bound = 5.0 * float(grid.spacing[0]) * lip
     err = float(np.max(np.abs(fss.values - hull)))
@@ -633,16 +633,16 @@ def suite_fenchel_moreau(opts: SuiteOptions, n_random: int = 20):
     below = float(np.max(fss.values - dw.values))
     rep.add("biconjugate_below", "thm_6_1", below <= 1e-12,
             residual=max(0.0, below))
-    return _finish([rep], t0)
+    reports.append(rep)
+    return reports
 
 
 def suite_theorem_2_16(opts: SuiteOptions):
-    t0 = time.perf_counter()
+    reports = _Reports()
     sp = space_r2_product("two")
     grid = _grid(opts)
     diag = diagonal_set(-3, 3, 121)
     phi_fn, star_fn = representer_fns(sp, diag, grid)
-    reports = []
     rep = sigma_minorant_test(sp, diag.underlying, phi_fn)
     rep.meta["candidate"] = "primal representer"
     reports.append(rep)
@@ -653,7 +653,7 @@ def suite_theorem_2_16(opts: SuiteOptions):
     rep = sigma_minorant_test(sp, diag.underlying, affine)
     rep.meta["candidate"] = "affine tangent"
     reports.append(rep)
-    return _finish(reports, t0)
+    return reports
 
 
 SUITES = {

@@ -78,19 +78,3 @@ def greedy_dedup(pts, tol=1e-12):
             keep.append(i)
     return pts[keep].copy()
 
-
-def lower_convex_hull_1d(xs, ys):
-    """Monotone-chain lower hull, evaluated back at the sample abscissae."""
-    pts = sorted(zip(xs, ys))
-    hull = []
-    for x, y in pts:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (y2 - y1) * (x - x1) >= (y - y1) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append((x, y))
-    hx = np.array([h[0] for h in hull])
-    hy = np.array([h[1] for h in hull])
-    return np.interp(xs, hx, hy)

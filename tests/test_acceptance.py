@@ -44,10 +44,8 @@ from ssdkit.duality import lemma_4_7_identity, numerical_dual_norm
 from ssdkit.monotone import MonotoneSet
 from ssdkit.positivity import PointSet
 from ssdkit.spaces import NormSpec, pairwise_norm, pairwise_q
-from ssdkit.suites import _random_convex_fn
+from ssdkit.suites import _random_convex_fn, lower_hull_1d
 from ssdkit.tolerances import cell_norm, observed_lipschitz
-
-from conftest import lower_convex_hull_1d
 
 SQRT2 = np.sqrt(2.0)
 
@@ -319,7 +317,7 @@ def test_criterion_10_biconjugation():
     grid = default_grid(1, -2.0, 2.0, 81)
     dw = double_well_fn(grid)
     fss = lsc_biconjugate_envelope(dw)
-    hull = lower_convex_hull_1d(grid.points()[:, 0], dw.values)
+    hull = lower_hull_1d(grid.points()[:, 0], dw.values)
     lip = observed_lipschitz(dw.values_nd(), grid.spacing)
     bound = 5.0 * float(grid.spacing[0]) * lip
     err_hull = float(np.max(np.abs(fss.values - hull)))

@@ -76,6 +76,19 @@ class TestVerify:
         doc = json.loads((tmp_path / "lemma_2_13.json").read_text())
         assert doc["reports"][0]["meta"]["set"] == "diag"
 
+    def test_report_wall_times_are_measured_per_report(self):
+        import time
+
+        from ssdkit.suites import run_suite
+
+        t0 = time.perf_counter()
+        reports = run_suite("remark_2_17")
+        elapsed = time.perf_counter() - t0
+        times = [rep.wall_time for rep in reports]
+        assert len(times) == 3 and all(t > 0.0 for t in times)
+        assert sum(times) <= elapsed
+        assert len(set(times)) == len(times)  # not one average copied into each
+
 
 class TestReport:
     def test_aggregation_and_idempotence(self, tmp_path):

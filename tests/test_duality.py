@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssdkit import (
     NoDual,
@@ -196,6 +198,43 @@ class TestLemma47:
         # the two terms are macroscopic separately but cancel:
         # term1 = p(c - a) - q(a), term2 = q(a) - p(c - a)
         assert rep.meta["max_term1"] > 1.0
+
+    @pytest.mark.parametrize("pairing,kernel", [
+        ([[0.0, 1.0], [1.0, 0.0]], "separable"),
+        ([[1.0, 0.0], [0.0, 1.0]], "separable"),
+        ([[1.0, 0.5], [0.5, 1.0]], "scattered"),
+    ])
+    @pytest.mark.parametrize("widen", [False, True])
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=8, deadline=None)
+    def test_fstar_matches_brute_force(self, pairing, kernel, widen, seed):
+        from ssdkit import GridFn, GridSpec, make_ssd
+        from ssdkit.gridfn import min_values_plus_gauge, zero_infconv_residuals
+
+        from conftest import brute_force_conjugate
+
+        space = make_ssd(np.array(pairing))
+        dual = make_dual(space)
+        rng = np.random.default_rng(seed)
+        lo = rng.uniform(-2.0, -0.5, 2)
+        grid = GridSpec(lo, lo + rng.uniform(1.0, 3.0, 2), rng.integers(3, 8, 2))
+        vals = rng.normal(size=grid.size)
+        vals[rng.random(grid.size) < 0.2] = np.inf
+        vals[0] = 0.0
+        f = GridFn._raw(grid, vals)
+        dual_grid = grid.scaled(2.0, num=rng.integers(3, 8, 2)) if widen else None
+        rep = lemma_4_7_identity(space, dual, f, grid, tol=1.0, dual_grid=dual_grid)
+        nodes = grid.points() @ space.pairing.T if dual_grid is None else dual_grid.points()
+        fstar = brute_force_conjugate(grid.points(), f.values, nodes)
+        term1, _ = zero_infconv_residuals(f, space, grid.points())
+        term2, _ = min_values_plus_gauge(dual.as_space, fstar - dual.q_tilde(nodes), nodes,
+                                         grid.points() @ space.pairing.T)
+        assert rep.meta["max_term2"] == pytest.approx(float(np.max(np.abs(term2))),
+                                                      rel=0.0, abs=1e-12)
+        assert rep.checks[0].worst_residual == pytest.approx(
+            float(np.max(np.abs(term1 + term2))), rel=0.0, abs=1e-12)
+        path = rep.meta["sup_path"]["fstar"]
+        assert [p["kernel"] for p in path] == ["separable" if widen else kernel]
 
 
 class TestVzMasEquivalence:

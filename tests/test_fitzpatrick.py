@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssdkit import (
     BracketViolated,
@@ -193,3 +195,41 @@ class TestConjugateBracket:
         phi_star, _ = sup_linear_minus(sources, vals, triple.dual_points)
         theta_vals = theta(prod_space, diag121.underlying, triple.dual_points)
         assert np.all(phi_star >= theta_vals - 1e-9)
+
+
+class TestBlockRouting:
+    """`fitz_triple` takes its sups over probe blocks; the stacked
+    `star_theta` over the same rows is the reference."""
+
+    @pytest.mark.parametrize("space_name", ["swap", "identity", "zero", "swap_r3"])
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=10, deadline=None)
+    def test_star_theta_matches_stacked_probes(self, space_name, seed):
+        from ssdkit import product_space
+        from ssdkit.catalog import space_identity, space_swap_r3
+        from ssdkit.grids import image_box
+
+        space = {"swap": lambda: product_space(1), "identity": lambda: space_identity(2),
+                 "zero": lambda: space_zero_pairing(2), "swap_r3": space_swap_r3}[space_name]()
+        rng = np.random.default_rng(seed)
+        grid = default_grid(space.dim, -2.0, 2.0, int(rng.integers(3, 10 if space.dim == 2 else 6)))
+        a = PointSet(rng.uniform(-2.0, 2.0, size=(int(rng.integers(1, 8)), space.dim)))
+        triple = fitz_triple(space, a, grid)
+        box = image_box(grid, space.pairing, inflate=1.5, include_source=True)
+        stacked = np.vstack([box.points(), grid.points() @ space.pairing.T,
+                             a.points @ space.pairing.T])
+        assert np.array_equal(triple.dual_points, stacked)
+        assert np.allclose(triple.dual_theta, theta(space, a, stacked), rtol=0.0, atol=1e-12)
+        ref = star_theta(space, a, stacked, grid.points())
+        assert np.allclose(triple.star_theta_fn.values, ref, rtol=0.0, atol=1e-12)
+
+    def test_reports_record_sup_paths(self, prod_space, grid61, diag121):
+        rep = lemma_2_13_suite(prod_space, diag121.underlying, grid61)
+        paths = rep.meta["sup_path"]
+        assert [p["kernel"] for p in paths["star_theta"]] == [
+            "separable", "separable", "scattered", "scattered", "scattered", "scattered"]
+        assert [(p["kernel"], p["sources"]) for p in paths["conjugate_back"]] == [
+            ("separable", 3721), ("scattered", 121)]
+        rep = lemma_2_13_suite(space_zero_pairing(2), PointSet([[1.0, 1.0]]), grid61)
+        assert [p["kernel"] for p in rep.meta["sup_path"]["conjugate_back"]] == [
+            "scattered", "scattered"]

@@ -28,10 +28,19 @@ from ssdkit.catalog import (
     space_negated,
     space_zero_pairing,
 )
-from ssdkit.gridfn import minus_q, zero_infconv_residuals
+from ssdkit.gridfn import (
+    Lattice,
+    block_points,
+    minus_q,
+    sup_linear_minus,
+    sup_over_blocks,
+    sup_paths,
+    zero_infconv_residuals,
+)
 from ssdkit.grids import image_box
+from ssdkit.suites import lower_hull_1d
 
-from conftest import brute_force_conjugate, lower_convex_hull_1d
+from conftest import brute_force_conjugate
 
 
 class TestGridFnBasics:
@@ -85,6 +94,28 @@ class TestGridFnBasics:
         path = tmp_path / "fn.csv"
         fn.to_csv(path)
         assert "inf\n" in path.read_text()
+
+    def test_csv_bytes_match_line_by_line_writer(self, tmp_path):
+        grid = GridSpec(np.array([-1.5, 0.0]), np.array([2.0, 1.0 / 3.0]), np.array([7, 5]))
+        rng = np.random.default_rng(4)
+        vals = rng.normal(size=grid.size) * 10.0 ** rng.integers(-17, 18, size=grid.size)
+        vals[[0, 5, 17]] = np.inf
+        vals[[1, 9]] = -0.0
+        vals[2] = 0.0
+        fn = GridFn._raw(grid, vals)
+        path = tmp_path / "fn.csv"
+        fn.to_csv(path)
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", encoding="utf-8") as fh:
+            fh.write(f"dim,{grid.dim}\n")
+            for i in range(grid.dim):
+                fh.write(f"axis,{i},{float(grid.lower[i])!r},"
+                         f"{float(grid.upper[i])!r},{int(grid.num[i])}\n")
+            fh.write("values\n")
+            for v in fn.values:
+                fh.write("inf\n" if np.isposinf(v) else f"{float(v)!r}\n")
+        assert path.read_bytes() == ref.read_bytes()
+        assert b"\n-0.0\n" in path.read_bytes()
 
 
 class TestConjugate:
@@ -234,7 +265,7 @@ class TestBiconjugate:
         f = double_well_fn(grid)
         fss = lsc_biconjugate_envelope(f)
         xs = grid.points()[:, 0]
-        hull = lower_convex_hull_1d(xs, f.values)
+        hull = lower_hull_1d(xs, f.values)
         h = grid.spacing[0]
         lip = float(np.max(np.abs(np.diff(f.values)))) / h
         assert np.max(np.abs(fss.values - hull)) <= 5 * h * lip
@@ -473,3 +504,125 @@ class TestSeparableKernel:
         tilted = make_ssd(np.array([[1.0, 0.5], [0.5, 1.0]]))
         rep = is_mas(worked_fn61, tilted, None)
         assert rep.meta["conjugate_path"] == "scattered"
+
+
+def _brute_sup(points, offsets, targets):
+    """max_i [t . x_i - c_i] and its lowest argmax, from one dense score matrix."""
+    scores = np.atleast_2d(targets) @ np.atleast_2d(points).T - np.asarray(offsets)[None, :]
+    args = np.argmax(scores, axis=1)
+    return scores[np.arange(scores.shape[0]), args], args
+
+
+def _signed_permutation(rng, dim):
+    m = np.zeros((dim, dim))
+    m[rng.permutation(dim), np.arange(dim)] = rng.choice([-1.0, 1.0], size=dim)
+    return m
+
+
+def _random_block(rng, dim, integer):
+    """A lattice (plain, through a signed permutation, or through a general
+    matrix) or a scattered block; integer data keeps every score exact."""
+    kind = rng.integers(0, 4)
+    if kind == 3:
+        pts = rng.integers(-3, 4, size=(int(rng.integers(1, 6)), dim)).astype(float)
+        if not integer:
+            pts += rng.uniform(-0.5, 0.5, size=pts.shape)
+        return pts
+    num = rng.integers(2, 5, size=dim)
+    lo = rng.integers(-3, 1, size=dim).astype(float)
+    step = rng.integers(1, 3, size=dim).astype(float)
+    if not integer:
+        lo += rng.uniform(-0.5, 0.5, size=dim)
+        step *= rng.uniform(0.5, 1.5, size=dim)
+    grid = GridSpec(lo, lo + step * (num - 1), num)
+    if kind == 0:
+        return Lattice(grid)
+    if kind == 1:
+        return Lattice(grid, _signed_permutation(rng, dim))
+    return Lattice(grid, rng.integers(-1, 2, size=(dim, dim)).astype(float) + np.eye(dim))
+
+
+def _random_sources(rng, dim, integer):
+    sources = []
+    for _ in range(int(rng.integers(1, 4))):
+        block = _random_block(rng, dim, integer)
+        size = block.size if isinstance(block, Lattice) else block.shape[0]
+        if integer:
+            offsets = rng.integers(-2, 3, size=size).astype(float)
+        else:
+            offsets = rng.normal(size=size)
+        offsets[rng.random(size) < 0.3] = np.inf
+        sources.append((block, offsets))
+        if integer and rng.random() < 0.5:
+            sources.append((block, offsets.copy()))  # every score ties with the copy
+    if not any(np.any(np.isfinite(off)) for _, off in sources):
+        sources[-1][1][-1] = 0.0
+    return sources
+
+
+class TestBlockSup:
+    """`sup_over_blocks` and the duplicate-target collapse against one dense
+    score matrix over the stacked rows."""
+
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=3))
+    @settings(max_examples=60, deadline=None)
+    def test_exact_values_and_argmax_with_ties_across_blocks(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        sources = _random_sources(rng, dim, integer=True)
+        targets = [_random_block(rng, dim, integer=True) for _ in range(int(rng.integers(1, 4)))]
+        vals, args = sup_over_blocks(sources, targets)
+        ref_vals, ref_args = _brute_sup(block_points([b for b, _ in sources]),
+                                        np.concatenate([off for _, off in sources]),
+                                        block_points(targets))
+        assert np.array_equal(vals, ref_vals)
+        assert np.array_equal(args, ref_args)
+
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=3))
+    @settings(max_examples=40, deadline=None)
+    def test_float_values_and_attained_argmax(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        sources = _random_sources(rng, dim, integer=False)
+        targets = [_random_block(rng, dim, integer=False) for _ in range(int(rng.integers(1, 4)))]
+        vals, args = sup_over_blocks(sources, targets)
+        src = block_points([b for b, _ in sources])
+        off = np.concatenate([o for _, o in sources])
+        tgt = block_points(targets)
+        assert np.allclose(vals, brute_force_conjugate(src, off, tgt), rtol=0.0, atol=1e-12)
+        attained = np.einsum("ij,ij->i", tgt, src[args]) - off[args]
+        assert np.allclose(attained, vals, rtol=0.0, atol=1e-12)
+
+    def test_paths_name_the_kernel_of_every_block_pair(self, grid61):
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        sources = [(Lattice(grid61), np.zeros(grid61.size)), (np.zeros((3, 2)), np.zeros(3))]
+        targets = [Lattice(grid61, swap), Lattice(grid61, np.ones((2, 2)))]
+        got = [(p["kernel"], p["sources"], p["targets"]) for p in sup_paths(sources, targets)]
+        assert got == [("separable", 3721, 3721), ("scattered", 3, 3721),
+                       ("scattered", 3721, 3721), ("scattered", 3, 3721)]
+
+    def test_all_infinite_offsets_are_improper(self, grid61):
+        with pytest.raises(Improper):
+            sup_over_blocks([(Lattice(grid61), np.full(grid61.size, np.inf)),
+                             (np.zeros((2, 2)), [np.inf, np.inf])], [Lattice(grid61)])
+
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=3))
+    @settings(max_examples=40, deadline=None)
+    def test_duplicate_targets_collapse(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(int(rng.integers(1, 30)), dim))
+        c = rng.normal(size=x.shape[0])
+        c[rng.random(x.shape[0]) < 0.2] = np.inf
+        c[0] = 0.0
+        base = rng.normal(size=(int(rng.integers(1, 8)), dim))
+        base[0] = 0.0
+        negzero = -base[:1]  # bitwise -0.0 in every column
+        rows = np.vstack([base, negzero])
+        targets = rows[rng.integers(0, rows.shape[0], size=40)]
+        vals, args = sup_linear_minus(x, c, targets)
+        keys = np.ascontiguousarray(targets).view(np.dtype((np.void, 8 * dim))).ravel()
+        for key in np.unique(keys):
+            same = np.flatnonzero(keys == key)
+            assert np.unique(vals[same].view(np.int64)).size == 1
+            assert np.unique(args[same]).size == 1
+        assert np.allclose(vals, brute_force_conjugate(x, c, targets), rtol=0.0, atol=1e-12)
+        attained = np.einsum("ij,ij->i", targets, x[args]) - c[args]
+        assert np.allclose(attained, vals, rtol=0.0, atol=1e-12)
