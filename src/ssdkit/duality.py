@@ -24,6 +24,7 @@ from .gridfn import (
     GridFn,
     Lattice,
     block_points,
+    inf_paths,
     intrinsic_conjugate,
     is_mas,
     is_vz,
@@ -217,9 +218,15 @@ def p_tilde_density(space: SsdSpace, dual: DualSsd, bstar, primal_grid: GridSpec
     finite dimensions the image is the whole dual side, so the density
     condition only ever fails by grid truncation).
     """
-    b = np.asarray(bstar, dtype=float)
     nodes = primal_grid.points()
-    diffs_vals = dual.p_tilde(b[None, :] - nodes @ space.pairing.T)
+    return _p_tilde_density(space, dual, bstar, nodes, nodes @ space.pairing.T)
+
+
+def _p_tilde_density(space: SsdSpace, dual: DualSsd, bstar, nodes, image):
+    """`p_tilde_density` with the primal grid nodes and their image under the
+    map built by the caller, so a report over many probes builds them once."""
+    b = np.asarray(bstar, dtype=float)
+    diffs_vals = dual.p_tilde(b[None, :] - image)
     i = int(np.argmin(diffs_vals))
     best_val, best_wit = float(diffs_vals[i]), nodes[i]
     if (space.norm.variant in PRODUCT_KINDS and space.norm.scale == 1.0
@@ -245,9 +252,11 @@ def density_report(space: SsdSpace, dual: DualSsd, primal_grid: GridSpec,
         box = image_box(primal_grid, space.pairing, inflate=1.5, include_source=True)
         coarse = GridSpec(box.lower, box.upper, np.minimum(box.num, 7))
         probe_points = coarse.points()
+    nodes = primal_grid.points()
+    image = nodes @ space.pairing.T
     worst, wit, arg = -np.inf, None, None
     for b in probe_points:
-        val, w = p_tilde_density(space, dual, b, primal_grid)
+        val, w = _p_tilde_density(space, dual, b, nodes, image)
         if val > worst:
             worst, wit, arg = val, b, w
     report = VerifyReport(suite="p_tilde_density", grid=primal_grid.to_dict(),
@@ -275,15 +284,15 @@ def lemma_4_7_identity(space: SsdSpace, dual: DualSsd, f: GridFn, c_grid: GridSp
         tol = max(tols.ATOL_GRID,
                   tols.one_cell_p_bound(space, f.grid)
                   + tols.one_cell_p_bound(dual.as_space, f.grid))
-    c_pts = c_grid.points()
-    term1, _ = zero_infconv_residuals(f, space, c_pts)
+    c_block = Lattice(c_grid)
+    term1, _ = zero_infconv_residuals(f, space, c_block)
     dual_block = Lattice(f.grid, space.pairing.T) if dual_grid is None else Lattice(dual_grid)
     dual_nodes = dual_block.points()
     sources = [(Lattice(f.grid), f.values)]
     fstar, _ = sup_over_blocks(sources, [dual_block])
     gap = fstar - dual.q_tilde(dual_nodes)
-    term2, _ = min_values_plus_gauge(dual.as_space, gap, dual_nodes,
-                                     c_pts @ space.pairing.T)
+    image_block = Lattice(c_grid, space.pairing.T)
+    term2, _ = min_values_plus_gauge(dual.as_space, gap, dual_block, image_block)
     resid = np.abs(term1 + term2)
     i = int(np.argmax(resid))
     report = VerifyReport(suite="lemma_4_7", grid=c_grid.to_dict(),
@@ -291,9 +300,12 @@ def lemma_4_7_identity(space: SsdSpace, dual: DualSsd, f: GridFn, c_grid: GridSp
                           meta={"space": space.label, "fn": f.form,
                                 "dual_lattice": ("image of the sample grid" if dual_grid is None
                                                  else "dual grid"),
-                                "sup_path": {"fstar": sup_paths(sources, [dual_block])}})
+                                "sup_path": {"fstar": sup_paths(sources, [dual_block])},
+                                "inf_path": {
+                                    "term1": inf_paths(space, Lattice(f.grid), c_block),
+                                    "term2": inf_paths(dual.as_space, dual_block, image_block)}})
     report.add("two_sided_zero_sum", "lemma_4_7", float(resid[i]) <= tol,
-               residual=float(resid[i]), witness=c_pts[i],
+               residual=float(resid[i]), witness=c_block.points()[i],
                note=f"term1 {float(term1[i]):+.3e}, term2 {float(term2[i]):+.3e} at witness")
     report.meta["max_term1"] = float(np.max(np.abs(term1)))
     report.meta["max_term2"] = float(np.max(np.abs(term2)))

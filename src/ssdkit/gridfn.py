@@ -185,13 +185,16 @@ def convexity_defect(grid: GridSpec, values):
             left = vals[tuple(lo_s)]
             mid = vals[tuple(mid_s)]
             right = vals[tuple(hi_s)]
-            ends_finite = np.isfinite(left) & np.isfinite(right)
-            if not np.any(ends_finite):
-                continue
-            scale = np.maximum(1.0, np.maximum(np.abs(left), np.abs(right)))
             with np.errstate(invalid="ignore"):
-                defect = np.where(ends_finite, mid - (0.5 * left + 0.5 * right), -np.inf)
-            defect = np.nan_to_num(defect, nan=-np.inf)
+                raw = mid - (0.5 * left + 0.5 * right)
+            # a violation needs finite ends and raw > CONVEXITY_RTOL * scale
+            # with scale >= 1, so a slice with no raw value above the bare
+            # tolerance has none (a +inf end gives -inf or NaN here)
+            if not np.any(raw > CONVEXITY_RTOL):
+                continue
+            ends_finite = np.isfinite(left) & np.isfinite(right)
+            scale = np.maximum(1.0, np.maximum(np.abs(left), np.abs(right)))
+            defect = np.nan_to_num(np.where(ends_finite, raw, -np.inf), nan=-np.inf)
             bad = defect > CONVEXITY_RTOL * scale
             if np.any(bad):
                 where = np.argmax(np.where(bad, defect, -np.inf))
@@ -293,7 +296,8 @@ class Lattice:
 
 
 def _rows(block) -> np.ndarray:
-    return block.points() if isinstance(block, Lattice) else np.atleast_2d(block)
+    return block.points() if isinstance(block, Lattice) else np.atleast_2d(
+        np.asarray(block, dtype=float))
 
 
 def block_points(blocks) -> np.ndarray:
@@ -324,7 +328,13 @@ def _sup_pair(source, offsets, target):
     """`sup_linear_minus` for one source block against one target block."""
     mapping = _separable_map(source, target)
     if mapping is None:
-        return sup_linear_minus(_rows(source), offsets, _rows(target))
+        rows = _rows(source)
+        if (isinstance(source, Lattice) and source.matrix is not None
+                and np.linalg.matrix_rank(source.matrix) < source.grid.dim):
+            keep = _cheapest_distinct(rows, offsets)
+            vals, args = sup_linear_minus(rows[keep], offsets[keep], _rows(target))
+            return vals, keep[args]
+        return sup_linear_minus(rows, offsets, _rows(target))
     # the effective targets z @ P form a tensor grid whose axis j is the
     # target grid's axis perm[j] times scale[j]; results come back in that
     # axis order and are transposed to the target grid's row-major order
@@ -336,6 +346,17 @@ def _sup_pair(source, offsets, target):
     order = np.argsort(perm)
     return (np.transpose(vals.reshape(shape), order).ravel(),
             np.transpose(args.reshape(shape), order).ravel())
+
+
+def _cheapest_distinct(x, offsets):
+    """Ascending indices of one row per bitwise-distinct row of x: the one
+    with the lowest offset, the lowest index among equal offsets.  A sup over
+    these rows has the values and argmax of the sup over all of x."""
+    _, group = _distinct_rows(x)
+    order = np.lexsort((np.arange(group.size), offsets, group))
+    first = np.ones(order.size, dtype=bool)
+    np.not_equal(group[order[1:]], group[order[:-1]], out=first[1:])
+    return np.sort(order[first])
 
 
 def sup_over_blocks(sources, targets):
@@ -390,9 +411,10 @@ def _sup_separable(src_axes, offsets_nd, tgt_axes):
 
     Axes may be descending.  Offsets are shaped like the source grid; the
     results are row-major over the target grid, argmax row-major over the
-    source grid.  The last source axis is swept first; each step keeps a
-    running max with a strict `>`, so ties go to the lowest row-major index,
-    and no block holds more than `_BLOCK` entries.  The per-axis sums round
+    source grid.  The last source axis is swept first; each step takes the
+    first maximum over the source index, so ties go to the lowest row-major
+    index, and builds its candidates in blocks of at most `_candidate_cap()`
+    entries.  The per-axis sums round
     differently from t . x, so the winner and its 3^d grid neighbours are
     re-scored as t . x - f(x) and the best kept (ties to the lowest flat
     index): a near-tie between neighbouring nodes then resolves on the same
@@ -418,56 +440,76 @@ def _sup_separable(src_axes, offsets_nd, tgt_axes):
     return _rescore(src_axes, neg, tgt_axes, arg.ravel())
 
 
+def _candidate_cap() -> int:
+    """Entries of one candidate block of the separable kernel: well below
+    `_BLOCK`, since the block is one of several temporaries of its size."""
+    return max(1, _BLOCK >> 6)
+
+
 def _sweep_axis(a, table, b):
-    """best[p, s, q] = max_j [a_j b_s + table[p, j, q]] with its lowest argmax j."""
+    """best[p, s, q] = max_j [a_j b_s + table[p, j, q]] with its lowest argmax j.
+
+    Candidates are built in blocks with j on the last, contiguous axis.
+    `np.argmax` returns the first maximum, and the value is read at it, so
+    values and argmax are those of a running max with a strict `>` over j
+    (-inf rows give j = 0, and -0.0 against 0.0 keeps the earlier one)."""
     p_len, n, q_len = table.shape
     m = b.size
-    best = np.full((p_len, m, q_len), -np.inf)
-    arg = np.zeros((p_len, m, q_len), dtype=np.intp)
-    qc = min(q_len, max(1, _BLOCK // m))
-    pc = min(p_len, max(1, _BLOCK // (m * qc)))
-    cand_buf = np.empty(pc * m * qc)
-    better_buf = np.empty(cand_buf.size, dtype=bool)
+    ab = np.multiply.outer(b, a)
+    tt = np.ascontiguousarray(table.transpose(0, 2, 1))
+    best = np.empty((p_len, m, q_len))
+    arg = np.empty((p_len, m, q_len), dtype=np.intp)
+    cap = _candidate_cap()
+    sc = min(m, max(1, cap // n))
+    qc = min(q_len, max(1, cap // (n * sc)))
+    pc = min(p_len, max(1, cap // (n * sc * qc)))
+    buf = np.empty(pc * sc * qc * n)
     for p0 in range(0, p_len, pc):
-        for q0 in range(0, q_len, qc):
-            bv = best[p0:p0 + pc, :, q0:q0 + qc]
-            av = arg[p0:p0 + pc, :, q0:q0 + qc]
-            cand = cand_buf[:bv.size].reshape(bv.shape)
-            better = better_buf[:bv.size].reshape(bv.shape)
-            for j in range(n):
-                np.add((a[j] * b)[:, None], table[p0:p0 + pc, j, None, q0:q0 + qc], out=cand)
-                np.greater(cand, bv, out=better)
-                np.copyto(bv, cand, where=better)
-                np.copyto(av, j, where=better)
+        for s0 in range(0, m, sc):
+            for q0 in range(0, q_len, qc):
+                part = tt[p0:p0 + pc, None, q0:q0 + qc]
+                w = ab[s0:s0 + sc, None]
+                shape = (part.shape[0], w.shape[0], part.shape[2], n)
+                cand = buf[:shape[0] * shape[1] * shape[2] * n].reshape(shape)
+                np.add(w, part, out=cand)
+                j = np.argmax(cand, axis=-1)
+                best[p0:p0 + pc, s0:s0 + sc, q0:q0 + qc] = np.take_along_axis(
+                    cand, j[..., None], axis=-1)[..., 0]
+                arg[p0:p0 + pc, s0:s0 + sc, q0:q0 + qc] = j
     return best, arg
 
 
 def _rescore(src_axes, neg, tgt_axes, args):
     """Score each target against its sweep winner and the winner's 3^d grid
-    neighbours as t . x + neg(x); keep the max, ties to the lowest flat index."""
+    neighbours as t . x + neg(x), all steps in one batch per chunk of
+    targets; keep the max, ties to the lowest flat index."""
     src_shape = tuple(a.size for a in src_axes)
     tgt_shape = tuple(b.size for b in tgt_axes)
-    d = len(src_shape)
+    points = np.stack(np.meshgrid(*src_axes, indexing="ij"), axis=-1).reshape(-1, len(src_shape))
+    # per axis, the flat-index offset of node i stepped by -1, 0, +1 (clipped
+    # to the grid), so that the 3^d steps come out in row-major step order
+    strides = np.cumprod((1,) + src_shape[:0:-1])[::-1]
+    near = [np.clip(np.arange(k) + np.array([[-1], [0], [1]]), 0, k - 1) * st
+            for k, st in zip(src_shape, strides)]
     m = args.size
     vals = np.empty(m)
     best_args = np.empty(m, dtype=int)
-    chunk = max(1, _BLOCK // (4 * d))
+    # a chunk's temporaries, a few of 3^d * rows * d entries and a few of
+    # 3^d * rows, stay within one candidate block in total
+    chunk = max(1, _candidate_cap() // (8 * 3 ** len(src_shape) * len(src_shape)))
     for start in range(0, m, chunk):
         rows = np.arange(start, min(m, start + chunk))
         t = np.stack([b[i] for b, i in zip(tgt_axes, np.unravel_index(rows, tgt_shape))], axis=1)
-        win = np.unravel_index(args[rows], src_shape)
-        best = np.full(rows.size, -np.inf)
-        best_arg = np.full(rows.size, np.iinfo(np.intp).max)
-        for step in itertools.product((-1, 0, 1), repeat=d):
-            idx = tuple(np.clip(i + s, 0, k - 1) for i, s, k in zip(win, step, src_shape))
-            flat = np.ravel_multi_index(idx, src_shape)
-            x = np.stack([a[i] for a, i in zip(src_axes, idx)], axis=1)
-            score = np.matmul(t[:, None, :], x[:, :, None])[:, 0, 0] + neg[flat]
-            better = (score > best) | ((score == best) & (flat < best_arg))
-            np.copyto(best, score, where=better)
-            np.copyto(best_arg, flat, where=better)
-        vals[rows] = best
-        best_args[rows] = best_arg
+        flat = np.zeros((1, rows.size), dtype=np.intp)
+        for axis_near, i in zip(near, np.unravel_index(args[rows], src_shape)):
+            flat = (flat[:, None, :] + axis_near[None, :, i]).reshape(-1, rows.size)
+        x = np.take(points, flat, axis=0)
+        score = np.matmul(t[:, None, :], x[..., None])[..., 0, 0] + neg[flat]
+        tied = np.where(score == np.max(score, axis=0), flat, np.iinfo(np.intp).max)
+        k = np.argmin(tied, axis=0)
+        cols = np.arange(rows.size)
+        vals[rows] = score[k, cols]
+        best_args[rows] = flat[k, cols]
     return vals, best_args
 
 
@@ -483,42 +525,74 @@ def _pairing_permutation(pairing):
     return perm, pairing[perm, np.arange(perm.size)]
 
 
+def _quadratic_collapse(space: SsdSpace, nodes, c_rows, gauge):
+    """(B, target block) of the quadratic collapse of `min_values_plus_gauge`,
+    or None when the gauge has no quadratic form.  The target is the lattice
+    c @ B when it pairs with the nodes separably, else the points c @ B."""
+    if gauge is not pairwise_p:
+        return None
+    w_full = space.norm.quadratic_weight(space.dim)
+    if w_full is None:
+        return None
+    b = w_full + space.pairing
+    if isinstance(c_rows, Lattice):
+        target = Lattice(c_rows.grid, b if c_rows.matrix is None else c_rows.matrix @ b)
+        if _separable_map(nodes, target) is not None:
+            return b, target
+    return b, _rows(c_rows) @ b
+
+
 def min_values_plus_gauge(space: SsdSpace, add_on_nodes, nodes, c_rows, gauge=pairwise_p):
     """For each c: min_j [add_on_nodes_j + gauge(c - nodes_j)], with argmin.
 
-    When the gauge is the default p and the norm has a quadratic form, the
+    `nodes` and `c_rows` are each a `Lattice` or an array of points.  When
+    the gauge is the default p and the norm has a quadratic form, the
     objective collapses to h(c) - max_j [(Bc).y_j - (h(y_j) + add_j)] with B
-    the combined form, which the conjugation kernel computes in one pass.
+    the combined form, which `sup_over_blocks` computes in one pass: with the
+    separable kernel when both sides are lattices whose score factors by
+    axis, otherwise with the scattered kernel on the rows c @ B
+    (`inf_paths` says which).
     """
     add = np.asarray(add_on_nodes, dtype=float).ravel()
-    c_rows = np.atleast_2d(np.asarray(c_rows, dtype=float))
-    nodes = np.asarray(nodes, dtype=float)
-    if gauge is pairwise_p:
-        w_full = space.norm.quadratic_weight(space.dim)
-        if w_full is not None:
-            b = w_full + space.pairing
-            h_nodes = 0.5 * np.einsum("ni,ij,nj->n", nodes, b, nodes)
-            vals, args = sup_linear_minus(nodes, h_nodes + add, c_rows @ b)
-            h_c = 0.5 * np.einsum("ni,ij,nj->n", c_rows, b, c_rows)
-            return h_c - vals, args
+    collapse = _quadratic_collapse(space, nodes, c_rows, gauge)
+    if collapse is not None:
+        b, target = collapse
+        y = _rows(nodes)
+        h_nodes = 0.5 * np.einsum("ni,ij,nj->n", y, b, y)
+        del y  # the sup builds the node rows again: one copy is live at a time
+        vals, args = sup_over_blocks([(nodes, h_nodes + add)], [target])
+        c = _rows(c_rows)
+        h_c = 0.5 * np.einsum("ni,ij,nj->n", c, b, c)
+        return h_c - vals, args
     finite = np.isfinite(add)
     if not np.any(finite):
         raise Improper("no finite values to take an infimum over")
-    y = nodes[finite]
+    y = _rows(nodes)[finite]
+    c = _rows(c_rows)
     a = add[finite]
     back = np.flatnonzero(finite)
-    m = c_rows.shape[0]
+    m = c.shape[0]
     vals = np.empty(m)
     args = np.empty(m, dtype=int)
     chunk = max(1, _BLOCK // max(1, y.shape[0]))
     for start in range(0, m, chunk):
-        total = gauge(space, c_rows[start:start + chunk], y)
+        total = gauge(space, c[start:start + chunk], y)
         total += a[None, :]
         j = np.argmin(total, axis=1)
         vals[start:start + chunk] = total[np.arange(total.shape[0]), j]
         args[start:start + chunk] = back[j]
         del total
     return vals, args
+
+
+def inf_paths(space: SsdSpace, nodes, c_rows, gauge=pairwise_p) -> list:
+    """The kernel `min_values_plus_gauge` runs, with the block sizes: the
+    `sup_paths` of its quadratic collapse, or the pairwise gauge scan."""
+    collapse = _quadratic_collapse(space, nodes, c_rows, gauge)
+    if collapse is None:
+        return [{"kernel": "pairwise", "sources": _block_size(nodes),
+                 "targets": _block_size(c_rows)}]
+    return sup_paths([(nodes, None)], [collapse[1]])
 
 
 # -- conjugation --------------------------------------------------------------------
@@ -599,10 +673,10 @@ def minus_q(f: GridFn, space: SsdSpace) -> GridFn:
 
 
 def zero_infconv_residuals(f: GridFn, space: SsdSpace, c_rows) -> tuple[np.ndarray, np.ndarray]:
-    """((f - q) inf-conv p)(c) for each row c, with argmin nodes."""
-    nodes = f.grid.points()
-    fq = f.values - space.q(nodes)
-    return min_values_plus_gauge(space, fq, nodes, c_rows)
+    """((f - q) inf-conv p)(c) for each row c of a `Lattice` or an array of
+    points, with argmin nodes."""
+    fq = f.values - space.q(f.grid.points())
+    return min_values_plus_gauge(space, fq, Lattice(f.grid), c_rows)
 
 
 def lsc_biconjugate_envelope(f: GridFn, slope_grid: GridSpec | None = None) -> GridFn:
@@ -652,14 +726,15 @@ def is_vz(f: GridFn, space: SsdSpace, c_grid: GridSpec | None = None,
     """
     if tol is None:
         tol = tols.vz_tolerance(f)
-    c_pts = (c_grid or f.grid).points()
-    conv, _ = zero_infconv_residuals(f, space, c_pts)
+    c_block = Lattice(c_grid or f.grid)
+    conv, _ = zero_infconv_residuals(f, space, c_block)
     worst = int(np.argmax(np.abs(conv)))
     report = VerifyReport(suite="is_vz", grid=f.grid.to_dict(),
                           tolerances={"tol": tol},
-                          meta={"space": space.label, "fn": f.form})
+                          meta={"space": space.label, "fn": f.form,
+                                "inf_path": inf_paths(space, Lattice(f.grid), c_block)})
     report.add("zero_infconv", "eq_2_5_2", abs(float(conv[worst])) <= tol,
-               residual=abs(float(conv[worst])), witness=c_pts[worst])
+               residual=abs(float(conv[worst])), witness=c_block.points()[worst])
     gap = f.values - space.q(f.grid.points())
     m = float(np.min(gap))
     report.add("zero_gap_infimum", "eq_2_5_3", abs(m) <= tol, residual=abs(m),

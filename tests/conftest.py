@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -78,3 +80,83 @@ def greedy_dedup(pts, tol=1e-12):
             keep.append(i)
     return pts[keep].copy()
 
+
+
+def loop_sweep_axis(a, table, b):
+    """Reference per-axis sweep: a running max over the source index j with
+    a strict `>`, so ties keep the lowest j.
+    best[p, s, q] = max_j [a_j b_s + table[p, j, q]]."""
+    p_len, n, q_len = table.shape
+    best = np.full((p_len, b.size, q_len), -np.inf)
+    arg = np.zeros((p_len, b.size, q_len), dtype=np.intp)
+    for j in range(n):
+        cand = (a[j] * b)[None, :, None] + table[:, j, None, :]
+        better = cand > best
+        np.copyto(best, cand, where=better)
+        np.copyto(arg, j, where=better)
+    return best, arg
+
+
+def loop_rescore(src_axes, neg, tgt_axes, args):
+    """Reference re-score: one pass per 3^d neighbour step of the sweep
+    winner, keeping the max of t . x + neg(x), ties to the lowest flat index."""
+    src_shape = tuple(a.size for a in src_axes)
+    tgt_shape = tuple(b.size for b in tgt_axes)
+    rows = np.arange(args.size)
+    t = np.stack([b[i] for b, i in zip(tgt_axes, np.unravel_index(rows, tgt_shape))], axis=1)
+    win = np.unravel_index(args, src_shape)
+    best = np.full(rows.size, -np.inf)
+    best_arg = np.full(rows.size, np.iinfo(np.intp).max)
+    for step in itertools.product((-1, 0, 1), repeat=len(src_shape)):
+        idx = tuple(np.clip(i + s, 0, k - 1) for i, s, k in zip(win, step, src_shape))
+        flat = np.ravel_multi_index(idx, src_shape)
+        x = np.stack([a[i] for a, i in zip(src_axes, idx)], axis=1)
+        score = np.matmul(t[:, None, :], x[:, :, None])[:, 0, 0] + neg[flat]
+        better = (score > best) | ((score == best) & (flat < best_arg))
+        np.copyto(best, score, where=better)
+        np.copyto(best_arg, flat, where=better)
+    return best, best_arg
+
+
+def scan_convexity_defect(shape, values, rtol):
+    """Reference midpoint-convexity scan: every direction and stride with the
+    scaled tolerance rtol * max(1, |left|, |right|); (flat midpoint, defect)
+    of the first violation or None."""
+    vals = np.asarray(values, dtype=float).reshape(shape)
+    dim = vals.ndim
+    directions = [tuple(1 if i == ax else 0 for i in range(dim)) for ax in range(dim)]
+    if dim > 1:
+        for signs in itertools.product((1, -1), repeat=dim - 1):
+            directions.append((1,) + signs)
+    flat = np.arange(vals.size).reshape(vals.shape)
+    for direction in directions:
+        span = min(vals.shape[ax] for ax in range(dim) if direction[ax] != 0)
+        for stride in range(1, (span - 1) // 2 + 1):
+            lo_s, mid_s, hi_s = [], [], []
+            for step in direction:
+                if step == 0:
+                    lo_s.append(slice(None)); mid_s.append(slice(None)); hi_s.append(slice(None))
+                elif step == 1:
+                    lo_s.append(slice(None, -2 * stride))
+                    mid_s.append(slice(stride, -stride))
+                    hi_s.append(slice(2 * stride, None))
+                else:
+                    lo_s.append(slice(2 * stride, None))
+                    mid_s.append(slice(stride, -stride))
+                    hi_s.append(slice(None, -2 * stride))
+            left = vals[tuple(lo_s)]
+            mid = vals[tuple(mid_s)]
+            right = vals[tuple(hi_s)]
+            ends_finite = np.isfinite(left) & np.isfinite(right)
+            if not np.any(ends_finite):
+                continue
+            scale = np.maximum(1.0, np.maximum(np.abs(left), np.abs(right)))
+            with np.errstate(invalid="ignore"):
+                defect = np.where(ends_finite, mid - (0.5 * left + 0.5 * right), -np.inf)
+            defect = np.nan_to_num(defect, nan=-np.inf)
+            bad = defect > rtol * scale
+            if np.any(bad):
+                where = np.argmax(np.where(bad, defect, -np.inf))
+                midx = flat[tuple(mid_s)].ravel()[where]
+                return int(midx), float(defect.ravel()[where])
+    return None

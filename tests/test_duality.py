@@ -162,7 +162,31 @@ class TestDensity:
             assert rep.passed
 
 
+    def test_density_report_is_the_worst_probe(self, grid61):
+        rng = np.random.default_rng(5)
+        probes = rng.uniform(-8, 8, size=(12, 2))
+        for space in (product_space(1, "one", tau=0.5), space_identity(2)):
+            dual = make_dual(space)
+            rep = density_report(space, dual, grid61, probe_points=probes)
+            vals = [p_tilde_density(space, dual, b, grid61)[0] for b in probes]
+            worst = int(np.argmax(vals))
+            assert rep.checks[0].worst_residual == max(0.0, vals[worst])
+            assert np.array_equal(rep.checks[0].witness, probes[worst])
+
+
 class TestLemma47:
+    @pytest.mark.parametrize("space_fn,kernel", [
+        (lambda: space_identity(2), "separable"),
+        (lambda: product_space(1, "two", tau=1.0), "scattered"),
+    ])
+    def test_records_inf_path(self, space_fn, kernel, grid61):
+        space = space_fn()
+        f = half_sq_norm_fn(grid61)
+        rep = lemma_4_7_identity(space, make_dual(space), f, grid61, tol=1.0)
+        path = rep.meta["inf_path"]
+        assert path == {"term1": [{"kernel": kernel, "sources": 3721, "targets": 3721}],
+                        "term2": [{"kernel": kernel, "sources": 3721, "targets": 3721}]}
+
     def test_shifted_quadratic_on_identity_space(self):
         space = space_identity(2)
         dual = make_dual(space)

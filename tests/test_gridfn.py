@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,12 +27,16 @@ from ssdkit.catalog import (
     indicator_fn,
     q_plus_const_fn,
     representer_fns,
+    space_identity,
     space_negated,
+    space_swap_r3,
     space_zero_pairing,
 )
 from ssdkit.gridfn import (
     Lattice,
     block_points,
+    inf_paths,
+    min_values_plus_gauge,
     minus_q,
     sup_linear_minus,
     sup_over_blocks,
@@ -38,9 +44,15 @@ from ssdkit.gridfn import (
     zero_infconv_residuals,
 )
 from ssdkit.grids import image_box
+from ssdkit.spaces import pairwise_p, product_space
 from ssdkit.suites import lower_hull_1d
 
-from conftest import brute_force_conjugate
+from conftest import (
+    brute_force_conjugate,
+    loop_rescore,
+    loop_sweep_axis,
+    scan_convexity_defect,
+)
 
 
 class TestGridFnBasics:
@@ -626,3 +638,230 @@ class TestBlockSup:
         assert np.allclose(vals, brute_force_conjugate(x, c, targets), rtol=0.0, atol=1e-12)
         attained = np.einsum("ij,ij->i", targets, x[args]) - c[args]
         assert np.allclose(attained, vals, rtol=0.0, atol=1e-12)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=float).view(np.int64)
+
+
+def _tie_axis(rng, size):
+    """Integer axis, ascending or descending: products tie exactly, and a
+    zero node times a negative one gives -0.0."""
+    ax = np.sort(rng.integers(-3, 4, size=size)).astype(float)
+    return ax[::-1].copy() if rng.random() < 0.5 else ax
+
+
+def _tie_values(rng, shape):
+    """Integer values with -inf, 0.0 and -0.0 entries."""
+    vals = rng.integers(-2, 3, size=shape).astype(float)
+    vals[rng.random(shape) < 0.2] = -0.0
+    vals[rng.random(shape) < 0.25] = -np.inf
+    return vals
+
+
+# `_BLOCK` values whose candidate cap (`_BLOCK >> 6`) is 1, 3, 17 and the default
+BLOCKS = st.sampled_from([1, 64 * 3, 64 * 17, 1 << 23])
+
+
+class TestLoopFreeSeparable:
+    """The block-vectorized sweep and batched re-score against the loop
+    versions kept in conftest: values bitwise and argmax equal."""
+
+    @given(st.integers(min_value=0, max_value=10_000), BLOCKS)
+    @settings(max_examples=80, deadline=None)
+    def test_sweep_axis_matches_loop(self, seed, block):
+        from ssdkit import gridfn
+
+        rng = np.random.default_rng(seed)
+        p_len, n, m, q_len = (int(k) for k in rng.integers(1, 7, size=4))
+        a = _tie_axis(rng, n)
+        b = _tie_axis(rng, m)
+        table = _tie_values(rng, (p_len, n, q_len))
+        if rng.random() < 0.3:
+            table[0] = -np.inf  # a row with no finite candidate
+        if rng.random() < 0.5:
+            a = a + rng.normal(size=n)
+            table += rng.normal(size=table.shape)
+        ref_best, ref_arg = loop_sweep_axis(a, table, b)
+        with mock.patch.object(gridfn, "_BLOCK", block):
+            best, arg = gridfn._sweep_axis(a, table, b)
+        assert np.array_equal(_bits(best), _bits(ref_best))
+        assert np.array_equal(arg, ref_arg)
+
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=3),
+           BLOCKS)
+    @settings(max_examples=60, deadline=None)
+    def test_rescore_matches_loop(self, seed, dim, block):
+        from ssdkit import gridfn
+
+        rng = np.random.default_rng(seed)
+        src_axes = [_tie_axis(rng, int(rng.integers(1, 6))) for _ in range(dim)]
+        tgt_axes = [_tie_axis(rng, int(rng.integers(1, 6))) for _ in range(dim)]
+        size = int(np.prod([a.size for a in src_axes]))
+        neg = _tie_values(rng, size)
+        if rng.random() < 0.5:
+            src_axes = [a + rng.normal(size=a.size) for a in src_axes]
+        m = int(np.prod([b.size for b in tgt_axes]))
+        args = rng.integers(0, size, size=m)
+        ref_vals, ref_args = loop_rescore(src_axes, neg, tgt_axes, args)
+        with mock.patch.object(gridfn, "_BLOCK", block):
+            vals, got_args = gridfn._rescore(src_axes, neg, tgt_axes, args)
+        assert np.array_equal(_bits(vals), _bits(ref_vals))
+        assert np.array_equal(got_args, ref_args)
+
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=3),
+           BLOCKS)
+    @settings(max_examples=60, deadline=None)
+    def test_sup_separable_matches_loop_kernel(self, seed, dim, block):
+        from ssdkit import gridfn
+
+        rng = np.random.default_rng(seed)
+        src_axes = [_tie_axis(rng, int(rng.integers(1, 6))) for _ in range(dim)]
+        tgt_axes = [_tie_axis(rng, int(rng.integers(1, 6))) for _ in range(dim)]
+        shape = tuple(a.size for a in src_axes)
+        offsets = -_tie_values(rng, shape)  # +inf nodes, 0.0 and -0.0 offsets
+        offsets.flat[rng.integers(offsets.size)] = 0.0
+        if rng.random() < 0.5:
+            src_axes = [a + rng.normal(size=a.size) for a in src_axes]
+            offsets = offsets + rng.normal(size=shape)
+        with mock.patch.object(gridfn, "_BLOCK", block):
+            vals, args = gridfn._sup_separable(src_axes, offsets, tgt_axes)
+            with mock.patch.object(gridfn, "_sweep_axis", loop_sweep_axis), \
+                    mock.patch.object(gridfn, "_rescore", loop_rescore):
+                ref_vals, ref_args = gridfn._sup_separable(src_axes, offsets, tgt_axes)
+        assert np.array_equal(_bits(vals), _bits(ref_vals))
+        assert np.array_equal(args, ref_args)
+
+
+class TestLatticeInfCollapse:
+    """`min_values_plus_gauge` on `Lattice` inputs against point arrays and a
+    brute-force min of p over all pairs."""
+
+    @pytest.mark.parametrize("space_fn,kernel", [
+        (lambda: space_identity(2), "separable"),
+        (lambda: product_space(1, kind="two", tau=1.0), "scattered"),
+        (space_swap_r3, "scattered"),
+    ])
+    @pytest.mark.parametrize("image", [False, True])
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=10, deadline=None)
+    def test_lattice_inputs(self, space_fn, kernel, image, seed):
+        space = space_fn()
+        rng = np.random.default_rng(seed)
+        grid = _random_target_grid(rng, space.dim, 5)
+        c_grid = _random_target_grid(rng, space.dim, 5)
+        matrix = space.pairing.T if image else None
+        nodes, c_rows = Lattice(grid, matrix), Lattice(c_grid, matrix)
+        add = rng.normal(size=grid.size)
+        add[rng.random(grid.size) < 0.25] = np.inf
+        add[0] = 0.0
+        vals, args = min_values_plus_gauge(space, add, nodes, c_rows)
+        y, c = nodes.points(), c_rows.points()
+        ref_vals, _ = min_values_plus_gauge(space, add, y, c)
+        brute = pairwise_p(space, c, y) + add[None, :]
+        assert np.allclose(vals, ref_vals, rtol=0.0, atol=1e-12)
+        assert np.allclose(vals, np.min(brute, axis=1), rtol=0.0, atol=1e-12)
+        assert np.allclose(brute[np.arange(c.shape[0]), args], vals, rtol=0.0, atol=1e-12)
+        assert [p["kernel"] for p in inf_paths(space, nodes, c_rows)] == [kernel]
+
+    def test_non_separable_pairs_are_bitwise_unchanged(self, prod_space, grid61):
+        f = half_sq_norm_fn(grid61)
+        add = f.values - prod_space.q(grid61.points())
+        lattice = min_values_plus_gauge(prod_space, add, Lattice(grid61), Lattice(grid61))
+        points = min_values_plus_gauge(prod_space, add, grid61.points(), grid61.points())
+        assert np.array_equal(_bits(lattice[0]), _bits(points[0]))
+        assert np.array_equal(lattice[1], points[1])
+
+    def test_split_norm_path(self, grid61):
+        space = product_space(1, kind="one", tau=1.0)
+        assert inf_paths(space, Lattice(grid61), grid61.points()) == [
+            {"kernel": "pairwise", "sources": 3721, "targets": 3721}]
+
+    def test_is_vz_records_inf_path(self, prod_space, ident2, worked_fn61, grid61):
+        rep = is_vz(worked_fn61, prod_space)
+        assert rep.meta["inf_path"] == [{"kernel": "scattered", "sources": 3721,
+                                         "targets": 3721}]
+        rep = is_vz(q_plus_const_fn(ident2, grid61), ident2)
+        assert rep.meta["inf_path"][0]["kernel"] == "separable"
+
+
+class TestSingularSourceCollapse:
+    """A lattice source through a singular matrix is scored once per
+    bitwise-distinct row: lowest offset, lowest index among equal offsets."""
+
+    @pytest.mark.parametrize("matrix", [
+        [[0.0, 0.0], [0.0, 0.0]],
+        [[1.0, 1.0], [1.0, 1.0]],
+        [[1.0, 0.0], [0.0, 0.0]],
+        [[1.0, -1.0, 0.0], [0.0, 0.0, 0.0], [2.0, -2.0, 1.0]],
+        [[0.0], [0.0]],
+    ])
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_brute_force_with_ties(self, matrix, seed):
+        from ssdkit import gridfn
+
+        matrix = np.array(matrix)
+        rng = np.random.default_rng(seed)
+        dim = matrix.shape[0]
+        num = rng.integers(2, 5, size=dim)
+        lo = rng.integers(-2, 1, size=dim).astype(float)
+        block = Lattice(GridSpec(lo, lo + num - 1, num), matrix)
+        offsets = rng.integers(-1, 2, size=block.size).astype(float)
+        offsets[rng.random(block.size) < 0.3] = np.inf
+        offsets[-1] = 1.0
+        targets = rng.integers(-2, 3, size=(6, matrix.shape[1])).astype(float)
+        spy = mock.Mock(wraps=gridfn.sup_linear_minus)
+        with mock.patch.object(gridfn, "sup_linear_minus", spy):
+            vals, args = sup_over_blocks([(block, offsets)], [targets])
+        ref_vals, ref_args = _brute_sup(block.points(), offsets, targets)
+        assert np.array_equal(vals, ref_vals)
+        assert np.array_equal(args, ref_args)
+        distinct = np.unique(_bits(block.points()), axis=0).shape[0]
+        assert spy.call_args.args[0].shape[0] == distinct < block.size
+
+
+class TestConvexityPrecheck:
+    """`convexity_defect` against the all-strides scan kept in conftest."""
+
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=3))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scan(self, seed, dim):
+        from ssdkit.gridfn import CONVEXITY_RTOL, convexity_defect
+
+        rng = np.random.default_rng(seed)
+        num = rng.integers(2, {1: 12, 2: 7, 3: 5}[dim] + 1, size=dim)
+        grid = GridSpec(-np.ones(dim), np.ones(dim), num)
+        pts = grid.points()
+        if rng.random() < 0.5:
+            vals = 0.5 * np.sum(pts ** 2, axis=1)
+        else:  # affine: midpoint defects are exactly the bumps added below
+            vals = pts @ rng.integers(-2, 3, size=dim) + float(rng.integers(-2, 3))
+        vals *= 10.0 ** rng.integers(0, 4)
+        if rng.random() < 0.5:
+            vals[rng.random(grid.size) < 0.2] = np.inf
+        if rng.random() < 0.7:
+            # a bump at the tolerance, bare or scaled by the node's magnitude
+            k = int(rng.integers(grid.size))
+            vals[k] += rng.choice([0.5, 1.0, 1.5, 4.0]) * CONVEXITY_RTOL * max(
+                1.0, rng.choice([1.0, abs(vals[k]) if np.isfinite(vals[k]) else 1.0]))
+        if not np.any(np.isfinite(vals)):
+            vals[0] = 0.0
+        assert convexity_defect(grid, vals) == scan_convexity_defect(grid.shape(), vals,
+                                                                     CONVEXITY_RTOL)
+
+    @pytest.mark.parametrize("factor", [0.5, 1.5, 4.0])
+    @pytest.mark.parametrize("magnitude", [1.0, 1000.0])
+    @pytest.mark.parametrize("corner_gap", [False, True])
+    def test_bump_at_the_tolerance(self, factor, magnitude, corner_gap):
+        from ssdkit.gridfn import CONVEXITY_RTOL, convexity_defect
+
+        grid = GridSpec.box(-1, 1, 9, 2)
+        vals = grid.points() @ np.array([0.25, -0.5]) * magnitude  # affine: no defect
+        if corner_gap:
+            vals[0] = np.inf  # an end of some tests, never a midpoint
+        vals[40] += factor * CONVEXITY_RTOL * magnitude  # the centre node
+        got = convexity_defect(grid, vals)
+        assert got == scan_convexity_defect(grid.shape(), vals, CONVEXITY_RTOL)
+        if magnitude == 1.0:
+            assert (got is None) == (factor < 1.0)
