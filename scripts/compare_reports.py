@@ -1,0 +1,107 @@
+#!/usr/bin/env python3
+"""Compare two `ssdkit verify --out` trees report by report.
+
+Usage: python3 scripts/compare_reports.py PARENT_DIR CHANGE_DIR [--ignore-meta KEY ...]
+
+Every JSON file of either tree is compared with its namesake in the other:
+check ids, statuses, residuals, witnesses, tolerances, grids and meta must
+be equal, values exactly.  Each report's `wall_time` is ignored, and so is
+any meta key named with `--ignore-meta` (for keys one side adds).  Prints
+one line per difference and exits 1 if there is any, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+
+def _strip(doc, ignore_meta):
+    """The document without report wall times and the ignored meta keys."""
+    if isinstance(doc, dict):
+        out = {}
+        for key, val in doc.items():
+            if key == "wall_time":
+                continue
+            if key == "meta" and isinstance(val, dict):
+                val = {k: v for k, v in val.items() if k not in ignore_meta}
+            out[key] = _strip(val, ignore_meta)
+        return out
+    if isinstance(doc, list):
+        return [_strip(v, ignore_meta) for v in doc]
+    return doc
+
+
+def _label(item, index):
+    """A readable path step for a list entry: a check's id or a report's suite."""
+    if isinstance(item, dict):
+        for key in ("id", "suite"):
+            if key in item:
+                return f"[{index}:{item[key]}]"
+    return f"[{index}]"
+
+
+def diff(a, b, path=""):
+    """Lines naming each place where the two JSON values differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        out = []
+        for key in sorted(set(a) | set(b)):
+            where = f"{path}.{key}" if path else key
+            if key not in a:
+                out.append(f"{where}: only in change")
+            elif key not in b:
+                out.append(f"{where}: only in parent")
+            else:
+                out += diff(a[key], b[key], where)
+        return out
+    if isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return [f"{path}: {len(a)} entries in parent, {len(b)} in change"]
+        out = []
+        for i, (x, y) in enumerate(zip(a, b)):
+            out += diff(x, y, path + _label(x, i))
+        return out
+    both_nan = isinstance(a, float) and isinstance(b, float) and a != a and b != b
+    if type(a) is not type(b) or (a != b and not both_nan):
+        return [f"{path}: {a!r} != {b!r}"]
+    return []
+
+
+def compare_trees(parent: Path, change: Path, ignore_meta=()) -> list:
+    names = sorted({p.name for p in parent.glob("*.json")} | {p.name for p in change.glob("*.json")})
+    out = []
+    for name in names:
+        left, right = parent / name, change / name
+        if not left.exists():
+            out.append(f"{name}: only in change")
+        elif not right.exists():
+            out.append(f"{name}: only in parent")
+        else:
+            docs = [_strip(json.loads(p.read_text(encoding="utf-8")), set(ignore_meta))
+                    for p in (left, right)]
+            out += [f"{name}: {line}" for line in diff(*docs)]
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--ignore-meta", action="append", default=[], metavar="KEY",
+                    help="meta key to leave out of the comparison (repeatable)")
+    args = ap.parse_args(argv)
+    for d in (args.parent, args.change):
+        if not d.is_dir():
+            ap.error(f"{d} is not a directory")
+    lines = compare_trees(args.parent, args.change, args.ignore_meta)
+    for line in lines:
+        print(line)
+    n = len(list(args.parent.glob("*.json")))
+    print(f"{len(lines)} difference(s) over {n} parent report file(s)")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

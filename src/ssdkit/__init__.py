@@ -75,6 +75,7 @@ from .fitzpatrick import (
     remark_2_14_gap,
     sigma_minorant_test,
     star_theta,
+    theorem_2_15_reports,
     theorem_2_15_suite,
     theta,
 )

@@ -19,7 +19,7 @@ from .errors import (
     PreconditionFailed,
     SingularPairing,
 )
-from .fitzpatrick import fitz_triple, phi, theta
+from .fitzpatrick import FitzTriple, fitz_triple, phi, theta
 from .gridfn import (
     GridFn,
     Lattice,
@@ -324,7 +324,10 @@ def vz_mas_equivalence(space: SsdSpace, dual: DualSsd, f: GridFn,
     report = VerifyReport(suite="vz_mas_equivalence", grid=f.grid.to_dict(),
                           tolerances={**vz.tolerances, **mas.tolerances},
                           meta={"space": space.label, "fn": f.form,
-                                "vz": vz.passed, "mas": mas.passed})
+                                "vz": vz.passed, "mas": mas.passed,
+                                "vz_tol": vz.tolerances["tol"],
+                                "inf_path": vz.meta["inf_path"],
+                                "conjugate_path": mas.meta["conjugate_path"]})
     report.add("verdicts_agree", "thm_4_9c", vz.passed == mas.passed,
                residual=0.0 if vz.passed == mas.passed else 1.0,
                note=f"vz={vz.passed}, mas={mas.passed}")
@@ -334,9 +337,11 @@ def vz_mas_equivalence(space: SsdSpace, dual: DualSsd, f: GridFn,
 # -- the equivalence battery ------------------------------------------------------------
 
 def theorem_4_10_battery(space: SsdSpace, dual: DualSsd, a: PointSet, grid: GridSpec,
-                         h_candidates=None, tol: float = tols.ATOL_GRID) -> VerifyReport:
+                         h_candidates=None, tol: float = tols.ATOL_GRID,
+                         triple: FitzTriple | None = None) -> VerifyReport:
     """Equivalent conditions for a grid-maximal positive set; verdicts must be
-    unanimous.  Refuses when maximality or image density fails.
+    unanimous.  Refuses when maximality or image density fails.  `triple`,
+    when given, is `fitz_triple(space, a, grid)` built by the caller.
     """
     mx = is_maximally_q_positive(space, a, grid)
     if not mx.passed:
@@ -345,7 +350,8 @@ def theorem_4_10_battery(space: SsdSpace, dual: DualSsd, a: PointSet, grid: Grid
     if not dens.passed:
         raise DensityNotVerified("image density does not hold on the probe points")
 
-    triple = fitz_triple(space, a, grid)
+    if triple is None:
+        triple = fitz_triple(space, a, grid)
     nodes = grid.points()
     image_blocks = [Lattice(image_box(grid, space.pairing, inflate=1.0, include_source=False)),
                     Lattice(grid, space.pairing.T)]
@@ -392,22 +398,25 @@ def theorem_4_10_battery(space: SsdSpace, dual: DualSsd, a: PointSet, grid: Grid
     if h_candidates is None:
         mid = GridFn._raw(grid, 0.5 * (triple.phi_fn.values + triple.star_theta_fn.values),
                           form="midpoint candidate")
-        h_candidates = [triple.phi_fn, triple.star_theta_fn, mid]
+        candidates = [(triple.phi_fn, vz_phi), (triple.star_theta_fn, vz_star), (mid, None)]
+    else:
+        candidates = [(h, None) for h in h_candidates]
     cell = tols.cell_norm(space, grid)
-    for idx, h in enumerate(h_candidates):
-        mas = is_mas(h, space, dual)
+    for idx, (h, vz) in enumerate(candidates):
+        h_at = intrinsic_conjugate(h, space)
+        mas = is_mas(h, space, dual, fat=h_at)
         touch = p_set(h, space)
         match, dist = sets_match(space, a.points, touch.points, radius=2.0 * cell)
         verdicts[f"d{idx}"] = mas.passed and match
         report.add(f"d_candidate{idx}_mas_represents", "thm_4_10d", verdicts[f"d{idx}"],
                    residual=dist, note=f"candidate {h.form or idx}")
-        vz = is_vz(h, space)
+        if vz is None:
+            vz = is_vz(h, space)
         verdicts[f"e{idx}"] = vz.passed and match
         report.add(f"e_candidate{idx}_vz_represents", "thm_4_10e", verdicts[f"e{idx}"],
                    residual=vz.check("zero_infconv").worst_residual)
         inside = (np.all(h.values <= triple.star_theta_fn.values + tols.tol_p_membership())
                   and np.all(h.values >= triple.phi_fn.values - tols.tol_p_membership()))
-        h_at = intrinsic_conjugate(h, space)
         dom = float(np.min(h_at.values - space.q(nodes)))
         verdicts[f"b2.{idx}"] = (not inside) or dom >= -tol
         report.add(f"b2_candidate{idx}_conj_dominates", "thm_4_10b2", verdicts[f"b2.{idx}"],

@@ -9,6 +9,8 @@ exact claims from the grid-approximate ones.
 
 from __future__ import annotations
 
+import copy
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,25 +246,35 @@ def theorem_2_15_suite(space: SsdSpace, f: GridFn, h: GridFn | None,
                        tol: float = tols.ATOL_GRID) -> VerifyReport:
     """Sandwich inequalities around a touching function and the transfer of
     the zero inf-convolution property to anything inside the sandwich."""
+    return next(theorem_2_15_reports(space, f, [h], grid=grid, tol=tol))
+
+
+def theorem_2_15_reports(space: SsdSpace, f: GridFn, candidates,
+                         grid: GridSpec | None = None,
+                         tol: float = tols.ATOL_GRID) -> Iterator[VerifyReport]:
+    """`theorem_2_15_suite` for each candidate h in turn (None: the checks on
+    f alone), each report yielded as soon as its checks are done.  The
+    touching set, its representers and the conjugates of f and phi are
+    computed once, and each report starts from its own copy of their checks."""
     grid = grid or f.grid
     a = p_set(f, space)
     if len(a) == 0:
         raise EmptySet("touching set of f is empty")
     triple = fitz_triple(space, a, grid)
     pts = grid.points()
-    report = VerifyReport(suite="theorem_2_15", grid=grid.to_dict(),
-                          tolerances={"tol": tol},
-                          meta={"space": space.label, "fn": f.form})
+    base = VerifyReport(suite="theorem_2_15", grid=grid.to_dict(),
+                        tolerances={"tol": tol},
+                        meta={"space": space.label, "fn": f.form})
     slack = tols.tol_p_membership()
     lo = triple.phi_fn.values - f.values - slack
     i = int(np.nanargmax(np.where(np.isfinite(lo), lo, -np.inf)))
-    report.add("f_above_phi", "thm_2_15_1", float(lo[i]) <= tol,
-               residual=max(0.0, float(lo[i])), witness=pts[i])
+    base.add("f_above_phi", "thm_2_15_1", float(lo[i]) <= tol,
+             residual=max(0.0, float(lo[i])), witness=pts[i])
     hi = f.values - triple.star_theta_fn.values - slack
     finite = np.isfinite(hi)
     j = int(np.argmax(np.where(finite, hi, -np.inf)))
-    report.add("f_below_star", "thm_2_15_1", float(hi[j]) <= tol if finite.any() else True,
-               residual=max(0.0, float(hi[j])) if finite.any() else 0.0, witness=pts[j])
+    base.add("f_below_star", "thm_2_15_1", float(hi[j]) <= tol if finite.any() else True,
+             residual=max(0.0, float(hi[j])) if finite.any() else 0.0, witness=pts[j])
     dual_pts = triple.dual_points
     duals = [b for b, _ in triple.dual_blocks]
     f_sources = [(Lattice(grid), f.values), (a.points, f.evaluate(a.points))]
@@ -270,17 +282,21 @@ def theorem_2_15_suite(space: SsdSpace, f: GridFn, h: GridFn | None,
     theta_vals = triple.dual_theta
     phi_sources = [(Lattice(grid), triple.phi_fn.values), (a.points, phi(space, a, a.points))]
     phi_star, _ = sup_over_blocks(phi_sources, duals)
-    report.meta["sup_path"] = {"star_theta": triple.star_theta_path(),
-                               "f_star": sup_paths(f_sources, duals),
-                               "phi_star": sup_paths(phi_sources, duals)}
+    base.meta["sup_path"] = {"star_theta": triple.star_theta_path(),
+                             "f_star": sup_paths(f_sources, duals),
+                             "phi_star": sup_paths(phi_sources, duals)}
     c1 = theta_vals - f_star - slack
     c2 = f_star - phi_star - slack
     k1, k2 = int(np.argmax(c1)), int(np.argmax(c2))
-    report.add("fstar_above_theta", "thm_2_15_1", float(c1[k1]) <= tol,
-               residual=max(0.0, float(c1[k1])), witness=dual_pts[k1])
-    report.add("fstar_below_phistar", "thm_2_15_1", float(c2[k2]) <= tol,
-               residual=max(0.0, float(c2[k2])), witness=dual_pts[k2])
-    if h is not None:
+    base.add("fstar_above_theta", "thm_2_15_1", float(c1[k1]) <= tol,
+             residual=max(0.0, float(c1[k1])), witness=dual_pts[k1])
+    base.add("fstar_below_phistar", "thm_2_15_1", float(c2[k2]) <= tol,
+             residual=max(0.0, float(c2[k2])), witness=dual_pts[k2])
+    for h in candidates:
+        report = copy.deepcopy(base)
+        if h is None:
+            yield report
+            continue
         above = triple.phi_fn.values - h.values - slack
         below = h.values - triple.star_theta_fn.values - slack
         finite_a = np.isfinite(above)
@@ -301,18 +317,22 @@ def theorem_2_15_suite(space: SsdSpace, f: GridFn, h: GridFn | None,
         ph = p_set(h, space)
         match, dist = sets_match(space, a.points, ph.points, radius=2.0 * cell)
         report.add("h_touching_equals_set", "thm_2_15c", match, residual=dist)
-    return report
+        yield report
 
 
 def sigma_minorant_test(space: SsdSpace, a: PointSet, h: GridFn,
-                        tol: float | None = None) -> VerifyReport:
+                        tol: float | None = None,
+                        triple: FitzTriple | None = None) -> VerifyReport:
     """One direction of the maximal-representer property: any grid-convex h
-    with h <= q on the set stays below the conjugate-back representer."""
+    with h <= q on the set stays below the conjugate-back representer.
+    `triple`, when given, is `fitz_triple(space, a, h.grid)` built by the
+    caller."""
     hq = h.evaluate(a.points) - space.q(a.points)
     worst_on_a = float(np.max(hq))
     if worst_on_a > tols.tol_p_membership():
         raise NotAMinorant(f"h exceeds q on the set by {worst_on_a:.3e}")
-    triple = fitz_triple(space, a, h.grid)
+    if triple is None:
+        triple = fitz_triple(space, a, h.grid)
     if tol is None:
         h_d = float(np.max(triple.theta_fn.grid.spacing))
         lip = tols.observed_lipschitz(h.values_nd(), h.grid.spacing)

@@ -15,6 +15,7 @@ import numpy as np
 
 from .duality import DualSsd, theorem_4_10_battery
 from .errors import DimensionMismatch, EmptySet, FBelowQ, PreconditionFailed
+from .fitzpatrick import FitzTriple
 from .gridfn import GridFn, is_mas
 from .grids import GridSpec
 from .positivity import PointSet, is_q_positive, p_set, sets_match
@@ -146,11 +147,13 @@ def strongly_representable_check(a: MonotoneSet, f: GridFn, space: SsdSpace,
 
 
 def theorem_5_8_battery(space: SsdSpace, dual: DualSsd, a: MonotoneSet, grid: GridSpec,
-                        h_candidates=None, tol: float = tols.ATOL_GRID) -> VerifyReport:
+                        h_candidates=None, tol: float = tols.ATOL_GRID,
+                        triple: FitzTriple | None = None) -> VerifyReport:
     """Product-space reading of the equivalence battery, plus the explicit
-    classical form of the dual-side support inequality."""
+    classical form of the dual-side support inequality.  `triple`, when
+    given, is `fitz_triple(space, a.underlying, grid)` built by the caller."""
     report = theorem_4_10_battery(space, dual, a.underlying, grid,
-                                  h_candidates=h_candidates, tol=tol)
+                                  h_candidates=h_candidates, tol=tol, triple=triple)
     report.suite = "theorem_5_8"
     nodes = grid.points()
     image_nodes = nodes @ space.pairing.T

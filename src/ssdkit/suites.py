@@ -43,10 +43,11 @@ from .duality import (
 )
 from .errors import NoDual, SsdkitError
 from .fitzpatrick import (
+    fitz_triple,
     lemma_2_13_suite,
     remark_2_14_gap,
     sigma_minorant_test,
-    theorem_2_15_suite,
+    theorem_2_15_reports,
 )
 from .gridfn import (
     GridFn,
@@ -201,6 +202,8 @@ def suite_remark_2_17(opts: SuiteOptions):
     vz = is_vz(f, sp)
     rep.add("worked_example_vz", "remark_2_17", vz.passed,
             residual=vz.check("zero_infconv").worst_residual)
+    rep.meta["vz_tol"] = vz.tolerances["tol"]
+    rep.meta["inf_path"] = vz.meta["inf_path"]
     touching = p_set(f, sp)
     on_diag = len(touching) == int(grid.num[0]) and float(
         np.max(np.abs(touching.points[:, 0] - touching.points[:, 1]))) < 1e-12
@@ -359,10 +362,10 @@ def suite_theorem_2_15(opts: SuiteOptions):
     f = half_sq_norm_fn(grid)
     diag = diagonal_set(-3, 3, 121)
     phi_fn, star_fn = representer_fns(sp, diag, grid)
-    for h, label in ((phi_fn, "primal representer"), (star_fn, "conjugate-back"),
-                     (GridFn._raw(grid, 0.5 * (phi_fn.values + star_fn.values),
-                                  form="midpoint"), "midpoint")):
-        rep = theorem_2_15_suite(sp, f, h)
+    candidates = {"primal representer": phi_fn, "conjugate-back": star_fn,
+                  "midpoint": GridFn._raw(grid, 0.5 * (phi_fn.values + star_fn.values),
+                                          form="midpoint")}
+    for label, rep in zip(candidates, theorem_2_15_reports(sp, f, candidates.values())):
         rep.meta["candidate"] = label
         reports.append(rep)
     return reports
@@ -537,15 +540,15 @@ def suite_theorem_5_8(opts: SuiteOptions):
              ("clipped cubic graph", cubic_graph_set(grid)),
              ("sign graph", sign_graph_set(grid))])
     for label, mset in sets:
-        rep = theorem_5_8_battery(sp, dual, mset, grid)
+        triple = fitz_triple(sp, mset.underlying, grid)
+        rep = theorem_5_8_battery(sp, dual, mset, grid, triple=triple)
         rep.meta["set"] = label
         reports.append(rep)
         ni = type_ni_check(sp, mset, dual, grid=grid)
         ni.suite = "theorem_5_8"
         ni.meta["set"] = label
         reports.append(ni)
-        phi_fn, _ = representer_fns(sp, mset, grid)
-        sr = strongly_representable_check(mset, phi_fn, sp, dual)
+        sr = strongly_representable_check(mset, triple.phi_fn, sp, dual)
         sr.suite = "theorem_5_8"
         sr.meta["set"] = label
         reports.append(sr)
@@ -642,15 +645,15 @@ def suite_theorem_2_16(opts: SuiteOptions):
     sp = space_r2_product("two")
     grid = _grid(opts)
     diag = diagonal_set(-3, 3, 121)
-    phi_fn, star_fn = representer_fns(sp, diag, grid)
-    rep = sigma_minorant_test(sp, diag.underlying, phi_fn)
+    triple = fitz_triple(sp, diag.underlying, grid)
+    rep = sigma_minorant_test(sp, diag.underlying, triple.phi_fn, triple=triple)
     rep.meta["candidate"] = "primal representer"
     reports.append(rep)
     a0 = np.array([1.0, 1.0])
     affine = GridFn.from_callable(
         grid, lambda p: np.atleast_2d(p) @ sp.pairing @ a0 - sp.q(a0),
         form="affine tangent")
-    rep = sigma_minorant_test(sp, diag.underlying, affine)
+    rep = sigma_minorant_test(sp, diag.underlying, affine, triple=triple)
     rep.meta["candidate"] = "affine tangent"
     reports.append(rep)
     return reports

@@ -67,6 +67,22 @@ class TestVerify:
         statuses = [c["status"] for rep in doc["reports"] for c in rep["checks"]]
         assert statuses and all(s == "pass" for s in statuses)
 
+    def test_vz_path_and_tolerance_reach_the_written_reports(self, tmp_path, prod_space,
+                                                             prod_dual, grid61):
+        from ssdkit import is_vz, vz_mas_equivalence
+
+        assert run(["verify", "--suite", "remark_2_17", "--out", tmp_path]) == 0
+        meta = json.loads((tmp_path / "remark_2_17.json").read_text())["reports"][0]["meta"]
+        assert meta["vz_tol"] > 0.0
+        assert [p["kernel"] for p in meta["inf_path"]] == ["scattered"]
+        fn = half_sq_norm_fn(grid61)
+        rep = vz_mas_equivalence(prod_space, prod_dual, fn)
+        meta = json.loads(rep.to_json(tmp_path / "vz_mas.json"))["meta"]
+        vz = is_vz(fn, prod_space)
+        assert meta["vz_tol"] == vz.tolerances["tol"]
+        assert meta["inf_path"] == vz.meta["inf_path"]
+        assert meta["conjugate_path"] == "separable"
+
     def test_user_set_through_representer_suite(self, tmp_path):
         setfile = tmp_path / "diag.csv"
         t = np.linspace(-3, 3, 121)

@@ -1,0 +1,67 @@
+import importlib.util
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+from ssdkit.cli import main
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_reports.py"
+
+
+@pytest.fixture(scope="module")
+def compare():
+    spec = importlib.util.spec_from_file_location("compare_reports", SCRIPT)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod.main
+
+
+@pytest.fixture
+def trees(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    assert main(["verify", "--suite", "helix", "--out", str(parent)]) == 0
+    shutil.copytree(parent, change)
+    return parent, change
+
+
+def _edit(path, fn):
+    doc = json.loads(path.read_text())
+    fn(doc)
+    path.write_text(json.dumps(doc))
+
+
+def test_equal_trees_apart_from_wall_time(compare, trees, capsys):
+    parent, change = trees
+
+    def slower(doc):
+        for rep in doc["reports"]:
+            rep["wall_time"] += 1.0
+
+    _edit(change / "helix.json", slower)
+    assert compare([str(parent), str(change)]) == 0
+    assert "0 difference(s)" in capsys.readouterr().out
+
+
+def test_changed_residual_and_new_meta_key(compare, trees, capsys):
+    parent, change = trees
+
+    def perturb(doc):
+        check = doc["reports"][0]["checks"][0]
+        check["worst_residual"] = (check["worst_residual"] or 0.0) + 1e-15
+        doc["reports"][0]["meta"]["extra"] = 1
+
+    _edit(change / "helix.json", perturb)
+    assert compare([str(parent), str(change)]) == 1
+    out = capsys.readouterr().out
+    assert "worst_residual" in out and "meta.extra: only in change" in out
+    assert compare([str(parent), str(change), "--ignore-meta", "extra"]) == 1
+    assert "meta.extra" not in capsys.readouterr().out
+
+
+def test_missing_report_file(compare, trees, capsys):
+    parent, change = trees
+    (change / "helix.json").unlink()
+    assert compare([str(parent), str(change)]) == 1
+    assert "helix.json: only in parent" in capsys.readouterr().out

@@ -865,3 +865,39 @@ class TestConvexityPrecheck:
         assert got == scan_convexity_defect(grid.shape(), vals, CONVEXITY_RTOL)
         if magnitude == 1.0:
             assert (got is None) == (factor < 1.0)
+
+
+class TestScoreBlock:
+    def test_default_block_is_16_mb(self):
+        from ssdkit import gridfn
+
+        assert gridfn._score_cap() == 1 << 21
+        assert gridfn._candidate_cap() == 1 << 17
+
+    def test_block_size_leaves_remark_2_17_sup_bitwise_unchanged(self, prod_space,
+                                                                 worked_fn121):
+        # the scattered sup of remark 2.17's VZ check: 14,641 sources against
+        # a few hundred distinct rows c @ (W + M), one block at 2^23 entries
+        # and several at 2^21
+        from ssdkit import gridfn
+
+        calls = []
+        kernel = gridfn.sup_linear_minus
+
+        def record(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        with mock.patch.object(gridfn, "sup_linear_minus", record):
+            is_vz(worked_fn121, prod_space)
+        (sources, offsets, targets), = calls
+        assert sources.shape[0] == 121 ** 2
+        assert np.unique(targets, axis=0).shape[0] > (1 << 21) // sources.shape[0]
+        out = {}
+        for cap in (1 << 23, 1 << 21):
+            with mock.patch.object(gridfn, "_BLOCK", cap << 2):
+                assert gridfn._score_cap() == cap
+                out[cap] = kernel(sources, offsets, targets)
+        (v23, a23), (v21, a21) = out[1 << 23], out[1 << 21]
+        assert np.array_equal(_bits(v21), _bits(v23))
+        assert np.array_equal(a21, a23)

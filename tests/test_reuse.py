@@ -1,0 +1,120 @@
+"""Passing a prebuilt representer triple: same reports, less work."""
+
+import sys
+
+import numpy as np
+import pytest
+
+from ssdkit import (
+    GridFn,
+    fitz_triple,
+    sigma_minorant_test,
+    theorem_2_15_reports,
+    theorem_2_15_suite,
+    theorem_4_10_battery,
+    theorem_5_8_battery,
+)
+from ssdkit import gridfn
+from ssdkit.catalog import cubic_graph_set
+from ssdkit.suites import run_suite
+
+
+def _doc(rep):
+    doc = rep.to_dict()
+    del doc["wall_time"]
+    return doc
+
+
+class TestPrebuiltTriple:
+    def test_theorem_4_10_battery(self, prod_space, prod_dual, grid61, diag121):
+        triple = fitz_triple(prod_space, diag121.underlying, grid61)
+        own = theorem_4_10_battery(prod_space, prod_dual, diag121.underlying, grid61)
+        given = theorem_4_10_battery(prod_space, prod_dual, diag121.underlying, grid61,
+                                     triple=triple)
+        assert _doc(given) == _doc(own)
+
+    def test_theorem_4_10_battery_explicit_candidates(self, prod_space, prod_dual, grid61,
+                                                      diag121):
+        triple = fitz_triple(prod_space, diag121.underlying, grid61)
+        cands = [triple.star_theta_fn, triple.phi_fn]
+        own = theorem_4_10_battery(prod_space, prod_dual, diag121.underlying, grid61,
+                                   h_candidates=cands)
+        given = theorem_4_10_battery(prod_space, prod_dual, diag121.underlying, grid61,
+                                     h_candidates=cands, triple=triple)
+        assert _doc(given) == _doc(own)
+        assert len([c for c in own.checks if c.check_id.startswith("e_candidate")]) == 2
+
+    def test_theorem_5_8_battery(self, prod_space, prod_dual, grid61):
+        cubic = cubic_graph_set(grid61)
+        triple = fitz_triple(prod_space, cubic.underlying, grid61)
+        own = theorem_5_8_battery(prod_space, prod_dual, cubic, grid61)
+        given = theorem_5_8_battery(prod_space, prod_dual, cubic, grid61, triple=triple)
+        assert _doc(given) == _doc(own)
+
+    def test_sigma_minorant_test(self, prod_space, grid61, diag121):
+        triple = fitz_triple(prod_space, diag121.underlying, grid61)
+        a0 = np.array([1.0, 1.0])
+        affine = GridFn.from_callable(
+            grid61, lambda p: np.atleast_2d(p) @ prod_space.pairing @ a0 - prod_space.q(a0),
+            form="affine tangent")
+        for h in (triple.phi_fn, affine):
+            own = sigma_minorant_test(prod_space, diag121.underlying, h)
+            given = sigma_minorant_test(prod_space, diag121.underlying, h, triple=triple)
+            assert _doc(given) == _doc(own)
+
+
+class TestTheorem215Reports:
+    def test_equal_to_separate_calls(self, prod_space, grid61, worked_fn61, diag121):
+        triple = fitz_triple(prod_space, diag121.underlying, grid61)
+        mid = GridFn._raw(grid61, 0.5 * (triple.phi_fn.values + triple.star_theta_fn.values),
+                          form="midpoint")
+        cands = [triple.phi_fn, triple.star_theta_fn, mid, None]
+        shared = list(theorem_2_15_reports(prod_space, worked_fn61, cands))
+        assert len(shared) == len(cands)
+        for h, rep in zip(cands, shared):
+            assert _doc(rep) == _doc(theorem_2_15_suite(prod_space, worked_fn61, h))
+
+    def test_reports_are_independent(self, prod_space, grid61, worked_fn61, diag121):
+        triple = fitz_triple(prod_space, diag121.underlying, grid61)
+        first, second = theorem_2_15_reports(prod_space, worked_fn61,
+                                             [triple.phi_fn, triple.star_theta_fn])
+        assert first is not second
+        before = _doc(second)
+        first.meta["candidate"] = "changed"
+        first.meta["sup_path"]["f_star"].append("changed")
+        first.checks[0].note = "changed"
+        assert _doc(second) == before
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts calls of the two sup kernels, wherever they are looked up."""
+    counts = {"_sup_separable": 0, "sup_linear_minus": 0}
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "ssdkit"]
+    for name in counts:
+        orig = getattr(gridfn, name)
+
+        def counted(*args, _orig=orig, _name=name):
+            counts[_name] += 1
+            return _orig(*args)
+
+        for mod in modules:
+            if getattr(mod, name, None) is orig:
+                monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+# sup-kernel calls of one run of each suite, with each representer triple,
+# VZ verdict and pairing-conjugate built once; a rebuild raises a count
+SUITE_KERNEL_CALLS = {
+    "theorem_2_15": 36,
+    "theorem_2_16": 8,
+    "theorem_4_10": 19,
+    "theorem_5_8": 60,
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_KERNEL_CALLS))
+def test_suite_kernel_call_count(suite, kernel_calls):
+    run_suite(suite)
+    assert sum(kernel_calls.values()) == SUITE_KERNEL_CALLS[suite]
