@@ -47,24 +47,14 @@ def theta(space: SsdSpace, a: PointSet, bstar) -> float | np.ndarray:
 def phi(space: SsdSpace, a: PointSet, b) -> float | np.ndarray:
     """Primal representer, as a finite max over the set (exact).
 
-    Computed as max[pair(a, b) - q(a)]; `phi_two_ways` adds the second
-    formula q(b) - inf q(b - a) for the check that the two agree.
+    Computed as max[pair(a, b) - q(a)]; `lemma_2_13_suite` checks it
+    against the second formula q(b) - inf q(b - a).
     """
     if len(a) == 0:
         raise EmptySet("representer needs a nonempty set")
     pts = np.atleast_2d(np.asarray(b, dtype=float))
     vals, _ = sup_linear_minus(a.points @ space.pairing, space.q(a.points), pts)
     return float(vals[0]) if np.asarray(b).ndim == 1 else vals
-
-
-def phi_two_ways(space: SsdSpace, a: PointSet, b):
-    pts = np.atleast_2d(np.asarray(b, dtype=float))
-    single = np.asarray(b).ndim == 1
-    vals = phi(space, a, pts)
-    v2 = space.q(pts) - np.min(pairwise_q(space, pts, a.points), axis=1)
-    if single:
-        return float(vals[0]), float(v2[0])
-    return vals, v2
 
 
 def dual_probe_blocks(space: SsdSpace, grid: GridSpec,
@@ -156,7 +146,8 @@ def lemma_2_13_suite(space: SsdSpace, a: PointSet, grid: GridSpec,
                           tolerances={"tol_exact": tol_exact, "tol_grid": tol_grid},
                           meta={"space": space.label, "set": a.label})
 
-    v1, v2 = phi_two_ways(space, a, pts)
+    v1 = triple.phi_fn.values
+    v2 = qv - np.min(pairwise_q(space, pts, a.points), axis=1)
     i = int(np.argmax(np.abs(v1 - v2)))
     report.add("a_two_formulas", "lemma_2_13a", abs(float(v1[i] - v2[i])) <= tol_exact,
                residual=abs(float(v1[i] - v2[i])), witness=pts[i])

@@ -2,10 +2,13 @@
 
 Conventions: values are row-major over the grid nodes, +inf marks points
 outside the effective domain, -inf is forbidden.  Every sup/inf "over the
-space" is a sup/inf over grid nodes; the brute-force double loop (as blocked
-matrix products) is the normative semantics for conjugation and
-inf-convolution.  Minimizer/maximizer ties break to the lowest row-major
-index so witnesses are deterministic.
+space" is a sup/inf over grid nodes.  Sups run through `sup_over_blocks`
+(the separable or the scattered kernel); every inf here that is not a
+quadratic collapse into a sup runs through `_min_plus`, the one inf
+kernel, whose two branches are the offset table (both sides the same
+lattice) and the pair scan (anything else).  The brute-force double loops
+they must match live in the tests as oracles.  Minimizer/maximizer ties break to the lowest
+row-major index so witnesses are deterministic.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DimensionMismatch,
@@ -23,9 +27,9 @@ from .errors import (
     NoAffineMinorant,
     NotConvex,
 )
-from .grids import GridSpec
+from .grids import GridSpec, point_budget
 from .reports import VerifyReport
-from .spaces import SsdSpace, pairwise_p
+from .spaces import SsdSpace
 from . import tolerances as tols
 
 _BLOCK = 1 << 23  # max entries of a score matrix held at once
@@ -534,12 +538,10 @@ def _pairing_permutation(pairing):
     return perm, pairing[perm, np.arange(perm.size)]
 
 
-def _quadratic_collapse(space: SsdSpace, nodes, c_rows, gauge):
+def _quadratic_collapse(space: SsdSpace, nodes, c_rows):
     """(B, target block) of the quadratic collapse of `min_values_plus_gauge`,
-    or None when the gauge has no quadratic form.  The target is the lattice
+    or None when the norm has no quadratic form.  The target is the lattice
     c @ B when it pairs with the nodes separably, else the points c @ B."""
-    if gauge is not pairwise_p:
-        return None
     w_full = space.norm.quadratic_weight(space.dim)
     if w_full is None:
         return None
@@ -551,57 +553,119 @@ def _quadratic_collapse(space: SsdSpace, nodes, c_rows, gauge):
     return b, _rows(c_rows) @ b
 
 
-def min_values_plus_gauge(space: SsdSpace, add_on_nodes, nodes, c_rows, gauge=pairwise_p):
-    """For each c: min_j [add_on_nodes_j + gauge(c - nodes_j)], with argmin.
+def min_values_plus_gauge(space: SsdSpace, add_on_nodes, nodes, c_rows):
+    """For each c: min_j [add_on_nodes_j + p(c - nodes_j)], with argmin.
 
     `nodes` and `c_rows` are each a `Lattice` or an array of points.  When
-    the gauge is the default p and the norm has a quadratic form, the
-    objective collapses to h(c) - max_j [(Bc).y_j - (h(y_j) + add_j)] with B
-    the combined form, which `sup_over_blocks` computes in one pass: with the
-    separable kernel when both sides are lattices whose score factors by
-    axis, otherwise with the scattered kernel on the rows c @ B
-    (`inf_paths` says which).
+    the norm has a quadratic form, the objective collapses to
+    h(c) - max_j [(Bc).y_j - (h(y_j) + add_j)] with B the combined form,
+    one `sup_over_blocks` pass; any other norm runs `_min_plus` with k = p
+    (`inf_paths` says which kernel).
     """
     add = np.asarray(add_on_nodes, dtype=float).ravel()
-    collapse = _quadratic_collapse(space, nodes, c_rows, gauge)
-    if collapse is not None:
-        b, target = collapse
-        y = _rows(nodes)
-        h_nodes = 0.5 * np.einsum("ni,ij,nj->n", y, b, y)
-        del y  # the sup builds the node rows again: one copy is live at a time
-        vals, args = sup_over_blocks([(nodes, h_nodes + add)], [target])
-        c = _rows(c_rows)
-        h_c = 0.5 * np.einsum("ni,ij,nj->n", c, b, c)
-        return h_c - vals, args
-    finite = np.isfinite(add)
-    if not np.any(finite):
-        raise Improper("no finite values to take an infimum over")
-    y = _rows(nodes)[finite]
+    collapse = _quadratic_collapse(space, nodes, c_rows)
+    if collapse is None:
+        return _min_plus(add, nodes, c_rows, space.p)
+    b, target = collapse
+    y = _rows(nodes)
+    h_nodes = 0.5 * np.einsum("ni,ij,nj->n", y, b, y)
+    del y  # the sup builds the node rows again: one copy is live at a time
+    vals, args = sup_over_blocks([(nodes, h_nodes + add)], [target])
     c = _rows(c_rows)
-    a = add[finite]
-    back = np.flatnonzero(finite)
-    m = c.shape[0]
+    h_c = 0.5 * np.einsum("ni,ij,nj->n", c, b, c)
+    return h_c - vals, args
+
+
+def inf_paths(space: SsdSpace, nodes, c_rows) -> list:
+    """The kernel `min_values_plus_gauge` runs, with the block sizes: the
+    `sup_paths` of its quadratic collapse, else the `_min_plus` branch,
+    "min-plus" for the offset table and "pairwise" for the pair scan."""
+    collapse = _quadratic_collapse(space, nodes, c_rows)
+    if collapse is None:
+        kernel = "min-plus" if _offset_table_fits(nodes, c_rows) else "pairwise"
+        return [{"kernel": kernel, "sources": _block_size(nodes),
+                 "targets": _block_size(c_rows)}]
+    return sup_paths([(nodes, None)], [collapse[1]])
+
+
+def _min_plus(add, nodes, targets, k):
+    """The one inf kernel: min_j [add_j + k(c_i - y_j)] and its argmin j for
+    each target c_i.  `nodes` (the y_j) and `targets` are each a `Lattice`
+    or an array of points, `k` a vectorized callable on (n, d) rows.  +inf
+    adds are skipped (Improper if all are); ties go to the lowest source
+    index.  The offset table runs where `_offset_table_fits`, else the pair scan.
+    """
+    add = np.asarray(add, dtype=float).ravel()
+    if not np.any(np.isfinite(add)):
+        raise Improper("no finite values to take an infimum over")
+    if _offset_table_fits(nodes, targets):
+        return _offset_scan(add, nodes, k)
+    return _pair_scan(add, _rows(nodes), _rows(targets), k)
+
+
+def _offset_table_fits(a, b) -> bool:
+    """Both blocks are the same lattice, and its offset lattice keeps within
+    the grid point budget (beyond it the pair scan bounds the memory)."""
+    # to_dict compares lower, upper and num exactly; array_equal(None, None) holds
+    return (isinstance(a, Lattice) and isinstance(b, Lattice)
+            and a.grid.to_dict() == b.grid.to_dict() and np.array_equal(a.matrix, b.matrix)
+            and int(np.prod(2 * a.grid.num - 1)) <= point_budget())
+
+
+def _offset_grid(grid: GridSpec) -> GridSpec:
+    """Zero-centred grid of node differences: `grid`'s spacing, 2 num - 1 nodes."""
+    span = grid.upper - grid.lower
+    return GridSpec(-span, span, 2 * grid.num - 1)
+
+
+def _offset_scan(add, lattice: Lattice, k):
+    """`_min_plus` with sources and targets both `lattice`: node i minus node
+    j is node i - j + num - 1 of the offset lattice, so k is tabulated there
+    once.  Finite sources go in row-major order, in cache-sized blocks of
+    `_candidate_cap()` entries; each block takes its first minimum and the
+    blocks merge with a strict `<`, as a running strict-`<` min would."""
+    grid = lattice.grid
+    shape = grid.shape()
+    offsets = Lattice(_offset_grid(grid), lattice.matrix)
+    table = np.asarray(k(offsets.points()), dtype=float).reshape(offsets.grid.shape())
+    # window[j][i] = table[i - j + num - 1], for source j and target i
+    window = sliding_window_view(table, shape)[(slice(None, None, -1),) * grid.dim]
+    sources = np.flatnonzero(np.isfinite(add))
+    index = np.unravel_index(sources, shape)
+    m = grid.size
+    vals = np.full(m, np.inf)
+    args = np.full(m, sources[0])
+    chunk = max(1, _candidate_cap() // m)
+    for start in range(0, sources.size, chunk):
+        j = sources[start:start + chunk]
+        cand = window[tuple(i[start:start + chunk] for i in index)].reshape(j.size, m)
+        cand += add[j, None]
+        a = np.argmin(cand, axis=0)
+        v = cand[a, np.arange(m)]
+        better = v < vals
+        np.copyto(vals, v, where=better)
+        np.copyto(args, j[a], where=better)
+    return vals, args
+
+
+def _pair_scan(add, y, c, k):
+    """`_min_plus` on point rows: k on the difference vectors c_i - y_j, one
+    block of at most `_score_cap()` difference coordinates at a time."""
+    back = np.flatnonzero(np.isfinite(add))
+    y, a = y[back], add[back]
+    m, n = c.shape[0], y.shape[0]
     vals = np.empty(m)
     args = np.empty(m, dtype=int)
-    chunk = max(1, _BLOCK // max(1, y.shape[0]))
+    chunk = max(1, _score_cap() // (n * c.shape[1]))
     for start in range(0, m, chunk):
-        total = gauge(space, c[start:start + chunk], y)
+        diffs = c[start:start + chunk, None, :] - y[None, :, :]
+        total = np.asarray(k(diffs.reshape(-1, c.shape[1])), dtype=float).reshape(-1, n)
+        del diffs
         total += a[None, :]
         j = np.argmin(total, axis=1)
         vals[start:start + chunk] = total[np.arange(total.shape[0]), j]
         args[start:start + chunk] = back[j]
-        del total
     return vals, args
-
-
-def inf_paths(space: SsdSpace, nodes, c_rows, gauge=pairwise_p) -> list:
-    """The kernel `min_values_plus_gauge` runs, with the block sizes: the
-    `sup_paths` of its quadratic collapse, or the pairwise gauge scan."""
-    collapse = _quadratic_collapse(space, nodes, c_rows, gauge)
-    if collapse is None:
-        return [{"kernel": "pairwise", "sources": _block_size(nodes),
-                 "targets": _block_size(c_rows)}]
-    return sup_paths([(nodes, None)], [collapse[1]])
 
 
 # -- conjugation --------------------------------------------------------------------
@@ -648,30 +712,12 @@ def inf_conv(h: GridFn, k, out_grid: GridSpec | None = None) -> GridFn:
     interpolated otherwise, +inf outside its box) or a plain vectorized
     callable.
     """
-    if isinstance(k, GridFn):
-        if not h.same_grid(k):
-            raise GridMismatch("inf_conv operands must share a grid")
-        k_eval = k.evaluate
-    else:
-        k_eval = lambda pts: np.asarray(k(pts), dtype=float)
-    grid = h.grid if out_grid is None else out_grid
-    xs = grid.points()
-    mask = h.finite_mask
-    ys = h.grid.points()[mask]
-    hv = h.values[mask]
-    if ys.shape[0] == 0:
-        raise Improper("left operand is identically +inf")
-    m = xs.shape[0]
-    vals = np.empty(m)
-    chunk = max(1, _BLOCK // (8 * max(1, ys.shape[0])))
-    for start in range(0, m, chunk):
-        xc = xs[start:start + chunk]
-        diffs = xc[:, None, :] - ys[None, :, :]
-        kv = k_eval(diffs.reshape(-1, xc.shape[1])).reshape(xc.shape[0], ys.shape[0])
-        del diffs
-        vals[start:start + chunk] = np.min(kv + hv[None, :], axis=1)
-        del kv
-    return GridFn._raw(grid, vals, form="inf-conv")
+    if isinstance(k, GridFn) and not h.same_grid(k):
+        raise GridMismatch("inf_conv operands must share a grid")
+    target = Lattice(h.grid if out_grid is None else out_grid)
+    vals, _ = _min_plus(h.values, Lattice(h.grid), target,
+                        k.evaluate if isinstance(k, GridFn) else k)
+    return GridFn._raw(target.grid, vals, form="inf-conv")
 
 
 def minus_q(f: GridFn, space: SsdSpace) -> GridFn:
@@ -796,19 +842,10 @@ def rockafellar_sum_identity(f: GridFn, h: GridFn, dual_grid: GridSpec,
         raise HNotFinite("h must be finite on the whole grid")
     lhs = conjugate(GridFn._raw(f.grid, f.values + h.values), dual_grid)
     fstar = conjugate(f, dual_grid)
-    wide = dual_grid.scaled(2.0, num=2 * dual_grid.num - 1)
-    hstar = conjugate(h, wide)
+    hstar = conjugate(h, _offset_grid(dual_grid))
     ys = dual_grid.points()
-    m = ys.shape[0]
-    rhs = np.empty(m)
-    chunk = max(1, _BLOCK // (8 * m))
-    for start in range(0, m, chunk):
-        xc = ys[start:start + chunk]
-        diffs = xc[:, None, :] - ys[None, :, :]
-        hv = hstar.evaluate(diffs.reshape(-1, xc.shape[1])).reshape(xc.shape[0], m)
-        del diffs
-        rhs[start:start + chunk] = np.min(hv + fstar.values[None, :], axis=1)
-        del hv
+    # pair scan, not the offset table: h* at offset nodes moves the RHS by up to 9.1e-15
+    rhs, _ = _pair_scan(fstar.values, ys, ys, hstar.evaluate)
     if tol is None:
         h_d = float(np.max(dual_grid.spacing))
         lip = tols.observed_lipschitz(lhs.values_nd(), dual_grid.spacing)

@@ -71,6 +71,27 @@ def brute_force_conjugate(points, values, targets):
     return out
 
 
+def brute_force_min_plus(add, sources, targets, k):
+    """Reference inf: min_j [add_j + k(c_i - y_j)] with k evaluated on every
+    difference vector, then a running min over the finite sources in index
+    order with a strict `<`, so ties keep the lowest source index (a target
+    with no finite candidate gets the first finite source)."""
+    add = np.asarray(add, dtype=float)
+    sources, targets = np.atleast_2d(sources), np.atleast_2d(targets)
+    diffs = targets[:, None, :] - sources[None, :, :]
+    kv = np.asarray(k(diffs.reshape(-1, sources.shape[1])), dtype=float)
+    kv = kv.reshape(targets.shape[0], sources.shape[0])
+    finite = np.flatnonzero(np.isfinite(add))
+    best = np.full(targets.shape[0], np.inf)
+    arg = np.full(targets.shape[0], finite[0])
+    for j in finite:
+        cand = add[j] + kv[:, j]
+        better = cand < best
+        best[better] = cand[better]
+        arg[better] = j
+    return best, arg
+
+
 def greedy_dedup(pts, tol=1e-12):
     """Reference PointSet dedup: keep a row unless an earlier kept row lies
     within Chebyshev distance tol; first occurrences, original order."""

@@ -25,7 +25,8 @@ from ssdkit.catalog import (
     singleton_origin,
     space_zero_pairing,
 )
-from ssdkit.fitzpatrick import dual_probe_points, phi_two_ways
+from ssdkit.fitzpatrick import dual_probe_points
+from ssdkit.spaces import pairwise_q
 
 
 class TestTheta:
@@ -54,7 +55,9 @@ class TestTheta:
 
 class TestPhi:
     def test_two_formulas_agree_everywhere(self, prod_space, grid61, diag121):
-        v1, v2 = phi_two_ways(prod_space, diag121.underlying, grid61.points())
+        a, pts = diag121.underlying, grid61.points()
+        v1 = phi(prod_space, a, pts)
+        v2 = prod_space.q(pts) - np.min(pairwise_q(prod_space, pts, a.points), axis=1)
         assert np.max(np.abs(v1 - v2)) < 1e-12
 
     def test_equals_q_on_positive_set(self, swap3):

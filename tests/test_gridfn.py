@@ -49,6 +49,7 @@ from ssdkit.suites import lower_hull_1d
 
 from conftest import (
     brute_force_conjugate,
+    brute_force_min_plus,
     loop_rescore,
     loop_sweep_axis,
     scan_convexity_defect,
@@ -398,6 +399,17 @@ class TestRockafellar:
         h = indicator_fn(grid61, [[0.0, 0.0]])
         with pytest.raises(HNotFinite):
             rockafellar_sum_identity(f, h, GridSpec.box(-1, 1, 11, 2))
+
+    def test_off_centre_dual_grid(self):
+        # offsets y_i - y_j of the dual box [0.5, 2.5] reach down to -2, so
+        # h* must live on a zero-centred grid, not on the box inflated in place
+        grid = GridSpec.box(-4, 4, 161, 1)
+        h = GridFn.from_callable(grid, lambda p: 0.5 * np.atleast_2d(p)[:, 0] ** 2)
+        f = GridFn.from_callable(grid, lambda p: (0.5 * np.atleast_2d(p)[:, 0] ** 2
+                                                  + 2.5 * np.atleast_2d(p)[:, 0]))
+        rep = rockafellar_sum_identity(f, h, GridSpec.box(0.5, 2.5, 41, 1), tol=5e-3)
+        assert rep.passed
+        assert rep.check("conjugate_of_sum").worst_residual < 2e-3
 
     def test_quadratic_plus_gauge(self, prod_space, grid61, worked_fn61):
         g_fn = GridFn.from_callable(grid61, lambda p: prod_space.g(np.atleast_2d(p)))
@@ -783,6 +795,150 @@ class TestLatticeInfCollapse:
                                          "targets": 3721}]
         rep = is_vz(q_plus_const_fn(ident2, grid61), ident2)
         assert rep.meta["inf_path"][0]["kernel"] == "separable"
+        for kind in ("one", "inf"):
+            rep = is_vz(worked_fn61, product_space(1, kind=kind, tau=1.0))
+            assert rep.meta["inf_path"] == [{"kernel": "min-plus", "sources": 3721,
+                                             "targets": 3721}]
+
+
+def _min_plus_k(x):
+    """A test gauge, asymmetric, kinked and +inf for x_0 > 2; exact on
+    integer points."""
+    x = np.atleast_2d(x)
+    vals = 0.5 * np.sum(x * x, axis=1) + np.sum(np.abs(x), axis=1) - x[:, 0]
+    return np.where(x[:, 0] > 2.0, np.inf, vals)
+
+
+def _min_plus_blocks(rng, dim, integer, same):
+    """(nodes, targets): a lattice of sources (plain, through a signed
+    permutation or a general matrix) and either an equal lattice or an
+    unrelated block (a misaligned lattice or scattered points)."""
+    nodes = _random_block(rng, dim, integer)
+    while not isinstance(nodes, Lattice):
+        nodes = _random_block(rng, dim, integer)
+    if same:
+        matrix = None if nodes.matrix is None else nodes.matrix.copy()
+        return nodes, Lattice(GridSpec(nodes.grid.lower, nodes.grid.upper, nodes.grid.num), matrix)
+    return nodes, _random_block(rng, dim, integer)
+
+
+def _min_plus_adds(rng, size, integer):
+    add = rng.integers(-2, 3, size=size).astype(float) if integer else rng.normal(size=size)
+    add[rng.random(size) < 0.3] = np.inf
+    add[rng.integers(size)] = 0.0
+    return add
+
+
+class TestMinPlus:
+    """`_min_plus`, and every caller routed through it, against the dense
+    oracle on difference vectors."""
+
+    @pytest.mark.parametrize("same", [True, False])
+    @given(seed=st.integers(min_value=0, max_value=10_000), dim=st.integers(1, 3),
+           block=st.sampled_from([64, 640, 1 << 23]))
+    @settings(max_examples=30, deadline=None)
+    def test_integer_data_exact(self, same, seed, dim, block):
+        from ssdkit import gridfn
+        rng = np.random.default_rng(seed)
+        nodes, targets = _min_plus_blocks(rng, dim, integer=True, same=same)
+        add = _min_plus_adds(rng, nodes.size, integer=True)
+        with mock.patch.object(gridfn, "_BLOCK", block):
+            vals, args = gridfn._min_plus(add, nodes, targets, _min_plus_k)
+        ref_vals, ref_args = brute_force_min_plus(add, block_points([nodes]),
+                                                  block_points([targets]), _min_plus_k)
+        assert np.array_equal(_bits(vals), _bits(ref_vals))
+        assert np.array_equal(args, ref_args)
+
+    @pytest.mark.parametrize("same", [True, False])
+    @given(seed=st.integers(min_value=0, max_value=10_000), dim=st.integers(1, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_float_data(self, same, seed, dim):
+        from ssdkit import gridfn
+        rng = np.random.default_rng(seed)
+        nodes, targets = _min_plus_blocks(rng, dim, integer=False, same=same)
+        add = _min_plus_adds(rng, nodes.size, integer=False)
+        vals, args = gridfn._min_plus(add, nodes, targets, _min_plus_k)
+        y, c = block_points([nodes]), block_points([targets])
+        ref_vals, _ = brute_force_min_plus(add, y, c, _min_plus_k)
+        assert np.allclose(vals, ref_vals, rtol=0.0, atol=1e-12)
+        assert np.allclose(add[args] + _min_plus_k(c - y[args]), vals, rtol=0.0, atol=1e-12)
+
+    def test_offset_lattice_over_budget_takes_pair_scan(self, monkeypatch):
+        space = product_space(1, kind="one", tau=1.0)
+        grid = GridSpec.box(-1.0, 1.0, 5, 2)
+        add = _min_plus_adds(np.random.default_rng(0), grid.size, integer=False)
+        monkeypatch.setenv("SSDKIT_BUDGET", "80")  # the grid fits, its 9 x 9 offsets do not
+        assert inf_paths(space, Lattice(grid), Lattice(grid))[0]["kernel"] == "pairwise"
+        vals, _ = min_values_plus_gauge(space, add, Lattice(grid), Lattice(grid))
+        ref, _ = brute_force_min_plus(add, grid.points(), grid.points(), space.p)
+        assert np.allclose(vals, ref, rtol=0.0, atol=1e-12)
+
+    def test_all_inf_adds_rejected(self, grid61):
+        from ssdkit import gridfn
+        with pytest.raises(Improper):
+            gridfn._min_plus(np.full(grid61.size, np.inf), Lattice(grid61), Lattice(grid61),
+                             _min_plus_k)
+
+    @pytest.mark.parametrize("kind", ["one", "inf"])
+    @pytest.mark.parametrize("target", ["same", "lattice", "points"])
+    @given(seed=st.integers(min_value=0, max_value=10_000), n=st.integers(1, 2))
+    @settings(max_examples=10, deadline=None)
+    def test_split_norm_inf(self, kind, target, seed, n):
+        rng = np.random.default_rng(seed)
+        space = product_space(n, kind=kind, tau=float(rng.choice([0.5, 1.0, 2.0])))
+        grid = _random_target_grid(rng, 2 * n, 6 if n == 1 else 3)
+        other = _random_target_grid(rng, 2 * n, 6 if n == 1 else 3)
+        c_rows = {"same": Lattice(grid), "lattice": Lattice(other),
+                  "points": other.points()}[target]
+        add = _min_plus_adds(rng, grid.size, integer=False)
+        vals, _ = min_values_plus_gauge(space, add, Lattice(grid), c_rows)
+        ref, _ = brute_force_min_plus(add, grid.points(), block_points([c_rows]), space.p)
+        assert np.allclose(vals, ref, rtol=0.0, atol=1e-12)
+        kernel = "min-plus" if target == "same" else "pairwise"
+        assert [p["kernel"] for p in inf_paths(space, Lattice(grid), c_rows)] == [kernel]
+
+    @pytest.mark.parametrize("misaligned", [False, True])
+    @pytest.mark.parametrize("kernel", ["callable", "gridfn"])
+    @given(seed=st.integers(min_value=0, max_value=10_000), dim=st.integers(1, 3))
+    @settings(max_examples=15, deadline=None)
+    def test_inf_conv(self, misaligned, kernel, seed, dim):
+        rng = np.random.default_rng(seed)
+        max_num = {1: 12, 2: 7, 3: 4}[dim]
+        h = _random_grid_fn(rng, dim, max_num)
+        if kernel == "gridfn":
+            # no `exact`: interpolated inside its box, +inf outside; the box
+            # holds 0, so that some differences x - y fall inside it
+            grid = GridSpec(-rng.uniform(0.5, 2.0, dim), rng.uniform(0.5, 2.0, dim),
+                            h.grid.num)
+            h = GridFn._raw(grid, h.values)
+            k = GridFn._raw(grid, _min_plus_k(grid.points()) + rng.normal(size=grid.size))
+            k_eval = k.evaluate
+        else:
+            k = k_eval = _min_plus_k
+        out_grid = _random_target_grid(rng, dim, max_num) if misaligned else None
+        ref, _ = brute_force_min_plus(h.values, h.grid.points(),
+                                      (out_grid or h.grid).points(), k_eval)
+        if not np.any(np.isfinite(ref)):
+            with pytest.raises(Improper):
+                inf_conv(h, k, out_grid=out_grid)
+            return
+        got = inf_conv(h, k, out_grid=out_grid)
+        np.testing.assert_allclose(got.values, ref, rtol=0.0, atol=1e-12)
+
+    @given(seed=st.integers(min_value=0, max_value=10_000), dim=st.integers(1, 2))
+    @settings(max_examples=15, deadline=None)
+    def test_rockafellar_rhs(self, seed, dim):
+        from ssdkit.gridfn import _offset_grid
+        rng = np.random.default_rng(seed)
+        f = _random_grid_fn(rng, dim, 7)
+        h = GridFn._raw(f.grid, rng.normal(size=f.grid.size))
+        dual = _random_target_grid(rng, dim, 7)
+        rep = rockafellar_sum_identity(f, h, dual, tol=1.0)
+        lhs = conjugate(GridFn._raw(f.grid, f.values + h.values), dual).values
+        hstar = conjugate(h, _offset_grid(dual))
+        rhs, _ = brute_force_min_plus(conjugate(f, dual).values, dual.points(), dual.points(),
+                                      hstar.evaluate)
+        assert rep.check("conjugate_of_sum").worst_residual == np.max(np.abs(lhs - rhs))
 
 
 class TestSingularSourceCollapse:
