@@ -64,9 +64,6 @@ class DualSsd:
     def q_tilde(self, c):
         return self.as_space.q(c)
 
-    def g_tilde(self, c):
-        return self.as_space.g(c)
-
     def p_tilde(self, c):
         return self.as_space.p(c)
 

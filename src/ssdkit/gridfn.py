@@ -89,9 +89,6 @@ class GridFn:
     def min(self):
         return float(np.min(self.values))
 
-    def argmin_point(self) -> np.ndarray:
-        return self.grid.points()[int(np.argmin(self.values))]
-
     def domain_points(self) -> np.ndarray:
         return self.grid.points()[self.finite_mask]
 

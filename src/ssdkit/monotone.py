@@ -18,9 +18,9 @@ from .errors import DimensionMismatch, EmptySet, FBelowQ, PreconditionFailed
 from .fitzpatrick import FitzTriple
 from .gridfn import GridFn, is_mas
 from .grids import GridSpec
-from .positivity import PointSet, is_q_positive, p_set, sets_match
+from .positivity import PointSet, _hausdorff, is_q_positive, p_set
 from .reports import VerifyReport
-from .spaces import SsdSpace, pairwise_q, pairwise_sq_dists
+from .spaces import SsdSpace, pairwise_norm, pairwise_q, pairwise_sq_dists
 from . import tolerances as tols
 
 _SQRT2 = np.sqrt(2.0)
@@ -126,21 +126,14 @@ def strongly_representable_check(a: MonotoneSet, f: GridFn, space: SsdSpace,
     mas = is_mas(f, space, dual, tol=tol)
     touch = mf_set(f, space)
     cell = tols.cell_norm(space, f.grid)
-    match, dist = sets_match(space, a.points, touch.points, radius=2.0 * cell)
+    dist, far = _hausdorff(a.points, touch.points, lambda x, y: pairwise_norm(space, x, y))
+    match = dist <= 2.0 * cell
     report = VerifyReport(suite="strongly_representable", grid=f.grid.to_dict(),
                           tolerances={**mas.tolerances, "set_radius": 2.0 * cell},
                           meta={"space": space.label, "fn": f.form})
     report.extend(mas)
-    witness = None
-    if not match and len(touch):
-        from .spaces import pairwise_norm
-        d_missing = np.min(pairwise_norm(space, a.points, touch.points), axis=1)
-        d_extra = np.min(pairwise_norm(space, touch.points, a.points), axis=1)
-        if np.max(d_missing) >= np.max(d_extra):
-            witness = a.points[int(np.argmax(d_missing))]
-        else:
-            witness = touch.points[int(np.argmax(d_extra))]
-    report.add("represents_the_set", "def_5_7", match, residual=dist, witness=witness,
+    report.add("represents_the_set", "def_5_7", match, residual=dist,
+               witness=None if match else far,
                note="set equality up to two grid cells; witness is the worst "
                     "missing or extra point")
     return report
@@ -347,9 +340,7 @@ def projection_closure_check(f: GridFn, space: SsdSpace,
     for name, cols in (("primal", slice(0, n)), ("dual", slice(n, 2 * n))):
         cell = float(np.max(h[cols]))
         pa = touch.points[:, cols]
-        pb = dom[:, cols]
-        d = np.sqrt(pairwise_sq_dists(pa, pb))
-        d_ab = max(float(np.max(np.min(d, axis=1))), float(np.max(np.min(d, axis=0))))
+        d_ab, _ = _hausdorff(pa, dom[:, cols], lambda x, y: np.sqrt(pairwise_sq_dists(x, y)))
         report.add(f"{name}_projections_match", "thm_5_5f",
                    d_ab <= tol_cells * cell, residual=d_ab,
                    note="symmetric Hausdorff distance of the two projections")

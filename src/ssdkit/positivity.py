@@ -96,14 +96,25 @@ def _dedup(pts, tol=1e-12):
     return rows[~drop]
 
 
-def sets_match(space: SsdSpace, a_rows, b_rows, radius: float) -> tuple[bool, float]:
-    """Symmetric Hausdorff comparison in the space norm; (verdict, distance)."""
+def _hausdorff(a_rows, b_rows, pairwise):
+    """Symmetric Hausdorff distance of two row sets under `pairwise(a, b)`,
+    the matrix of distances from each a row to each b row, and the row
+    farthest from the other set: the worst a row missing from b, or else the
+    worst extra b row (None when a set is empty)."""
     a = np.atleast_2d(np.asarray(a_rows, dtype=float))
     b = np.atleast_2d(np.asarray(b_rows, dtype=float))
     if a.shape[0] == 0 or b.shape[0] == 0:
-        return (a.shape[0] == b.shape[0]), (0.0 if a.shape[0] == b.shape[0] else np.inf)
-    d = pairwise_norm(space, a, b)
-    haus = max(float(np.max(np.min(d, axis=1))), float(np.max(np.min(d, axis=0))))
+        return (0.0 if a.shape[0] == b.shape[0] else np.inf), None
+    d = pairwise(a, b)
+    missing, extra = np.min(d, axis=1), np.min(d, axis=0)
+    if np.max(missing) >= np.max(extra):
+        return float(np.max(missing)), a[int(np.argmax(missing))]
+    return float(np.max(extra)), b[int(np.argmax(extra))]
+
+
+def sets_match(space: SsdSpace, a_rows, b_rows, radius: float) -> tuple[bool, float]:
+    """Symmetric Hausdorff comparison in the space norm; (verdict, distance)."""
+    haus, _ = _hausdorff(a_rows, b_rows, lambda a, b: pairwise_norm(space, a, b))
     return haus <= radius, haus
 
 

@@ -56,7 +56,7 @@ class CheckResult:
 class VerifyReport:
     """One battery run: checks plus the grid/tolerances that scope its claims."""
 
-    suite: str
+    suite: str = ""
     checks: list = field(default_factory=list)
     grid: dict | None = None
     tolerances: dict = field(default_factory=dict)

@@ -195,12 +195,8 @@ class SsdSpace:
         cc, _ = _as_points(c, self.dim)
         if bb.shape[0] == 1 and cc.shape[0] == 1:
             return float(bb[0] @ self.pairing @ cc[0])
-        raise DimensionMismatch("pair expects two single vectors; use pairwise_pair")
-
-    def pairwise_pair(self, b_rows, c_rows) -> np.ndarray:
-        bb, _ = _as_points(b_rows, self.dim)
-        cc, _ = _as_points(c_rows, self.dim)
-        return bb @ self.pairing @ cc.T
+        raise DimensionMismatch("pair expects two single vectors; for rows use "
+                                "b_rows @ space.pairing @ c_rows.T")
 
     def q(self, b):
         bb, single = _as_points(b, self.dim)
@@ -216,12 +212,6 @@ class SsdSpace:
         bb, single = _as_points(b, self.dim)
         out = self.g(bb) + self.q(bb)
         return float(out[0]) if single else out
-
-    def dist(self, c, points) -> float:
-        """Norm distance from c to a finite set of points (rows)."""
-        pts, _ = _as_points(points, self.dim)
-        cc, _ = _as_points(c, self.dim)
-        return float(np.min(self.norm(pts - cc[0])))
 
     # -- canonical map into the dual -----------------------------------------
 

@@ -1,7 +1,8 @@
 """Named verification batteries: the catalog of runnable suites behind the
 command line.  Each suite builds its own spaces/functions from the built-in
-catalog, runs the relevant checks, and returns reports; nothing here raises
-on a failed inequality (only on broken preconditions or inputs).
+catalog, runs the relevant checks, and yields reports; `run_suite` stamps
+each with the suite's name and wall time.  Nothing here raises on a failed
+inequality (only on broken preconditions or inputs).
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ from .positivity import (
     recheck_trace,
 )
 from .reports import VerifyReport
-from .spaces import check_banach_ssd, lipschitz_checks
+from .spaces import NormSpec, check_banach_ssd, lipschitz_checks
 
 SQRT2 = np.sqrt(2.0)
 
@@ -99,97 +100,62 @@ def _grid(opts: SuiteOptions, dim=2, n=61) -> GridSpec:
     return default_grid(dim, -3.0, 3.0, n)
 
 
-class _Reports(list):
-    """The reports of one suite run.  Each report's wall_time is the time
-    since the previous one was added (the first: since the suite started),
-    so shared setup is charged to the first report that needs it and the
-    wall times add up to the suite's run time."""
-
-    def __init__(self):
-        super().__init__()
-        self._mark = time.perf_counter()
-
-    def append(self, rep):
-        now = time.perf_counter()
-        rep.wall_time = now - self._mark
-        self._mark = now
-        super().append(rep)
+def _tag(rep: VerifyReport, **meta) -> VerifyReport:
+    rep.meta.update(meta)
+    return rep
 
 
 # -- individual suites ---------------------------------------------------------------
 
 
 def suite_banach_ssd(opts: SuiteOptions):
-    reports = _Reports()
     grid = _grid(opts)
     spaces = [space_identity(2), space_negated(2), space_swap_r3(),
               space_r2_product("one"), space_r2_product("two"), space_r2_product("inf")]
     for sp in spaces:
         probe = default_grid(sp.dim, -3, 3, 61) if sp.norm.is_product else "analytic"
-        rep = check_banach_ssd(sp, probe=probe)
-        rep.suite = "banach_ssd"
-        rep.meta["space"] = sp.label
-        reports.append(rep)
-        lip = lipschitz_checks(sp, n_pairs=2000, seed=opts.seed)
-        lip.suite = "banach_ssd"
-        reports.append(lip)
+        yield _tag(check_banach_ssd(sp, probe=probe), space=sp.label)
+        yield lipschitz_checks(sp, n_pairs=2000, seed=opts.seed)
     failing = space_r2_product("two", scale=0.5)
-    rep = check_banach_ssd(failing, probe=default_grid(2, -3, 3, 61))
-    rep.suite = "banach_ssd"
-    rep.meta["expected"] = "fail"
-    flip = VerifyReport(suite="banach_ssd", tolerances=rep.tolerances,
-                        meta={"space": failing.label})
-    w = rep.checks[0].witness
-    flip.add("halved_norm_fails", "eq_2_1_1", not rep.passed,
-             residual=rep.checks[0].worst_residual, witness=w,
+    bad = check_banach_ssd(failing, probe=default_grid(2, -3, 3, 61))
+    flip = VerifyReport(tolerances=bad.tolerances, meta={"space": failing.label})
+    flip.add("halved_norm_fails", "eq_2_1_1", not bad.passed,
+             residual=bad.checks[0].worst_residual, witness=bad.checks[0].witness,
              note="negative gauge expected for the halved norm")
-    reports.append(flip)
-    comp = VerifyReport(suite="banach_ssd", tolerances={"tol": 1e-10})
+    yield flip
+    comp = VerifyReport(tolerances={"tol": 1e-10})
     sp = space_r2_product("two")
     gap = conjugate_composition_gap(half_sq_norm_fn(grid), sp, grid)
     comp.add("conjugate_composition", "eq_2_1_6", gap <= 1e-10, residual=gap,
              note="pairing-conjugate vs dot-conjugate through the dual map")
-    reports.append(comp)
-    return reports
+    yield comp
 
 
 def suite_helix(opts: SuiteOptions):
-    reports = _Reports()
     sp = space_swap_r3()
-    good = is_q_positive(sp, helix_set(pitch=1.0))
-    good.suite = "helix"
-    reports.append(good)
+    yield is_q_positive(sp, helix_set(pitch=1.0))
     if opts.lam is not None:
         # an explicitly requested pitch is checked verbatim (and a flattened
         # helix is expected to fail, driving the exit code)
-        verbatim = is_q_positive(sp, helix_set(pitch=opts.lam))
-        verbatim.suite = "helix"
-        verbatim.meta["pitch"] = opts.lam
-        reports.append(verbatim)
+        yield _tag(is_q_positive(sp, helix_set(pitch=opts.lam)), pitch=opts.lam)
     bad = is_q_positive(sp, helix_set(pitch=0.5))
-    flip = VerifyReport(suite="helix", tolerances=bad.tolerances,
+    flip = VerifyReport(tolerances=bad.tolerances,
                         meta={"pitch": 0.5,
                               "min_pairwise_q": bad.meta["min_pairwise_q"]})
     flip.add("flattened_helix_fails", "ex_1_3c", not bad.passed,
              residual=bad.checks[0].worst_residual, witness=bad.checks[0].witness,
              note="pitch 0.5 must break positivity")
-    reports.append(flip)
-    ray = is_q_positive(sp, ray_set())
-    ray.suite = "helix"
-    reports.append(ray)
-    single = is_q_positive(sp, PointSet([[1.0, 0.0, 0.0]], label="singleton"))
-    single.suite = "helix"
-    reports.append(single)
-    return reports
+    yield flip
+    yield is_q_positive(sp, ray_set())
+    yield is_q_positive(sp, PointSet([[1.0, 0.0, 0.0]], label="singleton"))
 
 
 def suite_remark_2_17(opts: SuiteOptions):
-    reports = _Reports()
     sp = space_r2_product("two", tau=1.0)
     grid = _grid(opts, n=121)
     f = half_sq_norm_fn(grid)
     pts = grid.points()
-    rep = VerifyReport(suite="remark_2_17", grid=grid.to_dict(),
+    rep = VerifyReport(grid=grid.to_dict(),
                        tolerances={"closed_form": tols.ATOL_CLOSED},
                        meta={"space": sp.label})
     gap = f.values - sp.q(pts)
@@ -202,30 +168,24 @@ def suite_remark_2_17(opts: SuiteOptions):
     vz = is_vz(f, sp)
     rep.add("worked_example_vz", "remark_2_17", vz.passed,
             residual=vz.check("zero_infconv").worst_residual)
-    rep.meta["vz_tol"] = vz.tolerances["tol"]
-    rep.meta["inf_path"] = vz.meta["inf_path"]
     touching = p_set(f, sp)
     on_diag = len(touching) == int(grid.num[0]) and float(
         np.max(np.abs(touching.points[:, 0] - touching.points[:, 1]))) < 1e-12
     rep.add("touching_set_is_diagonal", "remark_2_17", on_diag,
             residual=0.0 if on_diag else 1.0)
-    reports.append(rep)
+    yield _tag(rep, vz_tol=vz.tolerances["tol"], inf_path=vz.meta["inf_path"])
     probe = grid.subsample(2)
     db = dist_bounds_check(f, sp, probe)
-    db.suite = "remark_2_17"
-    reports.append(db)
-    sharp = VerifyReport(suite="remark_2_17", grid=probe.to_dict(),
-                         tolerances={"window": 0.01})
+    yield db
+    sharp = VerifyReport(grid=probe.to_dict(), tolerances={"window": 0.01})
     ratio = db.meta.get("max_ratio", float("nan"))
     ok = SQRT2 - 0.01 <= ratio <= SQRT2 + 1e-9
     sharp.add("sharpness_ratio", "eq_2_7_1", ok, residual=abs(ratio - SQRT2),
               note=f"max distance ratio {ratio:.12f} vs sqrt(2)")
-    reports.append(sharp)
-    return reports
+    yield sharp
 
 
 def suite_lemma_1_6(opts: SuiteOptions):
-    reports = _Reports()
     grid = _grid(opts)
     rng = np.random.default_rng(opts.seed)
     cases = [
@@ -245,19 +205,19 @@ def suite_lemma_1_6(opts: SuiteOptions):
         lhs = -qbc
         bound = (np.sqrt(gb) + np.sqrt(gc)) ** 2
         worst = float(np.max(lhs - bound))
-        rep = VerifyReport(suite="lemma_1_6", seed=opts.seed,
+        rep = VerifyReport(seed=opts.seed,
                            tolerances={"tol": tols.ATOL_GRID}, meta={"fn": label})
         rep.add("sqrt_gap_bound", "lemma_1_6", worst <= tols.ATOL_GRID,
                 residual=max(0.0, worst))
         worst2 = float(np.max(lhs - (2 * gb + 2 * gc)))
         rep.add("doubled_gap_bound", "remark_1_7", worst2 <= tols.ATOL_GRID,
                 residual=max(0.0, worst2))
-        reports.append(rep)
+        yield rep
     sp = space_r2_product("two")
     f = half_sq_norm_fn(grid)
     touching = p_set(f, sp)
     fat = intrinsic_conjugate(f, sp)
-    rep = VerifyReport(suite="lemma_1_6", tolerances={"tol": 1e-6})
+    rep = VerifyReport(tolerances={"tol": 1e-6})
     worst_pair = 0.0
     worst_conj = 0.0
     for a in touching.points[:: max(1, len(touching) // 50)]:
@@ -269,12 +229,10 @@ def suite_lemma_1_6(opts: SuiteOptions):
             residual=max(0.0, worst_pair))
     rep.add("touching_conjugate_value", "lemma_1_11b", worst_conj <= 1e-6,
             residual=worst_conj)
-    reports.append(rep)
-    return reports
+    yield rep
 
 
 def suite_lemma_2_13(opts: SuiteOptions):
-    reports = _Reports()
     sp = space_r2_product("two")
     grid = _grid(opts)
     if opts.point_set is not None:
@@ -283,53 +241,36 @@ def suite_lemma_2_13(opts: SuiteOptions):
             raise SsdkitError("built-in spaces cover dimensions 2 and 3 only")
         rep = lemma_2_13_suite(space, opts.point_set, _grid(opts, dim=opts.point_set.dim,
                                                            n=61 if opts.point_set.dim == 2 else 17))
-        rep.meta["set"] = opts.point_set.label or "user set"
-        reports.append(rep)
-        return reports
+        yield _tag(rep, set=opts.point_set.label or "user set")
+        return
     diag = diagonal_set(-3, 3, 121)
-    rep = lemma_2_13_suite(sp, diag.underlying, grid)
-    rep.meta["set"] = "diagonal"
-    reports.append(rep)
-    rep = lemma_2_13_suite(sp, singleton_origin(2), grid)
-    rep.meta["set"] = "origin singleton"
-    reports.append(rep)
-    sp3 = space_swap_r3()
+    yield _tag(lemma_2_13_suite(sp, diag.underlying, grid), set="diagonal")
+    yield _tag(lemma_2_13_suite(sp, singleton_origin(2), grid), set="origin singleton")
     grid3 = _grid(opts, dim=3, n=17)
-    rep = lemma_2_13_suite(sp3, helix_set(n=61, span=3.0), grid3)
-    rep.meta["set"] = "helix sample"
-    reports.append(rep)
+    yield _tag(lemma_2_13_suite(space_swap_r3(), helix_set(n=61, span=3.0), grid3),
+               set="helix sample")
     zp = space_zero_pairing(2)
     gap, witness = remark_2_14_gap(zp, PointSet([[-1.0, -1.0], [1.0, 1.0]],
                                                 label="two points"), grid)
-    rep = VerifyReport(suite="lemma_2_13", grid=grid.to_dict(),
-                       tolerances={"min_gap": 0.5})
+    rep = VerifyReport(grid=grid.to_dict(), tolerances={"min_gap": 0.5})
     rep.add("zero_pairing_gap", "remark_2_14", gap >= 0.5, residual=gap,
             witness=witness,
             note="conjugate-back and pullback-conjugate must differ here")
-    reports.append(rep)
-    return reports
+    yield rep
 
 
 def suite_theorem_2_9(opts: SuiteOptions):
-    reports = _Reports()
     sp = space_r2_product("two")
     grid = _grid(opts, n=121)
     f = half_sq_norm_fn(grid)
-    db = dist_bounds_check(f, sp, grid.subsample(2))
-    db.suite = "theorem_2_9"
-    reports.append(db)
+    yield dist_bounds_check(f, sp, grid.subsample(2))
     diag = diagonal_set(-3, 3, 121)
     phi_fn, star_fn = representer_fns(sp, diag, grid.subsample(2))
     for fn, label in ((phi_fn, "primal representer"), (star_fn, "conjugate-back representer")):
-        rep = lemma_2_8_suite(sp, diag.underlying, fn, grid.subsample(2))
-        rep.suite = "theorem_2_9"
-        rep.meta["fn"] = label
-        reports.append(rep)
-    return reports
+        yield _tag(lemma_2_8_suite(sp, diag.underlying, fn, grid.subsample(2)), fn=label)
 
 
 def suite_lemma_2_7(opts: SuiteOptions, n_points: int = 50):
-    reports = _Reports()
     sp = space_r2_product("two")
     grid = _grid(opts, n=121)
     f = half_sq_norm_fn(grid)
@@ -337,7 +278,7 @@ def suite_lemma_2_7(opts: SuiteOptions, n_points: int = 50):
     nodes = grid.points()
     picks = nodes[rng.integers(0, nodes.shape[0], size=n_points)]
     cell = tols.cell_norm(sp, grid)
-    rep = VerifyReport(suite="lemma_2_7", grid=grid.to_dict(), seed=opts.seed,
+    rep = VerifyReport(grid=grid.to_dict(), seed=opts.seed,
                        tolerances={"epsilon": opts.epsilon, "cell_slack": 2 * cell})
     worst_cert = 0.0
     worst_dist = -np.inf
@@ -351,12 +292,10 @@ def suite_lemma_2_7(opts: SuiteOptions, n_points: int = 50):
             residual=worst_cert, note=f"{n_points} random starts")
     rep.add("distance_bound", "eq_2_7_2", worst_dist <= 0.0,
             residual=max(0.0, worst_dist))
-    reports.append(rep)
-    return reports
+    yield rep
 
 
 def suite_theorem_2_15(opts: SuiteOptions):
-    reports = _Reports()
     sp = space_r2_product("two")
     grid = _grid(opts)
     f = half_sq_norm_fn(grid)
@@ -366,20 +305,14 @@ def suite_theorem_2_15(opts: SuiteOptions):
                   "midpoint": GridFn._raw(grid, 0.5 * (phi_fn.values + star_fn.values),
                                           form="midpoint")}
     for label, rep in zip(candidates, theorem_2_15_reports(sp, f, candidates.values())):
-        rep.meta["candidate"] = label
-        reports.append(rep)
-    return reports
+        yield _tag(rep, candidate=label)
 
 
 def suite_example_2_4(opts: SuiteOptions):
-    reports = _Reports()
     for sp in all_special_spaces():
-        dual = make_dual(sp)
-        rep = dual_norm_check(sp, dual, n_samples=100, seed=opts.seed)
-        rep.suite = "example_2_4"
-        rep.meta["norm"] = f"{sp.norm.variant},{sp.norm.tau:g}"
-        reports.append(rep)
-    rep = VerifyReport(suite="example_2_4", tolerances={"tol": 1e-12})
+        rep = dual_norm_check(sp, make_dual(sp), n_samples=100, seed=opts.seed)
+        yield _tag(rep, norm=f"{sp.norm.variant},{sp.norm.tau:g}")
+    rep = VerifyReport(tolerances={"tol": 1e-12})
     ok = True
     for sp in all_special_spaces():
         back = sp.norm.dual().dual()
@@ -391,21 +324,17 @@ def suite_example_2_4(opts: SuiteOptions):
     pts = rng.normal(size=(500, 4))
     ordered = True
     for tau in (0.5, 1.0, 2.0):
-        from .spaces import NormSpec
-
         n1 = NormSpec("one", tau=tau)(pts)
         n2 = NormSpec("two", tau=tau)(pts)
         ni = NormSpec("inf", tau=tau)(pts)
         ordered &= bool(np.all(n1 <= n2 + 1e-12) and np.all(n2 <= ni + 1e-12))
     rep.add("norms_increase", "ex_2_4", ordered, residual=0.0 if ordered else 1.0)
-    reports.append(rep)
-    return reports
+    yield rep
 
 
 def suite_example_4_4(opts: SuiteOptions):
-    reports = _Reports()
     grid = _grid(opts)
-    rep = VerifyReport(suite="example_4_4", tolerances={"exact": 1e-12})
+    rep = VerifyReport(tolerances={"exact": 1e-12})
     try:
         make_dual(space_nodual())
         rep.add("scaled_norm_has_no_dual", "ex_4_4", False, residual=1.0,
@@ -417,55 +346,41 @@ def suite_example_4_4(opts: SuiteOptions):
         rep.add("scaled_norm_has_no_dual", "ex_4_4", exact,
                 residual=abs(exc.value + 0.75), witness=w,
                 note=f"negative dual gauge {exc.value!r} at the witness")
-    reports.append(rep)
+    yield rep
     for sp in all_special_spaces():
-        dual = make_dual(sp)
-        dens = density_report(sp, dual, grid)
-        dens.suite = "example_4_4"
-        dens.meta["norm"] = f"{sp.norm.variant},{sp.norm.tau:g}"
-        reports.append(dens)
-    return reports
+        yield _tag(density_report(sp, make_dual(sp), grid),
+                   norm=f"{sp.norm.variant},{sp.norm.tau:g}")
 
 
 def suite_lemma_4_7(opts: SuiteOptions):
-    reports = _Reports()
     sp = space_r2_product("two")
     dual = make_dual(sp)
     grid = _grid(opts, n=121)
     c_grid = grid.subsample(2)
+    tol = opts.tol or 5e-3
     f = half_sq_norm_fn(grid)
-    rep = lemma_4_7_identity(sp, dual, f, c_grid, tol=opts.tol or 5e-3)
-    rep.meta["fn"] = "worked example"
-    reports.append(rep)
+    yield _tag(lemma_4_7_identity(sp, dual, f, c_grid, tol=tol), fn="worked example")
     diag = diagonal_set(-3, 3, 121)
     phi_fn, _ = representer_fns(sp, diag, grid)
-    rep = lemma_4_7_identity(sp, dual, phi_fn, c_grid, tol=opts.tol or 5e-3)
-    rep.meta["fn"] = "diagonal representer"
-    reports.append(rep)
+    yield _tag(lemma_4_7_identity(sp, dual, phi_fn, c_grid, tol=tol),
+               fn="diagonal representer")
     ident = space_identity(2)
     rep = lemma_4_7_identity(ident, make_dual(ident), q_plus_const_fn(ident, grid),
-                             c_grid, tol=opts.tol or 5e-3)
-    rep.meta["fn"] = "shifted quadratic (terms +1/-1)"
-    reports.append(rep)
-    return reports
+                             c_grid, tol=tol)
+    yield _tag(rep, fn="shifted quadratic (terms +1/-1)")
 
 
 def suite_theorem_4_9(opts: SuiteOptions):
-    reports = _Reports()
     grid = _grid(opts)
     verdict_table = {}
     for sp in all_special_spaces():
         dual = make_dual(sp)
         dens = density_report(sp, dual, grid)
-        fns = vz_catalog(sp, grid)
-        for name, fn in fns.items():
+        for name, fn in vz_catalog(sp, grid).items():
             rep = vz_mas_equivalence(sp, dual, fn, density=dens)
-            rep.suite = "theorem_4_9"
-            rep.meta["norm"] = f"{sp.norm.variant},{sp.norm.tau:g}"
-            rep.meta["fn"] = name
-            reports.append(rep)
             verdict_table.setdefault(name, set()).add(rep.meta["vz"])
-    cross = VerifyReport(suite="theorem_4_9", grid=grid.to_dict(),
+            yield _tag(rep, norm=f"{sp.norm.variant},{sp.norm.tau:g}", fn=name)
+    cross = VerifyReport(grid=grid.to_dict(),
                          meta={"norms": "3 kinds x tau in {0.5, 1, 2}"})
     stable = all(len(v) == 1 for v in verdict_table.values())
     cross.add("cross_norm_agreement", "thm_5_3", stable,
@@ -476,35 +391,25 @@ def suite_theorem_4_9(opts: SuiteOptions):
     right = all(verdict_table[k] == {v} for k, v in expected.items())
     cross.add("expected_verdicts", "thm_4_9c", right,
               residual=0.0 if right else 1.0)
-    reports.append(cross)
-    return reports
+    yield cross
 
 
 def suite_theorem_4_10(opts: SuiteOptions):
-    reports = _Reports()
     sp = space_r2_product("two")
-    dual = make_dual(sp)
-    grid = _grid(opts)
     diag = diagonal_set(-3, 3, 121)
-    rep = theorem_4_10_battery(sp, dual, diag.underlying, grid)
-    reports.append(rep)
-    return reports
+    yield theorem_4_10_battery(sp, make_dual(sp), diag.underlying, _grid(opts))
 
 
 def suite_theorem_5_5(opts: SuiteOptions):
-    reports = _Reports()
     diag = diagonal_set(-3, 3, 121)
-    rep = alignment_report(diag, [1.0], [-1.0], 1.0, 1.0)
-    rep.meta["case"] = "unit weights at (1, -1)"
-    reports.append(rep)
-    rep = alignment_report(diag, [1.0], [-1.0], 4.0, 1.0)
-    rep.meta["case"] = "asymmetric weights"
-    reports.append(rep)
+    yield _tag(alignment_report(diag, [1.0], [-1.0], 1.0, 1.0),
+               case="unit weights at (1, -1)")
+    yield _tag(alignment_report(diag, [1.0], [-1.0], 4.0, 1.0), case="asymmetric weights")
     res0 = negative_alignment(diag, [1.0], [1.0], 1.0, 1.0)
-    rep = VerifyReport(suite="negative_alignment", meta={"case": "point on the set"})
+    rep = VerifyReport(meta={"case": "point on the set"})
     rep.add("on_set_omega_zero", "thm_5_5b", res0.degenerate and res0.omega == 0.0,
             residual=res0.omega)
-    reports.append(rep)
+    yield rep
     rng = np.random.default_rng(opts.seed)
     omegas = []
     for _ in range(10):
@@ -512,25 +417,18 @@ def suite_theorem_5_5(opts: SuiteOptions):
         shuffled = MonotoneSet.from_points(diag.points[perm])
         omegas.append(negative_alignment(shuffled, [1.0], [-1.0], 1.0, 1.0).omega)
     spread = max(omegas) - min(omegas)
-    rep = VerifyReport(suite="negative_alignment", seed=opts.seed,
-                       tolerances={"tol": 1e-6})
+    rep = VerifyReport(seed=opts.seed, tolerances={"tol": 1e-6})
     rep.add("omega_unique_across_restarts", "thm_5_5b", spread <= 1e-6,
             residual=spread, note="10 reorderings of the sample")
-    reports.append(rep)
+    yield rep
     sp = space_r2_product("two")
     grid = _grid(opts)
-    pc = projection_closure_check(half_sq_norm_fn(grid), sp)
-    pc.meta["fn"] = "worked example"
-    reports.append(pc)
+    yield _tag(projection_closure_check(half_sq_norm_fn(grid), sp), fn="worked example")
     phi_sign, _ = representer_fns(sp, sign_graph_set(grid), grid)
-    pc = projection_closure_check(phi_sign, sp)
-    pc.meta["fn"] = "sign-graph representer"
-    reports.append(pc)
-    return reports
+    yield _tag(projection_closure_check(phi_sign, sp), fn="sign-graph representer")
 
 
 def suite_theorem_5_8(opts: SuiteOptions):
-    reports = _Reports()
     sp = space_r2_product("two")
     dual = make_dual(sp)
     grid = _grid(opts)
@@ -541,34 +439,21 @@ def suite_theorem_5_8(opts: SuiteOptions):
              ("sign graph", sign_graph_set(grid))])
     for label, mset in sets:
         triple = fitz_triple(sp, mset.underlying, grid)
-        rep = theorem_5_8_battery(sp, dual, mset, grid, triple=triple)
-        rep.meta["set"] = label
-        reports.append(rep)
-        ni = type_ni_check(sp, mset, dual, grid=grid)
-        ni.suite = "theorem_5_8"
-        ni.meta["set"] = label
-        reports.append(ni)
-        sr = strongly_representable_check(mset, triple.phi_fn, sp, dual)
-        sr.suite = "theorem_5_8"
-        sr.meta["set"] = label
-        reports.append(sr)
-    return reports
+        yield _tag(theorem_5_8_battery(sp, dual, mset, grid, triple=triple), set=label)
+        yield _tag(type_ni_check(sp, mset, dual, grid=grid), set=label)
+        yield _tag(strongly_representable_check(mset, triple.phi_fn, sp, dual), set=label)
 
 
 def suite_remark_5_6(opts: SuiteOptions):
-    reports = _Reports()
     sp = space_r2_product("two")
     grid = _grid(opts, n=121)
     diag = diagonal_set(-3, 3, 121)
-    rep = remark_5_6_bound(diag, half_sq_norm_fn(grid), sp, grid.subsample(2))
-    rep.meta["fn"] = "worked example"
-    reports.append(rep)
+    yield _tag(remark_5_6_bound(diag, half_sq_norm_fn(grid), sp, grid.subsample(2)),
+               fn="worked example")
     cubic = cubic_graph_set(grid.subsample(2))
     phi_fn, _ = representer_fns(sp, cubic, grid.subsample(2))
-    rep = remark_5_6_bound(cubic, phi_fn, sp, grid.subsample(4))
-    rep.meta["fn"] = "cubic-graph representer"
-    reports.append(rep)
-    return reports
+    yield _tag(remark_5_6_bound(cubic, phi_fn, sp, grid.subsample(4)),
+               fn="cubic-graph representer")
 
 
 def lower_hull_1d(xs, ys):
@@ -608,10 +493,8 @@ def _random_convex_fn(rng, grid):
 
 
 def suite_fenchel_moreau(opts: SuiteOptions, n_random: int = 20):
-    reports = _Reports()
     rng = np.random.default_rng(opts.seed)
-    rep = VerifyReport(suite="fenchel_moreau", seed=opts.seed,
-                       tolerances={"bound": "5 * spacing * observed slope"})
+    rep = VerifyReport(seed=opts.seed, tolerances={"bound": "5 * spacing * observed slope"})
     worst_margin = -np.inf
     for i in range(n_random):
         grid = (GridSpec.box(-3, 3, 121, 1) if i % 2 == 0
@@ -636,28 +519,22 @@ def suite_fenchel_moreau(opts: SuiteOptions, n_random: int = 20):
     below = float(np.max(fss.values - dw.values))
     rep.add("biconjugate_below", "thm_6_1", below <= 1e-12,
             residual=max(0.0, below))
-    reports.append(rep)
-    return reports
+    yield rep
 
 
 def suite_theorem_2_16(opts: SuiteOptions):
-    reports = _Reports()
     sp = space_r2_product("two")
     grid = _grid(opts)
     diag = diagonal_set(-3, 3, 121)
     triple = fitz_triple(sp, diag.underlying, grid)
-    rep = sigma_minorant_test(sp, diag.underlying, triple.phi_fn, triple=triple)
-    rep.meta["candidate"] = "primal representer"
-    reports.append(rep)
+    yield _tag(sigma_minorant_test(sp, diag.underlying, triple.phi_fn, triple=triple),
+               candidate="primal representer")
     a0 = np.array([1.0, 1.0])
     affine = GridFn.from_callable(
         grid, lambda p: np.atleast_2d(p) @ sp.pairing @ a0 - sp.q(a0),
         form="affine tangent")
-    rep = sigma_minorant_test(sp, diag.underlying, affine, triple=triple)
-    rep.meta["candidate"] = "affine tangent"
-    reports.append(rep)
-    return reports
-
+    yield _tag(sigma_minorant_test(sp, diag.underlying, affine, triple=triple),
+               candidate="affine tangent")
 
 SUITES = {
     "banach_ssd": suite_banach_ssd,
@@ -681,7 +558,18 @@ SUITES = {
 }
 
 
-def run_suite(name: str, opts: SuiteOptions | None = None):
+def run_suite(name: str, opts: SuiteOptions | None = None) -> list[VerifyReport]:
+    """Run one suite; each report is stamped with the suite's name and its
+    wall time: the seconds since the previous report (the first: since the
+    suite started), so shared setup is charged to the first report that
+    needs it and the wall times add up to the suite's run time."""
     if name not in SUITES:
         raise SsdkitError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
-    return SUITES[name](opts or SuiteOptions())
+    reports = []
+    mark = time.perf_counter()
+    for rep in SUITES[name](opts or SuiteOptions()):
+        now = time.perf_counter()
+        rep.suite, rep.wall_time = name, now - mark
+        reports.append(rep)
+        mark = now
+    return reports

@@ -105,6 +105,23 @@ class TestVerify:
         assert sum(times) <= elapsed
         assert len(set(times)) == len(times)  # not one average copied into each
 
+    @pytest.mark.parametrize("name", ["theorem_5_5", "theorem_2_16", "helix"])
+    def test_reports_carry_the_suite_that_ran_them(self, name):
+        from ssdkit.suites import run_suite
+
+        reports = run_suite(name)
+        assert reports and all(rep.suite == name for rep in reports)
+
+    def test_readme_lists_every_suite(self):
+        import re
+        from pathlib import Path
+
+        from ssdkit.suites import SUITES
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        listed = re.search(r"^Suites: (.*?)\.  ", readme, re.M | re.S).group(1)
+        assert set(re.findall(r"`(\w+)`", listed)) == set(SUITES)
+
 
 class TestReport:
     def test_aggregation_and_idempotence(self, tmp_path):

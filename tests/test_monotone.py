@@ -110,6 +110,35 @@ class TestStrongRepresentability:
         w = np.asarray(rep.check("represents_the_set").witness)
         assert np.abs(w[0]) > 1.0  # a missing far-out diagonal point
 
+    @pytest.mark.parametrize("case", ["missing", "extra"])
+    def test_witness_is_the_brute_force_farthest_point(self, case, prod_space, prod_dual,
+                                                       grid61, diag121):
+        import ssdkit
+
+        if case == "missing":   # touching set {0}; the sample reaches out to (3, 3)
+            sample = diagonal_set(-1, 3, 41)
+            fn = ssdkit.GridFn.from_callable(
+                grid61, lambda p: np.sum(np.atleast_2d(p) ** 2, axis=1)
+                + prod_space.q(np.atleast_2d(p)), form="pinched", require_convex=False)
+        else:                   # touching set the whole diagonal; the sample is [0, 1]
+            sample = diagonal_set(0, 1, 11)
+            fn, _ = representer_fns(prod_space, diag121, grid61)
+        touch = mf_set(fn, prod_space).points
+        near = lambda rows, others: [min(float(prod_space.norm(r - o)) for o in others)
+                                     for r in rows]
+        missing, extra = near(sample.points, touch), near(touch, sample.points)
+        if case == "missing":
+            assert max(missing) > max(extra)
+            expected = sample.points[int(np.argmax(missing))]
+        else:
+            assert max(extra) > max(missing)
+            expected = touch[int(np.argmax(extra))]
+        check = strongly_representable_check(sample, fn, prod_space, prod_dual) \
+            .check("represents_the_set")
+        assert check.status == "fail"
+        assert np.array_equal(check.witness, expected)
+        assert check.worst_residual == pytest.approx(max(missing + extra), rel=1e-12)
+
 
 class TestTheorem58:
     def test_diagonal_battery(self, prod_space, prod_dual, grid61, diag121):
