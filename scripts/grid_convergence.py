@@ -11,12 +11,14 @@ Usage: python3 scripts/grid_convergence.py [CSV_PATH]
 """
 
 import sys
+from functools import partial
 
 import numpy as np
 
 from ssdkit import is_vz, make_dual, p_set
 from ssdkit.catalog import default_grid, half_sq_norm_fn, space_r2_product
 from ssdkit.duality import lemma_4_7_identity
+from ssdkit.gridfn import nearest
 from ssdkit.spaces import pairwise_norm
 
 SQRT2 = np.sqrt(2.0)
@@ -34,7 +36,7 @@ def sweep(sizes=(21, 31, 41, 61, 81, 121)):
         ident_res = ident.checks[0].worst_residual
         touching = p_set(f, sp)
         pts = grid.points()
-        dist = np.min(pairwise_norm(sp, pts, touching.points), axis=1)
+        dist, _ = nearest(partial(pairwise_norm, sp), pts, touching.points)
         dist_err = float(np.max(np.abs(dist - np.abs(pts[:, 0] - pts[:, 1]) / SQRT2)))
         rows.append((float(grid.spacing[0]), vz, ident_res, dist_err))
     return rows

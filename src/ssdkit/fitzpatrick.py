@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .gridfn import (
     block_points,
     intrinsic_conjugate,
     is_vz,
+    nearest,
     sup_linear_minus,
     sup_over_blocks,
     sup_paths,
@@ -57,21 +59,17 @@ def phi(space: SsdSpace, a: PointSet, b) -> float | np.ndarray:
     return float(vals[0]) if np.asarray(b).ndim == 1 else vals
 
 
-def dual_probe_blocks(space: SsdSpace, grid: GridSpec,
-                      inflation: float = DUAL_INFLATION) -> list:
+def dual_probe_blocks(space: SsdSpace, grid: GridSpec) -> list:
     """Probe lattices on the dual side: the image box of the grid under the
     canonical map (merged with the grid itself so degenerate maps still get a
-    box), inflated, and the exact image of the grid nodes."""
-    box = image_box(grid, space.pairing, inflate=inflation, include_source=True)
+    box), inflated by `DUAL_INFLATION`, and the exact image of the grid nodes."""
+    box = image_box(grid, space.pairing, inflate=DUAL_INFLATION, include_source=True)
     return [Lattice(box), Lattice(grid, space.pairing.T)]
 
 
-def dual_probe_points(space: SsdSpace, grid: GridSpec, inflation: float = DUAL_INFLATION,
-                      include_image: bool = True) -> np.ndarray:
-    """The rows of `dual_probe_blocks`, stacked (the box alone without
-    `include_image`)."""
-    blocks = dual_probe_blocks(space, grid, inflation=inflation)
-    return block_points(blocks if include_image else blocks[:1])
+def dual_probe_points(space: SsdSpace, grid: GridSpec) -> np.ndarray:
+    """The rows of `dual_probe_blocks`, stacked."""
+    return block_points(dual_probe_blocks(space, grid))
 
 
 def star_theta(space: SsdSpace, a: PointSet, dual_points, c) -> float | np.ndarray:
@@ -110,9 +108,8 @@ class FitzTriple:
         return sup_paths(self.dual_blocks, [Lattice(self.star_theta_fn.grid)])
 
 
-def fitz_triple(space: SsdSpace, a: PointSet, grid: GridSpec,
-                inflation: float = DUAL_INFLATION) -> FitzTriple:
-    box, image = dual_probe_blocks(space, grid, inflation=inflation)
+def fitz_triple(space: SsdSpace, a: PointSet, grid: GridSpec) -> FitzTriple:
+    box, image = dual_probe_blocks(space, grid)
     theta_fn = GridFn._raw(box.grid, theta(space, a, box.points()), form="theta")
     set_image = a.points @ space.pairing.T
     dual_blocks = ((box, theta_fn.values),
@@ -129,7 +126,6 @@ def fitz_triple(space: SsdSpace, a: PointSet, grid: GridSpec,
 
 
 def lemma_2_13_suite(space: SsdSpace, a: PointSet, grid: GridSpec,
-                     inflation: float = DUAL_INFLATION,
                      tol_exact: float = tols.ATOL_EXACT,
                      tol_grid: float = tols.ATOL_GRID,
                      tol_conj: float | None = None) -> VerifyReport:
@@ -139,7 +135,7 @@ def lemma_2_13_suite(space: SsdSpace, a: PointSet, grid: GridSpec,
     sides are all evaluated as grid sups to tol_grid; the conjugate-back
     identity (the only genuinely dual-grid-limited part) to tol_conj.
     """
-    triple = fitz_triple(space, a, grid, inflation=inflation)
+    triple = fitz_triple(space, a, grid)
     pts = grid.points()
     qv = space.q(pts)
     report = VerifyReport(suite="lemma_2_13", grid=grid.to_dict(),
@@ -147,7 +143,7 @@ def lemma_2_13_suite(space: SsdSpace, a: PointSet, grid: GridSpec,
                           meta={"space": space.label, "set": a.label})
 
     v1 = triple.phi_fn.values
-    v2 = qv - np.min(pairwise_q(space, pts, a.points), axis=1)
+    v2 = qv - nearest(partial(pairwise_q, space), pts, a.points)[0]
     i = int(np.argmax(np.abs(v1 - v2)))
     report.add("a_two_formulas", "lemma_2_13a", abs(float(v1[i] - v2[i])) <= tol_exact,
                residual=abs(float(v1[i] - v2[i])), witness=pts[i])

@@ -6,9 +6,11 @@ space" is a sup/inf over grid nodes.  Sups run through `sup_over_blocks`
 (the separable or the scattered kernel); every inf here that is not a
 quadratic collapse into a sup runs through `_min_plus`, the one inf
 kernel, whose two branches are the offset table (both sides the same
-lattice) and the pair scan (anything else).  The brute-force double loops
-they must match live in the tests as oracles.  Minimizer/maximizer ties break to the lowest
-row-major index so witnesses are deterministic.
+lattice) and the pair scan (anything else).  `nearest`, the pair scan with
+no adds, is the min over a sampled set for the rest of the package.  The
+brute-force double loops they must match live in the tests as oracles.
+Minimizer/maximizer ties break to the lowest row-major index so witnesses
+are deterministic.
 """
 
 from __future__ import annotations
@@ -71,11 +73,9 @@ class GridFn:
         return cls(grid, values, exact=exact, form=form, require_convex=False)
 
     @classmethod
-    def from_callable(cls, grid: GridSpec, fn, form: str = "", keep_exact: bool = True,
-                      require_convex: bool = True):
+    def from_callable(cls, grid: GridSpec, fn, form: str = "", require_convex: bool = True):
         vals = np.asarray(fn(grid.points()), dtype=float)
-        return cls(grid, vals, exact=fn if keep_exact else None, form=form,
-                   require_convex=require_convex)
+        return cls(grid, vals, exact=fn, form=form, require_convex=require_convex)
 
     # -- basic queries ----------------------------------------------------------
 
@@ -597,7 +597,26 @@ def _min_plus(add, nodes, targets, k):
         raise Improper("no finite values to take an infimum over")
     if _offset_table_fits(nodes, targets):
         return _offset_scan(add, nodes, k)
-    return _pair_scan(add, _rows(nodes), _rows(targets), k)
+    return _pair_scan(add, _rows(nodes), _rows(targets), _on_differences(k))
+
+
+def nearest(pairwise, x, y):
+    """For each row x_i: min_j pairwise(x, y)[i, j] and its argmin j, ties
+    to the lowest index.  `pairwise(x_block, y)` is the (rows, len(y))
+    matrix of a block of x rows, e.g. a `spaces.pairwise_*` kernel; the pair
+    scan evaluates it in bounded row chunks, never on all of x at once."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    return _pair_scan(np.zeros(y.shape[0]), y, x, pairwise)
+
+
+def _on_differences(k):
+    """The block kernel of a point kernel: k on the difference vectors
+    c_i - y_j of a block of c rows against all of y."""
+    def block(c, y):
+        diffs = c[:, None, :] - y[None, :, :]
+        return np.asarray(k(diffs.reshape(-1, c.shape[1])), dtype=float).reshape(-1, y.shape[0])
+    return block
 
 
 def _offset_table_fits(a, b) -> bool:
@@ -646,8 +665,11 @@ def _offset_scan(add, lattice: Lattice, k):
 
 
 def _pair_scan(add, y, c, k):
-    """`_min_plus` on point rows: k on the difference vectors c_i - y_j, one
-    block of at most `_score_cap()` difference coordinates at a time."""
+    """min_j [add_j + k(c, y)[i, j]] and its argmin j for each row c_i, with
+    k a block kernel: k(c_block, y) is the (rows, len(y)) matrix of a block
+    of c rows.  +inf adds drop their y rows first; ties go to the lowest
+    index.  The c rows go in chunks of `_score_cap() // (len(y) d)`, so a
+    block of difference coordinates holds at most `_score_cap()` entries."""
     back = np.flatnonzero(np.isfinite(add))
     y, a = y[back], add[back]
     m, n = c.shape[0], y.shape[0]
@@ -655,9 +677,7 @@ def _pair_scan(add, y, c, k):
     args = np.empty(m, dtype=int)
     chunk = max(1, _score_cap() // (n * c.shape[1]))
     for start in range(0, m, chunk):
-        diffs = c[start:start + chunk, None, :] - y[None, :, :]
-        total = np.asarray(k(diffs.reshape(-1, c.shape[1])), dtype=float).reshape(-1, n)
-        del diffs
+        total = np.asarray(k(c[start:start + chunk], y), dtype=float)
         total += a[None, :]
         j = np.argmin(total, axis=1)
         vals[start:start + chunk] = total[np.arange(total.shape[0]), j]
@@ -842,7 +862,7 @@ def rockafellar_sum_identity(f: GridFn, h: GridFn, dual_grid: GridSpec,
     hstar = conjugate(h, _offset_grid(dual_grid))
     ys = dual_grid.points()
     # pair scan, not the offset table: h* at offset nodes moves the RHS by up to 9.1e-15
-    rhs, _ = _pair_scan(fstar.values, ys, ys, hstar.evaluate)
+    rhs, _ = _pair_scan(fstar.values, ys, ys, _on_differences(hstar.evaluate))
     if tol is None:
         h_d = float(np.max(dual_grid.spacing))
         lip = tols.observed_lipschitz(lhs.values_nd(), dual_grid.spacing)

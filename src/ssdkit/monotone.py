@@ -10,13 +10,14 @@ relabeled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .duality import DualSsd, theorem_4_10_battery
 from .errors import DimensionMismatch, EmptySet, FBelowQ, PreconditionFailed
 from .fitzpatrick import FitzTriple
-from .gridfn import GridFn, is_mas
+from .gridfn import GridFn, is_mas, nearest
 from .grids import GridSpec
 from .positivity import PointSet, _hausdorff, is_q_positive, p_set
 from .reports import VerifyReport
@@ -109,7 +110,8 @@ def type_ni_check(space: SsdSpace, a: MonotoneSet, dual: DualSsd,
         if grid is None:
             raise ValueError("pass dual_points or a grid to probe")
         dual_points = grid.points() @ space.pairing.T
-    gaps = np.min(pairwise_q(dual.as_space, dual_points, a.points @ space.pairing.T), axis=1)
+    gaps, _ = nearest(partial(pairwise_q, dual.as_space), dual_points,
+                      a.points @ space.pairing.T)
     i = int(np.argmax(gaps))
     report = VerifyReport(suite="type_ni_check",
                           tolerances={"tol": tol},
@@ -126,7 +128,7 @@ def strongly_representable_check(a: MonotoneSet, f: GridFn, space: SsdSpace,
     mas = is_mas(f, space, dual, tol=tol)
     touch = mf_set(f, space)
     cell = tols.cell_norm(space, f.grid)
-    dist, far = _hausdorff(a.points, touch.points, lambda x, y: pairwise_norm(space, x, y))
+    dist, far = _hausdorff(a.points, touch.points, partial(pairwise_norm, space))
     match = dist <= 2.0 * cell
     report = VerifyReport(suite="strongly_representable", grid=f.grid.to_dict(),
                           tolerances={**mas.tolerances, "set_radius": 2.0 * cell},
@@ -289,6 +291,11 @@ def alignment_report(a: MonotoneSet, x, xstar, alpha, beta,
     return report
 
 
+def _halves(c, y, n):
+    """The x and x* halves of the differences c_i - y_j, each (rows, len(y), n)."""
+    return c[:, None, :n] - y[None, :, :n], c[:, None, n:] - y[None, :, n:]
+
+
 def remark_5_6_bound(a: MonotoneSet, f: GridFn, space: SsdSpace, c_grid: GridSpec,
                      tol: float = tols.ATOL_GRID) -> VerifyReport:
     """Distance chain at every probe pair: Euclidean distance to the set is at
@@ -296,12 +303,18 @@ def remark_5_6_bound(a: MonotoneSet, f: GridFn, space: SsdSpace, c_grid: GridSpe
     sqrt(2) sqrt(f - product); the classical constant-2 bound is recorded."""
     pts = c_grid.points()
     n = a.n
-    dx = pts[:, None, :n] - a.x[None, :, :]
-    dxs = pts[:, None, n:] - a.xstar[None, :, :]
-    sq = np.sum(dx**2, axis=2) + np.sum(dxs**2, axis=2)
-    inner = np.einsum("mni,mni->mn", dx, dxs)
-    dist = np.sqrt(np.min(sq, axis=1))
-    neg_inf = np.maximum(0.0, -np.min(inner, axis=1))
+
+    def sq_dist(c, y):
+        dx, dxs = _halves(c, y, n)
+        return np.sum(dx**2, axis=2) + np.sum(dxs**2, axis=2)
+
+    def product(c, y):
+        return np.einsum("mni,mni->mn", *_halves(c, y, n))
+
+    sq, _ = nearest(sq_dist, pts, a.points)
+    inner, _ = nearest(product, pts, a.points)
+    dist = np.sqrt(sq)
+    neg_inf = np.maximum(0.0, -inner)
     fq = f.evaluate(pts) - space.q(pts)
     cell = tols.cell_norm(space, c_grid)
     report = VerifyReport(suite="remark_5_6", grid=c_grid.to_dict(),
@@ -340,7 +353,9 @@ def projection_closure_check(f: GridFn, space: SsdSpace,
     for name, cols in (("primal", slice(0, n)), ("dual", slice(n, 2 * n))):
         cell = float(np.max(h[cols]))
         pa = touch.points[:, cols]
-        d_ab, _ = _hausdorff(pa, dom[:, cols], lambda x, y: np.sqrt(pairwise_sq_dists(x, y)))
+        # a projection repeats each value many times; the distance ignores repeats
+        d_ab, _ = _hausdorff(pa, np.unique(dom[:, cols], axis=0),
+                             lambda x, y: np.sqrt(pairwise_sq_dists(x, y)))
         report.add(f"{name}_projections_match", "thm_5_5f",
                    d_ab <= tol_cells * cell, residual=d_ab,
                    note="symmetric Hausdorff distance of the two projections")

@@ -8,6 +8,7 @@ the tolerances that scope the claim are recorded in every report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .errors import (
     PreconditionFailed,
     StepInfeasible,
 )
-from .gridfn import GridFn, is_vz, min_values_plus_gauge
+from .gridfn import GridFn, is_vz, min_values_plus_gauge, nearest
 from .grids import GridSpec
 from .reports import VerifyReport
 from .spaces import SsdSpace, _as_points, pairwise_norm, pairwise_p, pairwise_q
@@ -100,13 +101,14 @@ def _hausdorff(a_rows, b_rows, pairwise):
     """Symmetric Hausdorff distance of two row sets under `pairwise(a, b)`,
     the matrix of distances from each a row to each b row, and the row
     farthest from the other set: the worst a row missing from b, or else the
-    worst extra b row (None when a set is empty)."""
+    worst extra b row (None when a set is empty).  Each side is one
+    `nearest` scan, so `pairwise` also runs as pairwise(b, a)."""
     a = np.atleast_2d(np.asarray(a_rows, dtype=float))
     b = np.atleast_2d(np.asarray(b_rows, dtype=float))
     if a.shape[0] == 0 or b.shape[0] == 0:
         return (0.0 if a.shape[0] == b.shape[0] else np.inf), None
-    d = pairwise(a, b)
-    missing, extra = np.min(d, axis=1), np.min(d, axis=0)
+    missing, _ = nearest(pairwise, a, b)
+    extra, _ = nearest(pairwise, b, a)
     if np.max(missing) >= np.max(extra):
         return float(np.max(missing)), a[int(np.argmax(missing))]
     return float(np.max(extra)), b[int(np.argmax(extra))]
@@ -114,7 +116,7 @@ def _hausdorff(a_rows, b_rows, pairwise):
 
 def sets_match(space: SsdSpace, a_rows, b_rows, radius: float) -> tuple[bool, float]:
     """Symmetric Hausdorff comparison in the space norm; (verdict, distance)."""
-    haus, _ = _hausdorff(a_rows, b_rows, lambda a, b: pairwise_norm(space, a, b))
+    haus, _ = _hausdorff(a_rows, b_rows, partial(pairwise_norm, space))
     return haus <= radius, haus
 
 
@@ -153,7 +155,7 @@ def is_maximally_q_positive(space: SsdSpace, a: PointSet, candidate_grid: GridSp
     if dist_tol is None:
         dist_tol = 2.0 * tols.cell_norm(space, candidate_grid)
     pts = candidate_grid.points()
-    dists = np.min(pairwise_norm(space, pts, a.points), axis=1)
+    dists, _ = nearest(partial(pairwise_norm, space), pts, a.points)
     outside = dists > dist_tol
     report = VerifyReport(suite="is_maximally_q_positive",
                           grid=candidate_grid.to_dict(),
@@ -164,7 +166,7 @@ def is_maximally_q_positive(space: SsdSpace, a: PointSet, candidate_grid: GridSp
         report.add("no_extension_on_grid", "def_1_2", True, residual=0.0,
                    note="every candidate is within dist_tol of the set")
         return report
-    gaps = np.min(pairwise_q(space, pts[outside], a.points), axis=1)
+    gaps, _ = nearest(partial(pairwise_q, space), pts[outside], a.points)
     extenders = gaps >= -q_tol
     n_ext = int(np.count_nonzero(extenders))
     witness = pts[outside][extenders][:5] if n_ext else None
@@ -203,7 +205,7 @@ def p_dense_check(space: SsdSpace, a: PointSet, c_grid: GridSpec,
     if tol_density is None:
         tol_density = max(tols.DENSITY_TOL, tols.one_cell_p_bound(space, c_grid))
     pts = c_grid.points()
-    best = np.min(pairwise_p(space, pts, a.points), axis=1)
+    best, _ = nearest(partial(pairwise_p, space), pts, a.points)
     i = int(np.argmax(best))
     report = VerifyReport(suite="p_dense_check", grid=c_grid.to_dict(),
                           tolerances={"tol_density": tol_density},
@@ -255,15 +257,14 @@ class ProjectionTrace:
 
 
 def project_to_p(f: GridFn, space: SsdSpace, c, epsilon: float,
-                 stop_tol: float | None = None, tol_p: float | None = None,
-                 max_steps: int = 60) -> ProjectionTrace:
+                 stop_tol: float | None = None, tol_p: float | None = None) -> ProjectionTrace:
     """Certified grid descent from c toward the touching set of f.
 
     Each step minimizes (f - q)(b) + p(prev - b) over the grid and must meet
     the geometric certificate; the loop stops once the certificate target
     drops below stop_tol (default: the one-cell variation of p, below which a
-    grid step cannot certify).  Raises StepInfeasible when the grid cannot
-    meet a target above that floor.
+    grid step cannot certify) or after 60 steps.  Raises StepInfeasible when
+    the grid cannot meet a target above that floor.
     """
     if not (0.0 < epsilon < 1.0):
         raise EpsilonOutOfRange("epsilon must lie strictly between 0 and 1")
@@ -293,7 +294,7 @@ def project_to_p(f: GridFn, space: SsdSpace, c, epsilon: float,
     lam2 = trace.lam**2
     prev = c0
     target = alpha2
-    for n in range(1, max_steps + 1):
+    for n in range(1, 61):
         target *= lam2
         if target < stop_tol:
             break
@@ -366,8 +367,8 @@ def dist_bounds_check(f: GridFn, space: SsdSpace, c_grid: GridSpec,
     cell = tols.cell_norm(space, c_grid)
     slack = 2.0 * cell
     pts = c_grid.points()
-    dists = np.min(pairwise_norm(space, pts, p.points), axis=1)
-    inf_q = np.min(pairwise_q(space, pts, p.points), axis=1)
+    dists, _ = nearest(partial(pairwise_norm, space), pts, p.points)
+    inf_q, _ = nearest(partial(pairwise_q, space), pts, p.points)
     neg_inf_q = np.maximum(0.0, -inf_q)
     fq = f.evaluate(pts) - space.q(pts)
     report = VerifyReport(suite="dist_bounds_check", grid=c_grid.to_dict(),
@@ -416,13 +417,13 @@ def lemma_2_8_suite(space: SsdSpace, a: PointSet, h: GridFn, c_grid: GridSpec,
     report = VerifyReport(suite="lemma_2_8", grid=c_grid.to_dict(),
                           tolerances={"tol": tol, "cell_slack": 2.0 * cell},
                           meta={"space": space.label, "set": a.label})
-    inf_q = np.min(pairwise_q(space, pts, a.points), axis=1)
+    inf_q, _ = nearest(partial(pairwise_q, space), pts, a.points)
     i = int(np.argmax(inf_q))
     q_cell = tols.one_cell_p_bound(space, c_grid)
     report.add("infq_nonpositive", "lemma_2_8a", float(inf_q[i]) <= q_cell,
                residual=max(0.0, float(inf_q[i])), witness=pts[i],
                note="one-cell slack for the sampled set")
-    dists = np.min(pairwise_norm(space, pts, a.points), axis=1)
+    dists, _ = nearest(partial(pairwise_norm, space), pts, a.points)
     r = dists - (_SQRT2 * np.sqrt(np.maximum(0.0, -inf_q)) + 2.0 * cell)
     j = int(np.argmax(r))
     report.add("dist_bound", "lemma_2_8a", float(r[j]) <= 0.0,
@@ -432,7 +433,7 @@ def lemma_2_8_suite(space: SsdSpace, a: PointSet, h: GridFn, c_grid: GridSpec,
     touch = p_set(h, space) if above else None
     covers = False
     if touch is not None and len(touch):
-        near = np.min(pairwise_norm(space, a.points, touch.points), axis=1)
+        near, _ = nearest(partial(pairwise_norm, space), a.points, touch.points)
         covers = bool(np.max(near) <= 2.0 * cell)
     if above and covers:
         vz = is_vz(h, space, c_grid=c_grid)

@@ -270,7 +270,8 @@ def suite_theorem_2_9(opts: SuiteOptions):
         yield _tag(lemma_2_8_suite(sp, diag.underlying, fn, grid.subsample(2)), fn=label)
 
 
-def suite_lemma_2_7(opts: SuiteOptions, n_points: int = 50):
+def suite_lemma_2_7(opts: SuiteOptions):
+    n_points = 50
     sp = space_r2_product("two")
     grid = _grid(opts, n=121)
     f = half_sq_norm_fn(grid)
@@ -492,7 +493,8 @@ def _random_convex_fn(rng, grid):
         form="random quadratic")
 
 
-def suite_fenchel_moreau(opts: SuiteOptions, n_random: int = 20):
+def suite_fenchel_moreau(opts: SuiteOptions):
+    n_random = 20
     rng = np.random.default_rng(opts.seed)
     rep = VerifyReport(seed=opts.seed, tolerances={"bound": "5 * spacing * observed slope"})
     worst_margin = -np.inf

@@ -42,11 +42,11 @@ def observed_lipschitz(values: np.ndarray, spacing) -> float:
     return worst
 
 
-def vz_tolerance(fn, floor: float = 1e-8) -> float:
+def vz_tolerance(fn) -> float:
     """Spacing-scaled residual bound for zero inf-convolution checks."""
     lip = observed_lipschitz(fn.values_nd(), fn.grid.spacing)
     h = float(np.max(fn.grid.spacing))
-    return max(floor, VZ_LIP_FACTOR * lip * h)
+    return max(1e-8, VZ_LIP_FACTOR * lip * h)
 
 
 def cell_norm(space, grid) -> float:

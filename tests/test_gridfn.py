@@ -44,7 +44,16 @@ from ssdkit.gridfn import (
     zero_infconv_residuals,
 )
 from ssdkit.grids import image_box
-from ssdkit.spaces import pairwise_p, product_space
+from ssdkit.spaces import (
+    NormSpec,
+    SsdSpace,
+    pairwise_g,
+    pairwise_norm,
+    pairwise_p,
+    pairwise_q,
+    product_space,
+    swap_matrix,
+)
 from ssdkit.suites import lower_hull_1d
 
 from conftest import (
@@ -939,6 +948,45 @@ class TestMinPlus:
         rhs, _ = brute_force_min_plus(conjugate(f, dual).values, dual.points(), dual.points(),
                                       hstar.evaluate)
         assert rep.check("conjugate_of_sum").worst_residual == np.max(np.abs(lhs - rhs))
+
+    @pytest.mark.parametrize("pairwise", [pairwise_q, pairwise_g, pairwise_p, pairwise_norm])
+    @pytest.mark.parametrize("kind", ["euclidean", "quadratic", "one", "two", "inf"])
+    @given(seed=st.integers(min_value=0, max_value=10_000), rows=st.sampled_from([1, 7, None]))
+    @settings(max_examples=10, deadline=None)
+    def test_nearest_matches_dense_min(self, pairwise, kind, seed, rows):
+        # the pair scan in chunks of 1 or 7 rows, or in one chunk, against
+        # np.min / np.argmin over the whole dense matrix
+        from ssdkit import gridfn
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 3))
+        weight = np.eye(2 * n) + 1.0 if kind == "quadratic" else None
+        space = SsdSpace(swap_matrix(n), norm=NormSpec(kind, tau=float(rng.choice([0.5, 1.0, 2.0])),
+                                                       weight=weight))
+        integer = rng.random() < 0.5
+        x = rng.integers(-3, 4, size=(int(rng.integers(1, 30)), 2 * n)).astype(float)
+        y = rng.integers(-3, 4, size=(int(rng.integers(1, 9)), 2 * n)).astype(float)
+        if not integer:
+            x += rng.uniform(-0.5, 0.5, size=x.shape)
+            y += rng.uniform(-0.5, 0.5, size=y.shape)
+        y = y[rng.integers(0, y.shape[0], size=y.shape[0] + 3)]  # duplicate set rows tie
+        calls = []
+
+        def kernel(c, ys):
+            calls.append(c.shape[0])
+            return pairwise(space, c, ys)
+
+        block = 1 << 23 if rows is None else (rows * y.size) << 2
+        with mock.patch.object(gridfn, "_BLOCK", block):
+            vals, args = gridfn.nearest(kernel, x, y)
+        assert calls == ([x.shape[0]] if rows is None
+                         else [min(rows, x.shape[0] - s) for s in range(0, x.shape[0], rows)])
+        dense = pairwise(space, x, y)
+        if integer:
+            assert np.array_equal(vals, np.min(dense, axis=1))
+            assert np.array_equal(args, np.argmin(dense, axis=1))
+        else:
+            assert np.allclose(vals, np.min(dense, axis=1), rtol=0.0, atol=1e-12)
+            assert np.allclose(dense[np.arange(x.shape[0]), args], vals, rtol=0.0, atol=1e-12)
 
 
 class TestSingularSourceCollapse:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from ssdkit import (
     EmptySet,
     FBelowQ,
     GridFn,
+    GridSpec,
     NotVZ,
     EpsilonOutOfRange,
     PreconditionFailed,
@@ -21,6 +24,7 @@ from ssdkit import (
     recheck_trace,
 )
 from ssdkit.catalog import (
+    diagonal_set,
     half_sq_norm_fn,
     helix_set,
     q_plus_const_fn,
@@ -83,6 +87,26 @@ class TestMaximality:
 
         rep = is_maximally_q_positive(space_negated(2), singleton_origin(2), grid61)
         assert rep.passed
+
+
+class TestBoundedMemory:
+    """Mins over a sampled set run in row chunks: the traced peak of a probe
+    check against a 401-point set does not grow with the number of probes."""
+
+    @pytest.mark.parametrize("check", [p_dense_check, is_maximally_q_positive])
+    def test_peak_does_not_grow_with_probes(self, prod_space, check):
+        a = diagonal_set(-3.0, 3.0, 401).underlying
+        peaks = []
+        for num in (101, 201):
+            grid = GridSpec.box(-3.0, 3.0, num, 2)
+            tracemalloc.start()
+            try:
+                check(prod_space, a, grid)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
+        assert peaks[1] < 64 << 20
 
 
 class TestTouchingSet:
