@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -27,61 +26,41 @@ from .spaces import SsdSpace
 from .suites import SUITES, SuiteOptions, run_suite
 
 
-@dataclass
-class RunConfig:
-    command: str
-    suite: str | None = None
-    space_file: str | None = None
-    fn_file: str | None = None
-    set_file: str | None = None
-    grid: GridSpec | None = None
-    tol: float | None = None
-    seed: int = 42
-    out: Path = field(default_factory=lambda: Path("reports"))
-    fmt: str = "json"
-    lam: float | None = None
-    epsilon: float = 0.5
-    point: str | None = None
-    dual_point: str | None = None
-    alpha: float = 1.0
-    beta: float = 1.0
-
-
 def _parse_point(text):
     return np.array([float(tok) for tok in text.split(",")], dtype=float)
 
 
-def _load_space(cfg: RunConfig) -> SsdSpace:
-    if cfg.space_file:
+def _load_space(args) -> SsdSpace:
+    if args.space_file:
         from .duality import load_space_document
 
-        return load_space_document(cfg.space_file)[0]
+        return load_space_document(args.space_file)[0]
     return space_r2_product("two", tau=1.0)
 
 
-def _load_fn(cfg: RunConfig) -> GridFn:
-    if cfg.fn_file:
-        return GridFn.from_csv(cfg.fn_file)
-    return half_sq_norm_fn(cfg.grid or default_grid(2, -3.0, 3.0, 121))
+def _load_fn(args) -> GridFn:
+    if args.fn_file:
+        return GridFn.from_csv(args.fn_file)
+    return half_sq_norm_fn(args.grid or default_grid(2, -3.0, 3.0, 121))
 
 
-def _load_set(cfg: RunConfig):
-    if cfg.set_file:
-        return PointSet.from_csv(cfg.set_file)
+def _load_set(args):
+    if args.set_file:
+        return PointSet.from_csv(args.set_file)
     return diagonal_set(-3.0, 3.0, 121).underlying
 
 
-def _write_suite_reports(cfg: RunConfig, name: str, reports) -> bool:
-    cfg.out.mkdir(parents=True, exist_ok=True)
+def _write_suite_reports(args, name: str, reports) -> bool:
+    args.out.mkdir(parents=True, exist_ok=True)
     doc = {
         "suite": name,
         "passed": all(r.passed for r in reports),
         "reports": [r.to_dict() for r in reports],
     }
-    path = cfg.out / f"{name}.json"
+    path = args.out / f"{name}.json"
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    if cfg.fmt == "csv":
-        with open(cfg.out / f"{name}.csv", "w", newline="", encoding="utf-8") as fh:
+    if args.fmt == "csv":
+        with open(args.out / f"{name}.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["suite", "check_id", "anchor", "status", "worst_residual"])
             for rep in reports:
@@ -91,29 +70,31 @@ def _write_suite_reports(cfg: RunConfig, name: str, reports) -> bool:
     return doc["passed"]
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    names = sorted(SUITES) if cfg.suite in (None, "all") else [cfg.suite]
+def cmd_verify(args) -> int:
+    if args.tol is not None and args.tol <= 0:
+        raise SsdkitError("tolerance override must be positive")
+    names = sorted(SUITES) if args.suite == "all" else [args.suite]
     if any(n not in SUITES for n in names):
-        raise SsdkitError(f"unknown suite {cfg.suite!r}; known: "
+        raise SsdkitError(f"unknown suite {args.suite!r}; known: "
                           f"{', '.join(sorted(SUITES))} or 'all'")
-    opts = SuiteOptions(grid=cfg.grid, tol=cfg.tol, seed=cfg.seed,
-                        lam=cfg.lam, epsilon=cfg.epsilon)
-    if cfg.set_file:
-        ps = PointSet.from_csv(cfg.set_file, label=Path(cfg.set_file).stem)
+    opts = SuiteOptions(grid=args.grid, tol=args.tol, seed=args.seed,
+                        lam=args.lam, epsilon=args.epsilon)
+    if args.set_file:
+        ps = PointSet.from_csv(args.set_file, label=Path(args.set_file).stem)
         opts.point_set = ps
         if ps.dim % 2 == 0:
             opts.monotone_set = MonotoneSet(ps, ps.dim // 2)
     all_ok = True
     for name in names:
         reports = run_suite(name, opts)
-        all_ok &= _write_suite_reports(cfg, name, reports)
+        all_ok &= _write_suite_reports(args, name, reports)
     return 0 if all_ok else 1
 
 
-def cmd_report(cfg: RunConfig) -> int:
-    files = sorted(p for p in cfg.out.glob("*.json") if p.name != "summary.json")
+def cmd_report(args) -> int:
+    files = sorted(p for p in args.out.glob("*.json") if p.name != "summary.json")
     if not files:
-        raise MissingArtifacts(f"no report artifacts under {cfg.out}")
+        raise MissingArtifacts(f"no report artifacts under {args.out}")
     rows = []
     suites = {}
     for path in files:
@@ -140,9 +121,9 @@ def cmd_report(cfg: RunConfig) -> int:
         "n_failed": sum(r["status"] == "fail" for r in rows),
         "n_skipped": sum(r["status"] == "skipped" for r in rows),
     }
-    (cfg.out / "summary.json").write_text(
+    (args.out / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    with open(cfg.out / "summary.csv", "w", newline="", encoding="utf-8") as fh:
+    with open(args.out / "summary.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["suite", "check_id", "anchor", "status", "worst_residual"])
         for r in rows:
@@ -153,45 +134,45 @@ def cmd_report(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_conjugate(cfg: RunConfig) -> int:
-    fn = _load_fn(cfg)
-    dual_grid = cfg.grid or default_slope_grid(fn)
+def cmd_conjugate(args) -> int:
+    fn = _load_fn(args)
+    dual_grid = args.grid or default_slope_grid(fn)
     star = conjugate(fn, dual_grid)
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    path = cfg.out / "conjugate.csv"
+    args.out.mkdir(parents=True, exist_ok=True)
+    path = args.out / "conjugate.csv"
     star.to_csv(path)
     print(f"wrote {path} ({dual_grid.size} dual points)")
     return 0
 
 
-def cmd_fitzpatrick(cfg: RunConfig) -> int:
-    space = _load_space(cfg)
-    pts = _load_set(cfg)
-    grid = cfg.grid or default_grid(space.dim, -3.0, 3.0, 61)
+def cmd_fitzpatrick(args) -> int:
+    space = _load_space(args)
+    pts = _load_set(args)
+    grid = args.grid or default_grid(space.dim, -3.0, 3.0, 61)
     triple = fitz_triple(space, pts, grid)
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    triple.phi_fn.to_csv(cfg.out / "phi.csv")
-    triple.theta_fn.to_csv(cfg.out / "theta.csv")
-    triple.star_theta_fn.to_csv(cfg.out / "star_theta.csv")
+    args.out.mkdir(parents=True, exist_ok=True)
+    triple.phi_fn.to_csv(args.out / "phi.csv")
+    triple.theta_fn.to_csv(args.out / "theta.csv")
+    triple.star_theta_fn.to_csv(args.out / "star_theta.csv")
     _, theta_on_image = triple.dual_blocks[1]  # theta at grid @ M.T
     gap = float(np.max(np.abs(triple.phi_fn.values - theta_on_image)))
     doc = {"set_size": len(pts), "grid": grid.to_dict(),
            "phi_equals_theta_through_map_gap": gap}
-    (cfg.out / "fitz_checks.json").write_text(
+    (args.out / "fitz_checks.json").write_text(
         json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote phi/theta/star_theta under {cfg.out} (composition gap {gap:.3e})")
+    print(f"wrote phi/theta/star_theta under {args.out} (composition gap {gap:.3e})")
     return 0
 
 
-def cmd_project(cfg: RunConfig) -> int:
-    space = _load_space(cfg)
-    fn = _load_fn(cfg)
-    if cfg.point is None:
+def cmd_project(args) -> int:
+    space = _load_space(args)
+    fn = _load_fn(args)
+    if args.point is None:
         raise SsdkitError("project needs --point")
-    c = _parse_point(cfg.point)
-    trace = project_to_p(fn, space, c, cfg.epsilon)
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    path = cfg.out / "projection_trace.json"
+    c = _parse_point(args.point)
+    trace = project_to_p(fn, space, c, args.epsilon)
+    args.out.mkdir(parents=True, exist_ok=True)
+    path = args.out / "projection_trace.json"
     path.write_text(json.dumps(trace.to_dict(), indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
     print(f"{len(trace.iterates)} steps, limit {trace.limit.tolist()}, "
@@ -199,17 +180,17 @@ def cmd_project(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_align(cfg: RunConfig) -> int:
-    ps = _load_set(cfg)
+def cmd_align(args) -> int:
+    ps = _load_set(args)
     if ps.dim % 2 != 0:
         raise SsdkitError("alignment needs a monotone set of pairs")
     mset = MonotoneSet(ps, ps.dim // 2)
-    if cfg.point is None or cfg.dual_point is None:
+    if args.point is None or args.dual_point is None:
         raise SsdkitError("align needs --point and --dual-point")
-    res = negative_alignment(mset, _parse_point(cfg.point),
-                             _parse_point(cfg.dual_point), cfg.alpha, cfg.beta)
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    path = cfg.out / "alignment.json"
+    res = negative_alignment(mset, _parse_point(args.point),
+                             _parse_point(args.dual_point), args.alpha, args.beta)
+    args.out.mkdir(parents=True, exist_ok=True)
+    path = args.out / "alignment.json"
     path.write_text(json.dumps(res.to_dict(), indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
     print(f"omega {res.omega:.9f}, radii ({res.rho:.6f}, {res.sigma:.6f}), "
@@ -227,6 +208,16 @@ COMMANDS = {
 }
 
 
+# flags shared by several subcommands; each subcommand registers only the
+# flags its command reads, so an unread flag is a usage error
+SHARED_FLAGS = {
+    "--space": {"dest": "space_file", "help": "space description (json)"},
+    "--fn": {"dest": "fn_file", "help": "grid function (csv)"},
+    "--set": {"dest": "set_file", "help": "point set (csv, one point per row)"},
+    "--grid": {"type": GridSpec.from_string, "help": "grid override: lo:hi:n[,lo:hi:n...]"},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ssdkit",
@@ -234,41 +225,34 @@ def build_parser() -> argparse.ArgumentParser:
                     "monotone-set representers")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--space", dest="space_file", help="space description (json)")
-        p.add_argument("--fn", dest="fn_file", help="grid function (csv)")
-        p.add_argument("--set", dest="set_file", help="point set (csv, one point per row)")
-        p.add_argument("--grid", help="grid override: lo:hi:n[,lo:hi:n...]")
-        p.add_argument("--tol", type=float, help="tolerance override")
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--out", default="reports", help="output directory")
-        p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
+    def command(name, help, *shared):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--out", type=Path, default=Path("reports"), help="output directory")
+        for flag in shared:
+            p.add_argument(flag, **SHARED_FLAGS[flag])
+        return p
 
-    p = sub.add_parser("verify", help="run a named verification suite")
-    common(p)
+    p = command("verify", "run a named verification suite", "--set", "--grid")
     p.add_argument("--suite", default="all",
                    help="suite name or 'all' (known: %s)" % ", ".join(sorted(SUITES)))
+    p.add_argument("--tol", type=float, help="tolerance override")
+    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="helix pitch checked verbatim (a flattened pitch fails)")
     p.add_argument("--epsilon", type=float, default=0.5,
                    help="projection parameter in (0, 1)")
 
-    p = sub.add_parser("report", help="aggregate prior runs into one summary")
-    common(p)
+    command("report", "aggregate prior runs into one summary")
+    command("conjugate", "conjugate of a grid function", "--fn", "--grid")
+    command("fitzpatrick", "representer functions of a point set", "--space", "--set", "--grid")
 
-    p = sub.add_parser("conjugate", help="conjugate of a grid function")
-    common(p)
-
-    p = sub.add_parser("fitzpatrick", help="representer functions of a point set")
-    common(p)
-
-    p = sub.add_parser("project", help="certified projection toward the touching set")
-    common(p)
+    p = command("project", "certified projection toward the touching set",
+                "--space", "--fn", "--grid")
     p.add_argument("--point", help="start point, comma separated")
     p.add_argument("--epsilon", type=float, default=0.5)
 
-    p = sub.add_parser("align", help="balanced-approach extraction at a point")
-    common(p)
+    p = command("align", "balanced-approach extraction at a point", "--set")
     p.add_argument("--point", help="primal half, comma separated")
     p.add_argument("--dual-point", dest="dual_point", help="dual half, comma separated")
     p.add_argument("--alpha", type=float, default=1.0)
@@ -276,30 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in ("suite", "space_file", "fn_file", "set_file", "tol", "seed",
-                 "fmt", "lam", "epsilon", "point", "dual_point", "alpha", "beta"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(cfg, name, getattr(args, name))
-    if cfg.tol is not None and cfg.tol <= 0:
-        raise SsdkitError("tolerance override must be positive")
-    if getattr(args, "out", None):
-        cfg.out = Path(args.out)
-    if getattr(args, "grid", None):
-        cfg.grid = GridSpec.from_string(args.grid)
-    return cfg
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return COMMANDS[args.command](args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    try:
-        cfg = config_from_args(args)
-        return COMMANDS[cfg.command](cfg)
     except SsdkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,6 +24,7 @@ from .fitzpatrick import FitzTriple, fitz_triple, phi, theta
 from .gridfn import (
     GridFn,
     Lattice,
+    _on_differences,
     block_points,
     inf_paths,
     intrinsic_conjugate,
@@ -31,6 +32,7 @@ from .gridfn import (
     is_vz,
     min_values_plus_gauge,
     nearest,
+    sup_linear_minus,
     sup_over_blocks,
     sup_paths,
     zero_infconv_residuals,
@@ -157,28 +159,35 @@ def _probe_points_per_axis(dim):
 
 # -- dual norms -----------------------------------------------------------------
 
-def numerical_dual_norm(space: SsdSpace, ystar) -> float:
-    """sup{<x, y*> : norm(x) <= 1} computed independently of the closed form.
+def numerical_dual_norm(space: SsdSpace, ystar) -> float | np.ndarray:
+    """sup{<x, y*> : norm(x) <= 1} computed independently of the closed form,
+    for one vector (a float) or for rows (an array).
 
     For split norms the Euclidean alignment of each half reduces the problem
-    to two radii on the unit sphere of a planar norm, scanned densely; for
-    Euclidean/quadratic norms the aligned direction is explicit.
+    to two radii on the unit sphere of a planar norm, scanned densely: the
+    sphere is built once per call and the sup kernel takes the max of its
+    rows against every (radius, radius) pair; for Euclidean/quadratic norms
+    the aligned direction is explicit.
     """
     y = np.asarray(ystar, dtype=float)
+    rows = np.atleast_2d(y)
     norm = space.norm
     if norm.variant == EUCLIDEAN:
-        return float(np.linalg.norm(y) / norm.scale)
-    if norm.variant == QUADRATIC:
+        vals = np.linalg.norm(rows, axis=1) / norm.scale
+    elif norm.variant == QUADRATIC:
         w = norm.quadratic_weight(space.dim)
-        return float(np.sqrt(y @ np.linalg.solve(w, y)))
-    n = space.dim // 2
-    a = float(np.linalg.norm(y[:n]))
-    b = float(np.linalg.norm(y[n:]))
-    ts = np.linspace(0.0, np.pi / 2.0, 200_001)
-    r1, r2 = np.cos(ts), np.sin(ts)
-    lengths = norm.scale * norm.combine_halves(r1, r2)
-    r1, r2 = r1 / lengths, r2 / lengths
-    return float(np.max(r1 * a + r2 * b))
+        vals = np.sqrt(np.einsum("ni,in->n", rows, np.linalg.solve(w, rows.T)))
+    else:
+        n = space.dim // 2
+        ts = np.linspace(0.0, np.pi / 2.0, 200_001)
+        sphere = np.empty((ts.size, 2))
+        np.cos(ts, out=sphere[:, 0])
+        np.sin(ts, out=sphere[:, 1])
+        sphere /= norm.scale * norm.combine_halves(sphere[:, 0], sphere[:, 1])[:, None]
+        radii = np.column_stack([np.linalg.norm(rows[:, :n], axis=1),
+                                 np.linalg.norm(rows[:, n:], axis=1)])
+        vals, _ = sup_linear_minus(sphere, np.zeros(ts.size), radii)
+    return float(vals[0]) if y.ndim == 1 else vals
 
 
 def dual_norm_check(space: SsdSpace, dual: DualSsd, n_samples: int = 100,
@@ -186,17 +195,13 @@ def dual_norm_check(space: SsdSpace, dual: DualSsd, n_samples: int = 100,
     """Numerical dual norm vs the claimed closed form on random dual vectors."""
     rng = np.random.default_rng(seed)
     ys = rng.uniform(-radius, radius, size=(n_samples, space.dim))
-    claimed = dual.dual_norm(ys)
-    worst, witness = 0.0, None
-    for y, c in zip(ys, claimed):
-        err = abs(numerical_dual_norm(space, y) - float(c))
-        if err > worst:
-            worst, witness = err, y
+    errs = np.abs(numerical_dual_norm(space, ys) - dual.dual_norm(ys))
+    worst = float(np.max(errs, initial=0.0))
     report = VerifyReport(suite="dual_norm_check", seed=seed,
                           tolerances={"tol": tol},
                           meta={"space": space.label, "n_samples": n_samples})
     report.add("dual_norm_closed_form", "ex_2_4", worst <= tol,
-               residual=worst, witness=witness)
+               residual=worst, witness=ys[np.argmax(errs)] if worst > 0.0 else None)
     z = np.zeros(space.dim)
     report.add("dual_norm_at_zero", "plumbing",
                abs(float(dual.dual_norm(z))) <= 1e-15, residual=abs(float(dual.dual_norm(z))))
@@ -206,40 +211,40 @@ def dual_norm_check(space: SsdSpace, dual: DualSsd, n_samples: int = 100,
 # -- image density ------------------------------------------------------------------
 
 def p_tilde_density(space: SsdSpace, dual: DualSsd, bstar, primal_grid: GridSpec):
-    """(achieved infimum of p_tilde(b* - iota(c)), witnessing primal c).
+    """(achieved infimum of p_tilde(b* - iota(c)), witnessing primal c) for
+    one probe b*, or (array, witness rows) for rows of probes.
 
-    Three candidate witnesses, best value returned: the primal grid minimum,
-    the split-norm algebraic witness (x = 0, x* side completed, exact zero
-    for the unscaled split norms on the swap pairing), and the preimage
-    through the map (exact zero whenever the pairing is invertible -- in
-    finite dimensions the image is the whole dual side, so the density
-    condition only ever fails by grid truncation).
+    Three candidate witnesses, best value returned: the primal grid minimum
+    (one pair scan over every probe), the split-norm algebraic witness
+    (x = 0, x* side completed, exact zero for the unscaled split norms on
+    the swap pairing), and the preimage through the map (exact zero whenever
+    the pairing is invertible -- in finite dimensions the image is the whole
+    dual side, so the density condition only ever fails by grid
+    truncation).  A later candidate replaces an earlier one only where it is
+    strictly smaller.
     """
-    nodes = primal_grid.points()
-    return _p_tilde_density(space, dual, bstar, nodes, nodes @ space.pairing.T)
-
-
-def _p_tilde_density(space: SsdSpace, dual: DualSsd, bstar, nodes, image):
-    """`p_tilde_density` with the primal grid nodes and their image under the
-    map built by the caller, so a report over many probes builds them once."""
     b = np.asarray(bstar, dtype=float)
-    diffs_vals = dual.p_tilde(b[None, :] - image)
-    i = int(np.argmin(diffs_vals))
-    best_val, best_wit = float(diffs_vals[i]), nodes[i]
+    probes = np.atleast_2d(b)
+    nodes = primal_grid.points()
+    vals, args = nearest(_on_differences(dual.p_tilde), probes, nodes @ space.pairing.T)
+    wits = nodes[args]
+    candidates = []
     if (space.norm.variant in PRODUCT_KINDS and space.norm.scale == 1.0
             and np.array_equal(space.pairing, swap_matrix(space.dim // 2))):
         n = space.dim // 2
         tau = space.norm.tau
-        w = np.concatenate([np.zeros(n), b[:n] + tau**2 * b[n:]])
-        val = float(dual.p_tilde(b - space.iota_apply(w)))
-        if val < best_val:
-            best_val, best_wit = val, w
+        candidates.append(np.hstack([np.zeros((probes.shape[0], n)),
+                                     probes[:, :n] + tau**2 * probes[:, n:]]))
     if np.linalg.cond(space.pairing) < 1e12:
-        w = np.linalg.solve(space.pairing, b)
-        val = float(dual.p_tilde(b - space.iota_apply(w)))
-        if val < best_val:
-            best_val, best_wit = val, w
-    return best_val, best_wit
+        candidates.append(np.linalg.solve(space.pairing, probes.T).T)
+    for w in candidates:
+        val = dual.p_tilde(probes - space.iota_apply(w))
+        better = val < vals
+        vals = np.where(better, val, vals)
+        wits = np.where(better[:, None], w, wits)
+    if b.ndim == 1:
+        return float(vals[0]), wits[0]
+    return vals, wits
 
 
 def density_report(space: SsdSpace, dual: DualSsd, primal_grid: GridSpec,
@@ -249,18 +254,15 @@ def density_report(space: SsdSpace, dual: DualSsd, primal_grid: GridSpec,
         box = image_box(primal_grid, space.pairing, inflate=1.5, include_source=True)
         coarse = GridSpec(box.lower, box.upper, np.minimum(box.num, 7))
         probe_points = coarse.points()
-    nodes = primal_grid.points()
-    image = nodes @ space.pairing.T
-    worst, wit, arg = -np.inf, None, None
-    for b in probe_points:
-        val, w = _p_tilde_density(space, dual, b, nodes, image)
-        if val > worst:
-            worst, wit, arg = val, b, w
+    probes = np.atleast_2d(np.asarray(probe_points, dtype=float))
+    vals, _ = p_tilde_density(space, dual, probes, primal_grid)
+    worst = float(np.max(vals, initial=-np.inf))
     report = VerifyReport(suite="p_tilde_density", grid=primal_grid.to_dict(),
                           tolerances={"tol_density": tol_density},
                           meta={"space": space.label, "n_probes": len(probe_points)})
     report.add("image_density", "eq_4_2_1", worst <= tol_density,
-               residual=max(0.0, worst), witness=wit,
+               residual=max(0.0, worst),
+               witness=probes[np.argmax(vals)] if vals.size else None,
                note="worst achieved infimum over the probe points")
     return report
 

@@ -239,9 +239,11 @@ def sup_linear_minus(source_points, offsets, targets):
     finite = np.isfinite(offsets)
     if not np.any(finite):
         raise Improper("no finite values to take a supremum over")
-    x = np.asarray(source_points, dtype=float)[finite]
-    c = offsets[finite]
+    x = np.ascontiguousarray(source_points, dtype=float)
+    c = offsets
     back = np.flatnonzero(finite)
+    if back.size < offsets.size:
+        x, c = x[finite], c[finite]
     targets = np.ascontiguousarray(np.atleast_2d(np.asarray(targets, dtype=float)))
     first, inverse = _distinct_rows(targets)
     collapse = first.size < targets.shape[0]

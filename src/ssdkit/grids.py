@@ -69,12 +69,14 @@ class GridSpec:
         eps = 1e-12 * np.maximum(1.0, np.abs(self.upper - self.lower))
         return np.all((pts >= self.lower - eps) & (pts <= self.upper + eps), axis=1)
 
-    def nearest_index(self, point) -> int:
-        """Flat index of the nearest node (ties to the lower index)."""
+    def nearest_index(self, point):
+        """Flat index of the nearest node (ties to the lower index), or an
+        array of them for rows of points."""
         point = np.asarray(point, dtype=float)
         idx = np.rint((point - self.lower) / self.spacing).astype(int)
         idx = np.clip(idx, 0, self.num - 1)
-        return int(np.ravel_multi_index(tuple(idx), self.shape()))
+        flat = np.ravel_multi_index(tuple(idx.T), self.shape())
+        return int(flat) if point.ndim == 1 else flat
 
     def subsample(self, step: int) -> "GridSpec":
         """Every step-th node per axis (keeps both endpoints when they align)."""

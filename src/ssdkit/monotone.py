@@ -16,7 +16,7 @@ import numpy as np
 
 from .duality import DualSsd, theorem_4_10_battery
 from .errors import DimensionMismatch, EmptySet, FBelowQ, PreconditionFailed
-from .fitzpatrick import FitzTriple
+from .fitzpatrick import FitzTriple, fitz_triple
 from .gridfn import GridFn, is_mas, nearest
 from .grids import GridSpec
 from .positivity import PointSet, _hausdorff, is_q_positive, p_set
@@ -146,16 +146,17 @@ def theorem_5_8_battery(space: SsdSpace, dual: DualSsd, a: MonotoneSet, grid: Gr
                         triple: FitzTriple | None = None) -> VerifyReport:
     """Product-space reading of the equivalence battery, plus the explicit
     classical form of the dual-side support inequality.  `triple`, when
-    given, is `fitz_triple(space, a.underlying, grid)` built by the caller."""
+    given, is `fitz_triple(space, a.underlying, grid)` built by the caller;
+    the classical form's sup over the set, max over a of <a, b*> - q(a) at
+    the image b* of each grid node, is the triple's theta on that image."""
+    if triple is None:
+        triple = fitz_triple(space, a.underlying, grid)
     report = theorem_4_10_battery(space, dual, a.underlying, grid,
                                   h_candidates=h_candidates, tol=tol, triple=triple)
     report.suite = "theorem_5_8"
-    nodes = grid.points()
-    image_nodes = nodes @ space.pairing.T
-    sup_terms = a.points @ image_nodes.T - space.q(a.points)[:, None]
-    sup_vals = np.max(sup_terms, axis=0)
-    prods = dual.q_tilde(image_nodes)
-    gap = prods - sup_vals
+    image, sup_vals = triple.dual_blocks[1]
+    image_nodes = image.points()
+    gap = dual.q_tilde(image_nodes) - sup_vals
     i = int(np.argmax(gap))
     report.add("b_classical_form", "thm_5_8b", float(gap[i]) <= tol,
                residual=max(0.0, float(gap[i])), witness=image_nodes[i],

@@ -123,22 +123,31 @@ def sets_match(space: SsdSpace, a_rows, b_rows, radius: float) -> tuple[bool, fl
 # -- positivity ------------------------------------------------------------------
 
 def is_q_positive(space: SsdSpace, a: PointSet, tol: float = tols.ATOL_CLOSED) -> VerifyReport:
-    """Pairwise test q(b - c) >= -tol; failure reports the worst pair."""
+    """Pairwise test q(b - c) >= -tol; failure reports the worst pair.
+
+    The min over pairs i < j runs through `nearest`, with each row's index
+    carried as a trailing column so the block kernel can mask j <= i; the
+    worst pair is the lowest (i, j) among equal minima."""
     if len(a) == 0:
         raise EmptySet("q-positivity needs a nonempty set")
-    qmat = pairwise_q(space, a.points, a.points)
-    iu = np.triu_indices(len(a), k=1)
     report = VerifyReport(suite="is_q_positive", tolerances={"tol": tol},
                           meta={"space": space.label, "set": a.label, "n": len(a)})
-    if iu[0].size == 0:
+    if len(a) == 1:
         report.add("pairwise_gap", "def_1_2", True, residual=0.0,
                    note="singleton: q(0) = 0")
         report.meta["min_pairwise_q"] = 0.0
         return report
-    vals = qmat[iu]
-    k = int(np.argmin(vals))
-    worst = float(vals[k])
-    pair = [a.points[iu[0][k]], a.points[iu[1][k]]]
+
+    def upper(x, y):  # q(x_i - y_j), +inf where j <= i
+        vals = pairwise_q(space, x[:, :-1], y[:, :-1])
+        vals[y[None, :, -1] <= x[:, -1, None]] = np.inf
+        return vals
+
+    rows = np.column_stack([a.points, np.arange(len(a))])
+    vals, cols = nearest(upper, rows, rows)
+    i = int(np.argmin(vals))
+    worst = float(vals[i])
+    pair = [a.points[i], a.points[cols[i]]]
     report.add("pairwise_gap", "def_1_2", worst >= -tol,
                residual=max(0.0, -worst), witness=pair)
     report.meta["min_pairwise_q"] = worst

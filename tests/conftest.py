@@ -92,6 +92,33 @@ def brute_force_min_plus(add, sources, targets, k):
     return best, arg
 
 
+def dense_sphere_scan(space, ys):
+    """Reference split-norm dual norms of the rows of ys: the radii of each
+    row's two halves against every point of the 200 001-point planar unit
+    sphere, scored elementwise as r1 a + r2 b, no matrix product."""
+    norm = space.norm
+    n = space.dim // 2
+    ys = np.atleast_2d(ys)
+    a = np.array([np.linalg.norm(y[:n]) for y in ys])
+    b = np.array([np.linalg.norm(y[n:]) for y in ys])
+    ts = np.linspace(0.0, np.pi / 2.0, 200_001)
+    r1, r2 = np.cos(ts), np.sin(ts)
+    lengths = norm.scale * norm.combine_halves(r1, r2)
+    r1, r2 = r1 / lengths, r2 / lengths
+    return np.max(r1[:, None] * a[None, :] + r2[:, None] * b[None, :], axis=0)
+
+
+def triu_min_q(space, points):
+    """Reference min of q(a_i - a_j) over i < j from the full dense matrix,
+    with the lowest (i, j) among equal minima."""
+    from ssdkit.spaces import pairwise_q
+
+    dense = pairwise_q(space, points, points)
+    iu = np.triu_indices(points.shape[0], k=1)
+    k = int(np.argmin(dense[iu]))
+    return float(dense[iu][k]), (int(iu[0][k]), int(iu[1][k]))
+
+
 def greedy_dedup(pts, tol=1e-12):
     """Reference PointSet dedup: keep a row unless an earlier kept row lies
     within Chebyshev distance tol; first occurrences, original order."""

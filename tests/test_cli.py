@@ -183,3 +183,45 @@ class TestConstructions:
 
     def test_project_requires_point(self, tmp_path):
         assert run(["project", "--out", tmp_path]) == 2
+
+
+class TestFlags:
+    """Each subcommand takes only the flags its command reads."""
+
+    READ = {
+        "verify": {"--out", "--set", "--grid", "--suite", "--tol", "--seed", "--format",
+                   "--lambda", "--epsilon"},
+        "report": {"--out"},
+        "conjugate": {"--out", "--fn", "--grid"},
+        "fitzpatrick": {"--out", "--space", "--set", "--grid"},
+        "project": {"--out", "--space", "--fn", "--grid", "--point", "--epsilon"},
+        "align": {"--out", "--set", "--point", "--dual-point", "--alpha", "--beta"},
+    }
+
+    def test_registered_flags_are_the_read_ones(self):
+        from ssdkit.cli import build_parser
+
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        assert set(sub.choices) == set(self.READ)
+        for name, parser in sub.choices.items():
+            flags = {s for a in parser._actions for s in a.option_strings
+                     if s.startswith("--") and s != "--help"}
+            assert flags == self.READ[name], name
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--fn", "x.csv"],
+        ["verify", "--space", "s.json"],
+        ["report", "--tol", "1"],
+        ["report", "--seed", "1"],
+        ["conjugate", "--set", "s.csv"],
+        ["fitzpatrick", "--fn", "f.csv"],
+        ["project", "--format", "csv"],
+        ["align", "--grid", "-1:1:3"],
+    ])
+    def test_unread_flag_is_usage_error(self, tmp_path, argv):
+        assert run(argv + ["--out", tmp_path / "out"]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_nonpositive_tolerance_is_config_error(self, tmp_path):
+        assert run(["verify", "--suite", "helix", "--tol", "0", "--out", tmp_path / "out"]) == 2
+        assert not (tmp_path / "out").exists()

@@ -25,9 +25,12 @@ from ssdkit.catalog import (
     singleton_origin,
     space_identity,
     space_nodual,
+    space_swap_r3,
     space_zero_pairing,
 )
 from ssdkit.duality import density_report
+
+from conftest import dense_sphere_scan
 
 SQRT2 = np.sqrt(2.0)
 
@@ -124,6 +127,47 @@ class TestDualNorms:
         assert numerical_dual_norm(prod_space, np.zeros(2)) == 0.0
         assert prod_dual.dual_norm(np.zeros(2)) == 0.0
 
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("kind", ["one", "two", "inf"])
+    @pytest.mark.parametrize("tau", [0.5, 1.0, 2.0])
+    def test_scan_matches_dense_sphere_oracle(self, n, kind, tau):
+        # one call over rows and one call per vector, against the elementwise
+        # scan; the sup kernel's matrix product rounds r1 a + r2 b its own way,
+        # so values may differ from the oracle by 2 ulp
+        space = product_space(n, kind, tau=tau)
+        ys = np.random.default_rng(7).uniform(-3, 3, size=(24, 2 * n))
+        ys[3] = 0.0
+        oracle = dense_sphere_scan(space, ys)
+        rows = numerical_dual_norm(space, ys)
+        assert rows.shape == (24,)
+        assert np.all(np.abs(rows - oracle) <= 2 * np.spacing(oracle))
+        assert rows[3] == 0.0
+        for y, want in zip(ys[:4], oracle[:4]):
+            one = numerical_dual_norm(space, y)
+            assert isinstance(one, float)
+            assert abs(one - want) <= 2 * np.spacing(want)
+
+    def test_zero_row_among_rows(self, prod_space):
+        vals = numerical_dual_norm(prod_space, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]))
+        assert vals[0] == 0.0 and vals[2] == 0.0 and vals[1] > 0.0
+
+    @pytest.mark.parametrize("kind,tau", [("two", 0.5), ("inf", 0.5), ("inf", 2.0)])
+    def test_check_verdicts_match_oracle(self, kind, tau):
+        # the check's worst error and witness, recomputed from the oracle scan
+        # of the same seeded samples, and its verdict on either side of it;
+        # these norms have a sampling error of 1e-10 to 1e-5, far above rounding
+        space = product_space(2, kind, tau=tau)
+        dual = make_dual(space)
+        ys = np.random.default_rng(42).uniform(-3.0, 3.0, size=(60, 4))
+        errs = np.abs(dense_sphere_scan(space, ys) - dual.dual_norm(ys))
+        worst = float(np.max(errs))
+        for tol, verdict in ((1e-4, True), (0.5 * worst, False)):
+            check = dual_norm_check(space, dual, n_samples=60, tol=tol) \
+                .check("dual_norm_closed_form")
+            assert check.status == ("pass" if verdict else "fail")
+            assert check.worst_residual == pytest.approx(worst, rel=0.0, abs=1e-14)
+            assert np.array_equal(check.witness, ys[int(np.argmax(errs))])
+
     def test_paper_coordinate_reading(self):
         # dual of the one-kind norm evaluates like the inf-kind formula on the
         # swapped halves (the dual vector reads (x*, x**) in dot coordinates)
@@ -154,6 +198,46 @@ class TestDensity:
                     w = np.array([0.0, b[0] + tau**2 * b[1]])
                     direct = dual.p_tilde(b - space.iota_apply(w))
                     assert abs(direct) <= 1e-12, (kind, tau, b)
+
+    @pytest.mark.parametrize("space_fn", [
+        lambda: product_space(1, "one", tau=0.5),
+        lambda: product_space(1, "two", tau=2.0),
+        lambda: product_space(2, "inf", tau=1.0),
+        lambda: space_identity(2),
+        space_swap_r3,
+    ])
+    def test_rows_match_per_probe_loop(self, space_fn):
+        # the pair scan plus the algebraic witnesses as array ops, against a
+        # loop over probes that takes each candidate with a strict `<`
+        from ssdkit.spaces import swap_matrix
+
+        space = space_fn()
+        dual = make_dual(space)
+        grid = default_grid(space.dim, -2.0, 2.0, 21 if space.dim == 2 else 9)
+        nodes = grid.points()
+        image = nodes @ space.pairing.T
+        probes = np.random.default_rng(3).uniform(-6, 6, size=(15, space.dim))
+        probes[4] = image[17]
+        vals, wits = p_tilde_density(space, dual, probes, grid)
+        n = space.dim // 2
+        split = (space.norm.variant in ("one", "two", "inf") and space.norm.scale == 1.0
+                 and np.array_equal(space.pairing, swap_matrix(n)))
+        for b, val, wit in zip(probes, vals, wits):
+            grid_vals = dual.p_tilde(b[None, :] - image)
+            i = int(np.argmin(grid_vals))
+            best, best_wit = float(grid_vals[i]), nodes[i]
+            cands = []
+            if split:
+                cands.append(np.concatenate([np.zeros(n), b[:n] + space.norm.tau**2 * b[n:]]))
+            cands.append(np.linalg.solve(space.pairing, b))
+            for w in cands:
+                v = float(dual.p_tilde(b - space.iota_apply(w)))
+                if v < best:
+                    best, best_wit = v, w
+            assert val == best
+            assert np.array_equal(wit, best_wit)
+            one_val, one_wit = p_tilde_density(space, dual, b, grid)
+            assert one_val == val and np.array_equal(one_wit, wit)
 
     def test_density_report_passes_for_special_norms(self, grid61):
         for kind in ("one", "two", "inf"):

@@ -381,6 +381,46 @@ class TestVzMas:
             assert abs(fat.values[idx] - prod_space.q(a)) <= 1e-9
 
 
+    def test_lemma_1_11_report_matches_per_point_loop(self, prod_space):
+        # the suite's one sup over the sampled touching points against the
+        # per-point loop it replaced, and the row form of nearest_index
+        from ssdkit import p_set
+        from ssdkit.catalog import default_grid, half_sq_norm_fn
+        from ssdkit.suites import run_suite
+
+        grid = default_grid(2, -3.0, 3.0, 61)  # the suite's default grid
+        f = half_sq_norm_fn(grid)
+        touching = p_set(f, prod_space)
+        fat = intrinsic_conjugate(f, prod_space)
+        sample = touching.points[:: max(1, len(touching) // 50)]
+        worst_pair = worst_conj = 0.0
+        per_point = []
+        for a in sample:
+            vals = grid.points() @ prod_space.pairing @ a - (prod_space.q(a) + f.values)
+            per_point.append(float(np.max(vals)))
+            worst_pair = max(worst_pair, per_point[-1])
+            worst_conj = max(worst_conj, abs(float(fat.values[grid.nearest_index(a)])
+                                             - prod_space.q(a)))
+        sup, _ = sup_over_blocks([(Lattice(grid, prod_space.pairing), f.values)], [sample])
+        assert np.allclose(sup - prod_space.q(sample), per_point, rtol=0.0, atol=1e-12)
+        assert np.array_equal(grid.nearest_index(sample),
+                              [grid.nearest_index(a) for a in sample])
+        rep = run_suite("lemma_1_6")[-1]
+        assert rep.check("touching_affine_bound").worst_residual == worst_pair
+        assert rep.check("touching_conjugate_value").worst_residual == worst_conj
+
+
+    def test_lemma_1_11_report_with_empty_touching_set(self):
+        # a grid with no diagonal node has no touching point: nothing to
+        # bound, so both checks pass with a zero residual
+        from ssdkit.suites import SuiteOptions, run_suite
+
+        grid = GridSpec(np.array([0.1, 0.0]), np.array([0.7, 1.0]), np.array([3, 3]))
+        rep = run_suite("lemma_1_6", SuiteOptions(grid=grid))[-1]
+        assert rep.passed
+        assert [c.worst_residual for c in rep.checks] == [0.0, 0.0]
+
+
 class TestRockafellar:
     def test_two_half_squares_on_r1(self):
         grid = GridSpec.box(-4, 4, 161, 1)

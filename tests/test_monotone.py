@@ -155,6 +155,28 @@ class TestTheorem58:
         rep = theorem_5_8_battery(prod_space, prod_dual, sign_graph_set(grid61), grid61)
         assert rep.passed
 
+    @pytest.mark.parametrize("set_fn", [
+        lambda grid: diagonal_set(-3.0, 3.0, 121), cubic_graph_set, sign_graph_set])
+    @pytest.mark.parametrize("prebuilt", [False, True])
+    def test_classical_form_matches_dense_max(self, prod_space, prod_dual, grid61,
+                                              set_fn, prebuilt):
+        # the classical form's sup over the set, read from the triple, against
+        # a dense numpy max over the set x image-of-grid matrix
+        from ssdkit import fitz_triple
+
+        a = set_fn(grid61)
+        triple = fitz_triple(prod_space, a.underlying, grid61) if prebuilt else None
+        rep = theorem_5_8_battery(prod_space, prod_dual, a, grid61, triple=triple)
+        image = grid61.points() @ prod_space.pairing.T
+        dense = np.max(a.points @ image.T - prod_space.q(a.points)[:, None], axis=0)
+        gap = prod_dual.q_tilde(image) - dense
+        i = int(np.argmax(gap))
+        check = rep.check("b_classical_form")
+        assert check.worst_residual == max(0.0, float(gap[i]))
+        assert np.array_equal(check.witness, image[i])
+        if prebuilt:
+            assert np.array_equal(triple.dual_blocks[1][1], dense)
+
     def test_singleton_refused(self, prod_space, prod_dual, grid61):
         with pytest.raises(PreconditionFailed):
             theorem_5_8_battery(prod_space, prod_dual,

@@ -35,7 +35,7 @@ from ssdkit.catalog import (
 )
 from ssdkit.positivity import _dedup
 
-from conftest import greedy_dedup
+from conftest import greedy_dedup, triu_min_q
 
 SQRT2 = np.sqrt(2.0)
 
@@ -65,6 +65,32 @@ class TestQPositivity:
         rng = np.random.default_rng(8)
         rep = is_q_positive(ident2, PointSet(rng.normal(size=(60, 2))))
         assert rep.passed
+
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_dense_triu_min(self, swap3, prod_space, ident2, rows, seed):
+        # integer points: every q(a_i - a_j) is exact, so many pairs tie and
+        # the witness must be the lowest (i, j), at any chunk size; under the
+        # identity pairing every pair gap is positive, so a kernel that let
+        # in q(0) = 0 from i = j would show
+        from unittest import mock
+
+        from ssdkit import gridfn
+
+        rng = np.random.default_rng(seed)
+        space = (prod_space, swap3, ident2)[seed % 3]
+        pts = rng.integers(-2, 3, size=(int(rng.integers(2, 40)), space.dim)).astype(float)
+        a = PointSet(pts)
+        n = len(a)
+        block = 1 << 23 if rows is None else (rows * n * (space.dim + 1)) << 2
+        with mock.patch.object(gridfn, "_BLOCK", block):
+            rep = is_q_positive(space, a)
+        worst, (i, j) = triu_min_q(space, a.points)
+        check = rep.check("pairwise_gap")
+        assert rep.meta["min_pairwise_q"] == worst
+        assert check.worst_residual == max(0.0, -worst)
+        assert np.array_equal(check.witness[0], a.points[i])
+        assert np.array_equal(check.witness[1], a.points[j])
 
     def test_empty_set_rejected(self, swap3):
         with pytest.raises(EmptySet):
@@ -107,6 +133,25 @@ class TestBoundedMemory:
                 tracemalloc.stop()
         assert peaks[1] <= 1.25 * peaks[0]
         assert peaks[1] < 64 << 20
+
+
+class TestQPositivityMemory:
+    """The pairwise-gap min over i < j runs in row chunks of at most 2^21
+    index-carrying coordinates, so its traced peak is the same at 1,500 and
+    2,000 points, under 24 MB (a full 2,000-point q block alone is 32 MB)."""
+
+    def test_peak_does_not_grow_with_set_size(self, prod_space):
+        peaks = []
+        for n in (1500, 2000):
+            a = diagonal_set(-3.0, 3.0, n).underlying
+            tracemalloc.start()
+            try:
+                assert is_q_positive(prod_space, a).passed
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
+        assert peaks[1] < 24 << 20
 
 
 class TestTouchingSet:
