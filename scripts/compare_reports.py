@@ -5,9 +5,10 @@ Usage: python3 scripts/compare_reports.py PARENT_DIR CHANGE_DIR [--ignore-meta K
 
 Every JSON file of either tree is compared with its namesake in the other:
 check ids, statuses, residuals, witnesses, tolerances, grids and meta must
-be equal, values exactly.  Each report's `wall_time` is ignored, and so is
-any meta key named with `--ignore-meta` (for keys one side adds).  Prints
-one line per difference and exits 1 if there is any, else 0.
+be equal, values exactly: floats by value and sign, so 0.0 and -0.0 differ.
+Each report's `wall_time` is ignored, and so is any meta key named with
+`--ignore-meta` (for keys one side adds).  Prints one line per difference
+and exits 1 if there is any, else 0.
 """
 
 from __future__ import annotations
@@ -63,10 +64,11 @@ def diff(a, b, path=""):
         for i, (x, y) in enumerate(zip(a, b)):
             out += diff(x, y, path + _label(x, i))
         return out
-    both_nan = isinstance(a, float) and isinstance(b, float) and a != a and b != b
-    if type(a) is not type(b) or (a != b and not both_nan):
-        return [f"{path}: {a!r} != {b!r}"]
-    return []
+    if isinstance(a, float) and isinstance(b, float):
+        same = repr(a) == repr(b)  # by value and sign; nan matches nan
+    else:
+        same = type(a) is type(b) and a == b
+    return [] if same else [f"{path}: {a!r} != {b!r}"]
 
 
 def compare_trees(parent: Path, change: Path, ignore_meta=()) -> list:

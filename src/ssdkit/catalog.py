@@ -173,11 +173,10 @@ def representer_fns(space: SsdSpace, a, grid: GridSpec):
     return triple.phi_fn, triple.star_theta_fn
 
 
-def vz_catalog(space: SsdSpace, grid: GridSpec, diag: MonotoneSet | None = None):
+def vz_catalog(space: SsdSpace, grid: GridSpec):
     """The four-function verdict catalog: worked example (pass), shifted
     pairing form (fail), and the two diagonal representers (pass)."""
-    diag = diag or diagonal_set(grid.lower[0], grid.upper[0],
-                                int(grid.num[0]) * 2 - 1)
+    diag = diagonal_set(grid.lower[0], grid.upper[0], int(grid.num[0]) * 2 - 1)
     phi_fn, star_fn = representer_fns(space, diag, grid)
     return {
         "worked_example": half_sq_norm_fn(grid),

@@ -235,7 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("verify", "run a named verification suite", "--set", "--grid")
     p.add_argument("--suite", default="all",
                    help="suite name or 'all' (known: %s)" % ", ".join(sorted(SUITES)))
-    p.add_argument("--tol", type=float, help="tolerance override")
+    p.add_argument("--tol", type=float,
+                   help="zero-sum tolerance of the lemma_4_7 suite (default 5e-3); "
+                        "no other suite reads it")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     p.add_argument("--lambda", dest="lam", type=float, default=None,

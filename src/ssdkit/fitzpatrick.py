@@ -125,16 +125,15 @@ def fitz_triple(space: SsdSpace, a: PointSet, grid: GridSpec) -> FitzTriple:
     return FitzTriple(a, space, theta_fn, phi_fn, star_fn, dual_blocks)
 
 
-def lemma_2_13_suite(space: SsdSpace, a: PointSet, grid: GridSpec,
-                     tol_exact: float = tols.ATOL_EXACT,
-                     tol_grid: float = tols.ATOL_GRID,
-                     tol_conj: float | None = None) -> VerifyReport:
+def lemma_2_13_suite(space: SsdSpace, a: PointSet, grid: GridSpec) -> VerifyReport:
     """Elementary representer properties, checked grid-relative.
 
     Exact finite-max identities are held to tol_exact; inequalities whose
     sides are all evaluated as grid sups to tol_grid; the conjugate-back
-    identity (the only genuinely dual-grid-limited part) to tol_conj.
+    identity (the only genuinely dual-grid-limited part) to tol_conj, half
+    the observed Lipschitz constant times the dual spacing.
     """
+    tol_exact, tol_grid = tols.ATOL_EXACT, tols.ATOL_GRID
     triple = fitz_triple(space, a, grid)
     pts = grid.points()
     qv = space.q(pts)
@@ -144,15 +143,12 @@ def lemma_2_13_suite(space: SsdSpace, a: PointSet, grid: GridSpec,
 
     v1 = triple.phi_fn.values
     v2 = qv - nearest(partial(pairwise_q, space), pts, a.points)[0]
-    i = int(np.argmax(np.abs(v1 - v2)))
-    report.add("a_two_formulas", "lemma_2_13a", abs(float(v1[i] - v2[i])) <= tol_exact,
-               residual=abs(float(v1[i] - v2[i])), witness=pts[i])
+    report.add_worst("a_two_formulas", "lemma_2_13a", np.abs(v1 - v2), pts, tol_exact)
 
     phi_on_a = phi(space, a, a.points)
     q_on_a = space.q(a.points)
-    j = int(np.argmax(np.abs(phi_on_a - q_on_a)))
-    report.add("b_phi_touches", "lemma_2_13b", abs(float(phi_on_a[j] - q_on_a[j])) <= tol_exact,
-               residual=abs(float(phi_on_a[j] - q_on_a[j])), witness=a.points[j])
+    report.add_worst("b_phi_touches", "lemma_2_13b", np.abs(phi_on_a - q_on_a), a.points,
+                     tol_exact)
 
     # sup sources augmented with the set itself so the finite-max identities
     # stay exact even when the set does not sit on grid nodes
@@ -161,23 +157,16 @@ def lemma_2_13_suite(space: SsdSpace, a: PointSet, grid: GridSpec,
     mapped_grid = Lattice(grid, space.pairing)
     mapped_set = a.points @ space.pairing
 
-    if tol_conj is None:
-        h_d = float(np.max(triple.theta_fn.grid.spacing))
-        lip = tols.observed_lipschitz(triple.star_theta_fn.values_nd(), grid.spacing)
-        tol_conj = max(tols.ATOL_GRID, 0.5 * lip * h_d)
+    h_d = float(np.max(triple.theta_fn.grid.spacing))
+    lip = tols.observed_lipschitz(triple.star_theta_fn.values_nd(), grid.spacing)
+    tol_conj = max(tols.ATOL_GRID, 0.5 * lip * h_d)
     back_sources = [(mapped_grid, st_nodes), (mapped_set, st_on_a)]
     back, _ = sup_over_blocks(back_sources, [Lattice(grid)])
-    d_res = np.abs(back - triple.phi_fn.values)
-    k = int(np.argmax(d_res))
     report.tolerances["tol_conj"] = tol_conj
-    report.add("d_conjugate_back", "lemma_2_13d", float(d_res[k]) <= tol_conj,
-               residual=float(d_res[k]), witness=pts[k],
-               note="dual-grid-limited identity")
+    report.add_worst("d_conjugate_back", "lemma_2_13d", np.abs(back - triple.phi_fn.values),
+                     pts, tol_conj, note="dual-grid-limited identity")
 
-    e_res = st_on_a - q_on_a
-    m = int(np.argmax(e_res))
-    report.add("e_star_below_q", "lemma_2_13e", float(e_res[m]) <= tol_exact,
-               residual=max(0.0, float(e_res[m])), witness=a.points[m])
+    report.add_worst("e_star_below_q", "lemma_2_13e", st_on_a - q_on_a, a.points, tol_exact)
 
     phi_sources = [(mapped_grid, triple.phi_fn.values), (mapped_set, phi_on_a)]
     phi_at_aug, _ = sup_over_blocks(phi_sources, [Lattice(grid), a.points])
@@ -187,13 +176,9 @@ def lemma_2_13_suite(space: SsdSpace, a: PointSet, grid: GridSpec,
         "conjugate_back": sup_paths(back_sources, [Lattice(grid)]),
         "phi_at": sup_paths(phi_sources, [Lattice(grid), a.points]),
     }
-    f1 = phi_at - st_nodes
-    f2 = np.maximum(triple.phi_fn.values, qv) - phi_at
-    r1, r2 = int(np.argmax(f1)), int(np.argmax(f2))
-    report.add("f_sandwich_upper", "lemma_2_13f", float(f1[r1]) <= tol_grid,
-               residual=max(0.0, float(f1[r1])), witness=pts[r1])
-    report.add("f_sandwich_lower", "lemma_2_13f", float(f2[r2]) <= tol_grid,
-               residual=max(0.0, float(f2[r2])), witness=pts[r2])
+    report.add_worst("f_sandwich_upper", "lemma_2_13f", phi_at - st_nodes, pts, tol_grid)
+    report.add_worst("f_sandwich_lower", "lemma_2_13f",
+                     np.maximum(triple.phi_fn.values, qv) - phi_at, pts, tol_grid)
 
     g_res = max(float(np.max(np.abs(st_on_a - q_on_a))),
                 float(np.max(np.abs(phi_at_on_a - q_on_a))))
@@ -203,10 +188,8 @@ def lemma_2_13_suite(space: SsdSpace, a: PointSet, grid: GridSpec,
     mx = is_maximally_q_positive(space, a, grid)
     if mx.passed:
         cell = tols.cell_norm(space, grid)
-        h_gap = qv - triple.phi_fn.values
-        hh = int(np.argmax(h_gap))
-        report.add("h_phi_dominates_q", "lemma_2_13h", float(h_gap[hh]) <= tol_grid,
-                   residual=max(0.0, float(h_gap[hh])), witness=pts[hh])
+        report.add_worst("h_phi_dominates_q", "lemma_2_13h", qv - triple.phi_fn.values,
+                         pts, tol_grid)
         h2 = float(np.max(st_on_a - q_on_a))
         report.add("h_set_in_touching", "lemma_2_13h", h2 <= tol_grid,
                    residual=max(0.0, h2),
@@ -254,14 +237,11 @@ def theorem_2_15_reports(space: SsdSpace, f: GridFn, candidates,
                         meta={"space": space.label, "fn": f.form})
     slack = tols.tol_p_membership()
     lo = triple.phi_fn.values - f.values - slack
-    i = int(np.nanargmax(np.where(np.isfinite(lo), lo, -np.inf)))
-    base.add("f_above_phi", "thm_2_15_1", float(lo[i]) <= tol,
-             residual=max(0.0, float(lo[i])), witness=pts[i])
+    base.add_worst("f_above_phi", "thm_2_15_1", np.where(np.isfinite(lo), lo, -np.inf),
+                   pts, tol)
     hi = f.values - triple.star_theta_fn.values - slack
-    finite = np.isfinite(hi)
-    j = int(np.argmax(np.where(finite, hi, -np.inf)))
-    base.add("f_below_star", "thm_2_15_1", float(hi[j]) <= tol if finite.any() else True,
-             residual=max(0.0, float(hi[j])) if finite.any() else 0.0, witness=pts[j])
+    base.add_worst("f_below_star", "thm_2_15_1", np.where(np.isfinite(hi), hi, -np.inf),
+                   pts, tol)
     dual_pts = triple.dual_points
     duals = [b for b, _ in triple.dual_blocks]
     f_sources = [(Lattice(grid), f.values), (a.points, f.evaluate(a.points))]
@@ -272,13 +252,10 @@ def theorem_2_15_reports(space: SsdSpace, f: GridFn, candidates,
     base.meta["sup_path"] = {"star_theta": triple.star_theta_path(),
                              "f_star": sup_paths(f_sources, duals),
                              "phi_star": sup_paths(phi_sources, duals)}
-    c1 = theta_vals - f_star - slack
-    c2 = f_star - phi_star - slack
-    k1, k2 = int(np.argmax(c1)), int(np.argmax(c2))
-    base.add("fstar_above_theta", "thm_2_15_1", float(c1[k1]) <= tol,
-             residual=max(0.0, float(c1[k1])), witness=dual_pts[k1])
-    base.add("fstar_below_phistar", "thm_2_15_1", float(c2[k2]) <= tol,
-             residual=max(0.0, float(c2[k2])), witness=dual_pts[k2])
+    base.add_worst("fstar_above_theta", "thm_2_15_1", theta_vals - f_star - slack,
+                   dual_pts, tol)
+    base.add_worst("fstar_below_phistar", "thm_2_15_1", f_star - phi_star - slack,
+                   dual_pts, tol)
     for h in candidates:
         report = copy.deepcopy(base)
         if h is None:
@@ -325,13 +302,11 @@ def sigma_minorant_test(space: SsdSpace, a: PointSet, h: GridFn,
         lip = tols.observed_lipschitz(h.values_nd(), h.grid.spacing)
         tol = max(tols.ATOL_GRID, 0.5 * (lip + 1.0) * h_d)
     gap = h.values - triple.star_theta_fn.values
-    finite = np.isfinite(gap)
-    i = int(np.argmax(np.where(finite, gap, -np.inf)))
     report = VerifyReport(suite="sigma_minorant", grid=h.grid.to_dict(),
                           tolerances={"tol": tol},
                           meta={"space": space.label, "set": a.label})
-    report.add("minorant_below_star", "thm_2_16", float(gap[i]) <= tol,
-               residual=max(0.0, float(gap[i])), witness=h.grid.points()[i])
+    report.add_worst("minorant_below_star", "thm_2_16",
+                     np.where(np.isfinite(gap), gap, -np.inf), h.grid.points(), tol)
     return report
 
 

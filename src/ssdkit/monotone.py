@@ -78,16 +78,14 @@ def monotonicity_report(space: SsdSpace, a: MonotoneSet, tol=tols.ATOL_CLOSED) -
     return report
 
 
-def mf_set(f: GridFn, space: SsdSpace, tol_p: float | None = None,
-           label: str = "") -> MonotoneSet:
+def mf_set(f: GridFn, space: SsdSpace) -> MonotoneSet:
     """Grid pairs where f meets the duality product; monotone by construction.
 
     Membership within tol_p plus one-cell fattening bounds how far pairwise
     products can dip; the monotonicity recheck runs at that tolerance.
     """
-    if tol_p is None:
-        tol_p = tols.tol_p_membership()
-    ps = p_set(f, space, tol_p=tol_p, label=label or "represented set")
+    tol_p = tols.tol_p_membership()
+    ps = p_set(f, space, tol_p=tol_p, label="represented set")
     if len(ps):
         rep = is_q_positive(space, ps,
                             tol=tols.touching_positivity_tol(space, f.grid, tol_p))
@@ -112,13 +110,11 @@ def type_ni_check(space: SsdSpace, a: MonotoneSet, dual: DualSsd,
         dual_points = grid.points() @ space.pairing.T
     gaps, _ = nearest(partial(pairwise_q, dual.as_space), dual_points,
                       a.points @ space.pairing.T)
-    i = int(np.argmax(gaps))
     report = VerifyReport(suite="type_ni_check",
                           tolerances={"tol": tol},
                           meta={"space": space.label, "set": a.underlying.label,
                                 "reading": "bidual identified with the primal space"})
-    report.add("nonpositive_infimum", "def_5_7", float(gaps[i]) <= tol,
-               residual=max(0.0, float(gaps[i])), witness=dual_points[i])
+    report.add_worst("nonpositive_infimum", "def_5_7", gaps, dual_points, tol)
     return report
 
 
@@ -156,11 +152,8 @@ def theorem_5_8_battery(space: SsdSpace, dual: DualSsd, a: MonotoneSet, grid: Gr
     report.suite = "theorem_5_8"
     image, sup_vals = triple.dual_blocks[1]
     image_nodes = image.points()
-    gap = dual.q_tilde(image_nodes) - sup_vals
-    i = int(np.argmax(gap))
-    report.add("b_classical_form", "thm_5_8b", float(gap[i]) <= tol,
-               residual=max(0.0, float(gap[i])), witness=image_nodes[i],
-               note="support of the set dominates the duality product")
+    report.add_worst("b_classical_form", "thm_5_8b", dual.q_tilde(image_nodes) - sup_vals,
+                     image_nodes, tol, note="support of the set dominates the duality product")
     return report
 
 
@@ -204,15 +197,15 @@ class AlignmentResult:
         }
 
 
-def negative_alignment(a: MonotoneSet, x, xstar, alpha: float, beta: float,
-                       axis_exclusion_tol: float = 1e-12) -> AlignmentResult:
+def negative_alignment(a: MonotoneSet, x, xstar, alpha: float, beta: float) -> AlignmentResult:
     """Exact minimization of the balanced-approach objective over the sample.
 
     At desk scale the infimum is attained, so the approach sequence collapses
-    to the constant minimizer.  Minimizers sitting exactly on y = x or
-    y* = x* are excluded (the alignment ratio is undefined there) and the
-    next-best point is taken; the count of exclusions is recorded.
+    to the constant minimizer.  Minimizers sitting on y = x or y* = x*
+    (within 1e-12) are excluded (the alignment ratio is undefined there) and
+    the next-best point is taken; the count of exclusions is recorded.
     """
+    axis_exclusion_tol = 1e-12
     if len(a) == 0:
         raise EmptySet("need a nonempty monotone set")
     if alpha <= 0 or beta <= 0:
@@ -254,13 +247,12 @@ def negative_alignment(a: MonotoneSet, x, xstar, alpha: float, beta: float,
 
 
 def alignment_report(a: MonotoneSet, x, xstar, alpha, beta,
-                     gate_tol: float | None = None,
                      tol: float = 1e-6) -> VerifyReport:
     """Check the balanced-approach limit relations at the extracted minimizer.
 
     The balance and alignment assertions only apply when the objective
-    minimum clears the gate (it vanishes in the limit; on a sample it merely
-    has to be small).
+    minimum clears the gate, 1e-8 plus 5% of rho * sigma (it vanishes in the
+    limit; on a sample it merely has to be small).
     """
     res = negative_alignment(a, x, xstar, alpha, beta)
     report = VerifyReport(suite="negative_alignment",
@@ -272,8 +264,7 @@ def alignment_report(a: MonotoneSet, x, xstar, alpha, beta,
         report.add("on_set_omega_zero", "thm_5_5b", res.omega == 0.0, residual=res.omega,
                    note="point lies in the set; ratios undefined")
         return report
-    if gate_tol is None:
-        gate_tol = 1e-8 + 0.05 * max(res.rho * res.sigma, 1e-8)
+    gate_tol = 1e-8 + 0.05 * max(res.rho * res.sigma, 1e-8)
     gated = res.objective_min <= gate_tol
     report.tolerances["gate_tol"] = gate_tol
     report.add("balance", "thm_5_5b", (res.balance_gap <= tol) if gated else False,
@@ -321,27 +312,21 @@ def remark_5_6_bound(a: MonotoneSet, f: GridFn, space: SsdSpace, c_grid: GridSpe
     report = VerifyReport(suite="remark_5_6", grid=c_grid.to_dict(),
                           tolerances={"tol": tol, "cell_slack": 2.0 * cell},
                           meta={"space": space.label, "fn": f.form})
-    r1 = dist - (_SQRT2 * np.sqrt(neg_inf) + 2.0 * cell)
-    i = int(np.argmax(r1))
-    report.add("dist_vs_product", "remark_5_6", float(r1[i]) <= 0.0,
-               residual=max(0.0, float(r1[i])), witness=pts[i])
+    report.add_worst("dist_vs_product", "remark_5_6",
+                     dist - (_SQRT2 * np.sqrt(neg_inf) + 2.0 * cell), pts)
     r2 = neg_inf - (np.maximum(fq, 0.0) + tols.tol_p_membership() + tol)
-    j = int(np.argmax(np.where(np.isfinite(r2), r2, -np.inf)))
-    report.add("product_vs_gap", "remark_5_6", float(r2[j]) <= 0.0,
-               residual=max(0.0, float(r2[j])), witness=pts[j])
+    report.add_worst("product_vs_gap", "remark_5_6", np.where(np.isfinite(r2), r2, -np.inf), pts)
     r3 = dist - (2.0 * np.sqrt(np.maximum(fq, 0.0)) + 2.0 * cell)
-    finite = np.isfinite(r3)
-    k = int(np.argmax(np.where(finite, r3, -np.inf)))
-    report.add("classical_constant_two", "remark_5_6", float(r3[k]) <= 0.0,
-               residual=max(0.0, float(r3[k])), witness=pts[k],
-               note="weaker literature bound, for context")
+    report.add_worst("classical_constant_two", "remark_5_6",
+                     np.where(np.isfinite(r3), r3, -np.inf), pts,
+                     note="weaker literature bound, for context")
     return report
 
 
-def projection_closure_check(f: GridFn, space: SsdSpace,
-                             tol_cells: float = 2.0) -> VerifyReport:
+def projection_closure_check(f: GridFn, space: SsdSpace) -> VerifyReport:
     """The represented set and the effective domain have the same axis
-    projections up to grid resolution, and those projections are intervals."""
+    projections up to two grid cells, and those projections are intervals."""
+    tol_cells = 2.0
     n = space.dim // 2
     touch = mf_set(f, space)
     if len(touch) == 0:

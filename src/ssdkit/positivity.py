@@ -154,15 +154,15 @@ def is_q_positive(space: SsdSpace, a: PointSet, tol: float = tols.ATOL_CLOSED) -
     return report
 
 
-def is_maximally_q_positive(space: SsdSpace, a: PointSet, candidate_grid: GridSpec,
-                            q_tol: float = tols.ATOL_CLOSED,
-                            dist_tol: float | None = None) -> VerifyReport:
-    """Grid-relative maximality: no candidate node farther than dist_tol from
-    the set extends it (pairwise gaps all >= -q_tol against the set)."""
+def is_maximally_q_positive(space: SsdSpace, a: PointSet,
+                            candidate_grid: GridSpec) -> VerifyReport:
+    """Grid-relative maximality: no candidate node farther than dist_tol (two
+    grid cells) from the set extends it (pairwise gaps all >= -q_tol against
+    the set)."""
     if len(a) == 0:
         raise EmptySet("maximality needs a nonempty set")
-    if dist_tol is None:
-        dist_tol = 2.0 * tols.cell_norm(space, candidate_grid)
+    q_tol = tols.ATOL_CLOSED
+    dist_tol = 2.0 * tols.cell_norm(space, candidate_grid)
     pts = candidate_grid.points()
     dists, _ = nearest(partial(pairwise_norm, space), pts, a.points)
     outside = dists > dist_tol
@@ -215,12 +215,10 @@ def p_dense_check(space: SsdSpace, a: PointSet, c_grid: GridSpec,
         tol_density = max(tols.DENSITY_TOL, tols.one_cell_p_bound(space, c_grid))
     pts = c_grid.points()
     best, _ = nearest(partial(pairwise_p, space), pts, a.points)
-    i = int(np.argmax(best))
     report = VerifyReport(suite="p_dense_check", grid=c_grid.to_dict(),
                           tolerances={"tol_density": tol_density},
                           meta={"space": space.label, "set": a.label})
-    report.add("gauge_density", "def_2_6", float(best[i]) <= tol_density,
-               residual=float(best[i]), witness=pts[i])
+    report.add_worst("gauge_density", "def_2_6", best, pts, tol_density)
     return report
 
 
@@ -360,13 +358,13 @@ def recheck_trace(trace: ProjectionTrace, f: GridFn, space: SsdSpace) -> VerifyR
 
 
 def dist_bounds_check(f: GridFn, space: SsdSpace, c_grid: GridSpec,
-                      tol: float | None = None, ratio_floor: float | None = None) -> VerifyReport:
+                      tol: float | None = None) -> VerifyReport:
     """Distance-to-touching-set bounds with the sharpness ratio probe.
 
     Checks dist(c, P) <= sqrt(2) sqrt(-inf q(c - P)) + slack and
     dist(c, P) <= sqrt(2) sqrt((f - q)(c)), plus the chain
     -inf q(c - P) <= (f - q)(c).  Records max dist / sqrt(-inf q) over
-    candidates whose denominator clears ratio_floor.
+    candidates whose denominator clears ratio_floor, 16 squared grid cells.
     """
     p = p_set(f, space)
     if len(p) == 0:
@@ -383,21 +381,14 @@ def dist_bounds_check(f: GridFn, space: SsdSpace, c_grid: GridSpec,
     report = VerifyReport(suite="dist_bounds_check", grid=c_grid.to_dict(),
                           tolerances={"tol": tol, "cell_slack": slack},
                           meta={"space": space.label, "touching_n": len(p)})
-    r1 = dists - (_SQRT2 * np.sqrt(np.maximum(fq, 0.0)) + tol)
-    i = int(np.argmax(r1))
-    report.add("dist_vs_gap", "eq_2_7_1", float(r1[i]) <= 0.0,
-               residual=max(0.0, float(r1[i])), witness=pts[i])
-    r2 = dists - (_SQRT2 * np.sqrt(neg_inf_q) + slack)
-    j = int(np.argmax(r2))
-    report.add("dist_vs_infq", "thm_2_9a", float(r2[j]) <= 0.0,
-               residual=max(0.0, float(r2[j])), witness=pts[j],
-               note="additive slack of two grid cells for the sampled set")
-    r3 = neg_inf_q - (np.maximum(fq, 0.0) + tol)
-    k = int(np.argmax(r3))
-    report.add("infq_below_gap", "remark_2_17", float(r3[k]) <= 0.0,
-               residual=max(0.0, float(r3[k])), witness=pts[k])
-    if ratio_floor is None:
-        ratio_floor = 16.0 * tols.cell_norm(space, c_grid) ** 2
+    report.add_worst("dist_vs_gap", "eq_2_7_1",
+                     dists - (_SQRT2 * np.sqrt(np.maximum(fq, 0.0)) + tol), pts)
+    report.add_worst("dist_vs_infq", "thm_2_9a",
+                     dists - (_SQRT2 * np.sqrt(neg_inf_q) + slack), pts,
+                     note="additive slack of two grid cells for the sampled set")
+    report.add_worst("infq_below_gap", "remark_2_17",
+                     neg_inf_q - (np.maximum(fq, 0.0) + tol), pts)
+    ratio_floor = 16.0 * cell**2
     valid = neg_inf_q >= ratio_floor
     if np.any(valid):
         ratios = dists[valid] / np.sqrt(neg_inf_q[valid])
@@ -427,16 +418,12 @@ def lemma_2_8_suite(space: SsdSpace, a: PointSet, h: GridFn, c_grid: GridSpec,
                           tolerances={"tol": tol, "cell_slack": 2.0 * cell},
                           meta={"space": space.label, "set": a.label})
     inf_q, _ = nearest(partial(pairwise_q, space), pts, a.points)
-    i = int(np.argmax(inf_q))
-    q_cell = tols.one_cell_p_bound(space, c_grid)
-    report.add("infq_nonpositive", "lemma_2_8a", float(inf_q[i]) <= q_cell,
-               residual=max(0.0, float(inf_q[i])), witness=pts[i],
-               note="one-cell slack for the sampled set")
+    report.add_worst("infq_nonpositive", "lemma_2_8a", inf_q, pts,
+                     tols.one_cell_p_bound(space, c_grid),
+                     note="one-cell slack for the sampled set")
     dists, _ = nearest(partial(pairwise_norm, space), pts, a.points)
-    r = dists - (_SQRT2 * np.sqrt(np.maximum(0.0, -inf_q)) + 2.0 * cell)
-    j = int(np.argmax(r))
-    report.add("dist_bound", "lemma_2_8a", float(r[j]) <= 0.0,
-               residual=max(0.0, float(r[j])), witness=pts[j])
+    report.add_worst("dist_bound", "lemma_2_8a",
+                     dists - (_SQRT2 * np.sqrt(np.maximum(0.0, -inf_q)) + 2.0 * cell), pts)
     hq = h.values - space.q(h.grid.points())
     above = float(np.min(hq)) >= -tols.tol_p_membership()
     touch = p_set(h, space) if above else None

@@ -78,10 +78,19 @@ class VerifyReport:
         self.checks.append(CheckResult(check_id, anchor, status, res, witness, note))
         return self.checks[-1]
 
-    def extend(self, other: "VerifyReport", prefix: str = ""):
+    def add_worst(self, check_id, anchor, excess, witnesses, tol=0.0, note=""):
+        """Record the sampled inequality excess <= tol at its worst node: the
+        first argmax i of `excess` decides the verdict, max(0, excess[i]) is
+        the residual and witnesses[i] the witness.  A lower bound x >= -tol
+        passes -x, a two-sided one |x|, and a masked node -inf."""
+        i = int(np.argmax(excess))
+        worst = float(excess[i])
+        return self.add(check_id, anchor, worst <= tol, residual=max(0.0, worst),
+                        witness=witnesses[i], note=note)
+
+    def extend(self, other: "VerifyReport"):
         for c in other.checks:
-            cid = f"{prefix}{c.check_id}" if prefix else c.check_id
-            self.checks.append(CheckResult(cid, c.anchor, c.status, c.worst_residual,
+            self.checks.append(CheckResult(c.check_id, c.anchor, c.status, c.worst_residual,
                                            c.witness, c.note))
         self.tolerances.update(other.tolerances)
 

@@ -378,11 +378,8 @@ def check_banach_ssd(space: SsdSpace, probe="analytic", tol: float = 1e-9):
         report.meta["method"] = "analytic"
     else:
         pts = probe.points()
-        pv = space.p(pts)
-        i = int(np.argmin(pv))
-        report.add("gauge_nonnegative", "eq_2_1_1", float(pv[i]) >= -tol,
-                   residual=max(0.0, -float(pv[i])), witness=pts[i],
-                   note="grid minimum of p")
+        report.add_worst("gauge_nonnegative", "eq_2_1_1", -space.p(pts), pts, tol,
+                         note="grid minimum of p")
         report.grid = probe.to_dict()
         report.meta["method"] = "sampled"
     return report
@@ -422,17 +419,12 @@ def lipschitz_checks(space: SsdSpace, n_pairs: int = 1000, seed: int = 42,
                           meta={"space": space.label, "n_pairs": n_pairs,
                                 "operator_norm": opnorm,
                                 "operator_norm_estimated": estimated})
-    i = int(np.argmax(q_resid))
-    report.add("q_continuity", "eq_2_1_3", float(q_resid[i]) <= tol,
-               residual=max(0.0, float(q_resid[i])), witness=[d[i], e[i]])
-    j = int(np.argmax(p_resid))
-    report.add("p_continuity", "eq_2_1_5", float(p_resid[j]) <= tol,
-               residual=max(0.0, float(p_resid[j])), witness=[d[j], e[j]])
+    pairs = np.stack([d, e], axis=1)
+    report.add_worst("q_continuity", "eq_2_1_3", q_resid, pairs, tol)
+    report.add_worst("p_continuity", "eq_2_1_5", p_resid, pairs, tol)
     k = rng.uniform(-radius, radius, size=(n_pairs, space.dim))
     m = rng.uniform(-radius, radius, size=(n_pairs, space.dim))
     bound = opnorm * space.norm(k) * space.norm(m)
     vals = np.abs(np.einsum("ni,ij,nj->n", k, space.pairing, m))
-    r = int(np.argmax(vals - bound))
-    report.add("pairing_bound", "eq_2_1_2", float(vals[r] - bound[r]) <= tol,
-               residual=max(0.0, float(vals[r] - bound[r])), witness=[k[r], m[r]])
+    report.add_worst("pairing_bound", "eq_2_1_2", vals - bound, np.stack([k, m], axis=1), tol)
     return report

@@ -1,11 +1,15 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssdkit.cli import main
 from ssdkit.catalog import default_grid, half_sq_norm_fn, space_r2_product
 from ssdkit.gridfn import GridFn
+from ssdkit.reports import FAIL, PASS, VerifyReport
 
 
 def run(args):
@@ -140,6 +144,60 @@ class TestReport:
 
     def test_empty_dir_is_missing_artifacts(self, tmp_path):
         assert run(["report", "--out", tmp_path / "nothing"]) == 2
+
+
+class TestAddWorst:
+    """`VerifyReport.add_worst`: the first argmax decides, the residual is
+    clamped at 0 and the witness is the row at the argmax."""
+
+    @staticmethod
+    def add(excess, tol=0.0, witnesses=None):
+        excess = np.asarray(excess, dtype=float)
+        if witnesses is None:
+            witnesses = np.arange(excess.size)[:, None] * np.ones((1, 2))
+        return VerifyReport().add_worst("c", "a", excess, witnesses, tol, note="n")
+
+    def test_record_and_ties_to_lowest_index(self):
+        rep = VerifyReport()
+        check = rep.add_worst("c", "anchor", np.array([1.0, 3.0, 2.0, 3.0]),
+                              np.array([[0.0], [1.0], [2.0], [3.0]]), 5.0, note="n")
+        assert check is rep.checks[-1]
+        assert (check.check_id, check.anchor, check.note) == ("c", "anchor", "n")
+        assert check.status == PASS and check.worst_residual == 3.0
+        assert check.witness.tolist() == [1.0]
+
+    def test_excess_equal_to_tol_passes(self):
+        assert self.add([-1.0, 1e-9], tol=1e-9).status == PASS
+        above = np.nextafter(1e-9, np.inf)
+        check = self.add([-1.0, above], tol=1e-9)
+        assert check.status == FAIL and check.worst_residual == above
+        assert self.add([0.0, -0.0]).status == PASS
+
+    @pytest.mark.parametrize("excess", [[-3.0, -1.0, -2.0], [-0.0, -5.0]])
+    def test_negative_worst_gives_zero_residual(self, excess):
+        check = self.add(excess)
+        assert check.status == PASS
+        assert check.worst_residual == 0.0 and math.copysign(1.0, check.worst_residual) == 1.0
+
+    def test_all_masked_passes_at_row_zero(self):
+        vals = np.array([np.inf, np.nan, -np.inf])
+        masked = np.where(np.isfinite(vals), vals, -np.inf)
+        check = self.add(masked, witnesses=np.array([[7.0, 8.0], [1.0, 2.0], [3.0, 4.0]]))
+        assert check.status == PASS and check.worst_residual == 0.0
+        assert check.witness.tolist() == [7.0, 8.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([-2.0, -1.0, -1e-9, -0.0, 0.0, 1e-9, 1.0, 2.0,
+                                     -np.inf, np.inf]), min_size=1, max_size=12),
+           st.sampled_from([0.0, 1e-9, 1.0]))
+    def test_lower_bound_as_negation_matches_argmin(self, xs, tol):
+        x = np.array(xs)
+        i = int(np.argmin(x))
+        old = (float(x[i]) >= -tol, max(0.0, -float(x[i])), i)
+        check = self.add(-x, tol=tol, witnesses=np.arange(x.size))
+        new = (check.status == PASS, check.worst_residual, int(check.witness))
+        assert new == old
+        assert math.copysign(1.0, new[1]) == math.copysign(1.0, old[1])
 
 
 class TestConstructions:

@@ -65,3 +65,20 @@ def test_missing_report_file(compare, trees, capsys):
     (change / "helix.json").unlink()
     assert compare([str(parent), str(change)]) == 1
     assert "helix.json: only in parent" in capsys.readouterr().out
+
+
+def test_signed_zero_flip_is_a_difference(compare, trees, capsys):
+    parent, change = trees
+
+    def zero(sign):
+        def edit(doc):
+            doc["reports"][0]["checks"][0]["worst_residual"] = sign * 0.0
+        return edit
+
+    _edit(parent / "helix.json", zero(1.0))
+    _edit(change / "helix.json", zero(-1.0))
+    assert compare([str(parent), str(change)]) == 1
+    out = capsys.readouterr().out
+    assert "worst_residual: 0.0 != -0.0" in out and "1 difference(s)" in out
+    _edit(change / "helix.json", zero(1.0))
+    assert compare([str(parent), str(change)]) == 0

@@ -137,8 +137,9 @@ class TestBoundedMemory:
 
 class TestQPositivityMemory:
     """The pairwise-gap min over i < j runs in row chunks of at most 2^21
-    index-carrying coordinates, so its traced peak is the same at 1,500 and
-    2,000 points, under 24 MB (a full 2,000-point q block alone is 32 MB)."""
+    index-carrying coordinates and frees each block before building the next,
+    so its traced peak is the same at 1,500 and 2,000 points, under 12 MB (a
+    full 2,000-point q block alone is 32 MB)."""
 
     def test_peak_does_not_grow_with_set_size(self, prod_space):
         peaks = []
@@ -151,7 +152,7 @@ class TestQPositivityMemory:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.25 * peaks[0]
-        assert peaks[1] < 24 << 20
+        assert peaks[1] < 12 << 20
 
 
 class TestTouchingSet:
