@@ -6,9 +6,9 @@ Usage: python3 scripts/compare_reports.py PARENT_DIR CHANGE_DIR [--ignore-meta K
 Every JSON file of either tree is compared with its namesake in the other:
 check ids, statuses, residuals, witnesses, tolerances, grids and meta must
 be equal, values exactly: floats by value and sign, so 0.0 and -0.0 differ.
-Each report's `wall_time` is ignored, and so is any meta key named with
-`--ignore-meta` (for keys one side adds).  Prints one line per difference
-and exits 1 if there is any, else 0.
+A `wall_time` key is ignored at any depth, and so is any meta key named
+with `--ignore-meta` (for keys one side adds).  Prints one line per
+difference and exits 1 if there is any, else 0.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 
 
 def _strip(doc, ignore_meta):
-    """The document without report wall times and the ignored meta keys."""
+    """The document without `wall_time` keys and the ignored meta keys."""
     if isinstance(doc, dict):
         out = {}
         for key, val in doc.items():

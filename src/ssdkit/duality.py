@@ -26,7 +26,6 @@ from .gridfn import (
     Lattice,
     _on_differences,
     block_points,
-    inf_paths,
     intrinsic_conjugate,
     is_mas,
     is_vz,
@@ -34,7 +33,6 @@ from .gridfn import (
     nearest,
     sup_linear_minus,
     sup_over_blocks,
-    sup_paths,
     zero_infconv_residuals,
 )
 from .grids import GridSpec, image_box
@@ -287,8 +285,7 @@ def lemma_4_7_identity(space: SsdSpace, dual: DualSsd, f: GridFn, c_grid: GridSp
     term1, _ = zero_infconv_residuals(f, space, c_block)
     dual_block = Lattice(f.grid, space.pairing.T) if dual_grid is None else Lattice(dual_grid)
     dual_nodes = dual_block.points()
-    sources = [(Lattice(f.grid), f.values)]
-    fstar, _ = sup_over_blocks(sources, [dual_block])
+    fstar, _ = sup_over_blocks([(Lattice(f.grid), f.values)], [dual_block])
     gap = fstar - dual.q_tilde(dual_nodes)
     image_block = Lattice(c_grid, space.pairing.T)
     term2, _ = min_values_plus_gauge(dual.as_space, gap, dual_block, image_block)
@@ -298,11 +295,7 @@ def lemma_4_7_identity(space: SsdSpace, dual: DualSsd, f: GridFn, c_grid: GridSp
                           tolerances={"tol": tol},
                           meta={"space": space.label, "fn": f.form,
                                 "dual_lattice": ("image of the sample grid" if dual_grid is None
-                                                 else "dual grid"),
-                                "sup_path": {"fstar": sup_paths(sources, [dual_block])},
-                                "inf_path": {
-                                    "term1": inf_paths(space, Lattice(f.grid), c_block),
-                                    "term2": inf_paths(dual.as_space, dual_block, image_block)}})
+                                                 else "dual grid")})
     report.add("two_sided_zero_sum", "lemma_4_7", float(resid[i]) <= tol,
                residual=float(resid[i]), witness=c_block.points()[i],
                note=f"term1 {float(term1[i]):+.3e}, term2 {float(term2[i]):+.3e} at witness")
@@ -324,9 +317,7 @@ def vz_mas_equivalence(space: SsdSpace, dual: DualSsd, f: GridFn,
                           tolerances={**vz.tolerances, **mas.tolerances},
                           meta={"space": space.label, "fn": f.form,
                                 "vz": vz.passed, "mas": mas.passed,
-                                "vz_tol": vz.tolerances["tol"],
-                                "inf_path": vz.meta["inf_path"],
-                                "conjugate_path": mas.meta["conjugate_path"]})
+                                "vz_tol": vz.tolerances["tol"]})
     report.add("verdicts_agree", "thm_4_9c", vz.passed == mas.passed,
                residual=0.0 if vz.passed == mas.passed else 1.0,
                note=f"vz={vz.passed}, mas={mas.passed}")
@@ -370,10 +361,8 @@ def theorem_4_10_battery(space: SsdSpace, dual: DualSsd, a: PointSet, grid: Grid
                                      qt - theta(space, a, image_nodes),
                                      image_nodes, tol).status == PASS
 
-    phi_sources = [(Lattice(grid), triple.phi_fn.values), (a.points, phi(space, a, a.points))]
-    phi_star, _ = sup_over_blocks(phi_sources, image_blocks)
-    report.meta["sup_path"] = {"star_theta": triple.star_theta_path(),
-                               "phi_star": sup_paths(phi_sources, image_blocks)}
+    phi_star, _ = sup_over_blocks([(Lattice(grid), triple.phi_fn.values),
+                                   (a.points, phi(space, a, a.points))], image_blocks)
     verdicts["c"] = report.add_worst("c_phistar_dominates_qt", "thm_4_10c", qt - phi_star,
                                      image_nodes, tol).status == PASS
 

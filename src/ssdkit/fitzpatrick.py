@@ -26,7 +26,6 @@ from .gridfn import (
     nearest,
     sup_linear_minus,
     sup_over_blocks,
-    sup_paths,
 )
 from .grids import GridSpec, image_box
 from .positivity import PointSet, is_maximally_q_positive, p_set, sets_match
@@ -103,10 +102,6 @@ class FitzTriple:
     def dual_theta(self) -> np.ndarray:
         return np.concatenate([vals for _, vals in self.dual_blocks])
 
-    def star_theta_path(self) -> list:
-        """`sup_paths` of the sup behind `star_theta_fn`."""
-        return sup_paths(self.dual_blocks, [Lattice(self.star_theta_fn.grid)])
-
 
 def fitz_triple(space: SsdSpace, a: PointSet, grid: GridSpec) -> FitzTriple:
     box, image = dual_probe_blocks(space, grid)
@@ -160,22 +155,16 @@ def lemma_2_13_suite(space: SsdSpace, a: PointSet, grid: GridSpec) -> VerifyRepo
     h_d = float(np.max(triple.theta_fn.grid.spacing))
     lip = tols.observed_lipschitz(triple.star_theta_fn.values_nd(), grid.spacing)
     tol_conj = max(tols.ATOL_GRID, 0.5 * lip * h_d)
-    back_sources = [(mapped_grid, st_nodes), (mapped_set, st_on_a)]
-    back, _ = sup_over_blocks(back_sources, [Lattice(grid)])
+    back, _ = sup_over_blocks([(mapped_grid, st_nodes), (mapped_set, st_on_a)], [Lattice(grid)])
     report.tolerances["tol_conj"] = tol_conj
     report.add_worst("d_conjugate_back", "lemma_2_13d", np.abs(back - triple.phi_fn.values),
                      pts, tol_conj, note="dual-grid-limited identity")
 
     report.add_worst("e_star_below_q", "lemma_2_13e", st_on_a - q_on_a, a.points, tol_exact)
 
-    phi_sources = [(mapped_grid, triple.phi_fn.values), (mapped_set, phi_on_a)]
-    phi_at_aug, _ = sup_over_blocks(phi_sources, [Lattice(grid), a.points])
+    phi_at_aug, _ = sup_over_blocks([(mapped_grid, triple.phi_fn.values), (mapped_set, phi_on_a)],
+                                    [Lattice(grid), a.points])
     phi_at, phi_at_on_a = phi_at_aug[: pts.shape[0]], phi_at_aug[pts.shape[0]:]
-    report.meta["sup_path"] = {
-        "star_theta": triple.star_theta_path() + sup_paths(triple.dual_blocks, [a.points]),
-        "conjugate_back": sup_paths(back_sources, [Lattice(grid)]),
-        "phi_at": sup_paths(phi_sources, [Lattice(grid), a.points]),
-    }
     report.add_worst("f_sandwich_upper", "lemma_2_13f", phi_at - st_nodes, pts, tol_grid)
     report.add_worst("f_sandwich_lower", "lemma_2_13f",
                      np.maximum(triple.phi_fn.values, qv) - phi_at, pts, tol_grid)
@@ -244,14 +233,11 @@ def theorem_2_15_reports(space: SsdSpace, f: GridFn, candidates,
                    pts, tol)
     dual_pts = triple.dual_points
     duals = [b for b, _ in triple.dual_blocks]
-    f_sources = [(Lattice(grid), f.values), (a.points, f.evaluate(a.points))]
-    f_star, _ = sup_over_blocks(f_sources, duals)
+    f_star, _ = sup_over_blocks([(Lattice(grid), f.values), (a.points, f.evaluate(a.points))],
+                                duals)
     theta_vals = triple.dual_theta
-    phi_sources = [(Lattice(grid), triple.phi_fn.values), (a.points, phi(space, a, a.points))]
-    phi_star, _ = sup_over_blocks(phi_sources, duals)
-    base.meta["sup_path"] = {"star_theta": triple.star_theta_path(),
-                             "f_star": sup_paths(f_sources, duals),
-                             "phi_star": sup_paths(phi_sources, duals)}
+    phi_star, _ = sup_over_blocks([(Lattice(grid), triple.phi_fn.values),
+                                   (a.points, phi(space, a, a.points))], duals)
     base.add_worst("fstar_above_theta", "thm_2_15_1", theta_vals - f_star - slack,
                    dual_pts, tol)
     base.add_worst("fstar_below_phistar", "thm_2_15_1", f_star - phi_star - slack,

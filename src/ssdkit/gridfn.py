@@ -10,12 +10,14 @@ lattice) and the pair scan (anything else).  `nearest`, the pair scan with
 no adds, is the min over a sampled set for the rest of the package.  The
 brute-force double loops they must match live in the tests as oracles.
 Minimizer/maximizer ties break to the lowest row-major index so witnesses
-are deterministic.
+are deterministic.  Each kernel call records itself in an open `kernel_ledger`.
 """
 
 from __future__ import annotations
 
 import itertools
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,6 +229,29 @@ def _interpolate(grid: GridSpec, values_nd, pts):
 
 # -- sup/inf kernels ---------------------------------------------------
 
+_ledger = None  # the entry list of the innermost open `kernel_ledger`
+
+
+@contextmanager
+def kernel_ledger():
+    """Yield a fresh list that each kernel call in the block appends
+    (kernel, sources, targets, seconds) to: "scattered", "separable",
+    "min-plus" or "pairwise", the rows it scored (finite sources; distinct
+    targets for "scattered") and its time.  Restores the outer ledger on exit."""
+    global _ledger
+    outer, _ledger = _ledger, []
+    try:
+        yield _ledger
+    finally:
+        _ledger = outer
+
+
+def _record(kernel, sources, targets, t0):
+    """Ledger one kernel call that began at `time.perf_counter()` `t0`."""
+    if _ledger is not None:
+        _ledger.append((kernel, sources, targets, time.perf_counter() - t0))
+
+
 def sup_linear_minus(source_points, offsets, targets):
     """For each target t: max_i [t . source_i - offsets_i], with argmax.
 
@@ -235,6 +260,7 @@ def sup_linear_minus(source_points, offsets, targets):
     rows are scored once.  One score block of at most `_score_cap()`
     entries is live at a time.
     """
+    t0 = time.perf_counter()
     offsets = np.asarray(offsets, dtype=float).ravel()
     finite = np.isfinite(offsets)
     if not np.any(finite):
@@ -262,6 +288,7 @@ def sup_linear_minus(source_points, offsets, targets):
         a = np.argmax(scores, axis=1)
         vals[start:start + chunk] = scores[np.arange(t.shape[0]), a]
         args[start:start + chunk] = back[a]
+    _record("scattered", n, m, t0)
     if collapse:
         return vals[inverse], args[inverse]
     return vals, args
@@ -379,7 +406,7 @@ def sup_over_blocks(sources, targets):
     max over all source rows for each target row, targets in concatenated
     order, with the argmax in concatenated source order.  A lattice pair
     whose score factors by axis runs the separable kernel, any other pair
-    the scattered one (`sup_paths` says which); blocks merge with a strict
+    the scattered one (the ledger names which); blocks merge with a strict
     `>`, so ties go to the lowest concatenated index, as in one stacked call.
     """
     sources = [(b, np.asarray(off, dtype=float).ravel()) for b, off in sources]
@@ -409,14 +436,6 @@ def sup_over_blocks(sources, targets):
     return np.concatenate(vals_out), np.concatenate(args_out)
 
 
-def sup_paths(sources, targets) -> list:
-    """The kernel `sup_over_blocks` runs on each (source, target) block pair,
-    with the block sizes, target blocks outermost."""
-    return [{"kernel": "scattered" if _separable_map(block, target) is None else "separable",
-             "sources": _block_size(block), "targets": _block_size(target)}
-            for target in targets for block, _ in sources]
-
-
 def _sup_separable(src_axes, offsets_nd, tgt_axes):
     """`sup_linear_minus` with tensor-grid sources and targets, one axis at a
     time: max_x [t . x - f(x)] = max_x1 [x1 t1 + max_x2 [x2 t2 - f(x1, x2)]].
@@ -432,6 +451,7 @@ def _sup_separable(src_axes, offsets_nd, tgt_axes):
     index): a near-tie between neighbouring nodes then resolves on the same
     score `sup_linear_minus` takes the max of.
     """
+    t0 = time.perf_counter()
     src_axes = [np.asarray(a, dtype=float) for a in src_axes]
     tgt_axes = [np.asarray(b, dtype=float) for b in tgt_axes]
     offsets = np.asarray(offsets_nd, dtype=float).ravel()
@@ -449,7 +469,9 @@ def _sup_separable(src_axes, offsets_nd, tgt_axes):
         if k:
             shape = (-1, src_axes[k - 1].size, table.shape[1] * table.shape[2])
             table, arg = table.reshape(shape), arg.reshape(shape)
-    return _rescore(src_axes, neg, tgt_axes, arg.ravel())
+    vals, args = _rescore(src_axes, neg, tgt_axes, arg.ravel())
+    _record("separable", np.count_nonzero(finite), vals.size, t0)
+    return vals, args
 
 
 def _candidate_cap() -> int:
@@ -559,7 +581,7 @@ def min_values_plus_gauge(space: SsdSpace, add_on_nodes, nodes, c_rows):
     the norm has a quadratic form, the objective collapses to
     h(c) - max_j [(Bc).y_j - (h(y_j) + add_j)] with B the combined form,
     one `sup_over_blocks` pass; any other norm runs `_min_plus` with k = p
-    (`inf_paths` says which kernel).
+    (the kernel ledger records which kernel ran).
     """
     add = np.asarray(add_on_nodes, dtype=float).ravel()
     collapse = _quadratic_collapse(space, nodes, c_rows)
@@ -573,18 +595,6 @@ def min_values_plus_gauge(space: SsdSpace, add_on_nodes, nodes, c_rows):
     c = _rows(c_rows)
     h_c = 0.5 * np.einsum("ni,ij,nj->n", c, b, c)
     return h_c - vals, args
-
-
-def inf_paths(space: SsdSpace, nodes, c_rows) -> list:
-    """The kernel `min_values_plus_gauge` runs, with the block sizes: the
-    `sup_paths` of its quadratic collapse, else the `_min_plus` branch,
-    "min-plus" for the offset table and "pairwise" for the pair scan."""
-    collapse = _quadratic_collapse(space, nodes, c_rows)
-    if collapse is None:
-        kernel = "min-plus" if _offset_table_fits(nodes, c_rows) else "pairwise"
-        return [{"kernel": kernel, "sources": _block_size(nodes),
-                 "targets": _block_size(c_rows)}]
-    return sup_paths([(nodes, None)], [collapse[1]])
 
 
 def _min_plus(add, nodes, targets, k):
@@ -642,6 +652,7 @@ def _offset_scan(add, lattice: Lattice, k):
     once.  Finite sources go in row-major order, in cache-sized blocks of
     `_candidate_cap()` entries; each block takes its first minimum and the
     blocks merge with a strict `<`, as a running strict-`<` min would."""
+    t0 = time.perf_counter()
     grid = lattice.grid
     shape = grid.shape()
     offsets = Lattice(_offset_grid(grid), lattice.matrix)
@@ -663,6 +674,7 @@ def _offset_scan(add, lattice: Lattice, k):
         better = v < vals
         np.copyto(vals, v, where=better)
         np.copyto(args, j[a], where=better)
+    _record("min-plus", sources.size, m, t0)
     return vals, args
 
 
@@ -672,6 +684,7 @@ def _pair_scan(add, y, c, k):
     of c rows.  +inf adds drop their y rows first; ties go to the lowest
     index.  The c rows go in chunks of `_score_cap() // (len(y) d)`, so a
     block of difference coordinates holds at most `_score_cap()` entries."""
+    t0 = time.perf_counter()
     back = np.flatnonzero(np.isfinite(add))
     y, a = y[back], add[back]
     m, n = c.shape[0], y.shape[0]
@@ -685,6 +698,7 @@ def _pair_scan(add, y, c, k):
         vals[start:start + chunk] = total[np.arange(total.shape[0]), j]
         args[start:start + chunk] = back[j]
         del total  # free this block before the kernel builds the next
+    _record("pairwise", n, m, t0)
     return vals, args
 
 
@@ -805,8 +819,7 @@ def is_vz(f: GridFn, space: SsdSpace, c_grid: GridSpec | None = None,
     conv, _ = zero_infconv_residuals(f, space, c_block)
     report = VerifyReport(suite="is_vz", grid=f.grid.to_dict(),
                           tolerances={"tol": tol},
-                          meta={"space": space.label, "fn": f.form,
-                                "inf_path": inf_paths(space, Lattice(f.grid), c_block)})
+                          meta={"space": space.label, "fn": f.form})
     report.add_worst("zero_infconv", "eq_2_5_2", np.abs(conv), c_block.points(), tol)
     gap = f.values - space.q(f.grid.points())
     m = float(np.min(gap))
@@ -831,12 +844,9 @@ def is_mas(f: GridFn, space: SsdSpace, dual, tol: float | None = None,
     if tol is None:
         tol = tols.ATOL_GRID
     pts = f.grid.points()
-    source = [(Lattice(f.grid, space.pairing), f.values)]
-    path = sup_paths(source, [Lattice(f.grid)])[0]["kernel"]
     report = VerifyReport(suite="is_mas", grid=f.grid.to_dict(),
                           tolerances={"tol": tol},
-                          meta={"space": space.label, "fn": f.form,
-                                "dual_side": "image lattice", "conjugate_path": path})
+                          meta={"space": space.label, "fn": f.form, "dual_side": "image lattice"})
     report.add_worst("primal_minorization", "def_4_8", space.q(pts) - f.values, pts, tol)
     if fat is None:
         fat = intrinsic_conjugate(f, space)

@@ -1,8 +1,8 @@
 """Named verification batteries: the catalog of runnable suites behind the
 command line.  Each suite builds its own spaces/functions from the built-in
 catalog, runs the relevant checks, and yields reports; `run_suite` stamps
-each with the suite's name and wall time.  Nothing here raises on a failed
-inequality (only on broken preconditions or inputs).
+each with the suite's name, its wall time and the kernels it ran.  Nothing
+here raises on a failed inequality (only on broken preconditions or inputs).
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ from .gridfn import (
     conjugate_composition_gap,
     intrinsic_conjugate,
     is_vz,
+    kernel_ledger,
     lsc_biconjugate_envelope,
     sup_over_blocks,
 )
@@ -175,7 +176,7 @@ def suite_remark_2_17(opts: SuiteOptions):
         np.max(np.abs(touching.points[:, 0] - touching.points[:, 1]))) < 1e-12
     rep.add("touching_set_is_diagonal", "remark_2_17", on_diag,
             residual=0.0 if on_diag else 1.0)
-    yield _tag(rep, vz_tol=vz.tolerances["tol"], inf_path=vz.meta["inf_path"])
+    yield _tag(rep, vz_tol=vz.tolerances["tol"])
     probe = grid.subsample(2)
     db = dist_bounds_check(f, sp, probe)
     yield db
@@ -190,20 +191,20 @@ def suite_remark_2_17(opts: SuiteOptions):
 def suite_lemma_1_6(opts: SuiteOptions):
     grid = _grid(opts)
     rng = np.random.default_rng(opts.seed)
+    sp = space_r2_product("two")
+    fns = vz_catalog(sp, grid)  # its diagonal lies on the grid's nodes
     cases = [
-        (space_r2_product("two"), half_sq_norm_fn(grid), "worked example"),
+        (sp, fns["worked_example"], "worked example"),
         (space_identity(2), q_plus_const_fn(space_identity(2), grid), "shifted form"),
+        (sp, fns["phi_diagonal"], "diagonal representer"),
     ]
-    diag = diagonal_set(-3, 3, 121)
-    phi_fn, _ = representer_fns(space_r2_product("two"), diag, grid)
-    cases.append((space_r2_product("two"), phi_fn, "diagonal representer"))
-    for sp, f, label in cases:
+    for space, f, label in cases:
         pts = f.grid.points()
-        gap = np.maximum(f.values - sp.q(pts), 0.0)
+        gap = np.maximum(f.values - space.q(pts), 0.0)
         idx = rng.integers(0, pts.shape[0], size=(2000, 2))
         b, c = pts[idx[:, 0]], pts[idx[:, 1]]
         gb, gc = gap[idx[:, 0]], gap[idx[:, 1]]
-        qbc = sp.q(b - c)
+        qbc = space.q(b - c)
         lhs = -qbc
         bound = (np.sqrt(gb) + np.sqrt(gc)) ** 2
         worst = float(np.max(lhs - bound))
@@ -215,8 +216,7 @@ def suite_lemma_1_6(opts: SuiteOptions):
         rep.add("doubled_gap_bound", "remark_1_7", worst2 <= tols.ATOL_GRID,
                 residual=max(0.0, worst2))
         yield rep
-    sp = space_r2_product("two")
-    f = half_sq_norm_fn(grid)
+    f = fns["worked_example"]
     touching = p_set(f, sp)
     fat = intrinsic_conjugate(f, sp)
     sample = touching.points[:: max(1, len(touching) // 50)]
@@ -560,18 +560,32 @@ SUITES = {
 }
 
 
+def _kernel_rows(ledger) -> list:
+    """A kernel ledger grouped by (kernel, sources, targets), first seen first."""
+    rows = {}
+    for kernel, sources, targets, seconds in ledger:
+        calls, total = rows.get((kernel, sources, targets), (0, 0.0))
+        rows[kernel, sources, targets] = calls + 1, total + seconds
+    return [dict(kernel=k, sources=s, targets=t, calls=n, wall_time=w)
+            for (k, s, t), (n, w) in rows.items()]
+
+
 def run_suite(name: str, opts: SuiteOptions | None = None) -> list[VerifyReport]:
-    """Run one suite; each report is stamped with the suite's name and its
-    wall time: the seconds since the previous report (the first: since the
-    suite started), so shared setup is charged to the first report that
-    needs it and the wall times add up to the suite's run time."""
+    """Run one suite; each report is stamped with the suite's name, its wall
+    time (the seconds since the previous report, the first: since the suite
+    started, so shared setup is charged to the first report that needs it
+    and the wall times add up to the suite's run time) and the kernels that
+    ran in that time (`meta["kernels"]`)."""
     if name not in SUITES:
         raise SsdkitError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
     reports = []
     mark = time.perf_counter()
-    for rep in SUITES[name](opts or SuiteOptions()):
-        now = time.perf_counter()
-        rep.suite, rep.wall_time = name, now - mark
-        reports.append(rep)
-        mark = now
+    with kernel_ledger() as ledger:
+        for rep in SUITES[name](opts or SuiteOptions()):
+            now = time.perf_counter()
+            rep.suite, rep.wall_time = name, now - mark
+            rep.meta["kernels"] = _kernel_rows(ledger)
+            ledger.clear()
+            reports.append(rep)
+            mark = now
     return reports

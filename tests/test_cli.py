@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ssdkit.cli import main
 from ssdkit.catalog import default_grid, half_sq_norm_fn, space_r2_product
-from ssdkit.gridfn import GridFn
+from ssdkit.gridfn import GridFn, kernel_ledger
 from ssdkit.reports import FAIL, PASS, VerifyReport
 
 
@@ -78,14 +78,16 @@ class TestVerify:
         assert run(["verify", "--suite", "remark_2_17", "--out", tmp_path]) == 0
         meta = json.loads((tmp_path / "remark_2_17.json").read_text())["reports"][0]["meta"]
         assert meta["vz_tol"] > 0.0
-        assert [p["kernel"] for p in meta["inf_path"]] == ["scattered"]
+        assert [k["kernel"] for k in meta["kernels"]] == ["scattered"]
         fn = half_sq_norm_fn(grid61)
-        rep = vz_mas_equivalence(prod_space, prod_dual, fn)
+        with kernel_ledger() as ledger:
+            rep = vz_mas_equivalence(prod_space, prod_dual, fn)
         meta = json.loads(rep.to_json(tmp_path / "vz_mas.json"))["meta"]
-        vz = is_vz(fn, prod_space)
+        with kernel_ledger() as vz_ledger:
+            vz = is_vz(fn, prod_space)
         assert meta["vz_tol"] == vz.tolerances["tol"]
-        assert meta["inf_path"] == vz.meta["inf_path"]
-        assert meta["conjugate_path"] == "separable"
+        # after the density probes: is_vz's inf, then is_mas's conjugate
+        assert [e[:3] for e in ledger[-2:]] == [vz_ledger[0][:3], ("separable", 3721, 3721)]
 
     def test_user_set_through_representer_suite(self, tmp_path):
         setfile = tmp_path / "diag.csv"
@@ -108,6 +110,23 @@ class TestVerify:
         assert len(times) == 3 and all(t > 0.0 for t in times)
         assert sum(times) <= elapsed
         assert len(set(times)) == len(times)  # not one average copied into each
+
+    def test_every_report_carries_its_kernels(self):
+        from ssdkit.suites import SUITES, run_suite
+
+        for name in SUITES:
+            for rep in run_suite(name):
+                rows = rep.meta["kernels"]
+                keys = [(row["kernel"], row["sources"], row["targets"]) for row in rows]
+                assert len(set(keys)) == len(keys), name
+                assert all(row["kernel"] in ("scattered", "separable", "min-plus", "pairwise")
+                           and row["calls"] >= 1 for row in rows), name
+                assert sum(row["wall_time"] for row in rows) <= rep.wall_time, name
+
+    def test_lemma_1_6_passes_on_a_finer_grid(self, tmp_path):
+        # its diagonal representer is built from a diagonal on the grid's nodes
+        assert run(["verify", "--suite", "lemma_1_6", "--grid=-3:3:121,-3:3:121",
+                    "--out", tmp_path]) == 0
 
     @pytest.mark.parametrize("name", ["theorem_5_5", "theorem_2_16", "helix"])
     def test_reports_carry_the_suite_that_ran_them(self, name):

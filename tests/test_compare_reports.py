@@ -60,6 +60,23 @@ def test_changed_residual_and_new_meta_key(compare, trees, capsys):
     assert "meta.extra" not in capsys.readouterr().out
 
 
+def test_kernel_wall_time_ignored_but_calls_compared(compare, trees, capsys):
+    parent, change = trees
+
+    def bump(field, delta):
+        def edit(doc):
+            doc["reports"][0]["meta"]["kernels"][0][field] += delta
+        return edit
+
+    _edit(change / "helix.json", bump("wall_time", 1.0))
+    assert compare([str(parent), str(change)]) == 0
+    capsys.readouterr()
+    _edit(change / "helix.json", bump("calls", 1))
+    assert compare([str(parent), str(change)]) == 1
+    out = capsys.readouterr().out
+    assert "meta.kernels[0].calls" in out and "1 difference(s)" in out
+
+
 def test_missing_report_file(compare, trees, capsys):
     parent, change = trees
     (change / "helix.json").unlink()

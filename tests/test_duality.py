@@ -29,6 +29,7 @@ from ssdkit.catalog import (
     space_zero_pairing,
 )
 from ssdkit.duality import density_report
+from ssdkit.gridfn import kernel_ledger
 
 from conftest import dense_sphere_scan
 
@@ -266,10 +267,12 @@ class TestLemma47:
     def test_records_inf_path(self, space_fn, kernel, grid61):
         space = space_fn()
         f = half_sq_norm_fn(grid61)
-        rep = lemma_4_7_identity(space, make_dual(space), f, grid61, tol=1.0)
-        path = rep.meta["inf_path"]
-        assert path == {"term1": [{"kernel": kernel, "sources": 3721, "targets": 3721}],
-                        "term2": [{"kernel": kernel, "sources": 3721, "targets": 3721}]}
+        with kernel_ledger() as ledger:
+            lemma_4_7_identity(space, make_dual(space), f, grid61, tol=1.0)
+        # term1, the f* sup, term2; a scattered collapse scores the 342
+        # bitwise-distinct rows of its rank-one targets c @ (W + M)
+        term = (kernel, 3721, 3721 if kernel == "separable" else 342)
+        assert [entry[:3] for entry in ledger] == [term, ("separable", 3721, 3721), term]
 
     def test_shifted_quadratic_on_identity_space(self):
         space = space_identity(2)
@@ -331,7 +334,8 @@ class TestLemma47:
         vals[0] = 0.0
         f = GridFn._raw(grid, vals)
         dual_grid = grid.scaled(2.0, num=rng.integers(3, 8, 2)) if widen else None
-        rep = lemma_4_7_identity(space, dual, f, grid, tol=1.0, dual_grid=dual_grid)
+        with kernel_ledger() as ledger:
+            rep = lemma_4_7_identity(space, dual, f, grid, tol=1.0, dual_grid=dual_grid)
         nodes = grid.points() @ space.pairing.T if dual_grid is None else dual_grid.points()
         fstar = brute_force_conjugate(grid.points(), f.values, nodes)
         term1, _ = zero_infconv_residuals(f, space, grid.points())
@@ -341,8 +345,8 @@ class TestLemma47:
                                                       rel=0.0, abs=1e-12)
         assert rep.checks[0].worst_residual == pytest.approx(
             float(np.max(np.abs(term1 + term2))), rel=0.0, abs=1e-12)
-        path = rep.meta["sup_path"]["fstar"]
-        assert [p["kernel"] for p in path] == ["separable" if widen else kernel]
+        assert len(ledger) == 3  # term1, the f* sup, term2
+        assert ledger[1][0] == ("separable" if widen else kernel)
 
 
 class TestVzMasEquivalence:

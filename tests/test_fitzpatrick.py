@@ -26,6 +26,7 @@ from ssdkit.catalog import (
     space_zero_pairing,
 )
 from ssdkit.fitzpatrick import dual_probe_points
+from ssdkit.gridfn import kernel_ledger
 from ssdkit.spaces import pairwise_q
 
 
@@ -227,12 +228,26 @@ class TestBlockRouting:
         assert np.allclose(triple.star_theta_fn.values, ref, rtol=0.0, atol=1e-12)
 
     def test_reports_record_sup_paths(self, prod_space, grid61, diag121):
-        rep = lemma_2_13_suite(prod_space, diag121.underlying, grid61)
-        paths = rep.meta["sup_path"]
-        assert [p["kernel"] for p in paths["star_theta"]] == [
-            "separable", "separable", "scattered", "scattered", "scattered", "scattered"]
-        assert [(p["kernel"], p["sources"]) for p in paths["conjugate_back"]] == [
-            ("separable", 3721), ("scattered", 121)]
-        rep = lemma_2_13_suite(space_zero_pairing(2), PointSet([[1.0, 1.0]]), grid61)
-        assert [p["kernel"] for p in rep.meta["sup_path"]["conjugate_back"]] == [
-            "scattered", "scattered"]
+        def sups(space, a):
+            with kernel_ledger() as ledger:
+                lemma_2_13_suite(space, a, grid61)
+            return [e[:3] for e in ledger if e[0] in ("separable", "scattered")]
+
+        sep, to_set, n = ("separable", 3721, 3721), ("scattered", 3721, 121), 121
+        assert sups(prod_space, diag121.underlying) == [
+            # theta on the dual box, the image lattice and the set image; phi
+            ("scattered", n, 3721), ("scattered", n, 3721), ("scattered", n, n),
+            ("scattered", n, 3721),
+            # star_theta over the three dual blocks, onto the grid, then phi on the set
+            sep, sep, ("scattered", n, 3721), ("scattered", n, n),
+            # star_theta onto the set
+            to_set, to_set, ("scattered", n, n),
+            # conjugate back: the mapped grid, then the mapped set
+            sep, ("scattered", n, 3721),
+            # phi's conjugate onto the grid and onto the set
+            sep, ("scattered", n, 3721), to_set, ("scattered", n, n)]
+        # the zero pairing maps the grid to one point: only the dual box pairs
+        # separably, and the conjugate back scores a single distinct row
+        zero = sups(space_zero_pairing(2), PointSet([[1.0, 1.0]]))
+        assert [e for e in zero if e[0] == "separable"] == [sep]
+        assert ("scattered", 1, 3721) in zero

@@ -35,12 +35,11 @@ from ssdkit.catalog import (
 from ssdkit.gridfn import (
     Lattice,
     block_points,
-    inf_paths,
+    kernel_ledger,
     min_values_plus_gauge,
     minus_q,
     sup_linear_minus,
     sup_over_blocks,
-    sup_paths,
     zero_infconv_residuals,
 )
 from ssdkit.grids import image_box
@@ -572,11 +571,41 @@ class TestSeparableKernel:
     def test_is_mas_records_conjugate_path(self, prod_space, prod_dual, worked_fn61):
         from ssdkit import make_ssd
 
-        rep = is_mas(worked_fn61, prod_space, prod_dual)
-        assert rep.meta["conjugate_path"] == "separable"
+        with kernel_ledger() as ledger:
+            is_mas(worked_fn61, prod_space, prod_dual)
+        assert _kernels(ledger) == ["separable"]
         tilted = make_ssd(np.array([[1.0, 0.5], [0.5, 1.0]]))
-        rep = is_mas(worked_fn61, tilted, None)
-        assert rep.meta["conjugate_path"] == "scattered"
+        with kernel_ledger() as ledger:
+            is_mas(worked_fn61, tilted, None)
+        assert _kernels(ledger) == ["scattered"]
+        fat = intrinsic_conjugate(worked_fn61, prod_space)
+        with kernel_ledger() as ledger:
+            is_mas(worked_fn61, prod_space, prod_dual, fat=fat)
+        assert ledger == []  # a conjugate the caller passed runs no kernel here
+
+
+def _kernels(ledger):
+    return [entry[0] for entry in ledger]
+
+
+def _sizes(ledger):
+    return [entry[:3] for entry in ledger]
+
+
+class TestKernelLedger:
+    def test_records_inside_only_and_restores_the_outer_ledger(self, worked_fn61, grid61):
+        conjugate(worked_fn61, grid61)  # no ledger open: nothing is kept
+        with kernel_ledger() as outer:
+            conjugate(worked_fn61, grid61)
+            with kernel_ledger() as inner:
+                # one finite source row; three targets, one distinct row
+                sup_linear_minus(np.zeros((2, 2)), [0.0, np.inf], np.ones((3, 2)))
+            with pytest.raises(Improper), kernel_ledger():
+                sup_linear_minus(np.zeros((1, 2)), [np.inf], np.ones((1, 2)))
+            conjugate(worked_fn61, grid61)
+        assert _sizes(inner) == [("scattered", 1, 1)]
+        assert _sizes(outer) == [("separable", 3721, 3721)] * 2
+        assert all(entry[3] >= 0.0 for entry in inner + outer)
 
 
 def _brute_sup(points, offsets, targets):
@@ -668,9 +697,11 @@ class TestBlockSup:
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
         sources = [(Lattice(grid61), np.zeros(grid61.size)), (np.zeros((3, 2)), np.zeros(3))]
         targets = [Lattice(grid61, swap), Lattice(grid61, np.ones((2, 2)))]
-        got = [(p["kernel"], p["sources"], p["targets"]) for p in sup_paths(sources, targets)]
-        assert got == [("separable", 3721, 3721), ("scattered", 3, 3721),
-                       ("scattered", 3721, 3721), ("scattered", 3, 3721)]
+        with kernel_ledger() as ledger:
+            sup_over_blocks(sources, targets)
+        # the rows z @ ones of the second target repeat: 342 are bitwise distinct
+        assert _sizes(ledger) == [("separable", 3721, 3721), ("scattered", 3, 3721),
+                                  ("scattered", 3721, 342), ("scattered", 3, 342)]
 
     def test_all_infinite_offsets_are_improper(self, grid61):
         with pytest.raises(Improper):
@@ -816,14 +847,15 @@ class TestLatticeInfCollapse:
         add = rng.normal(size=grid.size)
         add[rng.random(grid.size) < 0.25] = np.inf
         add[0] = 0.0
-        vals, args = min_values_plus_gauge(space, add, nodes, c_rows)
+        with kernel_ledger() as ledger:
+            vals, args = min_values_plus_gauge(space, add, nodes, c_rows)
         y, c = nodes.points(), c_rows.points()
         ref_vals, _ = min_values_plus_gauge(space, add, y, c)
         brute = pairwise_p(space, c, y) + add[None, :]
         assert np.allclose(vals, ref_vals, rtol=0.0, atol=1e-12)
         assert np.allclose(vals, np.min(brute, axis=1), rtol=0.0, atol=1e-12)
         assert np.allclose(brute[np.arange(c.shape[0]), args], vals, rtol=0.0, atol=1e-12)
-        assert [p["kernel"] for p in inf_paths(space, nodes, c_rows)] == [kernel]
+        assert _kernels(ledger) == [kernel]
 
     def test_non_separable_pairs_are_bitwise_unchanged(self, prod_space, grid61):
         f = half_sq_norm_fn(grid61)
@@ -835,19 +867,24 @@ class TestLatticeInfCollapse:
 
     def test_split_norm_path(self, grid61):
         space = product_space(1, kind="one", tau=1.0)
-        assert inf_paths(space, Lattice(grid61), grid61.points()) == [
-            {"kernel": "pairwise", "sources": 3721, "targets": 3721}]
+        with kernel_ledger() as ledger:  # point targets: one grid column
+            min_values_plus_gauge(space, np.zeros(grid61.size), Lattice(grid61),
+                                  grid61.points()[::61])
+        assert _sizes(ledger) == [("pairwise", 3721, 61)]
 
     def test_is_vz_records_inf_path(self, prod_space, ident2, worked_fn61, grid61):
-        rep = is_vz(worked_fn61, prod_space)
-        assert rep.meta["inf_path"] == [{"kernel": "scattered", "sources": 3721,
-                                         "targets": 3721}]
-        rep = is_vz(q_plus_const_fn(ident2, grid61), ident2)
-        assert rep.meta["inf_path"][0]["kernel"] == "separable"
+        with kernel_ledger() as ledger:
+            is_vz(worked_fn61, prod_space)
+        # the collapse targets c @ (W + M) repeat under the rank-one form:
+        # 342 of the 3,721 rows are bitwise distinct
+        assert _sizes(ledger) == [("scattered", 3721, 342)]
+        with kernel_ledger() as ledger:
+            is_vz(q_plus_const_fn(ident2, grid61), ident2)
+        assert _kernels(ledger) == ["separable"]
         for kind in ("one", "inf"):
-            rep = is_vz(worked_fn61, product_space(1, kind=kind, tau=1.0))
-            assert rep.meta["inf_path"] == [{"kernel": "min-plus", "sources": 3721,
-                                             "targets": 3721}]
+            with kernel_ledger() as ledger:
+                is_vz(worked_fn61, product_space(1, kind=kind, tau=1.0))
+            assert _sizes(ledger) == [("min-plus", 3721, 3721)]
 
 
 def _min_plus_k(x):
@@ -917,8 +954,9 @@ class TestMinPlus:
         grid = GridSpec.box(-1.0, 1.0, 5, 2)
         add = _min_plus_adds(np.random.default_rng(0), grid.size, integer=False)
         monkeypatch.setenv("SSDKIT_BUDGET", "80")  # the grid fits, its 9 x 9 offsets do not
-        assert inf_paths(space, Lattice(grid), Lattice(grid))[0]["kernel"] == "pairwise"
-        vals, _ = min_values_plus_gauge(space, add, Lattice(grid), Lattice(grid))
+        with kernel_ledger() as ledger:
+            vals, _ = min_values_plus_gauge(space, add, Lattice(grid), Lattice(grid))
+        assert _kernels(ledger) == ["pairwise"]
         ref, _ = brute_force_min_plus(add, grid.points(), grid.points(), space.p)
         assert np.allclose(vals, ref, rtol=0.0, atol=1e-12)
 
@@ -940,11 +978,11 @@ class TestMinPlus:
         c_rows = {"same": Lattice(grid), "lattice": Lattice(other),
                   "points": other.points()}[target]
         add = _min_plus_adds(rng, grid.size, integer=False)
-        vals, _ = min_values_plus_gauge(space, add, Lattice(grid), c_rows)
+        with kernel_ledger() as ledger:
+            vals, _ = min_values_plus_gauge(space, add, Lattice(grid), c_rows)
         ref, _ = brute_force_min_plus(add, grid.points(), block_points([c_rows]), space.p)
         assert np.allclose(vals, ref, rtol=0.0, atol=1e-12)
-        kernel = "min-plus" if target == "same" else "pairwise"
-        assert [p["kernel"] for p in inf_paths(space, Lattice(grid), c_rows)] == [kernel]
+        assert _kernels(ledger) == ["min-plus" if target == "same" else "pairwise"]
 
     @pytest.mark.parametrize("misaligned", [False, True])
     @pytest.mark.parametrize("kernel", ["callable", "gridfn"])
