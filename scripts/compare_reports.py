@@ -3,12 +3,14 @@
 
 Usage: python3 scripts/compare_reports.py PARENT_DIR CHANGE_DIR [--ignore-meta KEY ...]
 
-Every JSON file of either tree is compared with its namesake in the other:
-check ids, statuses, residuals, witnesses, tolerances, grids and meta must
-be equal, values exactly: floats by value and sign, so 0.0 and -0.0 differ.
-A `wall_time` key is ignored at any depth, and so is any meta key named
-with `--ignore-meta` (for keys one side adds).  Prints one line per
-difference and exits 1 if there is any, else 0.
+Every JSON file at any depth of either tree is compared with the file at the
+same relative path in the other, so trees of per-suite `--out` directories
+compare too: check ids, statuses, residuals, witnesses, tolerances, grids
+and meta must be equal, values exactly: floats by value and sign, so 0.0
+and -0.0 differ.  A `wall_time` key is ignored at any depth, and so is any
+meta key named with `--ignore-meta` (for keys one side adds).  Prints one
+line per difference and exits 1 if there is any, else 0; exits 2 when the
+parent tree holds no JSON file, since then nothing was compared.
 """
 
 from __future__ import annotations
@@ -71,8 +73,13 @@ def diff(a, b, path=""):
     return [] if same else [f"{path}: {a!r} != {b!r}"]
 
 
+def report_files(tree: Path) -> set:
+    """Paths of the JSON files at any depth under the tree, relative to it."""
+    return {p.relative_to(tree).as_posix() for p in tree.glob("**/*.json")}
+
+
 def compare_trees(parent: Path, change: Path, ignore_meta=()) -> list:
-    names = sorted({p.name for p in parent.glob("*.json")} | {p.name for p in change.glob("*.json")})
+    names = sorted(report_files(parent) | report_files(change))
     out = []
     for name in names:
         left, right = parent / name, change / name
@@ -97,10 +104,13 @@ def main(argv=None) -> int:
     for d in (args.parent, args.change):
         if not d.is_dir():
             ap.error(f"{d} is not a directory")
+    n = len(report_files(args.parent))
+    if n == 0:
+        print(f"no report file under {args.parent}: nothing to compare", file=sys.stderr)
+        return 2
     lines = compare_trees(args.parent, args.change, args.ignore_meta)
     for line in lines:
         print(line)
-    n = len(list(args.parent.glob("*.json")))
     print(f"{len(lines)} difference(s) over {n} parent report file(s)")
     return 1 if lines else 0
 

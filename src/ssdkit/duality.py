@@ -328,16 +328,19 @@ def vz_mas_equivalence(space: SsdSpace, dual: DualSsd, f: GridFn,
 
 def theorem_4_10_battery(space: SsdSpace, dual: DualSsd, a: PointSet, grid: GridSpec,
                          h_candidates=None, tol: float = tols.ATOL_GRID,
-                         triple: FitzTriple | None = None) -> VerifyReport:
+                         triple: FitzTriple | None = None,
+                         density: VerifyReport | None = None) -> VerifyReport:
     """Equivalent conditions for a grid-maximal positive set; verdicts must be
     unanimous.  Refuses when maximality or image density fails.  `triple`,
-    when given, is `fitz_triple(space, a, grid)` built by the caller.
+    when given, is `fitz_triple(space, a, grid)` built by the caller, and
+    `density` is `density_report(space, dual, grid)`.
     """
     mx = is_maximally_q_positive(space, a, grid)
     if not mx.passed:
         raise PreconditionFailed("set is not grid-maximal; battery does not apply")
-    dens = density_report(space, dual, grid)
-    if not dens.passed:
+    if density is None:
+        density = density_report(space, dual, grid)
+    if not density.passed:
         raise DensityNotVerified("image density does not hold on the probe points")
 
     if triple is None:

@@ -162,32 +162,88 @@ def convexity_defect(grid: GridSpec, values):
     None.  A finite midpoint between two finite ends must not exceed their
     mean; a +inf midpoint between finite ends is a domain-convexity
     violation.
+
+    Two stages.  An O(N) certificate (`_convexity_certificate`) returns None
+    at once when every node is finite and, for each direction with largest
+    stride s_max, s_max^2 (max(raw_1, 0) + 4 eps M) + 4 eps M <= CONVEXITY_RTOL / 2,
+    where raw_1 is the computed stride-1 defect and M = max |v|.  Otherwise
+    the all-strides scan runs, so the first violation and its defect are the
+    scan's.
     """
     vals = np.asarray(values, dtype=float).reshape(grid.shape())
-    dim = vals.ndim
-    directions = [tuple(1 if i == ax else 0 for i in range(dim)) for ax in range(dim)]
+    directions = _directions(vals.ndim)
+    if _convexity_certificate(vals, directions):
+        return None
+    return _stride_scan(vals, directions)
+
+
+def _directions(dim):
+    """The axes, then the full diagonals (1, +-1, ..., +-1)."""
+    out = [tuple(1 if i == ax else 0 for i in range(dim)) for ax in range(dim)]
     if dim > 1:
-        for signs in itertools.product((1, -1), repeat=dim - 1):
-            directions.append((1,) + signs)
+        out += [(1,) + signs for signs in itertools.product((1, -1), repeat=dim - 1)]
+    return out
+
+
+def _max_stride(shape, direction) -> int:
+    """The largest stride with a midpoint test along the direction."""
+    span = min(k for k, step in zip(shape, direction) if step != 0)
+    return (span - 1) // 2
+
+
+def _midpoint_slices(direction, stride):
+    """(left, mid, right) index tuples of the stride's midpoint tests."""
+    lo_s, mid_s, hi_s = [], [], []
+    for step in direction:
+        if step == 0:
+            lo_s.append(slice(None)); mid_s.append(slice(None)); hi_s.append(slice(None))
+        elif step == 1:
+            lo_s.append(slice(None, -2 * stride))
+            mid_s.append(slice(stride, -stride))
+            hi_s.append(slice(2 * stride, None))
+        else:
+            lo_s.append(slice(2 * stride, None))
+            mid_s.append(slice(stride, -stride))
+            hi_s.append(slice(None, -2 * stride))
+    return tuple(lo_s), tuple(mid_s), tuple(hi_s)
+
+
+def _convexity_certificate(vals, directions) -> bool:
+    """True when no midpoint test of any stride can fail, from the stride-1
+    defects alone.  Along a grid line of finite nodes the exact stride-s
+    defect is a sum of exact stride-1 defects with nonnegative weights that
+    sum to s^2, and each computed defect is within 4 eps M of the exact one
+    (M = max |v|).  So every computed defect is at most
+    s_max^2 (max(raw_1, 0) + 4 eps M) + 4 eps M; where that is at most half
+    of CONVEXITY_RTOL, no test exceeds CONVEXITY_RTOL * max(1, |ends|).  The
+    other half covers the rounding of the bound itself and of subnormals."""
+    top = float(np.max(np.abs(vals)))
+    if not np.isfinite(top):  # a +inf node breaks the sum over the line
+        return False
+    slack = 4.0 * np.finfo(float).eps * top
+    for direction in directions:
+        s_max = _max_stride(vals.shape, direction)
+        if s_max == 0:
+            continue
+        lo_s, mid_s, hi_s = _midpoint_slices(direction, 1)
+        with np.errstate(over="ignore"):  # an overflow makes the bound inf: no certificate
+            raw = vals[mid_s] - (0.5 * vals[lo_s] + 0.5 * vals[hi_s])
+            bound = s_max ** 2 * (max(float(np.max(raw)), 0.0) + slack) + slack
+        if not bound <= 0.5 * CONVEXITY_RTOL:
+            return False
+    return True
+
+
+def _stride_scan(vals, directions):
+    """The all-strides midpoint scan: (flat midpoint, defect) of the first
+    violation, directions in order and strides ascending, or None."""
     flat = np.arange(vals.size).reshape(vals.shape)
     for direction in directions:
-        span = min(vals.shape[ax] for ax in range(dim) if direction[ax] != 0)
-        for stride in range(1, (span - 1) // 2 + 1):
-            lo_s, mid_s, hi_s = [], [], []
-            for step in direction:
-                if step == 0:
-                    lo_s.append(slice(None)); mid_s.append(slice(None)); hi_s.append(slice(None))
-                elif step == 1:
-                    lo_s.append(slice(None, -2 * stride))
-                    mid_s.append(slice(stride, -stride))
-                    hi_s.append(slice(2 * stride, None))
-                else:
-                    lo_s.append(slice(2 * stride, None))
-                    mid_s.append(slice(stride, -stride))
-                    hi_s.append(slice(None, -2 * stride))
-            left = vals[tuple(lo_s)]
-            mid = vals[tuple(mid_s)]
-            right = vals[tuple(hi_s)]
+        for stride in range(1, _max_stride(vals.shape, direction) + 1):
+            lo_s, mid_s, hi_s = _midpoint_slices(direction, stride)
+            left = vals[lo_s]
+            mid = vals[mid_s]
+            right = vals[hi_s]
             with np.errstate(invalid="ignore"):
                 raw = mid - (0.5 * left + 0.5 * right)
             # a violation needs finite ends and raw > CONVEXITY_RTOL * scale
@@ -201,7 +257,7 @@ def convexity_defect(grid: GridSpec, values):
             bad = defect > CONVEXITY_RTOL * scale
             if np.any(bad):
                 where = np.argmax(np.where(bad, defect, -np.inf))
-                midx = flat[tuple(mid_s)].ravel()[where]
+                midx = flat[mid_s].ravel()[where]
                 return int(midx), float(defect.ravel()[where])
     return None
 
@@ -516,31 +572,42 @@ def _sweep_axis(a, table, b):
 def _rescore(src_axes, neg, tgt_axes, args):
     """Score each target against its sweep winner and the winner's 3^d grid
     neighbours as t . x + neg(x), all steps in one batch per chunk of
-    targets; keep the max, ties to the lowest flat index."""
+    targets; keep the max, ties to the lowest flat index.
+
+    Per axis, one (3, rows) index array holds the winner's index stepped by
+    -1, 0, +1 and clipped to the grid; broadcast against each other they
+    give the 3^d steps in row-major step order.  `np.vecdot` rounds t . x
+    bitwise like the 1 x d @ d x 1 `np.matmul` of `sup_linear_minus`'s
+    reference loop.  Clipping repeats nodes, but each distinct node first
+    appears in ascending flat order, so `np.argmax` over the steps (the
+    first maximum) picks the lowest flat index among ties."""
+    dim = len(src_axes)
     src_shape = tuple(a.size for a in src_axes)
     tgt_shape = tuple(b.size for b in tgt_axes)
-    points = np.stack(np.meshgrid(*src_axes, indexing="ij"), axis=-1).reshape(-1, len(src_shape))
-    # per axis, the flat-index offset of node i stepped by -1, 0, +1 (clipped
-    # to the grid), so that the 3^d steps come out in row-major step order
     strides = np.cumprod((1,) + src_shape[:0:-1])[::-1]
-    near = [np.clip(np.arange(k) + np.array([[-1], [0], [1]]), 0, k - 1) * st
-            for k, st in zip(src_shape, strides)]
+    step = np.array([[-1], [0], [1]])
     m = args.size
     vals = np.empty(m)
     best_args = np.empty(m, dtype=int)
-    # a chunk's temporaries, a few of 3^d * rows * d entries and a few of
+    # a chunk's temporaries, one of 3^d * rows * d entries and a few of
     # 3^d * rows, stay within one candidate block in total
-    chunk = max(1, _candidate_cap() // (8 * 3 ** len(src_shape) * len(src_shape)))
+    chunk = max(1, _candidate_cap() // (8 * 3 ** dim * dim))
     for start in range(0, m, chunk):
         rows = np.arange(start, min(m, start + chunk))
         t = np.stack([b[i] for b, i in zip(tgt_axes, np.unravel_index(rows, tgt_shape))], axis=1)
-        flat = np.zeros((1, rows.size), dtype=np.intp)
-        for axis_near, i in zip(near, np.unravel_index(args[rows], src_shape)):
-            flat = (flat[:, None, :] + axis_near[None, :, i]).reshape(-1, rows.size)
-        x = np.take(points, flat, axis=0)
-        score = np.matmul(t[:, None, :], x[..., None])[..., 0, 0] + neg[flat]
-        tied = np.where(score == np.max(score, axis=0), flat, np.iinfo(np.intp).max)
-        k = np.argmin(tied, axis=0)
+        x = np.empty((3,) * dim + (rows.size, dim))
+        flat = np.zeros((1,) * dim + (rows.size,), dtype=np.intp)
+        for ax, (a, n, st, i) in enumerate(zip(src_axes, src_shape, strides,
+                                               np.unravel_index(args[rows], src_shape))):
+            near = np.clip(i + step, 0, n - 1).reshape((1,) * ax + (3,) + (1,) * (dim - ax - 1)
+                                                      + (rows.size,))
+            x[..., ax] = a[near]
+            flat = flat + near * st
+        x = x.reshape(-1, rows.size, dim)
+        flat = flat.reshape(-1, rows.size)
+        score = np.vecdot(t, x)
+        score += neg[flat]
+        k = np.argmax(score, axis=0)
         cols = np.arange(rows.size)
         vals[rows] = score[k, cols]
         best_args[rows] = flat[k, cols]

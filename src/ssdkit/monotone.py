@@ -139,16 +139,19 @@ def strongly_representable_check(a: MonotoneSet, f: GridFn, space: SsdSpace,
 
 def theorem_5_8_battery(space: SsdSpace, dual: DualSsd, a: MonotoneSet, grid: GridSpec,
                         h_candidates=None, tol: float = tols.ATOL_GRID,
-                        triple: FitzTriple | None = None) -> VerifyReport:
+                        triple: FitzTriple | None = None,
+                        density: VerifyReport | None = None) -> VerifyReport:
     """Product-space reading of the equivalence battery, plus the explicit
     classical form of the dual-side support inequality.  `triple`, when
-    given, is `fitz_triple(space, a.underlying, grid)` built by the caller;
-    the classical form's sup over the set, max over a of <a, b*> - q(a) at
-    the image b* of each grid node, is the triple's theta on that image."""
+    given, is `fitz_triple(space, a.underlying, grid)` built by the caller,
+    and `density` is `density_report(space, dual, grid)`; the classical
+    form's sup over the set, max over a of <a, b*> - q(a) at the image b* of
+    each grid node, is the triple's theta on that image."""
     if triple is None:
         triple = fitz_triple(space, a.underlying, grid)
     report = theorem_4_10_battery(space, dual, a.underlying, grid,
-                                  h_candidates=h_candidates, tol=tol, triple=triple)
+                                  h_candidates=h_candidates, tol=tol, triple=triple,
+                                  density=density)
     report.suite = "theorem_5_8"
     image, sup_vals = triple.dual_blocks[1]
     image_nodes = image.points()

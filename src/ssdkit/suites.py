@@ -438,9 +438,11 @@ def suite_theorem_5_8(opts: SuiteOptions):
             [("diagonal", diagonal_set(-3, 3, 121)),
              ("clipped cubic graph", cubic_graph_set(grid)),
              ("sign graph", sign_graph_set(grid))])
+    dens = density_report(sp, dual, grid)
     for label, mset in sets:
         triple = fitz_triple(sp, mset.underlying, grid)
-        yield _tag(theorem_5_8_battery(sp, dual, mset, grid, triple=triple), set=label)
+        yield _tag(theorem_5_8_battery(sp, dual, mset, grid, triple=triple, density=dens),
+                   set=label)
         yield _tag(type_ni_check(sp, mset, dual, grid=grid), set=label)
         yield _tag(strongly_representable_check(mset, triple.phi_fn, sp, dual), set=label)
 

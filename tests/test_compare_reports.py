@@ -99,3 +99,36 @@ def test_signed_zero_flip_is_a_difference(compare, trees, capsys):
     assert "worst_residual: 0.0 != -0.0" in out and "1 difference(s)" in out
     _edit(change / "helix.json", zero(1.0))
     assert compare([str(parent), str(change)]) == 0
+
+
+def test_per_suite_trees_compare_by_relative_path(compare, trees, capsys):
+    # two per-suite `--out` directories holding files of the same name
+    parent, change = trees
+    for root in (parent, change):
+        for sub in ("a", "b"):
+            (root / sub).mkdir()
+            shutil.copy(root / "helix.json", root / sub / "helix.json")
+        (root / "helix.json").unlink()
+    assert compare([str(parent), str(change)]) == 0
+    assert "0 difference(s) over 2 parent report file(s)" in capsys.readouterr().out
+
+    def perturb(doc):
+        doc["reports"][0]["checks"][0]["status"] = "FAIL"
+
+    _edit(change / "b" / "helix.json", perturb)
+    assert compare([str(parent), str(change)]) == 1
+    out = capsys.readouterr().out
+    assert "b/helix.json: reports[0:" in out and "a/helix.json" not in out
+    (change / "b" / "helix.json").rename(change / "helix.json")
+    assert compare([str(parent), str(change)]) == 1
+    out = capsys.readouterr().out
+    assert "b/helix.json: only in parent" in out and "\nhelix.json: only in change" in out
+
+
+def test_empty_parent_tree_is_refused(compare, trees, tmp_path, capsys):
+    _, change = trees
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert compare([str(empty), str(change)]) == 2
+    captured = capsys.readouterr()
+    assert "difference(s)" not in captured.out and "nothing to compare" in captured.err

@@ -780,7 +780,7 @@ class TestLoopFreeSeparable:
         assert np.array_equal(_bits(best), _bits(ref_best))
         assert np.array_equal(arg, ref_arg)
 
-    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=3),
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=4),
            BLOCKS)
     @settings(max_examples=60, deadline=None)
     def test_rescore_matches_loop(self, seed, dim, block):
@@ -801,7 +801,7 @@ class TestLoopFreeSeparable:
         assert np.array_equal(_bits(vals), _bits(ref_vals))
         assert np.array_equal(got_args, ref_args)
 
-    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=3),
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=4),
            BLOCKS)
     @settings(max_examples=60, deadline=None)
     def test_sup_separable_matches_loop_kernel(self, seed, dim, block):
@@ -1147,6 +1147,107 @@ class TestConvexityPrecheck:
         assert got == scan_convexity_defect(grid.shape(), vals, CONVEXITY_RTOL)
         if magnitude == 1.0:
             assert (got is None) == (factor < 1.0)
+
+
+def _concave_ramp(grid, stride):
+    """-a x_0^2 with a set so that the axis-0 midpoint defect a (s h)^2 stays
+    under CONVEXITY_RTOL (values well under 1, so the scale is 1) for every
+    stride s below `stride` and exceeds it at `stride`."""
+    from ssdkit.gridfn import CONVEXITY_RTOL
+
+    h = float(grid.spacing[0])
+    a = CONVEXITY_RTOL / (h * h * (stride * stride - stride + 0.5))
+    return -a * grid.points()[:, 0] ** 2
+
+
+class TestConvexityCertificate:
+    """The O(N) certificate in front of the all-strides scan: wherever it
+    answers, the answer is the scan's."""
+
+    @pytest.mark.parametrize("n", [61, 201])
+    @pytest.mark.parametrize("noise", [0.0, 1e-13, 1e-11, 1e-9])
+    def test_affine_with_rounding_noise(self, n, noise):
+        from ssdkit.gridfn import CONVEXITY_RTOL, convexity_defect
+
+        grid = GridSpec.box(-3, 3, n, 2)
+        rng = np.random.default_rng(n)
+        vals = grid.points() @ np.array([np.pi, -np.e]) / 3.0 + 0.1
+        vals += noise * rng.standard_normal(grid.size)
+        assert convexity_defect(grid, vals) == scan_convexity_defect(grid.shape(), vals,
+                                                                     CONVEXITY_RTOL)
+
+    @pytest.mark.parametrize("dim,n", [(1, 41), (2, 41), (3, 13)])
+    def test_violation_only_at_the_largest_stride(self, dim, n):
+        from ssdkit import gridfn
+
+        grid = GridSpec.box(-1, 1, n, dim)
+        s_max = (n - 1) // 2
+        vals = _concave_ramp(grid, s_max)
+        got = gridfn.convexity_defect(grid, vals)
+        assert got == scan_convexity_defect(grid.shape(), vals, gridfn.CONVEXITY_RTOL)
+        # the defect found is the largest stride's, a (s_max h)^2
+        rtol = gridfn.CONVEXITY_RTOL
+        assert got[1] == pytest.approx(rtol * s_max ** 2 / (s_max ** 2 - s_max + 0.5), rel=1e-6)
+        assert not gridfn._convexity_certificate(vals.reshape(grid.shape()),
+                                                 gridfn._directions(dim))
+
+    @pytest.mark.parametrize("gap", [1, 5, 17])
+    @pytest.mark.parametrize("across", [False, True])
+    def test_long_domain_gaps(self, gap, across):
+        from ssdkit.gridfn import CONVEXITY_RTOL, convexity_defect
+
+        grid = GridSpec.box(-3, 3, 41, 2)
+        vals = 0.5 * np.sum(grid.points() ** 2, axis=1)
+        nd = vals.reshape(grid.shape())
+        lo = 20 - gap // 2
+        if across:
+            nd[lo:lo + gap, :] = np.inf  # a band: the domain is two pieces
+        else:
+            nd[lo:lo + gap, 7] = np.inf  # a hole in one grid line
+        got = convexity_defect(grid, vals)
+        assert got is not None
+        assert got == scan_convexity_defect(grid.shape(), vals, CONVEXITY_RTOL)
+
+    @pytest.mark.parametrize("n", [61, 201])
+    def test_large_magnitudes_decline(self, n):
+        from ssdkit import gridfn
+
+        grid = GridSpec.box(-3, 3, n, 2)
+        vals = 1e6 * (1.0 + 0.5 * np.sum(grid.points() ** 2, axis=1))
+        assert not gridfn._convexity_certificate(vals.reshape(grid.shape()),
+                                                 gridfn._directions(2))
+        with mock.patch.object(gridfn, "_stride_scan", wraps=gridfn._stride_scan) as scan:
+            got = gridfn.convexity_defect(grid, vals)
+        assert scan.call_count == 1
+        assert got == scan_convexity_defect(grid.shape(), vals, gridfn.CONVEXITY_RTOL)
+
+
+class TestConvexityBudgetScale:
+    """The convexity check near the grid point budget: a convex 999^2 sample
+    passes on the certificate alone, and a planted long-stride violation on
+    201^2 comes back as the scan's (index, defect)."""
+
+    def test_999_squared_convex_skips_the_stride_scan(self):
+        from ssdkit import gridfn
+
+        grid = GridSpec.box(-3, 3, 999, 2)
+        vals = 0.5 * np.sum(grid.points() ** 2, axis=1)
+        with mock.patch.object(gridfn, "_stride_scan", wraps=gridfn._stride_scan) as scan:
+            GridFn(grid, vals, require_convex=True)
+        assert scan.call_count == 0
+
+    def test_201_squared_long_stride_violation(self):
+        from ssdkit import gridfn
+
+        grid = GridSpec.box(-3, 3, 201, 2)
+        vals = _concave_ramp(grid, 100) + 1e-9 * grid.points()[:, 1]
+        want = scan_convexity_defect(grid.shape(), vals, gridfn.CONVEXITY_RTOL)
+        assert want is not None
+        with mock.patch.object(gridfn, "_stride_scan", wraps=gridfn._stride_scan) as scan:
+            assert gridfn.convexity_defect(grid, vals) == want
+            with pytest.raises(NotConvex, match=f"node {want[0]} "):
+                GridFn(grid, vals, require_convex=True)
+        assert scan.call_count == 2
 
 
 class TestScoreBlock:

@@ -1,9 +1,13 @@
-"""Passing a prebuilt representer triple: same reports, less work."""
+"""Passing a prebuilt representer triple or density report: same reports,
+less work."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from ssdkit import (
+    DensityNotVerified,
     GridFn,
     fitz_triple,
     sigma_minorant_test,
@@ -12,6 +16,8 @@ from ssdkit import (
     theorem_4_10_battery,
     theorem_5_8_battery,
 )
+from ssdkit import duality
+from ssdkit.duality import density_report
 from ssdkit.catalog import cubic_graph_set
 from ssdkit.suites import run_suite
 
@@ -58,6 +64,35 @@ class TestPrebuiltTriple:
             own = sigma_minorant_test(prod_space, diag121.underlying, h)
             given = sigma_minorant_test(prod_space, diag121.underlying, h, triple=triple)
             assert _doc(given) == _doc(own)
+
+
+class TestPrebuiltDensity:
+    def test_batteries_equal_with_given_density(self, prod_space, prod_dual, grid61):
+        cubic = cubic_graph_set(grid61)
+        triple = fitz_triple(prod_space, cubic.underlying, grid61)
+        dens = density_report(prod_space, prod_dual, grid61)
+        assert dens.passed
+        own = theorem_5_8_battery(prod_space, prod_dual, cubic, grid61, triple=triple)
+        with mock.patch.object(duality, "density_report",
+                               side_effect=AssertionError("density rebuilt")):
+            given = theorem_5_8_battery(prod_space, prod_dual, cubic, grid61, triple=triple,
+                                        density=dens)
+            given_4_10 = theorem_4_10_battery(prod_space, prod_dual, cubic.underlying, grid61,
+                                              triple=triple, density=dens)
+        assert _doc(given) == _doc(own)
+        own_4_10 = theorem_4_10_battery(prod_space, prod_dual, cubic.underlying, grid61,
+                                        triple=triple)
+        assert _doc(given_4_10) == _doc(own_4_10)
+
+    def test_failed_density_given_still_refuses(self, prod_space, prod_dual, grid61):
+        cubic = cubic_graph_set(grid61)
+        failed = density_report(prod_space, prod_dual, grid61, tol_density=-1.0)
+        assert not failed.passed
+        with pytest.raises(DensityNotVerified):
+            theorem_4_10_battery(prod_space, prod_dual, cubic.underlying, grid61,
+                                 density=failed)
+        with pytest.raises(DensityNotVerified):
+            theorem_5_8_battery(prod_space, prod_dual, cubic, grid61, density=failed)
 
 
 class TestTheorem215Reports:
