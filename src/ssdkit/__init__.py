@@ -39,7 +39,6 @@ from .spaces import (
     SsdSpace,
     check_banach_ssd,
     lipschitz_checks,
-    make_ssd,
     product_space,
     swap_matrix,
 )

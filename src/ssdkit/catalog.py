@@ -1,7 +1,14 @@
 """Built-in spaces, sets, and functions used by the verification suites.
 
-Everything here is deterministic; sampled sets snap to the grid axes they
-are meant to live on so that touching-set recovery is exact.
+Everything here is deterministic.  `monotone_graph_set`, `cubic_graph_set`
+and `sign_graph_set` snap to the axes of the grid they are given, so their
+points are grid nodes and touching-set recovery is exact.  `vz_catalog`
+samples its diagonal with 2n - 1 points on the box of an n-point grid:
+every diagonal node and the midpoints between them.  `diagonal_set`,
+`helix_set` and `ray_set` are fixed samples that know no grid: the
+`diagonal_set(-3, 3, 121)` of the suites is that same sample at the default
+n = 61, but on other grids it has points off the nodes, misses diagonal
+nodes, or both.
 """
 
 from __future__ import annotations
@@ -13,26 +20,26 @@ from .gridfn import GridFn
 from .grids import GridSpec
 from .monotone import MonotoneSet
 from .positivity import PointSet
-from .spaces import EUCLIDEAN, NormSpec, SsdSpace, make_ssd, product_space
+from .spaces import EUCLIDEAN, NormSpec, SsdSpace, product_space
 
 
 # -- spaces ---------------------------------------------------------------------
 
 def space_identity(dim: int = 2) -> SsdSpace:
-    return make_ssd(np.eye(dim), NormSpec(EUCLIDEAN), label=f"identity pairing R^{dim}")
+    return SsdSpace(np.eye(dim), NormSpec(EUCLIDEAN), label=f"identity pairing R^{dim}")
 
 
 def space_negated(dim: int = 2) -> SsdSpace:
-    return make_ssd(-np.eye(dim), NormSpec(EUCLIDEAN), label=f"negated pairing R^{dim}")
+    return SsdSpace(-np.eye(dim), NormSpec(EUCLIDEAN), label=f"negated pairing R^{dim}")
 
 
 def space_swap_r3() -> SsdSpace:
     m = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    return make_ssd(m, NormSpec(EUCLIDEAN), label="R^3 with first-two-swap pairing")
+    return SsdSpace(m, NormSpec(EUCLIDEAN), label="R^3 with first-two-swap pairing")
 
 
 def space_zero_pairing(dim: int = 2) -> SsdSpace:
-    return make_ssd(np.zeros((dim, dim)), NormSpec(EUCLIDEAN),
+    return SsdSpace(np.zeros((dim, dim)), NormSpec(EUCLIDEAN),
                     label=f"zero pairing R^{dim}")
 
 
@@ -45,8 +52,10 @@ def space_nodual() -> SsdSpace:
                          label="product R^2, doubled norm (no dual)")
 
 
-def all_special_spaces(taus=(0.5, 1.0, 2.0)) -> list[SsdSpace]:
-    return [space_r2_product(kind, tau) for kind in ("one", "two", "inf") for tau in taus]
+def all_special_spaces() -> list[SsdSpace]:
+    """The nine split-norm planes: each kind with tau in {0.5, 1, 2}."""
+    return [space_r2_product(kind, tau) for kind in ("one", "two", "inf")
+            for tau in (0.5, 1.0, 2.0)]
 
 
 def cyclic_pairing_matrix() -> np.ndarray:
@@ -77,10 +86,10 @@ def helix_set(pitch: float = 1.0, n: int = 200, span: float = 10.0) -> PointSet:
     return PointSet(pts, label=f"helix (pitch {pitch:g})")
 
 
-def ray_set(direction=(1.0, -1.0, 2.0), lo: float = -2.0, hi: float = 2.0,
-            n: int = 81) -> PointSet:
-    t = np.linspace(lo, hi, n)
-    return PointSet(t[:, None] * np.asarray(direction, dtype=float)[None, :],
+def ray_set() -> PointSet:
+    """81 points of the line through the origin along (1, -1, 2), t in [-2, 2]."""
+    t = np.linspace(-2.0, 2.0, 81)
+    return PointSet(t[:, None] * np.array([1.0, -1.0, 2.0])[None, :],
                     label="sampled line through the origin")
 
 

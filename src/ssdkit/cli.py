@@ -2,7 +2,9 @@
 constructions, writing machine-readable reports.
 
 Exit codes: 0 when every non-skipped check passes, 1 when a check fails,
-2 on configuration, input, or precondition errors.
+2 on configuration, input, or precondition errors.  `verify` runs every
+requested suite even when one refuses (a precondition fails): the refused
+suite's report file records the message, and the exit code is 2.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .gridfn import GridFn, conjugate, default_slope_grid
 from .grids import GridSpec
 from .monotone import MonotoneSet, negative_alignment
 from .positivity import PointSet, project_to_p
+from .reports import residual_cell
 from .spaces import SsdSpace
 from .suites import SUITES, SuiteOptions, run_suite
 
@@ -50,13 +53,17 @@ def _load_set(args):
     return diagonal_set(-3.0, 3.0, 121).underlying
 
 
-def _write_suite_reports(args, name: str, reports) -> bool:
+def _write_suite_reports(args, name: str, reports, refused: str | None = None) -> bool:
+    """Write `<name>.json` (and `.csv`) and print one line per report, or the
+    refusal record and one REFUSED line when the suite refused."""
     args.out.mkdir(parents=True, exist_ok=True)
     doc = {
         "suite": name,
-        "passed": all(r.passed for r in reports),
+        "passed": refused is None and all(r.passed for r in reports),
         "reports": [r.to_dict() for r in reports],
     }
+    if refused is not None:
+        doc["refused"] = refused
     path = args.out / f"{name}.json"
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     if args.fmt == "csv":
@@ -67,6 +74,8 @@ def _write_suite_reports(args, name: str, reports) -> bool:
                 writer.writerows(rep.rows())
     for rep in reports:
         print(rep.summary_line())
+    if refused is not None:
+        print(f"{name}: REFUSED ({refused})")
     return doc["passed"]
 
 
@@ -80,15 +89,16 @@ def cmd_verify(args) -> int:
     opts = SuiteOptions(grid=args.grid, tol=args.tol, seed=args.seed,
                         lam=args.lam, epsilon=args.epsilon)
     if args.set_file:
-        ps = PointSet.from_csv(args.set_file, label=Path(args.set_file).stem)
-        opts.point_set = ps
-        if ps.dim % 2 == 0:
-            opts.monotone_set = MonotoneSet(ps, ps.dim // 2)
-    all_ok = True
+        opts.point_set = PointSet.from_csv(args.set_file, label=Path(args.set_file).stem)
+    all_ok, any_refused = True, False
     for name in names:
-        reports = run_suite(name, opts)
-        all_ok &= _write_suite_reports(args, name, reports)
-    return 0 if all_ok else 1
+        try:
+            reports, refused = run_suite(name, opts), None
+        except SsdkitError as exc:
+            reports, refused = [], str(exc)
+            any_refused = True
+        all_ok &= _write_suite_reports(args, name, reports, refused)
+    return 2 if any_refused else 0 if all_ok else 1
 
 
 def cmd_report(args) -> int:
@@ -113,6 +123,8 @@ def cmd_report(args) -> int:
                 n_fail += check["status"] == "fail"
         suites[name] = {"passed": bool(doc.get("passed", n_fail == 0)),
                         "n_failed": n_fail}
+        if "refused" in doc:
+            suites[name]["refused"] = doc["refused"]
     rows.sort(key=lambda r: (r["suite"], r["check_id"]))
     summary = {
         "suites": suites,
@@ -128,7 +140,7 @@ def cmd_report(args) -> int:
         writer.writerow(["suite", "check_id", "anchor", "status", "worst_residual"])
         for r in rows:
             writer.writerow([r["suite"], r["check_id"], r["anchor"], r["status"],
-                             "" if r["worst_residual"] is None else repr(r["worst_residual"])])
+                             residual_cell(r["worst_residual"])])
     print(f"{summary['n_checks']} checks aggregated from {len(files)} suites; "
           f"{summary['n_failed']} failed, {summary['n_skipped']} skipped")
     return 0

@@ -42,7 +42,6 @@ from .spaces import (
     EUCLIDEAN,
     PRODUCT_KINDS,
     QUADRATIC,
-    NormSpec,
     SsdSpace,
     _canonical_direction,
     pairwise_q,
@@ -56,11 +55,10 @@ _SQRT2 = np.sqrt(2.0)
 @dataclass(frozen=True, eq=False)
 class DualSsd:
     """Dual pairing and dual norm attached to a space, as a space in its own
-    right (`as_space` carries q-tilde and p-tilde as its q and p)."""
+    right: `as_space` carries the dual pairing and norm, and q-tilde and
+    p-tilde as its q and p."""
 
     space: SsdSpace
-    pairing_tilde: np.ndarray
-    dual_norm: NormSpec
     as_space: SsdSpace
 
     def q_tilde(self, c):
@@ -70,7 +68,8 @@ class DualSsd:
         return self.as_space.p(c)
 
     def to_dict(self):
-        return {"pairing": self.pairing_tilde.tolist(), "norm": self.dual_norm.to_dict()}
+        return {"pairing": self.as_space.pairing.tolist(),
+                "norm": self.as_space.norm.to_dict()}
 
 
 def save_space_document(space: SsdSpace, path, dual: DualSsd | None = None) -> None:
@@ -95,21 +94,23 @@ def load_space_document(path) -> tuple[SsdSpace, DualSsd | None]:
     if "dual" in doc:
         dual = make_dual(space)
         stored = np.asarray(doc["dual"]["pairing"], dtype=float)
-        if np.max(np.abs(stored - dual.pairing_tilde)) > 1e-9:
+        if np.max(np.abs(stored - dual.as_space.pairing)) > 1e-9:
             raise SingularPairing("stored dual pairing disagrees with the "
                                   "canonical one for this space")
     return space, dual
 
 
-def make_dual(space: SsdSpace, tol: float = tols.ATOL_CLOSED, seed: int = 42) -> DualSsd:
+def make_dual(space: SsdSpace) -> DualSsd:
     """Construct the canonical dual structure and validate compatibility.
 
     Raises SingularPairing when the pairing has no inverse and NoDual when
-    the dual gauge p-tilde goes negative (witness and value attached).  The
-    nonnegativity check is analytic whenever the dual norm has a quadratic
-    form and sampled otherwise (p-tilde is 2-homogeneous, so a unit box
-    sample suffices).  The identities are checked on 1000 random vectors.
+    the dual gauge p-tilde goes below -ATOL_CLOSED (witness and value
+    attached).  The nonnegativity check is analytic whenever the dual norm
+    has a quadratic form and sampled otherwise (p-tilde is 2-homogeneous, so
+    a unit box sample suffices).  The identities are checked on 1000 random
+    vectors of a generator seeded with 42.
     """
+    tol = tols.ATOL_CLOSED
     m = space.pairing
     if np.linalg.cond(m) > 1e12:
         raise SingularPairing("pairing matrix is numerically singular")
@@ -118,9 +119,9 @@ def make_dual(space: SsdSpace, tol: float = tols.ATOL_CLOSED, seed: int = 42) ->
     dual_norm = space.norm.dual()
     as_space = SsdSpace(m_tilde, norm=dual_norm,
                         label=(space.label + " (dual)") if space.label else "dual")
-    dual = DualSsd(space, as_space.pairing, dual_norm, as_space)
+    dual = DualSsd(space, as_space)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(42)
     b = rng.standard_normal((1000, space.dim))
     cstar = rng.standard_normal((1000, space.dim))
     lhs = np.einsum("ni,ij,nj->n", b @ m.T, m_tilde, cstar)
@@ -189,11 +190,13 @@ def numerical_dual_norm(space: SsdSpace, ystar) -> float | np.ndarray:
 
 
 def dual_norm_check(space: SsdSpace, dual: DualSsd, n_samples: int = 100,
-                    seed: int = 42, tol: float = 1e-4, radius: float = 3.0) -> VerifyReport:
-    """Numerical dual norm vs the claimed closed form on random dual vectors."""
+                    seed: int = 42, tol: float = 1e-4) -> VerifyReport:
+    """Numerical dual norm vs the claimed closed form on random dual vectors
+    drawn from [-3, 3]^d."""
     rng = np.random.default_rng(seed)
-    ys = rng.uniform(-radius, radius, size=(n_samples, space.dim))
-    errs = np.abs(numerical_dual_norm(space, ys) - dual.dual_norm(ys))
+    ys = rng.uniform(-3.0, 3.0, size=(n_samples, space.dim))
+    dual_norm = dual.as_space.norm
+    errs = np.abs(numerical_dual_norm(space, ys) - dual_norm(ys))
     worst = float(np.max(errs, initial=0.0))
     report = VerifyReport(suite="dual_norm_check", seed=seed,
                           tolerances={"tol": tol},
@@ -202,7 +205,7 @@ def dual_norm_check(space: SsdSpace, dual: DualSsd, n_samples: int = 100,
                residual=worst, witness=ys[np.argmax(errs)] if worst > 0.0 else None)
     z = np.zeros(space.dim)
     report.add("dual_norm_at_zero", "plumbing",
-               abs(float(dual.dual_norm(z))) <= 1e-15, residual=abs(float(dual.dual_norm(z))))
+               abs(float(dual_norm(z))) <= 1e-15, residual=abs(float(dual_norm(z))))
     return report
 
 
@@ -327,14 +330,14 @@ def vz_mas_equivalence(space: SsdSpace, dual: DualSsd, f: GridFn,
 # -- the equivalence battery ------------------------------------------------------------
 
 def theorem_4_10_battery(space: SsdSpace, dual: DualSsd, a: PointSet, grid: GridSpec,
-                         h_candidates=None, tol: float = tols.ATOL_GRID,
-                         triple: FitzTriple | None = None,
+                         h_candidates=None, triple: FitzTriple | None = None,
                          density: VerifyReport | None = None) -> VerifyReport:
-    """Equivalent conditions for a grid-maximal positive set; verdicts must be
-    unanimous.  Refuses when maximality or image density fails.  `triple`,
-    when given, is `fitz_triple(space, a, grid)` built by the caller, and
-    `density` is `density_report(space, dual, grid)`.
+    """Equivalent conditions for a grid-maximal positive set, held to
+    ATOL_GRID; verdicts must be unanimous.  Refuses when maximality or image
+    density fails.  `triple`, when given, is `fitz_triple(space, a, grid)`
+    built by the caller, and `density` is `density_report(space, dual, grid)`.
     """
+    tol = tols.ATOL_GRID
     mx = is_maximally_q_positive(space, a, grid)
     if not mx.passed:
         raise PreconditionFailed("set is not grid-maximal; battery does not apply")

@@ -66,11 +66,6 @@ def dual_probe_blocks(space: SsdSpace, grid: GridSpec) -> list:
     return [Lattice(box), Lattice(grid, space.pairing.T)]
 
 
-def dual_probe_points(space: SsdSpace, grid: GridSpec) -> np.ndarray:
-    """The rows of `dual_probe_blocks`, stacked."""
-    return block_points(dual_probe_blocks(space, grid))
-
-
 def star_theta(space: SsdSpace, a: PointSet, dual_points, c) -> float | np.ndarray:
     """Conjugate of the dual-side representer back on the primal side,
     sup taken over the supplied dual probe points (an under-approximation)."""
@@ -200,22 +195,19 @@ def lemma_2_13_suite(space: SsdSpace, a: PointSet, grid: GridSpec) -> VerifyRepo
     return report
 
 
-def theorem_2_15_suite(space: SsdSpace, f: GridFn, h: GridFn | None,
-                       grid: GridSpec | None = None,
-                       tol: float = tols.ATOL_GRID) -> VerifyReport:
+def theorem_2_15_suite(space: SsdSpace, f: GridFn, h: GridFn | None) -> VerifyReport:
     """Sandwich inequalities around a touching function and the transfer of
-    the zero inf-convolution property to anything inside the sandwich."""
-    return next(theorem_2_15_reports(space, f, [h], grid=grid, tol=tol))
+    the zero inf-convolution property to anything inside the sandwich, on
+    f's grid and held to ATOL_GRID."""
+    return next(theorem_2_15_reports(space, f, [h]))
 
 
-def theorem_2_15_reports(space: SsdSpace, f: GridFn, candidates,
-                         grid: GridSpec | None = None,
-                         tol: float = tols.ATOL_GRID) -> Iterator[VerifyReport]:
+def theorem_2_15_reports(space: SsdSpace, f: GridFn, candidates) -> Iterator[VerifyReport]:
     """`theorem_2_15_suite` for each candidate h in turn (None: the checks on
     f alone), each report yielded as soon as its checks are done.  The
     touching set, its representers and the conjugates of f and phi are
     computed once, and each report starts from its own copy of their checks."""
-    grid = grid or f.grid
+    grid, tol = f.grid, tols.ATOL_GRID
     a = p_set(f, space)
     if len(a) == 0:
         raise EmptySet("touching set of f is empty")
@@ -271,22 +263,20 @@ def theorem_2_15_reports(space: SsdSpace, f: GridFn, candidates,
 
 
 def sigma_minorant_test(space: SsdSpace, a: PointSet, h: GridFn,
-                        tol: float | None = None,
                         triple: FitzTriple | None = None) -> VerifyReport:
     """One direction of the maximal-representer property: any grid-convex h
-    with h <= q on the set stays below the conjugate-back representer.
-    `triple`, when given, is `fitz_triple(space, a, h.grid)` built by the
-    caller."""
+    with h <= q on the set stays below the conjugate-back representer, up to
+    half of (h's observed slope + 1) times the dual spacing.  `triple`, when
+    given, is `fitz_triple(space, a, h.grid)` built by the caller."""
     hq = h.evaluate(a.points) - space.q(a.points)
     worst_on_a = float(np.max(hq))
     if worst_on_a > tols.tol_p_membership():
         raise NotAMinorant(f"h exceeds q on the set by {worst_on_a:.3e}")
     if triple is None:
         triple = fitz_triple(space, a, h.grid)
-    if tol is None:
-        h_d = float(np.max(triple.theta_fn.grid.spacing))
-        lip = tols.observed_lipschitz(h.values_nd(), h.grid.spacing)
-        tol = max(tols.ATOL_GRID, 0.5 * (lip + 1.0) * h_d)
+    h_d = float(np.max(triple.theta_fn.grid.spacing))
+    lip = tols.observed_lipschitz(h.values_nd(), h.grid.spacing)
+    tol = max(tols.ATOL_GRID, 0.5 * (lip + 1.0) * h_d)
     gap = h.values - triple.star_theta_fn.values
     report = VerifyReport(suite="sigma_minorant", grid=h.grid.to_dict(),
                           tolerances={"tol": tol},

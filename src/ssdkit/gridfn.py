@@ -872,16 +872,14 @@ def default_slope_grid(f: GridFn) -> GridSpec:
 
 # -- the two representability predicates --------------------------------------------
 
-def is_vz(f: GridFn, space: SsdSpace, c_grid: GridSpec | None = None,
-          tol: float | None = None) -> VerifyReport:
+def is_vz(f: GridFn, space: SsdSpace, c_grid: GridSpec | None = None) -> VerifyReport:
     """Zero inf-convolution test: (f - q) inf-conv p vanishes on the grid.
 
-    Also asserts the corollary inf(f - q) = 0.  The tolerance defaults to a
-    spacing-scaled bound from f's observed Lipschitz constant and is recorded
-    in the report.
+    Also asserts the corollary inf(f - q) = 0.  The tolerance is a
+    spacing-scaled bound from f's observed Lipschitz constant
+    (`vz_tolerance`) and is recorded in the report.
     """
-    if tol is None:
-        tol = tols.vz_tolerance(f)
+    tol = tols.vz_tolerance(f)
     c_block = Lattice(c_grid or f.grid)
     conv, _ = zero_infconv_residuals(f, space, c_block)
     report = VerifyReport(suite="is_vz", grid=f.grid.to_dict(),

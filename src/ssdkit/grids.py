@@ -84,24 +84,12 @@ class GridSpec:
             raise ValueError("step must divide the interval count on every axis")
         return GridSpec(self.lower, self.upper, (self.num - 1) // step + 1)
 
-    def scaled(self, factor: float, num=None) -> "GridSpec":
-        """Box inflated about its center by `factor`."""
-        center = 0.5 * (self.lower + self.upper)
-        half = 0.5 * (self.upper - self.lower) * factor
-        return GridSpec(center - half, center + half, self.num if num is None else num)
-
     def to_dict(self):
         return {
             "lower": self.lower.tolist(),
             "upper": self.upper.tolist(),
             "num": self.num.tolist(),
         }
-
-    @classmethod
-    def from_dict(cls, doc):
-        return cls(np.asarray(doc["lower"], dtype=float),
-                   np.asarray(doc["upper"], dtype=float),
-                   np.asarray(doc["num"], dtype=int))
 
     @classmethod
     def from_string(cls, text: str) -> "GridSpec":
@@ -121,16 +109,16 @@ class GridSpec:
         return cls(np.full(dim, float(lo)), np.full(dim, float(hi)), np.full(dim, int(n)))
 
 
-def image_box(grid: GridSpec, matrix, inflate: float = 1.0, include_source: bool = False,
-              num=None) -> GridSpec:
-    """Bounding box of the grid corners mapped through `matrix`.
+def image_box(grid: GridSpec, matrix, inflate: float = 1.0,
+              include_source: bool = False) -> GridSpec:
+    """Bounding box of the grid corners mapped through `matrix`, with the
+    grid's node counts.
 
     With `include_source` the original box is merged in (keeps the image box
     nondegenerate when the matrix has a kernel).  `inflate` scales about the
     center afterwards.
     """
     m = np.asarray(matrix, dtype=float)
-    d = grid.dim
     image = _corners(grid) @ m.T
     lo = image.min(axis=0)
     hi = image.max(axis=0)
@@ -145,7 +133,7 @@ def image_box(grid: GridSpec, matrix, inflate: float = 1.0, include_source: bool
         hi = np.where(degenerate, hi + pad, hi)
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo) * inflate
-    return GridSpec(center - half, center + half, grid.num if num is None else np.full(d, num))
+    return GridSpec(center - half, center + half, grid.num)
 
 
 def _corners(grid: GridSpec) -> np.ndarray:

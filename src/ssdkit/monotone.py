@@ -71,13 +71,6 @@ class MonotoneSet:
         return cls(ps, ps.dim // 2)
 
 
-def monotonicity_report(space: SsdSpace, a: MonotoneSet, tol=tols.ATOL_CLOSED) -> VerifyReport:
-    """Pairwise <x - y, x* - y*> >= -tol, via the positivity machinery."""
-    report = is_q_positive(space, a.underlying, tol=tol)
-    report.meta["reading"] = "pairwise duality products"
-    return report
-
-
 def mf_set(f: GridFn, space: SsdSpace) -> MonotoneSet:
     """Grid pairs where f meets the duality product; monotone by construction.
 
@@ -95,15 +88,16 @@ def mf_set(f: GridFn, space: SsdSpace) -> MonotoneSet:
 
 
 def type_ni_check(space: SsdSpace, a: MonotoneSet, dual: DualSsd,
-                  dual_points=None, tol: float = tols.ATOL_GRID,
-                  grid: GridSpec | None = None) -> VerifyReport:
-    """Nonpositive infimum over the set at every dual probe point.
+                  dual_points=None, grid: GridSpec | None = None) -> VerifyReport:
+    """Nonpositive infimum over the set at every dual probe point, up to
+    ATOL_GRID.
 
     Desk-scale reading: the bidual is the primal space, so probes run over
     the image lattice of the grid.
     """
     if len(a) == 0:
         raise EmptySet("need a nonempty monotone set")
+    tol = tols.ATOL_GRID
     if dual_points is None:
         if grid is None:
             raise ValueError("pass dual_points or a grid to probe")
@@ -119,9 +113,9 @@ def type_ni_check(space: SsdSpace, a: MonotoneSet, dual: DualSsd,
 
 
 def strongly_representable_check(a: MonotoneSet, f: GridFn, space: SsdSpace,
-                                 dual: DualSsd, tol: float | None = None) -> VerifyReport:
+                                 dual: DualSsd) -> VerifyReport:
     """f is a two-sided minorant and its touching set recovers the sample."""
-    mas = is_mas(f, space, dual, tol=tol)
+    mas = is_mas(f, space, dual)
     touch = mf_set(f, space)
     cell = tols.cell_norm(space, f.grid)
     dist, far = _hausdorff(a.points, touch.points, partial(pairwise_norm, space))
@@ -138,11 +132,11 @@ def strongly_representable_check(a: MonotoneSet, f: GridFn, space: SsdSpace,
 
 
 def theorem_5_8_battery(space: SsdSpace, dual: DualSsd, a: MonotoneSet, grid: GridSpec,
-                        h_candidates=None, tol: float = tols.ATOL_GRID,
-                        triple: FitzTriple | None = None,
+                        h_candidates=None, triple: FitzTriple | None = None,
                         density: VerifyReport | None = None) -> VerifyReport:
     """Product-space reading of the equivalence battery, plus the explicit
-    classical form of the dual-side support inequality.  `triple`, when
+    classical form of the dual-side support inequality, held to ATOL_GRID
+    like the battery.  `triple`, when
     given, is `fitz_triple(space, a.underlying, grid)` built by the caller,
     and `density` is `density_report(space, dual, grid)`; the classical
     form's sup over the set, max over a of <a, b*> - q(a) at the image b* of
@@ -150,13 +144,14 @@ def theorem_5_8_battery(space: SsdSpace, dual: DualSsd, a: MonotoneSet, grid: Gr
     if triple is None:
         triple = fitz_triple(space, a.underlying, grid)
     report = theorem_4_10_battery(space, dual, a.underlying, grid,
-                                  h_candidates=h_candidates, tol=tol, triple=triple,
+                                  h_candidates=h_candidates, triple=triple,
                                   density=density)
     report.suite = "theorem_5_8"
     image, sup_vals = triple.dual_blocks[1]
     image_nodes = image.points()
     report.add_worst("b_classical_form", "thm_5_8b", dual.q_tilde(image_nodes) - sup_vals,
-                     image_nodes, tol, note="support of the set dominates the duality product")
+                     image_nodes, tols.ATOL_GRID,
+                     note="support of the set dominates the duality product")
     return report
 
 
@@ -249,14 +244,15 @@ def negative_alignment(a: MonotoneSet, x, xstar, alpha: float, beta: float) -> A
                            excluded_axis_points=n_excluded)
 
 
-def alignment_report(a: MonotoneSet, x, xstar, alpha, beta,
-                     tol: float = 1e-6) -> VerifyReport:
-    """Check the balanced-approach limit relations at the extracted minimizer.
+def alignment_report(a: MonotoneSet, x, xstar, alpha, beta) -> VerifyReport:
+    """Check the balanced-approach limit relations at the extracted minimizer,
+    each to 1e-6.
 
     The balance and alignment assertions only apply when the objective
     minimum clears the gate, 1e-8 plus 5% of rho * sigma (it vanishes in the
     limit; on a sample it merely has to be small).
     """
+    tol = 1e-6
     res = negative_alignment(a, x, xstar, alpha, beta)
     report = VerifyReport(suite="negative_alignment",
                           tolerances={"tol": tol},
@@ -291,11 +287,13 @@ def _halves(c, y, n):
     return c[:, None, :n] - y[None, :, :n], c[:, None, n:] - y[None, :, n:]
 
 
-def remark_5_6_bound(a: MonotoneSet, f: GridFn, space: SsdSpace, c_grid: GridSpec,
-                     tol: float = tols.ATOL_GRID) -> VerifyReport:
+def remark_5_6_bound(a: MonotoneSet, f: GridFn, space: SsdSpace,
+                     c_grid: GridSpec) -> VerifyReport:
     """Distance chain at every probe pair: Euclidean distance to the set is at
     most sqrt(2) sqrt(-inf of the duality product), itself at most
-    sqrt(2) sqrt(f - product); the classical constant-2 bound is recorded."""
+    sqrt(2) sqrt(f - product) up to ATOL_GRID; the classical constant-2 bound
+    is recorded."""
+    tol = tols.ATOL_GRID
     pts = c_grid.points()
     n = a.n
 

@@ -67,13 +67,15 @@ class PointSet:
         return cls(pts, label=label)
 
 
-def _dedup(pts, tol=1e-12):
-    """Drop every row within Chebyshev distance `tol` of an earlier kept row.
+def _dedup(pts):
+    """Drop every row within Chebyshev distance `tol` = 1e-12 of an earlier
+    kept row.
 
     The first occurrence survives and the order is kept.  Exact duplicates
     go by a sort; rows left with a distinct neighbour within `tol` (found by
     a window on the sorted first column) go by the greedy first-kept rule.
     """
+    tol = 1e-12
     _, first = np.unique(pts, axis=0, return_index=True)
     rows = pts[np.sort(first)]
     near = np.zeros(rows.shape[0], dtype=bool)
@@ -264,19 +266,19 @@ class ProjectionTrace:
 
 
 def project_to_p(f: GridFn, space: SsdSpace, c, epsilon: float,
-                 stop_tol: float | None = None, tol_p: float | None = None) -> ProjectionTrace:
+                 stop_tol: float | None = None) -> ProjectionTrace:
     """Certified grid descent from c toward the touching set of f.
 
     Each step minimizes (f - q)(b) + p(prev - b) over the grid and must meet
     the geometric certificate; the loop stops once the certificate target
     drops below stop_tol (default: the one-cell variation of p, below which a
     grid step cannot certify) or after 60 steps.  Raises StepInfeasible when
-    the grid cannot meet a target above that floor.
+    the grid cannot meet a target above that floor.  The gap of f - q must
+    close to within `tol_p_membership()`.
     """
     if not (0.0 < epsilon < 1.0):
         raise EpsilonOutOfRange("epsilon must lie strictly between 0 and 1")
-    if tol_p is None:
-        tol_p = tols.tol_p_membership()
+    tol_p = tols.tol_p_membership()
     cc, _ = _as_points(c, space.dim)
     c0 = cc[0]
     nodes = f.grid.points()
@@ -357,20 +359,19 @@ def recheck_trace(trace: ProjectionTrace, f: GridFn, space: SsdSpace) -> VerifyR
     return report
 
 
-def dist_bounds_check(f: GridFn, space: SsdSpace, c_grid: GridSpec,
-                      tol: float | None = None) -> VerifyReport:
+def dist_bounds_check(f: GridFn, space: SsdSpace, c_grid: GridSpec) -> VerifyReport:
     """Distance-to-touching-set bounds with the sharpness ratio probe.
 
     Checks dist(c, P) <= sqrt(2) sqrt(-inf q(c - P)) + slack and
     dist(c, P) <= sqrt(2) sqrt((f - q)(c)), plus the chain
     -inf q(c - P) <= (f - q)(c).  Records max dist / sqrt(-inf q) over
     candidates whose denominator clears ratio_floor, 16 squared grid cells.
+    The gap terms are held to ATOL_GRID.
     """
     p = p_set(f, space)
     if len(p) == 0:
         raise PreconditionFailed("touching set is empty")
-    if tol is None:
-        tol = tols.ATOL_GRID
+    tol = tols.ATOL_GRID
     cell = tols.cell_norm(space, c_grid)
     slack = 2.0 * cell
     pts = c_grid.points()
@@ -398,8 +399,7 @@ def dist_bounds_check(f: GridFn, space: SsdSpace, c_grid: GridSpec,
     return report
 
 
-def lemma_2_8_suite(space: SsdSpace, a: PointSet, h: GridFn, c_grid: GridSpec,
-                    tol: float | None = None) -> VerifyReport:
+def lemma_2_8_suite(space: SsdSpace, a: PointSet, h: GridFn, c_grid: GridSpec) -> VerifyReport:
     """Consequences of density + positivity for a sampled set.
 
     Preconditions (density, positivity) are themselves verified and the run
@@ -410,8 +410,7 @@ def lemma_2_8_suite(space: SsdSpace, a: PointSet, h: GridFn, c_grid: GridSpec,
     dense = p_dense_check(space, a, c_grid)
     if not (pos.passed and dense.passed):
         raise PreconditionFailed("set is not a grid-verified dense positive set")
-    if tol is None:
-        tol = tols.ATOL_GRID
+    tol = tols.ATOL_GRID
     cell = tols.cell_norm(space, c_grid)
     pts = c_grid.points()
     report = VerifyReport(suite="lemma_2_8", grid=c_grid.to_dict(),

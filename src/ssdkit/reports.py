@@ -26,6 +26,12 @@ def _jsonable(obj):
     return obj
 
 
+def residual_cell(value) -> str:
+    """CSV cell of a worst residual: empty for none, else the repr of the
+    float, read back from its JSON string ("inf", "nan") when not finite."""
+    return "" if value is None else repr(float(value))
+
+
 @dataclass
 class CheckResult:
     """Outcome of one checked inequality or identity.
@@ -121,11 +127,8 @@ class VerifyReport:
 
     def rows(self):
         """Flat (suite, id, anchor, status, residual) rows for CSV hand-off."""
-        out = []
-        for c in self.checks:
-            res = "" if c.worst_residual is None else repr(c.worst_residual)
-            out.append((self.suite, c.check_id, c.anchor, c.status, res))
-        return out
+        return [(self.suite, c.check_id, c.anchor, c.status, residual_cell(c.worst_residual))
+                for c in self.checks]
 
     def summary_line(self) -> str:
         n = len(self.checks)

@@ -15,7 +15,6 @@ verifies this analytically (quadratic norms) or on a sample grid.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,7 @@ from .errors import (
     UnsupportedProbe,
     ZeroDimension,
 )
+from .tolerances import ATOL_CLOSED
 
 EUCLIDEAN = "euclidean"
 QUADRATIC = "quadratic"
@@ -89,7 +89,7 @@ class NormSpec:
     def is_product(self) -> bool:
         return self.variant in PRODUCT_KINDS
 
-    def __call__(self, points, dim=None):
+    def __call__(self, points):
         """Evaluate the norm on an (n, d) array or a single vector."""
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
@@ -183,7 +183,6 @@ class SsdSpace:
         if self.norm.variant == QUADRATIC and self.norm.weight.shape != m.shape:
             raise DimensionMismatch("quadratic norm weight has the wrong shape")
         self.label = label
-        self._opnorm_cache = None
 
     def __repr__(self):
         return f"SsdSpace(dim={self.dim}, norm={self.norm.variant!r}, label={self.label!r})"
@@ -215,17 +214,10 @@ class SsdSpace:
 
     # -- canonical map into the dual -----------------------------------------
 
-    def iota(self) -> np.ndarray:
-        """Matrix of the map realizing the pairing against the dot product."""
-        return self.pairing
-
     def iota_apply(self, b):
         bb, single = _as_points(b, self.dim)
         out = bb @ self.pairing.T
         return out[0] if single else out
-
-    def dual_norm_of(self, c):
-        return self.norm.dual()(c)
 
     def operator_norm(self):
         """(value, estimated) for the canonical map as an operator norm.
@@ -233,11 +225,6 @@ class SsdSpace:
         Exact for Euclidean/quadratic norms and for product norms whose
         pairing is the half-swap; otherwise a seeded sampled estimate.
         """
-        if self._opnorm_cache is None:
-            self._opnorm_cache = self._operator_norm()
-        return self._opnorm_cache
-
-    def _operator_norm(self):
         s2 = self.norm.scale**2
         if self.norm.variant == EUCLIDEAN:
             return float(np.linalg.norm(self.pairing, 2) / s2), False
@@ -252,7 +239,7 @@ class SsdSpace:
         rng = np.random.default_rng(42)
         u = rng.standard_normal((10_000, self.dim))
         u /= self.norm(u)[:, None]
-        return float(np.max(self.dual_norm_of(u @ self.pairing.T))), True
+        return float(np.max(self.norm.dual()(u @ self.pairing.T))), True
 
     # -- serialization ---------------------------------------------------------
 
@@ -264,13 +251,6 @@ class SsdSpace:
             "label": self.label,
         }
 
-    def to_json(self, path=None):
-        doc = json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(doc)
-        return doc
-
     @classmethod
     def from_dict(cls, doc):
         return cls(
@@ -278,16 +258,6 @@ class SsdSpace:
             norm=NormSpec.from_dict(doc.get("norm", {})),
             label=doc.get("label", ""),
         )
-
-    @classmethod
-    def from_json(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
-
-def make_ssd(pairing_matrix, norm: NormSpec | None = None, label: str = "") -> SsdSpace:
-    """Build a space, rejecting non-symmetric pairings and dimension zero."""
-    return SsdSpace(pairing_matrix, norm=norm, label=label)
 
 
 def swap_matrix(n: int) -> np.ndarray:
@@ -351,8 +321,8 @@ def pairwise_norm(space: SsdSpace, x_rows, y_rows):
 
 # -- compatibility and continuity checks ----------------------------------------
 
-def check_banach_ssd(space: SsdSpace, probe="analytic", tol: float = 1e-9):
-    """Verify p = g + q >= 0, analytically or on a sample grid.
+def check_banach_ssd(space: SsdSpace, probe="analytic"):
+    """Verify p = g + q >= -ATOL_CLOSED, analytically or on a sample grid.
 
     `probe` is "analytic" (smallest eigenvalue of W + M, only for norms with
     a quadratic form) or a GridSpec to minimize p over.  The report carries
@@ -360,6 +330,7 @@ def check_banach_ssd(space: SsdSpace, probe="analytic", tol: float = 1e-9):
     """
     from .reports import VerifyReport
 
+    tol = ATOL_CLOSED
     report = VerifyReport(suite="check_banach_ssd", tolerances={"tol": tol},
                           meta={"space": space.label})
     if isinstance(probe, str):
@@ -395,9 +366,9 @@ def _canonical_direction(vec):
     return np.where(np.abs(v) < 1e-12, 0.0, v)
 
 
-def lipschitz_checks(space: SsdSpace, n_pairs: int = 1000, seed: int = 42,
-                     radius: float = 3.0, tol: float = 1e-9):
-    """Continuity bounds for q and p on sampled pairs.
+def lipschitz_checks(space: SsdSpace, n_pairs: int = 1000, seed: int = 42):
+    """Continuity bounds for q and p on pairs sampled from [-3, 3]^d, each
+    held to ATOL_CLOSED.
 
     Checks |q(d) - q(e)| <= 0.5*|iota|*|d-e|*|d+e| and
     |p(d) - p(e)| <= 0.5*(1+|iota|)*|d-e|*(|d|+|e|); when the operator norm
@@ -405,6 +376,7 @@ def lipschitz_checks(space: SsdSpace, n_pairs: int = 1000, seed: int = 42,
     """
     from .reports import VerifyReport
 
+    radius, tol = 3.0, ATOL_CLOSED
     rng = np.random.default_rng(seed)
     d = rng.uniform(-radius, radius, size=(n_pairs, space.dim))
     e = rng.uniform(-radius, radius, size=(n_pairs, space.dim))

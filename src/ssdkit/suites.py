@@ -93,7 +93,6 @@ class SuiteOptions:
     seed: int = 42
     lam: float | None = None    # explicit helix pitch, checked verbatim
     epsilon: float = 0.5
-    monotone_set: MonotoneSet | None = None
     point_set: PointSet | None = None
 
 
@@ -433,8 +432,9 @@ def suite_theorem_5_8(opts: SuiteOptions):
     sp = space_r2_product("two")
     dual = make_dual(sp)
     grid = _grid(opts)
-    sets = ([(opts.monotone_set.underlying.label or "user set", opts.monotone_set)]
-            if opts.monotone_set is not None else
+    user = opts.point_set
+    sets = ([(user.label or "user set", MonotoneSet(user, user.dim // 2))]
+            if user is not None and user.dim % 2 == 0 else
             [("diagonal", diagonal_set(-3, 3, 121)),
              ("clipped cubic graph", cubic_graph_set(grid)),
              ("sign graph", sign_graph_set(grid))])

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -6,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ssdkit import PreconditionFailed
 from ssdkit.cli import main
 from ssdkit.catalog import default_grid, half_sq_norm_fn, space_r2_product
+from ssdkit.duality import save_space_document
 from ssdkit.gridfn import GridFn, kernel_ledger
 from ssdkit.reports import FAIL, PASS, VerifyReport
 
@@ -36,7 +39,8 @@ class TestVerify:
         assert d[0] * d[1] + 0.5 * d[2] ** 2 < 0  # witness pair really violates
 
     def test_unknown_suite_is_config_error(self, tmp_path):
-        assert run(["verify", "--suite", "nope", "--out", tmp_path]) == 2
+        assert run(["verify", "--suite", "nope", "--out", tmp_path / "out"]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_bad_grid_string_is_config_error(self, tmp_path):
         assert run(["verify", "--suite", "helix", "--grid", "0..1..5",
@@ -146,6 +150,66 @@ class TestVerify:
         assert set(re.findall(r"`(\w+)`", listed)) == set(SUITES)
 
 
+@pytest.fixture
+def three_suites(monkeypatch):
+    """The suite registry replaced by three cheap suites; the middle one
+    refuses, the last one records a +inf residual."""
+    from ssdkit import cli, suites
+
+    def first(opts):
+        rep = VerifyReport()
+        rep.add("one", "plumbing", True, residual=0.25)
+        yield rep
+
+    def refuses(opts):
+        yield VerifyReport()
+        raise PreconditionFailed("set is not grid-maximal")
+
+    def third(opts):
+        rep = VerifyReport()
+        rep.add("unbounded", "plumbing", False, residual=math.inf)
+        yield rep
+
+    registry = {"a_first": first, "b_refuses": refuses, "c_third": third}
+    monkeypatch.setattr(suites, "SUITES", registry)
+    monkeypatch.setattr(cli, "SUITES", registry)
+
+
+class TestRefusal:
+    def test_refused_suite_is_recorded_and_the_rest_run(self, tmp_path, three_suites,
+                                                         capsys):
+        assert run(["verify", "--suite", "all", "--out", tmp_path]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert "b_refuses: REFUSED (set is not grid-maximal)" in out
+        assert out[-1].startswith("c_third: FAIL (1/1)")
+        refused = json.loads((tmp_path / "b_refuses.json").read_text())
+        assert refused == {"suite": "b_refuses", "passed": False,
+                           "refused": "set is not grid-maximal", "reports": []}
+        third = json.loads((tmp_path / "c_third.json").read_text())
+        assert third["passed"] is False and "refused" not in third
+        assert [c["id"] for c in third["reports"][0]["checks"]] == ["unbounded"]
+
+        assert run(["report", "--out", tmp_path]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["suites"]["b_refuses"] == {
+            "passed": False, "n_failed": 0, "refused": "set is not grid-maximal"}
+        assert summary["suites"]["a_first"] == {"passed": True, "n_failed": 0}
+        assert summary["n_checks"] == 2 and summary["n_failed"] == 1
+
+    def test_infinite_residual_is_one_cell_in_both_csv_files(self, tmp_path, three_suites):
+        assert run(["verify", "--suite", "all", "--format", "csv", "--out", tmp_path]) == 2
+        assert run(["report", "--out", tmp_path]) == 0
+        with open(tmp_path / "c_third.csv", newline="") as fh:
+            suite_rows = list(csv.reader(fh))
+        with open(tmp_path / "summary.csv", newline="") as fh:
+            summary_rows = list(csv.reader(fh))
+        assert suite_rows[1] == ["c_third", "unbounded", "plumbing", "fail", "inf"]
+        assert summary_rows[0] == suite_rows[0]
+        assert suite_rows[1] in summary_rows
+        assert ["a_first", "one", "plumbing", "pass", "0.25"] in summary_rows
+        assert (tmp_path / "b_refuses.csv").read_text().splitlines() == [",".join(suite_rows[0])]
+
+
 class TestReport:
     def test_aggregation_and_idempotence(self, tmp_path):
         assert run(["verify", "--suite", "helix", "--out", tmp_path]) == 0
@@ -233,7 +297,7 @@ class TestConstructions:
 
     def test_fitzpatrick_outputs(self, tmp_path):
         space_file = tmp_path / "space.json"
-        space_r2_product("two").to_json(space_file)
+        save_space_document(space_r2_product("two"), space_file)
         setfile = tmp_path / "diag.csv"
         t = np.linspace(-3, 3, 121)
         np.savetxt(setfile, np.stack([t, t], axis=1), delimiter=",")

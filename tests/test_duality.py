@@ -39,12 +39,12 @@ SQRT2 = np.sqrt(2.0)
 class TestMakeDual:
     def test_identity_space_is_self_dual(self):
         dual = make_dual(space_identity(2))
-        assert np.array_equal(dual.pairing_tilde, np.eye(2))
-        assert dual.dual_norm.variant == "euclidean"
+        assert np.array_equal(dual.as_space.pairing, np.eye(2))
+        assert dual.as_space.norm.variant == "euclidean"
 
     def test_involutive_pairing_is_self_dual(self, swap3):
         dual = make_dual(swap3)
-        assert dual.pairing_tilde == pytest.approx(swap3.pairing, abs=1e-14)
+        assert dual.as_space.pairing == pytest.approx(swap3.pairing, abs=1e-14)
 
     def test_scaled_product_norm_has_no_dual(self):
         with pytest.raises(NoDual) as exc:
@@ -57,12 +57,12 @@ class TestMakeDual:
         for kind in ("one", "two", "inf"):
             for tau in (0.5, 1.0, 2.0):
                 dual = make_dual(product_space(2, kind, tau=tau))
-                assert dual.dual_norm.tau == pytest.approx(1.0 / tau)
+                assert dual.as_space.norm.tau == pytest.approx(1.0 / tau)
 
     def test_dual_kind_partners(self):
-        assert make_dual(product_space(1, "one")).dual_norm.variant == "inf"
-        assert make_dual(product_space(1, "two")).dual_norm.variant == "two"
-        assert make_dual(product_space(1, "inf")).dual_norm.variant == "one"
+        assert make_dual(product_space(1, "one")).as_space.norm.variant == "inf"
+        assert make_dual(product_space(1, "two")).as_space.norm.variant == "two"
+        assert make_dual(product_space(1, "inf")).as_space.norm.variant == "one"
 
     def test_zero_pairing_rejected(self):
         with pytest.raises(SingularPairing):
@@ -74,7 +74,7 @@ class TestMakeDual:
         c = rng.normal(size=(1000, 2))
         ib, ic = b @ prod_space.pairing.T, c @ prod_space.pairing.T
         # pairing of images recovers the primal pairing
-        lhs = np.einsum("ni,ij,nj->n", ib, prod_dual.pairing_tilde, ic)
+        lhs = np.einsum("ni,ij,nj->n", ib, prod_dual.as_space.pairing, ic)
         rhs = np.einsum("ni,ij,nj->n", b, prod_space.pairing, c)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
         # dual form composed with the map recovers q
@@ -96,7 +96,7 @@ class TestMakeDual:
         space, dual = load_space_document(path)
         assert np.array_equal(space.pairing, prod_space.pairing)
         assert dual is not None
-        assert np.allclose(dual.pairing_tilde, prod_dual.pairing_tilde)
+        assert np.allclose(dual.as_space.pairing, prod_dual.as_space.pairing)
 
     def test_support_fn_identity_through_dual_form(self, prod_space, prod_dual, diag121):
         # theta(b*) = q~(b*) - inf q~(b* - image of the set), exactly
@@ -126,7 +126,7 @@ class TestDualNorms:
 
     def test_zero_vector(self, prod_space, prod_dual):
         assert numerical_dual_norm(prod_space, np.zeros(2)) == 0.0
-        assert prod_dual.dual_norm(np.zeros(2)) == 0.0
+        assert prod_dual.as_space.norm(np.zeros(2)) == 0.0
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("kind", ["one", "two", "inf"])
@@ -160,7 +160,7 @@ class TestDualNorms:
         space = product_space(2, kind, tau=tau)
         dual = make_dual(space)
         ys = np.random.default_rng(42).uniform(-3.0, 3.0, size=(60, 4))
-        errs = np.abs(dense_sphere_scan(space, ys) - dual.dual_norm(ys))
+        errs = np.abs(dense_sphere_scan(space, ys) - dual.as_space.norm(ys))
         worst = float(np.max(errs))
         for tol, verdict in ((1e-4, True), (0.5 * worst, False)):
             check = dual_norm_check(space, dual, n_samples=60, tol=tol) \
@@ -176,7 +176,7 @@ class TestDualNorms:
         dual = make_dual(space)
         y = np.array([0.7, -1.3])  # (y*, y**)
         claimed = SQRT2 * max(2.0 * abs(y[1]), abs(y[0]) / 2.0)
-        assert dual.dual_norm(y) == pytest.approx(claimed, abs=1e-12)
+        assert dual.as_space.norm(y) == pytest.approx(claimed, abs=1e-12)
 
 
 class TestDensity:
@@ -319,12 +319,12 @@ class TestLemma47:
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=8, deadline=None)
     def test_fstar_matches_brute_force(self, pairing, kernel, widen, seed):
-        from ssdkit import GridFn, GridSpec, make_ssd
+        from ssdkit import GridFn, GridSpec, SsdSpace
         from ssdkit.gridfn import min_values_plus_gauge, zero_infconv_residuals
 
         from conftest import brute_force_conjugate
 
-        space = make_ssd(np.array(pairing))
+        space = SsdSpace(np.array(pairing))
         dual = make_dual(space)
         rng = np.random.default_rng(seed)
         lo = rng.uniform(-2.0, -0.5, 2)
@@ -333,7 +333,9 @@ class TestLemma47:
         vals[rng.random(grid.size) < 0.2] = np.inf
         vals[0] = 0.0
         f = GridFn._raw(grid, vals)
-        dual_grid = grid.scaled(2.0, num=rng.integers(3, 8, 2)) if widen else None
+        center, half = 0.5 * (grid.lower + grid.upper), grid.upper - grid.lower
+        dual_grid = (GridSpec(center - half, center + half, rng.integers(3, 8, 2))
+                     if widen else None)
         with kernel_ledger() as ledger:
             rep = lemma_4_7_identity(space, dual, f, grid, tol=1.0, dual_grid=dual_grid)
         nodes = grid.points() @ space.pairing.T if dual_grid is None else dual_grid.points()

@@ -25,8 +25,8 @@ from ssdkit.catalog import (
     singleton_origin,
     space_zero_pairing,
 )
-from ssdkit.fitzpatrick import dual_probe_points
-from ssdkit.gridfn import kernel_ledger
+from ssdkit.fitzpatrick import dual_probe_blocks
+from ssdkit.gridfn import block_points, kernel_ledger
 from ssdkit.spaces import pairwise_q
 
 
@@ -96,7 +96,7 @@ class TestStarTheta:
     def test_zero_pairing_two_point_set(self, grid61):
         space = space_zero_pairing(2)
         a = PointSet([[-1.0, -1.0], [1.0, 1.0]], label="two points")
-        dual_pts = dual_probe_points(space, grid61)
+        dual_pts = block_points(dual_probe_blocks(space, grid61))
         # pullback-conjugate of the primal representer is identically zero,
         # the conjugate-back representer blows up away from the hull
         assert phi(space, a, grid61.points()) == pytest.approx(np.zeros(grid61.size))

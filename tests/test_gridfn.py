@@ -518,9 +518,9 @@ class TestSeparableKernel:
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=10, deadline=None)
     def test_signed_permutation_pairing_conjugate(self, pairing, seed):
-        from ssdkit import make_ssd
+        from ssdkit import SsdSpace
 
-        space = make_ssd(np.array(pairing))
+        space = SsdSpace(np.array(pairing))
         rng = np.random.default_rng(seed)
         f = _random_grid_fn(rng, space.dim, self.MAX_NUM[space.dim])
         target = _random_target_grid(rng, space.dim, self.MAX_NUM[space.dim])
@@ -569,12 +569,12 @@ class TestSeparableKernel:
         assert np.allclose(small, scattered, rtol=0.0, atol=1e-12)  # BLAS rounds by shape
 
     def test_is_mas_records_conjugate_path(self, prod_space, prod_dual, worked_fn61):
-        from ssdkit import make_ssd
+        from ssdkit import SsdSpace
 
         with kernel_ledger() as ledger:
             is_mas(worked_fn61, prod_space, prod_dual)
         assert _kernels(ledger) == ["separable"]
-        tilted = make_ssd(np.array([[1.0, 0.5], [0.5, 1.0]]))
+        tilted = SsdSpace(np.array([[1.0, 0.5], [0.5, 1.0]]))
         with kernel_ledger() as ledger:
             is_mas(worked_fn61, tilted, None)
         assert _kernels(ledger) == ["scattered"]

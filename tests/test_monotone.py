@@ -6,6 +6,7 @@ from ssdkit import (
     MonotoneSet,
     PreconditionFailed,
     alignment_report,
+    is_q_positive,
     mf_set,
     negative_alignment,
     projection_closure_check,
@@ -22,7 +23,6 @@ from ssdkit.catalog import (
     sign_graph_set,
     singleton_origin,
 )
-from ssdkit.monotone import monotonicity_report
 
 SQRT2 = np.sqrt(2.0)
 
@@ -36,7 +36,7 @@ class TestMonotoneSets:
             classical = all(
                 (pts[i, 0] - pts[j, 0]) * (pts[i, 1] - pts[j, 1]) >= 0
                 for i in range(12) for j in range(i))
-            assert monotonicity_report(prod_space, a).passed is classical
+            assert is_q_positive(prod_space, a.underlying).passed is classical
 
     def test_csv_roundtrip(self, tmp_path):
         a = diagonal_set(-1, 1, 11)

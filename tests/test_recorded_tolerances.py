@@ -1,0 +1,91 @@
+"""Every report records, under `tolerances["tol"]`, the value that decided its
+verdict, including the checks whose tolerance is fixed rather than passed."""
+
+import numpy as np
+import pytest
+
+from ssdkit import (
+    alignment_report,
+    check_banach_ssd,
+    dist_bounds_check,
+    dual_norm_check,
+    fitz_triple,
+    is_vz,
+    lemma_2_8_suite,
+    lipschitz_checks,
+    remark_5_6_bound,
+    sigma_minorant_test,
+    strongly_representable_check,
+    theorem_2_15_reports,
+    theorem_2_15_suite,
+    theorem_4_10_battery,
+    theorem_5_8_battery,
+    type_ni_check,
+)
+from ssdkit import tolerances as tols
+from ssdkit.catalog import representer_fns
+
+
+def _sigma_tol(space, a, h):
+    """The sigma-minorant bound, re-derived: half of (h's slope + 1) times
+    the dual spacing of the triple."""
+    triple = fitz_triple(space, a, h.grid)
+    h_d = float(np.max(triple.theta_fn.grid.spacing))
+    lip = tols.observed_lipschitz(h.values_nd(), h.grid.spacing)
+    return max(tols.ATOL_GRID, 0.5 * (lip + 1.0) * h_d)
+
+
+CASES = {
+    "is_vz": lambda c: (is_vz(c.worked_fn61, c.prod_space),
+                        tols.vz_tolerance(c.worked_fn61)),
+    "sigma_minorant_test": lambda c: (
+        sigma_minorant_test(c.prod_space, c.diag121.underlying, c.phi61),
+        _sigma_tol(c.prod_space, c.diag121.underlying, c.phi61)),
+    "theorem_2_15_suite": lambda c: (theorem_2_15_suite(c.prod_space, c.worked_fn61, None),
+                                     tols.ATOL_GRID),
+    "theorem_2_15_reports": lambda c: (
+        next(theorem_2_15_reports(c.prod_space, c.worked_fn61, [c.phi61])), tols.ATOL_GRID),
+    "theorem_4_10_battery": lambda c: (
+        theorem_4_10_battery(c.prod_space, c.prod_dual, c.diag121.underlying, c.grid61),
+        tols.ATOL_GRID),
+    "theorem_5_8_battery": lambda c: (
+        theorem_5_8_battery(c.prod_space, c.prod_dual, c.diag121, c.grid61), tols.ATOL_GRID),
+    "type_ni_check": lambda c: (
+        type_ni_check(c.prod_space, c.diag121, c.prod_dual, grid=c.grid61), tols.ATOL_GRID),
+    "strongly_representable_check": lambda c: (
+        strongly_representable_check(c.diag121, c.phi61, c.prod_space, c.prod_dual),
+        tols.ATOL_GRID),
+    "alignment_report": lambda c: (alignment_report(c.diag121, [1.0], [-1.0], 1.0, 1.0), 1e-6),
+    "remark_5_6_bound": lambda c: (
+        remark_5_6_bound(c.diag121, c.worked_fn61, c.prod_space, c.grid61.subsample(2)),
+        tols.ATOL_GRID),
+    "check_banach_ssd": lambda c: (check_banach_ssd(c.ident2), 1e-9),
+    "check_banach_ssd_sampled": lambda c: (check_banach_ssd(c.prod_space, probe=c.grid61),
+                                           1e-9),
+    "lipschitz_checks": lambda c: (lipschitz_checks(c.prod_space, n_pairs=200), 1e-9),
+    "dist_bounds_check": lambda c: (
+        dist_bounds_check(c.worked_fn61, c.prod_space, c.grid61.subsample(2)),
+        tols.ATOL_GRID),
+    # recorded, although no check of this suite reads it
+    "lemma_2_8_suite": lambda c: (
+        lemma_2_8_suite(c.prod_space, c.diag121.underlying, c.phi61, c.grid61),
+        tols.ATOL_GRID),
+    "dual_norm_check": lambda c: (dual_norm_check(c.prod_space, c.prod_dual, n_samples=20),
+                                  1e-4),
+}
+
+
+class _Context:
+    def __init__(self, request):
+        self._request = request
+
+    def __getattr__(self, name):
+        if name == "phi61":
+            return representer_fns(self.prod_space, self.diag121, self.grid61)[0]
+        return self._request.getfixturevalue(name)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_records_its_deciding_tolerance(case, request):
+    report, expected = CASES[case](_Context(request))
+    assert report.tolerances["tol"] == expected

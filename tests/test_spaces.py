@@ -7,11 +7,11 @@ from ssdkit import (
     GridSpec,
     NormSpec,
     NotSymmetric,
+    SsdSpace,
     UnsupportedProbe,
     ZeroDimension,
     check_banach_ssd,
     lipschitz_checks,
-    make_ssd,
     product_space,
 )
 from ssdkit.catalog import (
@@ -20,6 +20,7 @@ from ssdkit.catalog import (
     space_negated,
     space_swap_r3,
 )
+from ssdkit.duality import load_space_document, save_space_document
 from ssdkit.spaces import pairwise_norm, pairwise_p, pairwise_q
 
 finite_coord = st.floats(min_value=-10, max_value=10, allow_nan=False)
@@ -36,11 +37,11 @@ class TestConstruction:
 
     def test_cyclic_form_rejected(self):
         with pytest.raises(NotSymmetric):
-            make_ssd(cyclic_pairing_matrix())
+            SsdSpace(cyclic_pairing_matrix())
 
     def test_zero_dimension_rejected(self):
         with pytest.raises(ZeroDimension):
-            make_ssd(np.zeros((0, 0)))
+            SsdSpace(np.zeros((0, 0)))
 
     def test_product_pairing_value(self, prod_space):
         # <x,y*> + <y,x*> at (2,3), (5,7): 2*7 + 5*3
@@ -51,7 +52,7 @@ class TestConstruction:
 
     def test_product_norm_needs_even_dim(self):
         with pytest.raises(Exception):
-            make_ssd(np.eye(3), NormSpec("two"))
+            SsdSpace(np.eye(3), NormSpec("two"))
 
     @given(st.lists(finite_coord, min_size=3, max_size=3),
            st.lists(finite_coord, min_size=3, max_size=3))
@@ -115,7 +116,7 @@ class TestIota:
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_iota_is_identity_for_identity_pairing(self, ident2):
-        assert np.array_equal(ident2.iota(), np.eye(2))
+        assert np.array_equal(ident2.iota_apply(np.eye(2)), np.eye(2))
 
     def test_iota_swaps_product_halves(self, prod_space):
         out = prod_space.iota_apply(np.array([2.0, 3.0]))
@@ -240,10 +241,9 @@ class TestPairwiseKernels:
 class TestSerialization:
     def test_space_roundtrip(self, tmp_path, prod_space):
         path = tmp_path / "space.json"
-        prod_space.to_json(path)
-        from ssdkit import SsdSpace
-
-        back = SsdSpace.from_json(path)
+        save_space_document(prod_space, path)
+        back, dual = load_space_document(path)
+        assert dual is None
         assert back.dim == prod_space.dim
         assert np.array_equal(back.pairing, prod_space.pairing)
         assert back.norm.variant == prod_space.norm.variant
