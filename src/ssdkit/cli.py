@@ -24,7 +24,7 @@ from .gridfn import GridFn, conjugate, default_slope_grid
 from .grids import GridSpec
 from .monotone import MonotoneSet, negative_alignment
 from .positivity import PointSet, project_to_p
-from .reports import residual_cell
+from .reports import residual_cell, write_json
 from .spaces import SsdSpace
 from .suites import SUITES, SuiteOptions, run_suite
 
@@ -64,8 +64,7 @@ def _write_suite_reports(args, name: str, reports, refused: str | None = None) -
     }
     if refused is not None:
         doc["refused"] = refused
-    path = args.out / f"{name}.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(args.out / f"{name}.json", doc)
     if args.fmt == "csv":
         with open(args.out / f"{name}.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -133,8 +132,7 @@ def cmd_report(args) -> int:
         "n_failed": sum(r["status"] == "fail" for r in rows),
         "n_skipped": sum(r["status"] == "skipped" for r in rows),
     }
-    (args.out / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(args.out / "summary.json", summary)
     with open(args.out / "summary.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["suite", "check_id", "anchor", "status", "worst_residual"])
@@ -170,8 +168,7 @@ def cmd_fitzpatrick(args) -> int:
     gap = float(np.max(np.abs(triple.phi_fn.values - theta_on_image)))
     doc = {"set_size": len(pts), "grid": grid.to_dict(),
            "phi_equals_theta_through_map_gap": gap}
-    (args.out / "fitz_checks.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(args.out / "fitz_checks.json", doc)
     print(f"wrote phi/theta/star_theta under {args.out} (composition gap {gap:.3e})")
     return 0
 
@@ -185,8 +182,7 @@ def cmd_project(args) -> int:
     trace = project_to_p(fn, space, c, args.epsilon)
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / "projection_trace.json"
-    path.write_text(json.dumps(trace.to_dict(), indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    write_json(path, trace.to_dict())
     print(f"{len(trace.iterates)} steps, limit {trace.limit.tolist()}, "
           f"distance {trace.achieved_distance:.6f} (bound {trace.bound():.6f}); wrote {path}")
     return 0
@@ -203,8 +199,7 @@ def cmd_align(args) -> int:
                              _parse_point(args.dual_point), args.alpha, args.beta)
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / "alignment.json"
-    path.write_text(json.dumps(res.to_dict(), indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    write_json(path, res.to_dict())
     print(f"omega {res.omega:.9f}, radii ({res.rho:.6f}, {res.sigma:.6f}), "
           f"product {res.inner:.6f}; wrote {path}")
     return 0

@@ -37,13 +37,14 @@ from .gridfn import (
 )
 from .grids import GridSpec, image_box
 from .positivity import PointSet, is_maximally_q_positive, p_set, sets_match
-from .reports import PASS, VerifyReport
+from .reports import PASS, VerifyReport, write_json
 from .spaces import (
     EUCLIDEAN,
     PRODUCT_KINDS,
     QUADRATIC,
     SsdSpace,
     _canonical_direction,
+    bilinear_rows,
     pairwise_q,
     swap_matrix,
 )
@@ -74,13 +75,10 @@ class DualSsd:
 
 def save_space_document(space: SsdSpace, path, dual: DualSsd | None = None) -> None:
     """One JSON document for a space, with the dual structure under "dual"."""
-    import json
-
     doc = space.to_dict()
     if dual is not None:
         doc["dual"] = dual.to_dict()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc)
 
 
 def load_space_document(path) -> tuple[SsdSpace, DualSsd | None]:
@@ -124,7 +122,7 @@ def make_dual(space: SsdSpace) -> DualSsd:
     rng = np.random.default_rng(42)
     b = rng.standard_normal((1000, space.dim))
     cstar = rng.standard_normal((1000, space.dim))
-    lhs = np.einsum("ni,ij,nj->n", b @ m.T, m_tilde, cstar)
+    lhs = bilinear_rows(b @ m.T, m_tilde, cstar)
     rhs = np.einsum("ni,ni->n", b, cstar)
     if np.max(np.abs(lhs - rhs)) > 1e-8 * max(1.0, float(np.max(np.abs(rhs)))):
         raise SingularPairing("dual pairing fails the compatibility identity")

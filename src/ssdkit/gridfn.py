@@ -33,7 +33,7 @@ from .errors import (
 )
 from .grids import GridSpec, point_budget
 from .reports import VerifyReport
-from .spaces import SsdSpace
+from .spaces import SsdSpace, bilinear_rows
 from . import tolerances as tols
 
 _BLOCK = 1 << 23  # max entries of a score matrix held at once
@@ -656,11 +656,11 @@ def min_values_plus_gauge(space: SsdSpace, add_on_nodes, nodes, c_rows):
         return _min_plus(add, nodes, c_rows, space.p)
     b, target = collapse
     y = _rows(nodes)
-    h_nodes = 0.5 * np.einsum("ni,ij,nj->n", y, b, y)
-    del y  # the sup builds the node rows again: one copy is live at a time
+    h_nodes = 0.5 * bilinear_rows(y, b, y)
+    del y  # a mapped lattice's rows are built again in the sup: one copy is live at a time
     vals, args = sup_over_blocks([(nodes, h_nodes + add)], [target])
     c = _rows(c_rows)
-    h_c = 0.5 * np.einsum("ni,ij,nj->n", c, b, c)
+    h_c = 0.5 * bilinear_rows(c, b, c)
     return h_c - vals, args
 
 

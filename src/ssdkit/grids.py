@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import BudgetExceeded, DimensionMismatch
+from .errors import BudgetExceeded, DimensionMismatch, PreconditionFailed
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -18,7 +19,11 @@ def point_budget() -> int:
 
 @dataclass(frozen=True, eq=False)
 class GridSpec:
-    """Axis-aligned box sampled with a fixed number of points per axis."""
+    """Axis-aligned box sampled with a fixed number of points per axis.
+
+    The axes and the nodes are built on first use and held by the instance,
+    read-only: `axes()` and `points()` return the same arrays on every call.
+    """
 
     lower: np.ndarray
     upper: np.ndarray
@@ -53,13 +58,28 @@ class GridSpec:
     def spacing(self) -> np.ndarray:
         return (self.upper - self.lower) / (self.num - 1)
 
-    def axes(self):
-        return [np.linspace(self.lower[i], self.upper[i], self.num[i]) for i in range(self.dim)]
+    def axes(self) -> tuple:
+        """The node coordinates on each axis."""
+        return self._axes
 
     def points(self) -> np.ndarray:
         """All nodes, shape (size, dim), row-major in axis order."""
-        mesh = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        return self._points
+
+    @cached_property
+    def _axes(self) -> tuple:
+        axes = tuple(np.linspace(self.lower[i], self.upper[i], self.num[i])
+                     for i in range(self.dim))
+        for ax in axes:
+            ax.setflags(write=False)
+        return axes
+
+    @cached_property
+    def _points(self) -> np.ndarray:
+        mesh = np.meshgrid(*self._axes, indexing="ij")
+        pts = np.stack([m.ravel() for m in mesh], axis=1)
+        pts.setflags(write=False)
+        return pts
 
     def shape(self):
         return tuple(int(k) for k in self.num)
@@ -81,7 +101,7 @@ class GridSpec:
     def subsample(self, step: int) -> "GridSpec":
         """Every step-th node per axis (keeps both endpoints when they align)."""
         if np.any((self.num - 1) % step != 0):
-            raise ValueError("step must divide the interval count on every axis")
+            raise PreconditionFailed("step must divide the interval count on every axis")
         return GridSpec(self.lower, self.upper, (self.num - 1) // step + 1)
 
     def to_dict(self):

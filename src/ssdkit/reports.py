@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -24,6 +25,12 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     return obj
+
+
+def write_json(path, doc) -> None:
+    """Write `doc` as JSON indented by two, keys sorted, with a final newline:
+    the one layout of every JSON file the toolkit writes."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def residual_cell(value) -> str:
@@ -117,13 +124,6 @@ class VerifyReport:
             "meta": _jsonable(self.meta),
             "passed": self.passed,
         }
-
-    def to_json(self, path=None):
-        doc = json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(doc)
-        return doc
 
     def rows(self):
         """Flat (suite, id, anchor, status, residual) rows for CSV hand-off."""

@@ -11,6 +11,15 @@ Quadratic gauges used everywhere downstream:
 
 A space is "norm-compatible" when p >= 0 everywhere; `check_banach_ssd`
 verifies this analytically (quadratic norms) or on a sample grid.
+
+Every quadratic form on rows (q, a quadratic norm, the gauges of the pairwise
+kernels) goes through `bilinear_rows(x, m, y)`, which sums the terms
+``x[:, i] * m[i, j] * y[:, j]`` in one fixed order: i outer, j inner, each
+term formed left to right and added to a running sum that starts at +0.0.
+That is the order of the three-operand `np.einsum` (subscripts ni,ij,nj->n)
+on C-contiguous rows, except that with d = 2 and one or two rows einsum sums
+each i's terms first; unlike einsum's, it does not depend on the memory
+layout of the rows.
 """
 
 from __future__ import annotations
@@ -49,6 +58,24 @@ def _as_points(x, dim):
     if arr.ndim != 2 or arr.shape[1] != dim:
         raise DimensionMismatch(f"expected shape (n, {dim}), got {arr.shape}")
     return arr, False
+
+
+def bilinear_rows(x, m, y) -> np.ndarray:
+    """x_n . m y_n for each row n of the (n, d) arrays x and y.
+
+    One pass over the d * d terms in a fixed order (see the module
+    docstring), each a vector op over the rows, so the result is the same to
+    the bit whatever the memory order of x and y.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    out = np.zeros(x.shape[0])
+    with np.errstate(invalid="ignore", over="ignore"):  # IEEE results, as einsum
+        for i, row in enumerate(np.asarray(m, dtype=float).tolist()):
+            xi = x[:, i]
+            for j, mij in enumerate(row):
+                out += xi * mij * y[:, j]
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +126,7 @@ class NormSpec:
         if self.variant == EUCLIDEAN:
             out = np.linalg.norm(pts, axis=1)
         elif self.variant == QUADRATIC:
-            out = np.sqrt(np.maximum(np.einsum("ni,ij,nj->n", pts, self.weight, pts), 0.0))
+            out = np.sqrt(np.maximum(bilinear_rows(pts, self.weight, pts), 0.0))
         else:
             n = d // 2
             if 2 * n != d:
@@ -199,7 +226,7 @@ class SsdSpace:
 
     def q(self, b):
         bb, single = _as_points(b, self.dim)
-        out = 0.5 * np.einsum("ni,ij,nj->n", bb, self.pairing, bb)
+        out = 0.5 * bilinear_rows(bb, self.pairing, bb)
         return float(out[0]) if single else out
 
     def g(self, b):
@@ -300,8 +327,8 @@ def pairwise_g(space: SsdSpace, x_rows, y_rows):
     norm = space.norm
     w = norm.quadratic_weight(space.dim)
     if w is not None:
-        qx = 0.5 * np.einsum("ni,ij,nj->n", x, w, x)
-        qy = 0.5 * np.einsum("ni,ij,nj->n", y, w, y)
+        qx = 0.5 * bilinear_rows(x, w, x)
+        qy = 0.5 * bilinear_rows(y, w, y)
         return qx[:, None] - x @ w @ y.T + qy[None, :]
     n = space.dim // 2
     a = np.sqrt(pairwise_sq_dists(x[:, :n], y[:, :n]))
@@ -397,6 +424,6 @@ def lipschitz_checks(space: SsdSpace, n_pairs: int = 1000, seed: int = 42):
     k = rng.uniform(-radius, radius, size=(n_pairs, space.dim))
     m = rng.uniform(-radius, radius, size=(n_pairs, space.dim))
     bound = opnorm * space.norm(k) * space.norm(m)
-    vals = np.abs(np.einsum("ni,ij,nj->n", k, space.pairing, m))
+    vals = np.abs(bilinear_rows(k, space.pairing, m))
     report.add_worst("pairing_bound", "eq_2_1_2", vals - bound, np.stack([k, m], axis=1), tol)
     return report

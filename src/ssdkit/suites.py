@@ -81,7 +81,7 @@ from .positivity import (
     recheck_trace,
 )
 from .reports import VerifyReport
-from .spaces import NormSpec, check_banach_ssd, lipschitz_checks
+from .spaces import NormSpec, bilinear_rows, check_banach_ssd, lipschitz_checks
 
 SQRT2 = np.sqrt(2.0)
 
@@ -490,8 +490,8 @@ def _random_convex_fn(rng, grid):
     a = r @ r.T + 0.1 * np.eye(d)
     b = rng.uniform(-1, 1, size=d)
     return GridFn.from_callable(
-        grid, lambda p: 0.5 * np.einsum("ni,ij,nj->n", np.atleast_2d(p), a,
-                                        np.atleast_2d(p)) + np.atleast_2d(p) @ b,
+        grid, lambda p: 0.5 * bilinear_rows(np.atleast_2d(p), a, np.atleast_2d(p))
+                        + np.atleast_2d(p) @ b,
         form="random quadratic")
 
 

@@ -12,7 +12,7 @@ from ssdkit.cli import main
 from ssdkit.catalog import default_grid, half_sq_norm_fn, space_r2_product
 from ssdkit.duality import save_space_document
 from ssdkit.gridfn import GridFn, kernel_ledger
-from ssdkit.reports import FAIL, PASS, VerifyReport
+from ssdkit.reports import FAIL, PASS, VerifyReport, write_json
 
 
 def run(args):
@@ -86,7 +86,8 @@ class TestVerify:
         fn = half_sq_norm_fn(grid61)
         with kernel_ledger() as ledger:
             rep = vz_mas_equivalence(prod_space, prod_dual, fn)
-        meta = json.loads(rep.to_json(tmp_path / "vz_mas.json"))["meta"]
+        write_json(tmp_path / "vz_mas.json", rep.to_dict())
+        meta = json.loads((tmp_path / "vz_mas.json").read_text())["meta"]
         with kernel_ledger() as vz_ledger:
             vz = is_vz(fn, prod_space)
         assert meta["vz_tol"] == vz.tolerances["tol"]
@@ -208,6 +209,19 @@ class TestRefusal:
         assert suite_rows[1] in summary_rows
         assert ["a_first", "one", "plumbing", "pass", "0.25"] in summary_rows
         assert (tmp_path / "b_refuses.csv").read_text().splitlines() == [",".join(suite_rows[0])]
+
+    def test_non_dividing_grid_refuses_one_suite_and_the_rest_run(self, tmp_path, capsys):
+        # 30 intervals per axis: remark_5_6 takes every 4th node, which does not divide
+        from ssdkit.suites import SUITES
+
+        message = "step must divide the interval count on every axis"
+        assert run(["verify", "--suite", "all", "--grid=-3:3:31,-3:3:31",
+                    "--out", tmp_path]) == 2
+        assert f"remark_5_6: REFUSED ({message})" in capsys.readouterr().out.splitlines()
+        docs = {p.stem: json.loads(p.read_text()) for p in tmp_path.glob("*.json")}
+        assert set(docs) == set(SUITES)
+        assert docs["remark_5_6"]["refused"] == message
+        assert all(doc["passed"] for name, doc in docs.items() if name != "remark_5_6")
 
 
 class TestReport:

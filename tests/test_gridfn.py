@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -62,6 +63,49 @@ from conftest import (
     loop_sweep_axis,
     scan_convexity_defect,
 )
+
+
+class TestGridSpecNodes:
+    """A grid builds its axes and nodes once, read-only, and shares them with
+    no other grid."""
+
+    @pytest.mark.parametrize("lower,upper,num", [([-1.0], [2.0], [7]),
+                                                 ([-3.0, 0.0], [3.0, 1.0], [61, 5]),
+                                                 ([0.0, -1.0, 2.0], [1.0, 1.0, 4.0], [3, 4, 5])])
+    def test_nodes_equal_the_meshgrid_construction(self, lower, upper, num):
+        grid = GridSpec(np.array(lower), np.array(upper), np.array(num))
+        axes = [np.linspace(lo, hi, k) for lo, hi, k in zip(lower, upper, num)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        want = np.stack([m.ravel() for m in mesh], axis=1)
+        assert len(grid.axes()) == len(axes)
+        for got, ax in zip(grid.axes(), axes):
+            assert np.array_equal(got, ax)
+        assert np.array_equal(grid.points(), want)
+
+    def test_repeat_calls_return_the_same_read_only_arrays(self):
+        grid = GridSpec.box(-3.0, 3.0, 11, 2)
+        pts, axes = grid.points(), grid.axes()
+        assert grid.points() is pts and grid.axes() is axes
+        with pytest.raises(ValueError, match="read-only"):
+            pts[0, 0] = 1.0
+        for ax in axes:
+            with pytest.raises(ValueError, match="read-only"):
+                ax += 1.0
+        assert np.array_equal(pts, GridSpec.box(-3.0, 3.0, 11, 2).points())
+
+    def test_equal_boxes_share_nothing(self):
+        a, b = GridSpec.box(-1, 1, 5, 2), GridSpec.box(-1, 1, 5, 2)
+        assert a.points() is not b.points()
+        assert not np.shares_memory(a.points(), b.points())
+        assert all(x is not y for x, y in zip(a.axes(), b.axes()))
+
+    def test_non_dividing_subsample_is_a_refusal(self):
+        from ssdkit import PreconditionFailed
+
+        grid = GridSpec.box(-3, 3, 31, 2)
+        assert grid.subsample(2).shape() == (16, 16)
+        with pytest.raises(PreconditionFailed, match="step must divide"):
+            grid.subsample(4)
 
 
 class TestGridFnBasics:
@@ -1248,6 +1292,28 @@ class TestConvexityBudgetScale:
             with pytest.raises(NotConvex, match=f"node {want[0]} "):
                 GridFn(grid, vals, require_convex=True)
         assert scan.call_count == 2
+
+
+class TestConjugateBudgetScale:
+    """Grid-to-grid conjugation at 251^2 and 501^2 nodes: the values stay
+    within the grid's sampling bound, and the traced peak, the grids' held
+    nodes included, grows no faster than the node count."""
+
+    def test_peak_grows_at_most_linearly(self):
+        peaks = {}
+        for n in (251, 501):
+            tracemalloc.start()
+            try:
+                grid = GridSpec.box(-3.0, 3.0, n, 2)
+                star = conjugate(half_sq_norm_fn(grid), GridSpec.box(-2.0, 2.0, n, 2))
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # f* = |y|^2 / 2 on the slope box, less half the squared distance
+            # to the nearest node: at most h^2 / 8 per axis
+            exact = 0.5 * np.sum(star.grid.points() ** 2, axis=1)
+            assert np.max(np.abs(exact - star.values)) <= np.sum(grid.spacing ** 2) / 8
+        assert peaks[501] <= 1.25 * (501 / 251) ** 2 * peaks[251]
 
 
 class TestScoreBlock:

@@ -21,7 +21,7 @@ from ssdkit.catalog import (
     space_swap_r3,
 )
 from ssdkit.duality import load_space_document, save_space_document
-from ssdkit.spaces import pairwise_norm, pairwise_p, pairwise_q
+from ssdkit.spaces import bilinear_rows, pairwise_norm, pairwise_p, pairwise_q, swap_matrix
 
 finite_coord = st.floats(min_value=-10, max_value=10, allow_nan=False)
 
@@ -236,6 +236,73 @@ class TestPairwiseKernels:
             for j in range(3):
                 assert mat[i, j] == pytest.approx(space.p(xs[i] - ys[j]),
                                                   abs=1e-9, rel=1e-9)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _fixed_order(x, m, y):
+    """The documented summation order, one row at a time in Python floats."""
+    out = []
+    for xr, yr in zip(x.tolist(), y.tolist()):
+        acc = 0.0
+        for i, row in enumerate(m.tolist()):
+            for j, mij in enumerate(row):
+                acc += xr[i] * mij * yr[j]
+        out.append(acc)
+    return np.array(out)
+
+
+def _bilinear_case(d, n, kind):
+    """Rows over six decades with some -0.0, +-inf and 0.0 entries, and a
+    swap (d even), general or symmetric matrix, also with special entries."""
+    rng = np.random.default_rng(1000 * d + n)
+    x = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, (n, d))
+    y = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, (n, d))
+    specials = np.array([np.inf, -np.inf, -0.0, 0.0])
+    for rows in (x, y):
+        mask = rng.random((n, d)) < 0.1
+        rows[mask] = rng.choice(specials, size=int(mask.sum()))
+    if kind == "swap":
+        return x, swap_matrix(d // 2), y
+    m = rng.standard_normal((d, d))
+    if kind == "symmetric":
+        m = m + m.T
+    m[rng.random((d, d)) < 0.2] = -0.0
+    return x, m, y
+
+
+class TestBilinearRows:
+    """`bilinear_rows` sums its d * d terms in one fixed order: i outer, j
+    inner, each term x_i * m_ij * y_j formed left to right."""
+
+    CASES = [(d, n, kind) for d in (1, 2, 3, 4) for n in (1, 3, 61, 3721)
+             for kind in ("swap", "general", "symmetric") if kind != "swap" or d % 2 == 0]
+
+    @pytest.mark.parametrize("d,n,kind", CASES)
+    def test_bitwise_equal_to_einsum_on_c_rows(self, d, n, kind):
+        x, m, y = _bilinear_case(d, n, kind)
+        got = bilinear_rows(x, m, y)
+        assert np.array_equal(_bits(got), _bits(_fixed_order(x, m, y)))
+        if d == 2 and n == 1 and kind != "swap":
+            # with d = 2 and one or two rows einsum sums each i's terms first;
+            # the two groupings agree only where the form has two nonzero
+            # terms (the swap and any diagonal matrix)
+            return
+        want = np.einsum("ni,ij,nj->n", x, m, y)
+        assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("d,n,kind", CASES)
+    def test_same_bits_for_any_memory_order(self, d, n, kind):
+        x, m, y = _bilinear_case(d, n, kind)
+        # einsum sums in memory order: with x and y in different orders its
+        # bits can differ from those it gives on C-ordered rows
+        want = _bits(bilinear_rows(x, m, y))
+        fx, fy = np.asfortranarray(x), np.asfortranarray(y)
+        wide = lambda a: np.hstack([a, -a])[:, :d]
+        for xx, yy in ((fx, fy), (x, fy), (fx, y), (wide(x), wide(y)), (wide(x), y)):
+            assert np.array_equal(_bits(bilinear_rows(xx, m, yy)), want)
 
 
 class TestSerialization:
