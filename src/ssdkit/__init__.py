@@ -75,11 +75,11 @@ from .fitzpatrick import (
     sigma_minorant_test,
     star_theta,
     theorem_2_15_reports,
-    theorem_2_15_suite,
     theta,
 )
 from .duality import (
     DualSsd,
+    density_report,
     dual_norm_check,
     lemma_4_7_identity,
     make_dual,

@@ -175,21 +175,14 @@ def indicator_fn(grid: GridSpec, points) -> GridFn:
     return GridFn(grid, vals, form="indicator", require_convex=False)
 
 
-def representer_fns(space: SsdSpace, a, grid: GridSpec):
-    """(phi, star_theta) grid functions of a sampled set."""
-    pts = a.underlying if isinstance(a, MonotoneSet) else a
-    triple = fitz_triple(space, pts, grid)
-    return triple.phi_fn, triple.star_theta_fn
-
-
 def vz_catalog(space: SsdSpace, grid: GridSpec):
     """The four-function verdict catalog: worked example (pass), shifted
     pairing form (fail), and the two diagonal representers (pass)."""
     diag = diagonal_set(grid.lower[0], grid.upper[0], int(grid.num[0]) * 2 - 1)
-    phi_fn, star_fn = representer_fns(space, diag, grid)
+    triple = fitz_triple(space, diag.underlying, grid)
     return {
         "worked_example": half_sq_norm_fn(grid),
         "shifted_pairing_form": q_plus_const_fn(space, grid),
-        "phi_diagonal": phi_fn,
-        "star_theta_diagonal": star_fn,
+        "phi_diagonal": triple.phi_fn,
+        "star_theta_diagonal": triple.star_theta_fn,
     }

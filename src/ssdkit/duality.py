@@ -16,17 +16,17 @@ import numpy as np
 
 from .errors import (
     DensityNotVerified,
+    GridMismatch,
     NoDual,
     PreconditionFailed,
     SingularPairing,
 )
-from .fitzpatrick import FitzTriple, fitz_triple, phi, theta
+from .fitzpatrick import FitzTriple, phi, theta
 from .gridfn import (
     GridFn,
     Lattice,
     _on_differences,
     block_points,
-    intrinsic_conjugate,
     is_mas,
     is_vz,
     min_values_plus_gauge,
@@ -36,7 +36,7 @@ from .gridfn import (
     zero_infconv_residuals,
 )
 from .grids import GridSpec, image_box
-from .positivity import PointSet, is_maximally_q_positive, p_set, sets_match
+from .positivity import is_maximally_q_positive, p_set, sets_match
 from .reports import PASS, VerifyReport, write_json
 from .spaces import (
     EUCLIDEAN,
@@ -305,13 +305,20 @@ def lemma_4_7_identity(space: SsdSpace, dual: DualSsd, f: GridFn, c_grid: GridSp
     return report
 
 
-def vz_mas_equivalence(space: SsdSpace, dual: DualSsd, f: GridFn,
-                       density: VerifyReport | None = None) -> VerifyReport:
-    """The two predicates must agree once image density is verified."""
-    if density is None:
-        density = density_report(space, dual, f.grid)
+def _require_density(density: VerifyReport, grid: GridSpec) -> None:
+    """Refuse a density report that failed, or one built on another grid."""
     if not density.passed:
         raise DensityNotVerified("image density does not hold on the probe points")
+    if density.grid != grid.to_dict():
+        raise GridMismatch("the density report was built on another grid")
+
+
+def vz_mas_equivalence(space: SsdSpace, dual: DualSsd, f: GridFn,
+                       density: VerifyReport) -> VerifyReport:
+    """The two predicates must agree once image density is verified:
+    `density` is `density_report(space, dual, f.grid)`, and the check
+    refuses when it failed or was built on another grid."""
+    _require_density(density, f.grid)
     vz = is_vz(f, space)
     mas = is_mas(f, space, dual)
     report = VerifyReport(suite="vz_mas_equivalence", grid=f.grid.to_dict(),
@@ -327,26 +334,21 @@ def vz_mas_equivalence(space: SsdSpace, dual: DualSsd, f: GridFn,
 
 # -- the equivalence battery ------------------------------------------------------------
 
-def theorem_4_10_battery(space: SsdSpace, dual: DualSsd, a: PointSet, grid: GridSpec,
-                         h_candidates=None, triple: FitzTriple | None = None,
-                         density: VerifyReport | None = None) -> VerifyReport:
-    """Equivalent conditions for a grid-maximal positive set, held to
-    ATOL_GRID; verdicts must be unanimous.  Refuses when maximality or image
-    density fails.  `triple`, when given, is `fitz_triple(space, a, grid)`
-    built by the caller, and `density` is `density_report(space, dual, grid)`.
+def theorem_4_10_battery(dual: DualSsd, triple: FitzTriple,
+                         density: VerifyReport) -> VerifyReport:
+    """Equivalent conditions for the triple's set, grid-maximal and positive,
+    on the triple's grid, held to ATOL_GRID; verdicts must be unanimous.
+    `density` is `density_report(triple.space, dual, triple.grid)`.  Refuses
+    when maximality or image density fails, or when the density report was
+    built on another grid.
     """
     tol = tols.ATOL_GRID
+    space, a, grid = triple.space, triple.a, triple.grid
     mx = is_maximally_q_positive(space, a, grid)
     if not mx.passed:
         raise PreconditionFailed("set is not grid-maximal; battery does not apply")
-    if density is None:
-        density = density_report(space, dual, grid)
-    if not density.passed:
-        raise DensityNotVerified("image density does not hold on the probe points")
+    _require_density(density, grid)
 
-    if triple is None:
-        triple = fitz_triple(space, a, grid)
-    nodes = grid.points()
     image_blocks = [Lattice(image_box(grid, space.pairing, inflate=1.0, include_source=False)),
                     Lattice(grid, space.pairing.T)]
     image_nodes = block_points(image_blocks)
@@ -379,16 +381,12 @@ def theorem_4_10_battery(space: SsdSpace, dual: DualSsd, a: PointSet, grid: Grid
     report.add("g_star_vz", "thm_4_10g", vz_star.passed,
                residual=vz_star.check("zero_infconv").worst_residual)
 
-    if h_candidates is None:
-        mid = GridFn._raw(grid, 0.5 * (triple.phi_fn.values + triple.star_theta_fn.values),
-                          form="midpoint candidate")
-        candidates = [(triple.phi_fn, vz_phi), (triple.star_theta_fn, vz_star), (mid, None)]
-    else:
-        candidates = [(h, None) for h in h_candidates]
+    mid = GridFn._raw(grid, 0.5 * (triple.phi_fn.values + triple.star_theta_fn.values),
+                      form="midpoint candidate")
+    candidates = [(triple.phi_fn, vz_phi), (triple.star_theta_fn, vz_star), (mid, None)]
     cell = tols.cell_norm(space, grid)
     for idx, (h, vz) in enumerate(candidates):
-        h_at = intrinsic_conjugate(h, space)
-        mas = is_mas(h, space, dual, fat=h_at)
+        mas = is_mas(h, space, dual)
         touch = p_set(h, space)
         match, dist = sets_match(space, a.points, touch.points, radius=2.0 * cell)
         verdicts[f"d{idx}"] = mas.passed and match
@@ -401,10 +399,10 @@ def theorem_4_10_battery(space: SsdSpace, dual: DualSsd, a: PointSet, grid: Grid
                    residual=vz.check("zero_infconv").worst_residual)
         inside = (np.all(h.values <= triple.star_theta_fn.values + tols.tol_p_membership())
                   and np.all(h.values >= triple.phi_fn.values - tols.tol_p_membership()))
-        dom = float(np.min(h_at.values - space.q(nodes)))
-        verdicts[f"b2.{idx}"] = (not inside) or dom >= -tol
+        dom = mas.check("dual_minorization")
+        verdicts[f"b2.{idx}"] = (not inside) or dom.status == PASS
         report.add(f"b2_candidate{idx}_conj_dominates", "thm_4_10b2", verdicts[f"b2.{idx}"],
-                   residual=max(0.0, -dom),
+                   residual=dom.worst_residual,
                    note="sandwiched candidates: conjugate dominates the dual form")
 
     unanimous = len(set(verdicts.values())) == 1

@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import BracketViolated, EmptySet, NotAMinorant
+from .errors import BracketViolated, EmptySet, GridMismatch, NotAMinorant
 from .gridfn import (
     GridFn,
     Lattice,
@@ -66,15 +66,15 @@ def dual_probe_blocks(space: SsdSpace, grid: GridSpec) -> list:
     return [Lattice(box), Lattice(grid, space.pairing.T)]
 
 
-def star_theta(space: SsdSpace, a: PointSet, dual_points, c) -> float | np.ndarray:
+def star_theta(space: SsdSpace, a: PointSet, probes, c) -> float | np.ndarray:
     """Conjugate of the dual-side representer back on the primal side,
     sup taken over the supplied dual probe points (an under-approximation)."""
     if len(a) == 0:
         raise EmptySet("representer needs a nonempty set")
-    dual_points = np.atleast_2d(np.asarray(dual_points, dtype=float))
-    theta_vals = theta(space, a, dual_points)
+    probes = np.atleast_2d(np.asarray(probes, dtype=float))
+    theta_vals = theta(space, a, probes)
     pts = np.atleast_2d(np.asarray(c, dtype=float))
-    vals, _ = sup_linear_minus(dual_points, theta_vals, pts)
+    vals, _ = sup_linear_minus(probes, theta_vals, pts)
     return float(vals[0]) if np.asarray(c).ndim == 1 else vals
 
 
@@ -88,6 +88,11 @@ class FitzTriple:
     phi_fn: GridFn            # on the primal grid (exact finite max)
     star_theta_fn: GridFn     # on the primal grid (dual-probe sup)
     dual_blocks: tuple        # (block, theta on it): box, image of the grid, image of the set
+
+    @property
+    def grid(self) -> GridSpec:
+        """The primal grid the representers are materialized on."""
+        return self.phi_fn.grid
 
     @property
     def dual_points(self) -> np.ndarray:
@@ -115,8 +120,9 @@ def fitz_triple(space: SsdSpace, a: PointSet, grid: GridSpec) -> FitzTriple:
     return FitzTriple(a, space, theta_fn, phi_fn, star_fn, dual_blocks)
 
 
-def lemma_2_13_suite(space: SsdSpace, a: PointSet, grid: GridSpec) -> VerifyReport:
-    """Elementary representer properties, checked grid-relative.
+def lemma_2_13_suite(triple: FitzTriple) -> VerifyReport:
+    """Elementary representer properties of the triple's set, checked on the
+    triple's grid.
 
     Exact finite-max identities are held to tol_exact; inequalities whose
     sides are all evaluated as grid sups to tol_grid; the conjugate-back
@@ -124,7 +130,7 @@ def lemma_2_13_suite(space: SsdSpace, a: PointSet, grid: GridSpec) -> VerifyRepo
     the observed Lipschitz constant times the dual spacing.
     """
     tol_exact, tol_grid = tols.ATOL_EXACT, tols.ATOL_GRID
-    triple = fitz_triple(space, a, grid)
+    space, a, grid = triple.space, triple.a, triple.grid
     pts = grid.points()
     qv = space.q(pts)
     report = VerifyReport(suite="lemma_2_13", grid=grid.to_dict(),
@@ -195,17 +201,12 @@ def lemma_2_13_suite(space: SsdSpace, a: PointSet, grid: GridSpec) -> VerifyRepo
     return report
 
 
-def theorem_2_15_suite(space: SsdSpace, f: GridFn, h: GridFn | None) -> VerifyReport:
+def theorem_2_15_reports(space: SsdSpace, f: GridFn, candidates) -> Iterator[VerifyReport]:
     """Sandwich inequalities around a touching function and the transfer of
     the zero inf-convolution property to anything inside the sandwich, on
-    f's grid and held to ATOL_GRID."""
-    return next(theorem_2_15_reports(space, f, [h]))
-
-
-def theorem_2_15_reports(space: SsdSpace, f: GridFn, candidates) -> Iterator[VerifyReport]:
-    """`theorem_2_15_suite` for each candidate h in turn (None: the checks on
-    f alone), each report yielded as soon as its checks are done.  The
-    touching set, its representers and the conjugates of f and phi are
+    f's grid and held to ATOL_GRID: one report for each candidate h in turn
+    (None: the checks on f alone), yielded as soon as its checks are done.
+    The touching set, its representers and the conjugates of f and phi are
     computed once, and each report starts from its own copy of their checks."""
     grid, tol = f.grid, tols.ATOL_GRID
     a = p_set(f, space)
@@ -262,18 +263,18 @@ def theorem_2_15_reports(space: SsdSpace, f: GridFn, candidates) -> Iterator[Ver
         yield report
 
 
-def sigma_minorant_test(space: SsdSpace, a: PointSet, h: GridFn,
-                        triple: FitzTriple | None = None) -> VerifyReport:
+def sigma_minorant_test(triple: FitzTriple, h: GridFn) -> VerifyReport:
     """One direction of the maximal-representer property: any grid-convex h
-    with h <= q on the set stays below the conjugate-back representer, up to
-    half of (h's observed slope + 1) times the dual spacing.  `triple`, when
-    given, is `fitz_triple(space, a, h.grid)` built by the caller."""
+    with h <= q on the triple's set stays below the conjugate-back
+    representer, up to half of (h's observed slope + 1) times the dual
+    spacing.  The triple must live on h's grid."""
+    if not h.same_grid(triple.phi_fn):
+        raise GridMismatch("h and the representer triple must share a grid")
+    space, a = triple.space, triple.a
     hq = h.evaluate(a.points) - space.q(a.points)
     worst_on_a = float(np.max(hq))
     if worst_on_a > tols.tol_p_membership():
         raise NotAMinorant(f"h exceeds q on the set by {worst_on_a:.3e}")
-    if triple is None:
-        triple = fitz_triple(space, a, h.grid)
     h_d = float(np.max(triple.theta_fn.grid.spacing))
     lip = tols.observed_lipschitz(h.values_nd(), h.grid.spacing)
     tol = max(tols.ATOL_GRID, 0.5 * (lip + 1.0) * h_d)
@@ -286,12 +287,11 @@ def sigma_minorant_test(space: SsdSpace, a: PointSet, h: GridFn,
     return report
 
 
-def remark_2_14_gap(space: SsdSpace, a: PointSet, grid: GridSpec) -> tuple[float, np.ndarray]:
+def remark_2_14_gap(triple: FitzTriple) -> tuple[float, np.ndarray]:
     """Observed max of (conjugate-back representer - pullback-conjugate of the
-    primal representer); strictly positive in the zero-pairing counterexample,
-    merely recorded elsewhere."""
-    triple = fitz_triple(space, a, grid)
-    phi_at = intrinsic_conjugate(triple.phi_fn, space)
+    primal representer) on the triple's grid; strictly positive in the
+    zero-pairing counterexample, merely recorded elsewhere."""
+    phi_at = intrinsic_conjugate(triple.phi_fn, triple.space)
     gap = triple.star_theta_fn.values - phi_at.values
     i = int(np.argmax(gap))
-    return float(gap[i]), grid.points()[i]
+    return float(gap[i]), triple.grid.points()[i]

@@ -893,28 +893,25 @@ def is_vz(f: GridFn, space: SsdSpace, c_grid: GridSpec | None = None) -> VerifyR
     return report
 
 
-def is_mas(f: GridFn, space: SsdSpace, dual, tol: float | None = None,
-           fat: GridFn | None = None) -> VerifyReport:
-    """Two-sided minorization test: f >= q on the grid and the conjugate
-    dominates the dual quadratic form on the image lattice.
+def is_mas(f: GridFn, space: SsdSpace, dual) -> VerifyReport:
+    """Two-sided minorization test, each side held to ATOL_GRID: f >= q on
+    the grid and the conjugate dominates the dual quadratic form on the
+    image lattice.
 
     The dual-side inequality is evaluated at the image of the grid under the
     canonical map, where it coincides with the pairing-conjugate dominating q
     (the map is onto in finite dimensions); probing an inflated dual box
     instead would only report truncation artifacts of the grid sup.
-    `fat`, when given, is f's `intrinsic_conjugate` computed by the caller.
     """
     if dual is not None and dual.space is not space:
         raise DimensionMismatch("dual structure belongs to a different space")
-    if tol is None:
-        tol = tols.ATOL_GRID
+    tol = tols.ATOL_GRID
     pts = f.grid.points()
     report = VerifyReport(suite="is_mas", grid=f.grid.to_dict(),
                           tolerances={"tol": tol},
                           meta={"space": space.label, "fn": f.form, "dual_side": "image lattice"})
     report.add_worst("primal_minorization", "def_4_8", space.q(pts) - f.values, pts, tol)
-    if fat is None:
-        fat = intrinsic_conjugate(f, space)
+    fat = intrinsic_conjugate(f, space)
     dgap = fat.values - space.q(pts)
     j = int(np.argmin(dgap))
     report.add("dual_minorization", "def_4_8", float(dgap[j]) >= -tol,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .duality import DualSsd, theorem_4_10_battery
 from .errors import DimensionMismatch, EmptySet, FBelowQ, PreconditionFailed
-from .fitzpatrick import FitzTriple, fitz_triple
+from .fitzpatrick import FitzTriple
 from .gridfn import GridFn, is_mas, nearest
 from .grids import GridSpec
 from .positivity import PointSet, _hausdorff, is_q_positive, p_set
@@ -88,27 +88,24 @@ def mf_set(f: GridFn, space: SsdSpace) -> MonotoneSet:
 
 
 def type_ni_check(space: SsdSpace, a: MonotoneSet, dual: DualSsd,
-                  dual_points=None, grid: GridSpec | None = None) -> VerifyReport:
+                  grid: GridSpec) -> VerifyReport:
     """Nonpositive infimum over the set at every dual probe point, up to
     ATOL_GRID.
 
     Desk-scale reading: the bidual is the primal space, so probes run over
-    the image lattice of the grid.
+    the image of the grid's nodes.
     """
     if len(a) == 0:
         raise EmptySet("need a nonempty monotone set")
     tol = tols.ATOL_GRID
-    if dual_points is None:
-        if grid is None:
-            raise ValueError("pass dual_points or a grid to probe")
-        dual_points = grid.points() @ space.pairing.T
-    gaps, _ = nearest(partial(pairwise_q, dual.as_space), dual_points,
+    probes = grid.points() @ space.pairing.T
+    gaps, _ = nearest(partial(pairwise_q, dual.as_space), probes,
                       a.points @ space.pairing.T)
     report = VerifyReport(suite="type_ni_check",
                           tolerances={"tol": tol},
                           meta={"space": space.label, "set": a.underlying.label,
                                 "reading": "bidual identified with the primal space"})
-    report.add_worst("nonpositive_infimum", "def_5_7", gaps, dual_points, tol)
+    report.add_worst("nonpositive_infimum", "def_5_7", gaps, probes, tol)
     return report
 
 
@@ -131,21 +128,15 @@ def strongly_representable_check(a: MonotoneSet, f: GridFn, space: SsdSpace,
     return report
 
 
-def theorem_5_8_battery(space: SsdSpace, dual: DualSsd, a: MonotoneSet, grid: GridSpec,
-                        h_candidates=None, triple: FitzTriple | None = None,
-                        density: VerifyReport | None = None) -> VerifyReport:
-    """Product-space reading of the equivalence battery, plus the explicit
-    classical form of the dual-side support inequality, held to ATOL_GRID
-    like the battery.  `triple`, when
-    given, is `fitz_triple(space, a.underlying, grid)` built by the caller,
-    and `density` is `density_report(space, dual, grid)`; the classical
-    form's sup over the set, max over a of <a, b*> - q(a) at the image b* of
-    each grid node, is the triple's theta on that image."""
-    if triple is None:
-        triple = fitz_triple(space, a.underlying, grid)
-    report = theorem_4_10_battery(space, dual, a.underlying, grid,
-                                  h_candidates=h_candidates, triple=triple,
-                                  density=density)
+def theorem_5_8_battery(dual: DualSsd, triple: FitzTriple,
+                        density: VerifyReport) -> VerifyReport:
+    """Product-space reading of the equivalence battery for the triple's set
+    of pairs, plus the explicit classical form of the dual-side support
+    inequality, held to ATOL_GRID like the battery.  `density` is as for
+    `theorem_4_10_battery`.  The classical form's sup over the set, max over
+    a of <a, b*> - q(a) at the image b* of each grid node, is the triple's
+    theta on that image."""
+    report = theorem_4_10_battery(dual, triple, density)
     report.suite = "theorem_5_8"
     image, sup_vals = triple.dual_blocks[1]
     image_nodes = image.points()

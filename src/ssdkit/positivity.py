@@ -403,22 +403,23 @@ def lemma_2_8_suite(space: SsdSpace, a: PointSet, h: GridFn, c_grid: GridSpec) -
     """Consequences of density + positivity for a sampled set.
 
     Preconditions (density, positivity) are themselves verified and the run
-    refuses when they fail.  Checks the distance bound, the induced zero
-    inf-convolution for any h >= q touching on the set, and grid maximality.
+    refuses when they fail.  Checks the nonpositive infimum of q over the
+    set (to the one-cell p bound, recorded as `tol`), the distance bound, the
+    induced zero inf-convolution for any h >= q touching on the set, and grid
+    maximality.
     """
     pos = is_q_positive(space, a)
     dense = p_dense_check(space, a, c_grid)
     if not (pos.passed and dense.passed):
         raise PreconditionFailed("set is not a grid-verified dense positive set")
-    tol = tols.ATOL_GRID
+    tol = tols.one_cell_p_bound(space, c_grid)
     cell = tols.cell_norm(space, c_grid)
     pts = c_grid.points()
     report = VerifyReport(suite="lemma_2_8", grid=c_grid.to_dict(),
                           tolerances={"tol": tol, "cell_slack": 2.0 * cell},
                           meta={"space": space.label, "set": a.label})
     inf_q, _ = nearest(partial(pairwise_q, space), pts, a.points)
-    report.add_worst("infq_nonpositive", "lemma_2_8a", inf_q, pts,
-                     tols.one_cell_p_bound(space, c_grid),
+    report.add_worst("infq_nonpositive", "lemma_2_8a", inf_q, pts, tol,
                      note="one-cell slack for the sampled set")
     dists, _ = nearest(partial(pairwise_norm, space), pts, a.points)
     report.add_worst("dist_bound", "lemma_2_8a",

@@ -23,7 +23,6 @@ from .catalog import (
     helix_set,
     q_plus_const_fn,
     ray_set,
-    representer_fns,
     sign_graph_set,
     singleton_origin,
     space_identity,
@@ -238,19 +237,19 @@ def suite_lemma_2_13(opts: SuiteOptions):
         space = sp if opts.point_set.dim == 2 else space_swap_r3()
         if opts.point_set.dim not in (2, 3):
             raise SsdkitError("built-in spaces cover dimensions 2 and 3 only")
-        rep = lemma_2_13_suite(space, opts.point_set, _grid(opts, dim=opts.point_set.dim,
-                                                           n=61 if opts.point_set.dim == 2 else 17))
+        own_grid = _grid(opts, dim=opts.point_set.dim, n=61 if opts.point_set.dim == 2 else 17)
+        rep = lemma_2_13_suite(fitz_triple(space, opts.point_set, own_grid))
         yield _tag(rep, set=opts.point_set.label or "user set")
         return
     diag = diagonal_set(-3, 3, 121)
-    yield _tag(lemma_2_13_suite(sp, diag.underlying, grid), set="diagonal")
-    yield _tag(lemma_2_13_suite(sp, singleton_origin(2), grid), set="origin singleton")
+    yield _tag(lemma_2_13_suite(fitz_triple(sp, diag.underlying, grid)), set="diagonal")
+    yield _tag(lemma_2_13_suite(fitz_triple(sp, singleton_origin(2), grid)),
+               set="origin singleton")
     grid3 = _grid(opts, dim=3, n=17)
-    yield _tag(lemma_2_13_suite(space_swap_r3(), helix_set(n=61, span=3.0), grid3),
+    yield _tag(lemma_2_13_suite(fitz_triple(space_swap_r3(), helix_set(n=61, span=3.0), grid3)),
                set="helix sample")
-    zp = space_zero_pairing(2)
-    gap, witness = remark_2_14_gap(zp, PointSet([[-1.0, -1.0], [1.0, 1.0]],
-                                                label="two points"), grid)
+    two_points = PointSet([[-1.0, -1.0], [1.0, 1.0]], label="two points")
+    gap, witness = remark_2_14_gap(fitz_triple(space_zero_pairing(2), two_points, grid))
     rep = VerifyReport(grid=grid.to_dict(), tolerances={"min_gap": 0.5})
     rep.add("zero_pairing_gap", "remark_2_14", gap >= 0.5, residual=gap,
             witness=witness,
@@ -264,9 +263,11 @@ def suite_theorem_2_9(opts: SuiteOptions):
     f = half_sq_norm_fn(grid)
     yield dist_bounds_check(f, sp, grid.subsample(2))
     diag = diagonal_set(-3, 3, 121)
-    phi_fn, star_fn = representer_fns(sp, diag, grid.subsample(2))
-    for fn, label in ((phi_fn, "primal representer"), (star_fn, "conjugate-back representer")):
-        yield _tag(lemma_2_8_suite(sp, diag.underlying, fn, grid.subsample(2)), fn=label)
+    c_grid = grid.subsample(2)
+    triple = fitz_triple(sp, diag.underlying, c_grid)
+    for fn, label in ((triple.phi_fn, "primal representer"),
+                      (triple.star_theta_fn, "conjugate-back representer")):
+        yield _tag(lemma_2_8_suite(sp, diag.underlying, fn, c_grid), fn=label)
 
 
 def suite_lemma_2_7(opts: SuiteOptions):
@@ -300,7 +301,8 @@ def suite_theorem_2_15(opts: SuiteOptions):
     grid = _grid(opts)
     f = half_sq_norm_fn(grid)
     diag = diagonal_set(-3, 3, 121)
-    phi_fn, star_fn = representer_fns(sp, diag, grid)
+    triple = fitz_triple(sp, diag.underlying, grid)
+    phi_fn, star_fn = triple.phi_fn, triple.star_theta_fn
     candidates = {"primal representer": phi_fn, "conjugate-back": star_fn,
                   "midpoint": GridFn._raw(grid, 0.5 * (phi_fn.values + star_fn.values),
                                           form="midpoint")}
@@ -361,7 +363,7 @@ def suite_lemma_4_7(opts: SuiteOptions):
     f = half_sq_norm_fn(grid)
     yield _tag(lemma_4_7_identity(sp, dual, f, c_grid, tol=tol), fn="worked example")
     diag = diagonal_set(-3, 3, 121)
-    phi_fn, _ = representer_fns(sp, diag, grid)
+    phi_fn = fitz_triple(sp, diag.underlying, grid).phi_fn
     yield _tag(lemma_4_7_identity(sp, dual, phi_fn, c_grid, tol=tol),
                fn="diagonal representer")
     ident = space_identity(2)
@@ -377,7 +379,7 @@ def suite_theorem_4_9(opts: SuiteOptions):
         dual = make_dual(sp)
         dens = density_report(sp, dual, grid)
         for name, fn in vz_catalog(sp, grid).items():
-            rep = vz_mas_equivalence(sp, dual, fn, density=dens)
+            rep = vz_mas_equivalence(sp, dual, fn, dens)
             verdict_table.setdefault(name, set()).add(rep.meta["vz"])
             yield _tag(rep, norm=f"{sp.norm.variant},{sp.norm.tau:g}", fn=name)
     cross = VerifyReport(grid=grid.to_dict(),
@@ -396,8 +398,11 @@ def suite_theorem_4_9(opts: SuiteOptions):
 
 def suite_theorem_4_10(opts: SuiteOptions):
     sp = space_r2_product("two")
+    dual = make_dual(sp)
+    grid = _grid(opts)
     diag = diagonal_set(-3, 3, 121)
-    yield theorem_4_10_battery(sp, make_dual(sp), diag.underlying, _grid(opts))
+    yield theorem_4_10_battery(dual, fitz_triple(sp, diag.underlying, grid),
+                               density_report(sp, dual, grid))
 
 
 def suite_theorem_5_5(opts: SuiteOptions):
@@ -424,7 +429,7 @@ def suite_theorem_5_5(opts: SuiteOptions):
     sp = space_r2_product("two")
     grid = _grid(opts)
     yield _tag(projection_closure_check(half_sq_norm_fn(grid), sp), fn="worked example")
-    phi_sign, _ = representer_fns(sp, sign_graph_set(grid), grid)
+    phi_sign = fitz_triple(sp, sign_graph_set(grid).underlying, grid).phi_fn
     yield _tag(projection_closure_check(phi_sign, sp), fn="sign-graph representer")
 
 
@@ -441,9 +446,8 @@ def suite_theorem_5_8(opts: SuiteOptions):
     dens = density_report(sp, dual, grid)
     for label, mset in sets:
         triple = fitz_triple(sp, mset.underlying, grid)
-        yield _tag(theorem_5_8_battery(sp, dual, mset, grid, triple=triple, density=dens),
-                   set=label)
-        yield _tag(type_ni_check(sp, mset, dual, grid=grid), set=label)
+        yield _tag(theorem_5_8_battery(dual, triple, dens), set=label)
+        yield _tag(type_ni_check(sp, mset, dual, grid), set=label)
         yield _tag(strongly_representable_check(mset, triple.phi_fn, sp, dual), set=label)
 
 
@@ -454,7 +458,7 @@ def suite_remark_5_6(opts: SuiteOptions):
     yield _tag(remark_5_6_bound(diag, half_sq_norm_fn(grid), sp, grid.subsample(2)),
                fn="worked example")
     cubic = cubic_graph_set(grid.subsample(2))
-    phi_fn, _ = representer_fns(sp, cubic, grid.subsample(2))
+    phi_fn = fitz_triple(sp, cubic.underlying, grid.subsample(2)).phi_fn
     yield _tag(remark_5_6_bound(cubic, phi_fn, sp, grid.subsample(4)),
                fn="cubic-graph representer")
 
@@ -531,14 +535,12 @@ def suite_theorem_2_16(opts: SuiteOptions):
     grid = _grid(opts)
     diag = diagonal_set(-3, 3, 121)
     triple = fitz_triple(sp, diag.underlying, grid)
-    yield _tag(sigma_minorant_test(sp, diag.underlying, triple.phi_fn, triple=triple),
-               candidate="primal representer")
+    yield _tag(sigma_minorant_test(triple, triple.phi_fn), candidate="primal representer")
     a0 = np.array([1.0, 1.0])
     affine = GridFn.from_callable(
         grid, lambda p: np.atleast_2d(p) @ sp.pairing @ a0 - sp.q(a0),
         form="affine tangent")
-    yield _tag(sigma_minorant_test(sp, diag.underlying, affine, triple=triple),
-               candidate="affine tangent")
+    yield _tag(sigma_minorant_test(triple, affine), candidate="affine tangent")
 
 SUITES = {
     "banach_ssd": suite_banach_ssd,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ssdkit import make_dual, product_space
+from ssdkit.duality import density_report
 from ssdkit.catalog import (
     default_grid,
     diagonal_set,
@@ -42,6 +43,12 @@ def grid61():
 @pytest.fixture(scope="session")
 def grid121():
     return default_grid(2, -3.0, 3.0, 121)
+
+
+@pytest.fixture(scope="session")
+def density61(prod_space, prod_dual, grid61):
+    """The image-density report of the product plane on `grid61`."""
+    return density_report(prod_space, prod_dual, grid61)
 
 
 @pytest.fixture(scope="session")

@@ -11,6 +11,7 @@ import numpy as np
 from ssdkit import (
     NoDual,
     PreconditionFailed,
+    fitz_triple,
     is_mas,
     is_q_positive,
     is_vz,
@@ -33,14 +34,13 @@ from ssdkit.catalog import (
     half_sq_norm_fn,
     helix_set,
     q_plus_const_fn,
-    representer_fns,
     sign_graph_set,
     singleton_origin,
     space_nodual,
     space_r2_product,
     space_swap_r3,
 )
-from ssdkit.duality import lemma_4_7_identity, numerical_dual_norm
+from ssdkit.duality import density_report, lemma_4_7_identity, numerical_dual_norm
 from ssdkit.monotone import MonotoneSet
 from ssdkit.positivity import PointSet
 from ssdkit.spaces import NormSpec, pairwise_norm, pairwise_q
@@ -169,7 +169,7 @@ def test_criterion_05_two_sided_identity():
     r1 = rep.checks[0].worst_residual
     if not rep.passed:
         failures.append(f"worked example residual {r1:.2e}")
-    phi_fn, _ = representer_fns(sp, diagonal_set(-3, 3, 121), grid)
+    phi_fn = fitz_triple(sp, diagonal_set(-3, 3, 121).underlying, grid).phi_fn
     rep2 = lemma_4_7_identity(sp, dual, phi_fn, c_grid, tol=5e-3)
     r2 = rep2.checks[0].worst_residual
     if not rep2.passed:
@@ -185,12 +185,12 @@ def test_criterion_06_cross_norm_verdicts():
     grid = default_grid(2, -3.0, 3.0, 61)
     base = space_r2_product("two", tau=1.0)
     diag = diagonal_set(-3.0, 3.0, 121)
-    phi_fn, star_fn = representer_fns(base, diag, grid)
+    triple = fitz_triple(base, diag.underlying, grid)
     fns = {
         "worked_example": half_sq_norm_fn(grid),
         "shifted_pairing_form": q_plus_const_fn(base, grid),
-        "phi_diagonal": phi_fn,
-        "star_theta_diagonal": star_fn,
+        "phi_diagonal": triple.phi_fn,
+        "star_theta_diagonal": triple.star_theta_fn,
     }
     expected = {"worked_example": True, "shifted_pairing_form": False,
                 "phi_diagonal": True, "star_theta_diagonal": True}
@@ -226,7 +226,7 @@ def test_criterion_07_representer_suite():
             ("helix", space_swap_r3(), helix_set(n=61, span=3.0),
              default_grid(3, -3.0, 3.0, 17)),
             ("singleton", sp, singleton_origin(2), grid)):
-        rep = lemma_2_13_suite(space, a, grd)
+        rep = lemma_2_13_suite(fitz_triple(space, a, grd))
         for part in exact_parts:
             c = rep.check(part)
             if c.status != "pass" or c.worst_residual > 1e-12:
@@ -243,8 +243,8 @@ def test_criterion_07_representer_suite():
 
     from ssdkit.catalog import space_zero_pairing
 
-    gap, _ = remark_2_14_gap(space_zero_pairing(2),
-                             PointSet([[-1.0, -1.0], [1.0, 1.0]]), grid)
+    gap, _ = remark_2_14_gap(fitz_triple(space_zero_pairing(2),
+                                         PointSet([[-1.0, -1.0], [1.0, 1.0]]), grid))
     if gap < 0.5:
         failures.append(f"zero-pairing gap {gap:.3f} < 0.5")
     _line(7, not failures, "representer identities on diagonal/helix/singleton",
@@ -332,11 +332,12 @@ def test_criterion_11_equivalence_batteries():
     sp = space_r2_product("two", tau=1.0)
     dual = make_dual(sp)
     grid = default_grid(2, -3.0, 3.0, 61)
+    dens = density_report(sp, dual, grid)
     failures = []
     for label, mset in (("diagonal", diagonal_set(-3, 3, 121)),
                         ("cubic graph", cubic_graph_set(grid)),
                         ("sign graph", sign_graph_set(grid))):
-        rep = theorem_5_8_battery(sp, dual, mset, grid)
+        rep = theorem_5_8_battery(dual, fitz_triple(sp, mset.underlying, grid), dens)
         for cid in ("a_infqt_nonpositive", "b_theta_dominates_qt",
                     "c_phistar_dominates_qt", "f_phi_vz", "g_star_vz",
                     "b_classical_form", "unanimity"):
@@ -347,7 +348,7 @@ def test_criterion_11_equivalence_batteries():
             failures.append(f"{label}: conditions not unanimously true")
     refused = False
     try:
-        theorem_5_8_battery(sp, dual, MonotoneSet(singleton_origin(2), 1), grid)
+        theorem_5_8_battery(dual, fitz_triple(sp, singleton_origin(2), grid), dens)
     except PreconditionFailed:
         refused = True
     if not refused:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from ssdkit import PreconditionFailed
 from ssdkit.cli import main
 from ssdkit.catalog import default_grid, half_sq_norm_fn, space_r2_product
-from ssdkit.duality import save_space_document
+from ssdkit.duality import density_report, save_space_document
 from ssdkit.gridfn import GridFn, kernel_ledger
 from ssdkit.reports import FAIL, PASS, VerifyReport, write_json
 
@@ -85,7 +85,8 @@ class TestVerify:
         assert [k["kernel"] for k in meta["kernels"]] == ["scattered"]
         fn = half_sq_norm_fn(grid61)
         with kernel_ledger() as ledger:
-            rep = vz_mas_equivalence(prod_space, prod_dual, fn)
+            rep = vz_mas_equivalence(prod_space, prod_dual, fn,
+                                     density_report(prod_space, prod_dual, grid61))
         write_json(tmp_path / "vz_mas.json", rep.to_dict())
         meta = json.loads((tmp_path / "vz_mas.json").read_text())["meta"]
         with kernel_ledger() as vz_ledger:

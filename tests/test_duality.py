@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssdkit import (
+    GridMismatch,
     NoDual,
     NormSpec,
     PreconditionFailed,
     SingularPairing,
     dual_norm_check,
+    fitz_triple,
     lemma_4_7_identity,
     make_dual,
     numerical_dual_norm,
@@ -21,7 +23,6 @@ from ssdkit.catalog import (
     default_grid,
     half_sq_norm_fn,
     q_plus_const_fn,
-    representer_fns,
     singleton_origin,
     space_identity,
     space_nodual,
@@ -293,7 +294,7 @@ class TestLemma47:
         assert rep.meta["max_term2"] <= 2e-3
 
     def test_diagonal_representer(self, prod_space, prod_dual, grid121, diag121):
-        phi_fn, _ = representer_fns(prod_space, diag121, grid121)
+        phi_fn = fitz_triple(prod_space, diag121.underlying, grid121).phi_fn
         rep = lemma_4_7_identity(prod_space, prod_dual, phi_fn, grid121.subsample(2), tol=5e-3)
         assert rep.passed
 
@@ -352,17 +353,17 @@ class TestLemma47:
 
 
 class TestVzMasEquivalence:
-    def test_catalog_agrees(self, prod_space, prod_dual, grid61, diag121):
-        phi_fn, star_fn = representer_fns(prod_space, diag121, grid61)
+    def test_catalog_agrees(self, prod_space, prod_dual, grid61, diag121, density61):
+        triple = fitz_triple(prod_space, diag121.underlying, grid61)
         worked = half_sq_norm_fn(grid61)
         shifted = q_plus_const_fn(prod_space, grid61)
-        for fn in (worked, phi_fn, star_fn, shifted):
-            rep = vz_mas_equivalence(prod_space, prod_dual, fn)
+        for fn in (worked, triple.phi_fn, triple.star_theta_fn, shifted):
+            rep = vz_mas_equivalence(prod_space, prod_dual, fn, density61)
             assert rep.passed, fn.form
 
-    def test_verdicts_recorded(self, prod_space, prod_dual, grid61):
+    def test_verdicts_recorded(self, prod_space, prod_dual, grid61, density61):
         rep = vz_mas_equivalence(prod_space, prod_dual,
-                                 q_plus_const_fn(prod_space, grid61))
+                                 q_plus_const_fn(prod_space, grid61), density61)
         assert rep.meta["vz"] is False and rep.meta["mas"] is False
 
     def test_unverified_density_refused(self, prod_space, prod_dual, grid61):
@@ -374,8 +375,14 @@ class TestVzMasEquivalence:
         failing = VerifyReport(suite="p_tilde_density")
         failing.add("image_density", "eq_4_2_1", False, residual=1.0)
         with pytest.raises(DensityNotVerified):
-            vz_mas_equivalence(prod_space, prod_dual, half_sq_norm_fn(grid61),
-                               density=failing)
+            vz_mas_equivalence(prod_space, prod_dual, half_sq_norm_fn(grid61), failing)
+
+    def test_density_of_another_grid_refused(self, prod_space, prod_dual, grid61,
+                                             grid121):
+        other = density_report(prod_space, prod_dual, grid121)
+        assert other.passed
+        with pytest.raises(GridMismatch):
+            vz_mas_equivalence(prod_space, prod_dual, half_sq_norm_fn(grid61), other)
 
     def test_involutive_three_dim_space_end_to_end(self, swap3):
         # the R^3 swap space is its own dual; the half-square function has
@@ -388,20 +395,46 @@ class TestVzMasEquivalence:
         f = half_sq_norm_fn(grid)
         assert is_vz(f, swap3).passed
         assert is_mas(f, swap3, dual).passed
-        rep = vz_mas_equivalence(swap3, dual, f)
+        rep = vz_mas_equivalence(swap3, dual, f, density_report(swap3, dual, grid))
         assert rep.passed and rep.meta["vz"] is True
 
 
 class TestTheorem410:
-    def test_diagonal_battery_unanimous(self, prod_space, prod_dual, grid61, diag121):
-        rep = theorem_4_10_battery(prod_space, prod_dual, diag121.underlying, grid61)
+    def test_diagonal_battery_unanimous(self, prod_space, prod_dual, grid61, diag121,
+                                        density61):
+        rep = theorem_4_10_battery(prod_dual, fitz_triple(prod_space, diag121.underlying, grid61),
+                                   density61)
         assert rep.passed
         assert all(rep.meta["verdicts"].values())
 
-    def test_singleton_refused(self, prod_space, prod_dual, grid61):
+    def test_singleton_refused(self, prod_space, prod_dual, grid61, density61):
         with pytest.raises(PreconditionFailed):
-            theorem_4_10_battery(prod_space, prod_dual, singleton_origin(2), grid61)
+            theorem_4_10_battery(prod_dual, fitz_triple(prod_space, singleton_origin(2), grid61),
+                                 density61)
 
-    def test_midpoint_candidate_in_sandwich(self, prod_space, prod_dual, grid61, diag121):
-        rep = theorem_4_10_battery(prod_space, prod_dual, diag121.underlying, grid61)
+    def test_midpoint_candidate_in_sandwich(self, prod_space, prod_dual, grid61, diag121,
+                                            density61):
+        rep = theorem_4_10_battery(prod_dual, fitz_triple(prod_space, diag121.underlying, grid61),
+                                   density61)
         assert rep.check("b2_candidate2_conj_dominates").status == "pass"
+
+    def test_density_of_another_grid_refused(self, prod_space, prod_dual, grid61, diag121):
+        # a passing density report, but of a box other than the triple's grid
+        other = density_report(prod_space, prod_dual, default_grid(2, -2.0, 4.0, 61))
+        assert other.passed
+        with pytest.raises(GridMismatch):
+            theorem_4_10_battery(prod_dual, fitz_triple(prod_space, diag121.underlying, grid61),
+                                 other)
+
+    def test_b2_reads_the_mas_dual_minorization(self, prod_space, prod_dual, grid61, diag121,
+                                                density61):
+        # b2's residual is the conjugate's dip below q, recomputed here directly
+        from ssdkit import intrinsic_conjugate
+
+        triple = fitz_triple(prod_space, diag121.underlying, grid61)
+        rep = theorem_4_10_battery(prod_dual, triple, density61)
+        for idx, h in enumerate((triple.phi_fn, triple.star_theta_fn)):
+            dom = float(np.min(intrinsic_conjugate(h, prod_space).values
+                               - prod_space.q(grid61.points())))
+            check = rep.check(f"b2_candidate{idx}_conj_dominates")
+            assert check.worst_residual == max(0.0, -dom)

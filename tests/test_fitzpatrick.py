@@ -7,6 +7,7 @@ from ssdkit import (
     BracketViolated,
     EmptySet,
     GridFn,
+    GridMismatch,
     NotAMinorant,
     PointSet,
     fitz_triple,
@@ -15,7 +16,7 @@ from ssdkit import (
     remark_2_14_gap,
     sigma_minorant_test,
     star_theta,
-    theorem_2_15_suite,
+    theorem_2_15_reports,
     theta,
 )
 from ssdkit.catalog import (
@@ -108,13 +109,13 @@ class TestStarTheta:
     def test_gap_against_pullback_conjugate(self, grid61):
         space = space_zero_pairing(2)
         a = PointSet([[-1.0, -1.0], [1.0, 1.0]], label="two points")
-        gap, witness = remark_2_14_gap(space, a, grid61)
+        gap, witness = remark_2_14_gap(fitz_triple(space, a, grid61))
         assert gap >= 0.5
 
 
 class TestLemma213Suite:
     def test_diagonal_all_parts(self, prod_space, grid61, diag121):
-        rep = lemma_2_13_suite(prod_space, diag121.underlying, grid61)
+        rep = lemma_2_13_suite(fitz_triple(prod_space, diag121.underlying, grid61))
         assert rep.passed
         for part in ("a_two_formulas", "b_phi_touches", "e_star_below_q",
                      "f_sandwich_upper", "f_sandwich_lower", "g_equalities_on_set"):
@@ -123,7 +124,7 @@ class TestLemma213Suite:
         assert rep.check("i_touching_sets_equal").status == "pass"
 
     def test_singleton_maximality_parts_skipped(self, prod_space, grid61):
-        rep = lemma_2_13_suite(prod_space, singleton_origin(2), grid61)
+        rep = lemma_2_13_suite(fitz_triple(prod_space, singleton_origin(2), grid61))
         assert rep.passed  # skipped parts do not fail the suite
         assert rep.check("h_phi_dominates_q").status == "skipped"
         assert rep.check("i_touching_sets_equal").status == "skipped"
@@ -134,7 +135,7 @@ class TestLemma213Suite:
     def test_helix_sample_in_r3(self, swap3):
         grid = default_grid(3, -3.0, 3.0, 17)
         hel = helix_set(n=61, span=3.0)
-        rep = lemma_2_13_suite(swap3, hel, grid)
+        rep = lemma_2_13_suite(fitz_triple(swap3, hel, grid))
         for part in ("a_two_formulas", "b_phi_touches", "e_star_below_q",
                      "f_sandwich_upper", "f_sandwich_lower", "g_equalities_on_set"):
             assert rep.check(part).status == "pass", part
@@ -144,12 +145,12 @@ class TestLemma213Suite:
 class TestTheorem215:
     def test_worked_example_with_phi_candidate(self, prod_space, grid61, worked_fn61):
         triple_h = fitz_triple(prod_space, diagonal_set(-3, 3, 121).underlying, grid61)
-        rep = theorem_2_15_suite(prod_space, worked_fn61, triple_h.phi_fn)
+        rep, = theorem_2_15_reports(prod_space, worked_fn61, [triple_h.phi_fn])
         assert rep.passed
 
     def test_star_candidate(self, prod_space, grid61, worked_fn61):
         triple_h = fitz_triple(prod_space, diagonal_set(-3, 3, 121).underlying, grid61)
-        rep = theorem_2_15_suite(prod_space, worked_fn61, triple_h.star_theta_fn)
+        rep, = theorem_2_15_reports(prod_space, worked_fn61, [triple_h.star_theta_fn])
         assert rep.passed
 
     def test_below_sandwich_rejected(self, prod_space, grid61, worked_fn61):
@@ -157,17 +158,17 @@ class TestTheorem215:
             grid61, lambda p: prod_space.q(np.atleast_2d(p)) - 1.0,
             form="below the sandwich", require_convex=False)
         with pytest.raises(BracketViolated):
-            theorem_2_15_suite(prod_space, worked_fn61, low)
+            next(theorem_2_15_reports(prod_space, worked_fn61, [low]))
 
     def test_no_candidate_just_brackets(self, prod_space, worked_fn61):
-        rep = theorem_2_15_suite(prod_space, worked_fn61, None)
+        rep, = theorem_2_15_reports(prod_space, worked_fn61, [None])
         assert rep.passed
 
 
 class TestSigmaMinorant:
     def test_phi_is_a_minorant(self, prod_space, grid61, diag121):
         triple = fitz_triple(prod_space, diag121.underlying, grid61)
-        rep = sigma_minorant_test(prod_space, diag121.underlying, triple.phi_fn)
+        rep = sigma_minorant_test(triple, triple.phi_fn)
         assert rep.passed
 
     def test_affine_tangent_is_a_minorant(self, prod_space, grid61, diag121):
@@ -176,7 +177,7 @@ class TestSigmaMinorant:
             grid61,
             lambda p: np.atleast_2d(p) @ prod_space.pairing @ a0 - prod_space.q(a0),
             form="affine tangent at a set point")
-        rep = sigma_minorant_test(prod_space, diag121.underlying, fn)
+        rep = sigma_minorant_test(fitz_triple(prod_space, diag121.underlying, grid61), fn)
         assert rep.passed
 
     def test_above_q_on_set_rejected(self, prod_space, grid61, diag121):
@@ -184,7 +185,16 @@ class TestSigmaMinorant:
             grid61, lambda p: prod_space.q(np.atleast_2d(p)) + 1.0,
             form="above q", require_convex=False)
         with pytest.raises(NotAMinorant):
-            sigma_minorant_test(prod_space, diag121.underlying, fn)
+            sigma_minorant_test(fitz_triple(prod_space, diag121.underlying, grid61), fn)
+
+    def test_triple_on_another_box_refused(self, prod_space, grid61, diag121):
+        # same node count as h's grid, shifted box: the triple does not live on h's grid
+        other = default_grid(2, -2.0, 4.0, 61)
+        assert other.size == grid61.size
+        triple = fitz_triple(prod_space, diag121.underlying, other)
+        h = fitz_triple(prod_space, diag121.underlying, grid61).phi_fn
+        with pytest.raises(GridMismatch):
+            sigma_minorant_test(triple, h)
 
 
 class TestConjugateBracket:
@@ -230,7 +240,7 @@ class TestBlockRouting:
     def test_reports_record_sup_paths(self, prod_space, grid61, diag121):
         def sups(space, a):
             with kernel_ledger() as ledger:
-                lemma_2_13_suite(space, a, grid61)
+                lemma_2_13_suite(fitz_triple(space, a, grid61))
             return [e[:3] for e in ledger if e[0] in ("separable", "scattered")]
 
         sep, to_set, n = ("separable", 3721, 3721), ("scattered", 3721, 121), 121

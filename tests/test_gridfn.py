@@ -15,6 +15,7 @@ from ssdkit import (
     NotConvex,
     conjugate,
     conjugate_composition_gap,
+    fitz_triple,
     inf_conv,
     intrinsic_conjugate,
     is_mas,
@@ -27,7 +28,6 @@ from ssdkit.catalog import (
     half_sq_norm_fn,
     indicator_fn,
     q_plus_const_fn,
-    representer_fns,
     space_identity,
     space_negated,
     space_swap_r3,
@@ -382,8 +382,8 @@ class TestVzMas:
         assert rep.passed
 
     def test_representers_pass_both(self, prod_space, prod_dual, grid61, diag121):
-        phi_fn, star_fn = representer_fns(prod_space, diag121, grid61)
-        for fn in (phi_fn, star_fn):
+        triple = fitz_triple(prod_space, diag121.underlying, grid61)
+        for fn in (triple.phi_fn, triple.star_theta_fn):
             assert is_vz(fn, prod_space).passed
             assert is_mas(fn, prod_space, prod_dual).passed
 
@@ -622,10 +622,6 @@ class TestSeparableKernel:
         with kernel_ledger() as ledger:
             is_mas(worked_fn61, tilted, None)
         assert _kernels(ledger) == ["scattered"]
-        fat = intrinsic_conjugate(worked_fn61, prod_space)
-        with kernel_ledger() as ledger:
-            is_mas(worked_fn61, prod_space, prod_dual, fat=fat)
-        assert ledger == []  # a conjugate the caller passed runs no kernel here
 
 
 def _kernels(ledger):

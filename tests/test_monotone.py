@@ -6,7 +6,9 @@ from ssdkit import (
     MonotoneSet,
     PreconditionFailed,
     alignment_report,
+    fitz_triple,
     is_q_positive,
+    lemma_2_13_suite,
     mf_set,
     negative_alignment,
     projection_closure_check,
@@ -19,7 +21,6 @@ from ssdkit.catalog import (
     cubic_graph_set,
     diagonal_set,
     q_plus_const_fn,
-    representer_fns,
     sign_graph_set,
     singleton_origin,
 )
@@ -57,7 +58,7 @@ class TestMfSet:
         from ssdkit.positivity import sets_match
 
         graph = monotone_graph_set(grid61, lambda t: 2 * t, label="doubling graph")
-        phi_fn, _ = representer_fns(prod_space, graph, grid61)
+        phi_fn = fitz_triple(prod_space, graph.underlying, grid61).phi_fn
         mf = mf_set(phi_fn, prod_space)
         ok, dist = sets_match(prod_space, graph.points, mf.points, radius=0.2)
         assert ok, dist
@@ -69,31 +70,36 @@ class TestMfSet:
 
 class TestTypeNI:
     def test_diagonal_passes(self, prod_space, prod_dual, grid61, diag121):
-        rep = type_ni_check(prod_space, diag121, prod_dual, grid=grid61)
+        rep = type_ni_check(prod_space, diag121, prod_dual, grid61)
         assert rep.passed
 
     def test_origin_singleton_fails_at_positive_quadrant(self, prod_space, prod_dual, grid61):
         a = MonotoneSet(singleton_origin(2), 1)
-        rep = type_ni_check(prod_space, a, prod_dual, grid=grid61)
+        rep = type_ni_check(prod_space, a, prod_dual, grid61)
         assert not rep.passed
-        # the probe (1,1) gives <1-0, 1-0> = 1 > 0
-        rep_single = type_ni_check(prod_space, a, prod_dual,
-                                   dual_points=np.array([[1.0, 1.0]]))
-        assert rep_single.check("nonpositive_infimum").worst_residual == pytest.approx(1.0)
+        # over the set {0} the infimum at a probe c is q~(c) = c1 c2, worst
+        # (9) at the first corner probe (-3, -3)
+        probes = grid61.points() @ prod_space.pairing.T
+        gaps = prod_dual.q_tilde(probes)
+        i = int(np.argmax(gaps))
+        check = rep.check("nonpositive_infimum")
+        assert check.worst_residual == pytest.approx(9.0)
+        assert check.worst_residual == float(gaps[i])
+        assert np.array_equal(check.witness, probes[i])
 
     def test_cubic_graph_passes(self, prod_space, prod_dual, grid61):
-        rep = type_ni_check(prod_space, cubic_graph_set(grid61), prod_dual, grid=grid61)
+        rep = type_ni_check(prod_space, cubic_graph_set(grid61), prod_dual, grid61)
         assert rep.passed
 
     def test_sign_graph_passes(self, prod_space, prod_dual, grid61):
-        rep = type_ni_check(prod_space, sign_graph_set(grid61), prod_dual, grid=grid61)
+        rep = type_ni_check(prod_space, sign_graph_set(grid61), prod_dual, grid61)
         assert rep.passed
 
 
 class TestStrongRepresentability:
     def test_diagonal_with_both_representers(self, prod_space, prod_dual, grid61, diag121):
-        phi_fn, star_fn = representer_fns(prod_space, diag121, grid61)
-        for fn in (phi_fn, star_fn):
+        triple = fitz_triple(prod_space, diag121.underlying, grid61)
+        for fn in (triple.phi_fn, triple.star_theta_fn):
             rep = strongly_representable_check(diag121, fn, prod_space, prod_dual)
             assert rep.passed
 
@@ -122,7 +128,7 @@ class TestStrongRepresentability:
                 + prod_space.q(np.atleast_2d(p)), form="pinched", require_convex=False)
         else:                   # touching set the whole diagonal; the sample is [0, 1]
             sample = diagonal_set(0, 1, 11)
-            fn, _ = representer_fns(prod_space, diag121, grid61)
+            fn = fitz_triple(prod_space, diag121.underlying, grid61).phi_fn
         touch = mf_set(fn, prod_space).points
         near = lambda rows, others: [min(float(prod_space.norm(r - o)) for o in others)
                                      for r in rows]
@@ -140,33 +146,38 @@ class TestStrongRepresentability:
         assert check.worst_residual == pytest.approx(max(missing + extra), rel=1e-12)
 
 
+def _battery(space, dual, mset, grid, density):
+    return theorem_5_8_battery(dual, fitz_triple(space, mset.underlying, grid), density)
+
+
 class TestTheorem58:
-    def test_diagonal_battery(self, prod_space, prod_dual, grid61, diag121):
-        rep = theorem_5_8_battery(prod_space, prod_dual, diag121, grid61)
+    def test_diagonal_battery(self, prod_space, prod_dual, grid61, diag121, density61):
+        rep = _battery(prod_space, prod_dual, diag121, grid61, density61)
         assert rep.passed
         assert all(rep.meta["verdicts"].values())
         assert rep.check("b_classical_form").status == "pass"
 
-    def test_cubic_graph_battery(self, prod_space, prod_dual, grid61):
-        rep = theorem_5_8_battery(prod_space, prod_dual, cubic_graph_set(grid61), grid61)
+    def test_cubic_graph_battery(self, prod_space, prod_dual, grid61, density61):
+        rep = _battery(prod_space, prod_dual, cubic_graph_set(grid61), grid61, density61)
         assert rep.passed
 
-    def test_sign_graph_battery(self, prod_space, prod_dual, grid61):
-        rep = theorem_5_8_battery(prod_space, prod_dual, sign_graph_set(grid61), grid61)
+    def test_sign_graph_battery(self, prod_space, prod_dual, grid61, density61):
+        rep = _battery(prod_space, prod_dual, sign_graph_set(grid61), grid61, density61)
         assert rep.passed
 
     @pytest.mark.parametrize("set_fn", [
         lambda grid: diagonal_set(-3.0, 3.0, 121), cubic_graph_set, sign_graph_set])
     @pytest.mark.parametrize("prebuilt", [False, True])
     def test_classical_form_matches_dense_max(self, prod_space, prod_dual, grid61,
-                                              set_fn, prebuilt):
+                                              density61, set_fn, prebuilt):
         # the classical form's sup over the set, read from the triple, against
-        # a dense numpy max over the set x image-of-grid matrix
-        from ssdkit import fitz_triple
-
+        # a dense numpy max over the set x image-of-grid matrix; a prebuilt
+        # triple has already been read by another check before the battery
         a = set_fn(grid61)
-        triple = fitz_triple(prod_space, a.underlying, grid61) if prebuilt else None
-        rep = theorem_5_8_battery(prod_space, prod_dual, a, grid61, triple=triple)
+        triple = fitz_triple(prod_space, a.underlying, grid61)
+        if prebuilt:
+            assert lemma_2_13_suite(triple).passed
+        rep = theorem_5_8_battery(prod_dual, triple, density61)
         image = grid61.points() @ prod_space.pairing.T
         dense = np.max(a.points @ image.T - prod_space.q(a.points)[:, None], axis=0)
         gap = prod_dual.q_tilde(image) - dense
@@ -174,13 +185,12 @@ class TestTheorem58:
         check = rep.check("b_classical_form")
         assert check.worst_residual == max(0.0, float(gap[i]))
         assert np.array_equal(check.witness, image[i])
-        if prebuilt:
-            assert np.array_equal(triple.dual_blocks[1][1], dense)
+        assert np.array_equal(triple.dual_blocks[1][1], dense)
 
-    def test_singleton_refused(self, prod_space, prod_dual, grid61):
+    def test_singleton_refused(self, prod_space, prod_dual, grid61, density61):
         with pytest.raises(PreconditionFailed):
-            theorem_5_8_battery(prod_space, prod_dual,
-                                MonotoneSet(singleton_origin(2), 1), grid61)
+            _battery(prod_space, prod_dual, MonotoneSet(singleton_origin(2), 1), grid61,
+                     density61)
 
 
 class TestNegativeAlignment:
@@ -278,7 +288,7 @@ class TestRemark56:
 
     def test_cubic_graph_chain(self, prod_space, prod_dual, grid61):
         cubic = cubic_graph_set(grid61)
-        phi_fn, _ = representer_fns(prod_space, cubic, grid61)
+        phi_fn = fitz_triple(prod_space, cubic.underlying, grid61).phi_fn
         rep = remark_5_6_bound(cubic, phi_fn, prod_space, grid61.subsample(2))
         assert rep.passed
 
@@ -290,7 +300,7 @@ class TestProjectionClosure:
 
     def test_sign_graph_dual_projection_is_segment(self, prod_space, grid61):
         sign = sign_graph_set(grid61)
-        phi_fn, _ = representer_fns(prod_space, sign, grid61)
+        phi_fn = fitz_triple(prod_space, sign.underlying, grid61).phi_fn
         rep = projection_closure_check(phi_fn, prod_space)
         assert rep.passed
         mf = mf_set(phi_fn, prod_space)

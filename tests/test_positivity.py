@@ -15,6 +15,7 @@ from ssdkit import (
     PreconditionFailed,
     PointSet,
     dist_bounds_check,
+    fitz_triple,
     is_maximally_q_positive,
     is_q_positive,
     lemma_2_8_suite,
@@ -29,7 +30,6 @@ from ssdkit.catalog import (
     helix_set,
     q_plus_const_fn,
     ray_set,
-    representer_fns,
     singleton_origin,
     space_identity,
 )
@@ -177,7 +177,7 @@ class TestTouchingSet:
             p_set(f, prod_space)
 
     def test_representer_recovers_diagonal(self, prod_space, grid61, diag121):
-        phi_fn, _ = representer_fns(prod_space, diag121, grid61)
+        phi_fn = fitz_triple(prod_space, diag121.underlying, grid61).phi_fn
         ps = p_set(phi_fn, prod_space)
         # every touching node sits within one cell of the diagonal
         assert np.max(np.abs(ps.points[:, 0] - ps.points[:, 1])) <= 0.1 + 1e-9
@@ -221,7 +221,7 @@ class TestProjection:
         assert trace.achieved_distance == 0.0
 
     def test_representer_projection_from_antidiagonal(self, prod_space, grid121, diag121):
-        phi_fn, _ = representer_fns(prod_space, diag121, grid121)
+        phi_fn = fitz_triple(prod_space, diag121.underlying, grid121).phi_fn
         trace = project_to_p(phi_fn, prod_space, np.array([1.0, -1.0]), 0.5)
         assert trace.limit == pytest.approx([0.0, 0.0], abs=1e-9)
         assert trace.achieved_distance == pytest.approx(SQRT2, abs=1e-9)
@@ -293,7 +293,8 @@ class TestDistBounds:
 
 class TestLemma28:
     def test_diagonal_with_representer(self, prod_space, grid61, diag121):
-        phi_fn, star_fn = representer_fns(prod_space, diag121, grid61)
+        triple = fitz_triple(prod_space, diag121.underlying, grid61)
+        phi_fn, star_fn = triple.phi_fn, triple.star_theta_fn
         rep = lemma_2_8_suite(prod_space, diag121.underlying, phi_fn, grid61)
         assert rep.passed
         rep2 = lemma_2_8_suite(prod_space, diag121.underlying, star_fn, grid61)
@@ -312,7 +313,8 @@ class TestEquivalenceOfVzAndDensity:
     def test_catalog(self, prod_space, grid61, diag121):
         from ssdkit import is_vz
 
-        phi_fn, star_fn = representer_fns(prod_space, diag121, grid61)
+        triple = fitz_triple(prod_space, diag121.underlying, grid61)
+        phi_fn, star_fn = triple.phi_fn, triple.star_theta_fn
         worked = half_sq_norm_fn(grid61)
         ident = space_identity(2)
         lopsided = GridFn.from_callable(

@@ -17,13 +17,11 @@ from ssdkit import (
     sigma_minorant_test,
     strongly_representable_check,
     theorem_2_15_reports,
-    theorem_2_15_suite,
     theorem_4_10_battery,
     theorem_5_8_battery,
     type_ni_check,
 )
 from ssdkit import tolerances as tols
-from ssdkit.catalog import representer_fns
 
 
 def _sigma_tol(space, a, h):
@@ -39,19 +37,18 @@ CASES = {
     "is_vz": lambda c: (is_vz(c.worked_fn61, c.prod_space),
                         tols.vz_tolerance(c.worked_fn61)),
     "sigma_minorant_test": lambda c: (
-        sigma_minorant_test(c.prod_space, c.diag121.underlying, c.phi61),
+        sigma_minorant_test(fitz_triple(c.prod_space, c.diag121.underlying, c.grid61), c.phi61),
         _sigma_tol(c.prod_space, c.diag121.underlying, c.phi61)),
-    "theorem_2_15_suite": lambda c: (theorem_2_15_suite(c.prod_space, c.worked_fn61, None),
-                                     tols.ATOL_GRID),
+    "theorem_2_15_reports_no_candidate": lambda c: (
+        next(theorem_2_15_reports(c.prod_space, c.worked_fn61, [None])), tols.ATOL_GRID),
     "theorem_2_15_reports": lambda c: (
         next(theorem_2_15_reports(c.prod_space, c.worked_fn61, [c.phi61])), tols.ATOL_GRID),
     "theorem_4_10_battery": lambda c: (
-        theorem_4_10_battery(c.prod_space, c.prod_dual, c.diag121.underlying, c.grid61),
-        tols.ATOL_GRID),
+        theorem_4_10_battery(c.prod_dual, c.diag_triple61, c.density61), tols.ATOL_GRID),
     "theorem_5_8_battery": lambda c: (
-        theorem_5_8_battery(c.prod_space, c.prod_dual, c.diag121, c.grid61), tols.ATOL_GRID),
+        theorem_5_8_battery(c.prod_dual, c.diag_triple61, c.density61), tols.ATOL_GRID),
     "type_ni_check": lambda c: (
-        type_ni_check(c.prod_space, c.diag121, c.prod_dual, grid=c.grid61), tols.ATOL_GRID),
+        type_ni_check(c.prod_space, c.diag121, c.prod_dual, c.grid61), tols.ATOL_GRID),
     "strongly_representable_check": lambda c: (
         strongly_representable_check(c.diag121, c.phi61, c.prod_space, c.prod_dual),
         tols.ATOL_GRID),
@@ -66,10 +63,9 @@ CASES = {
     "dist_bounds_check": lambda c: (
         dist_bounds_check(c.worked_fn61, c.prod_space, c.grid61.subsample(2)),
         tols.ATOL_GRID),
-    # recorded, although no check of this suite reads it
     "lemma_2_8_suite": lambda c: (
         lemma_2_8_suite(c.prod_space, c.diag121.underlying, c.phi61, c.grid61),
-        tols.ATOL_GRID),
+        tols.one_cell_p_bound(c.prod_space, c.grid61)),
     "dual_norm_check": lambda c: (dual_norm_check(c.prod_space, c.prod_dual, n_samples=20),
                                   1e-4),
 }
@@ -80,8 +76,10 @@ class _Context:
         self._request = request
 
     def __getattr__(self, name):
+        if name == "diag_triple61":
+            return fitz_triple(self.prod_space, self.diag121.underlying, self.grid61)
         if name == "phi61":
-            return representer_fns(self.prod_space, self.diag121, self.grid61)[0]
+            return self.diag_triple61.phi_fn
         return self._request.getfixturevalue(name)
 
 
