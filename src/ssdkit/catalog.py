@@ -128,15 +128,17 @@ def cubic_graph_set(grid: GridSpec) -> MonotoneSet:
 
 def sign_graph_set(grid: GridSpec) -> MonotoneSet:
     """Grid-maximal graph of the sign multifunction: vertical segment at 0,
-    horizontal branches at height +-1, and the box-edge normal-cone rays."""
+    horizontal branches at the axis nodes nearest -1 and +1 (so the segment
+    meets them where +-1 is not a node), and the box-edge normal-cone rays."""
     ax0, ax1 = grid.axes()[0], grid.axes()[1]
-    left = np.stack([ax0[ax0 < 0], np.full(np.sum(ax0 < 0), -1.0)], axis=1)
-    right = np.stack([ax0[ax0 > 0], np.full(np.sum(ax0 > 0), 1.0)], axis=1)
-    seg_vals = ax1[(ax1 >= -1.0 - 1e-12) & (ax1 <= 1.0 + 1e-12)]
+    lo, hi = ax1[np.argmin(np.abs(ax1 + 1.0))], ax1[np.argmin(np.abs(ax1 - 1.0))]
+    left = np.stack([ax0[ax0 < 0], np.full(np.sum(ax0 < 0), lo)], axis=1)
+    right = np.stack([ax0[ax0 > 0], np.full(np.sum(ax0 > 0), hi)], axis=1)
+    seg_vals = ax1[(ax1 >= lo) & (ax1 <= hi)]
     seg = np.stack([np.zeros(seg_vals.size), seg_vals], axis=1)
-    lo_ray_vals = ax1[ax1 <= -1.0 + 1e-12]
+    lo_ray_vals = ax1[ax1 <= lo]
     lo_ray = np.stack([np.full(lo_ray_vals.size, ax0[0]), lo_ray_vals], axis=1)
-    hi_ray_vals = ax1[ax1 >= 1.0 - 1e-12]
+    hi_ray_vals = ax1[ax1 >= hi]
     hi_ray = np.stack([np.full(hi_ray_vals.size, ax0[-1]), hi_ray_vals], axis=1)
     return MonotoneSet.from_points(np.vstack([lo_ray, left, seg, right, hi_ray]),
                                    label="sign graph")

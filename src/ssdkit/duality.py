@@ -16,12 +16,13 @@ import numpy as np
 
 from .errors import (
     DensityNotVerified,
+    DimensionMismatch,
     GridMismatch,
     NoDual,
     PreconditionFailed,
     SingularPairing,
 )
-from .fitzpatrick import FitzTriple, phi, theta
+from .fitzpatrick import FitzTriple, dual_probe_blocks, phi, theta
 from .gridfn import (
     GridFn,
     Lattice,
@@ -248,9 +249,10 @@ def p_tilde_density(space: SsdSpace, dual: DualSsd, bstar, primal_grid: GridSpec
 
 def density_report(space: SsdSpace, dual: DualSsd, primal_grid: GridSpec,
                    probe_points=None, tol_density: float = tols.DENSITY_TOL) -> VerifyReport:
-    """Image density over a deterministic set of dual probe points."""
+    """Image density over a deterministic set of dual probe points, by
+    default up to 7 nodes per axis of the box of `dual_probe_blocks`."""
     if probe_points is None:
-        box = image_box(primal_grid, space.pairing, inflate=1.5, include_source=True)
+        box = dual_probe_blocks(space, primal_grid)[0].grid
         coarse = GridSpec(box.lower, box.upper, np.minimum(box.num, 7))
         probe_points = coarse.points()
     probes = np.atleast_2d(np.asarray(probe_points, dtype=float))
@@ -339,11 +341,14 @@ def theorem_4_10_battery(dual: DualSsd, triple: FitzTriple,
     """Equivalent conditions for the triple's set, grid-maximal and positive,
     on the triple's grid, held to ATOL_GRID; verdicts must be unanimous.
     `density` is `density_report(triple.space, dual, triple.grid)`.  Refuses
+    a `dual` of another space at entry, before any kernel runs, and refuses
     when maximality or image density fails, or when the density report was
     built on another grid.
     """
     tol = tols.ATOL_GRID
     space, a, grid = triple.space, triple.a, triple.grid
+    if dual.space is not space:
+        raise DimensionMismatch("dual structure belongs to a different space")
     mx = is_maximally_q_positive(space, a, grid)
     if not mx.passed:
         raise PreconditionFailed("set is not grid-maximal; battery does not apply")

@@ -361,7 +361,19 @@ def _score_cap() -> int:
 
 def _distinct_rows(x):
     """(first, inverse) over bitwise-equal rows of a C-contiguous float
-    matrix: x[first] holds each distinct row once and x[first][inverse] is x."""
+    matrix: x[first] holds each distinct row once and x[first][inverse] is x.
+
+    Rows in strictly ascending lexicographic float order, as a plain
+    lattice's, are distinct: (arange, arange) after an O(N d) test.  Equal
+    rows, rows equal but for the sign of a zero, and NaN fail the test and
+    take the lexsort of the bit patterns."""
+    lo, hi = x[:-1].T, x[1:].T
+    up = lo[-1] < hi[-1]
+    for a, b in zip(lo[-2::-1], hi[-2::-1]):  # columns, last but one first
+        up = (a < b) | ((a == b) & up)
+    if np.all(up):
+        every = np.arange(x.shape[0])
+        return every, every
     keys = x.view(np.int64)
     order = np.lexsort(keys.T[::-1])
     ranked = keys[order]
@@ -520,7 +532,9 @@ def _sup_separable(src_axes, offsets_nd, tgt_axes):
     stride = 1
     for k in range(len(src_axes) - 1, -1, -1):
         table, j = _sweep_axis(src_axes[k], table, tgt_axes[k])
-        arg = j if arg is None else j * stride + np.take_along_axis(arg, j, axis=1)
+        # arg[p, j[p, s, q], q]: the later axes' argmax at j
+        arg = j if arg is None else j * stride + arg[
+            np.arange(j.shape[0])[:, None, None], j, np.arange(j.shape[2])]
         stride *= src_axes[k].size
         if k:
             shape = (-1, src_axes[k - 1].size, table.shape[1] * table.shape[2])
@@ -563,8 +577,8 @@ def _sweep_axis(a, table, b):
                 cand = buf[:shape[0] * shape[1] * shape[2] * n].reshape(shape)
                 np.add(w, part, out=cand)
                 j = np.argmax(cand, axis=-1)
-                best[p0:p0 + pc, s0:s0 + sc, q0:q0 + qc] = np.take_along_axis(
-                    cand, j[..., None], axis=-1)[..., 0]
+                best[p0:p0 + pc, s0:s0 + sc, q0:q0 + qc] = cand.reshape(-1, n)[
+                    np.arange(j.size), j.ravel()].reshape(j.shape)
                 arg[p0:p0 + pc, s0:s0 + sc, q0:q0 + qc] = j
     return best, arg
 
@@ -594,13 +608,15 @@ def _rescore(src_axes, neg, tgt_axes, args):
     chunk = max(1, _candidate_cap() // (8 * 3 ** dim * dim))
     for start in range(0, m, chunk):
         rows = np.arange(start, min(m, start + chunk))
-        t = np.stack([b[i] for b, i in zip(tgt_axes, np.unravel_index(rows, tgt_shape))], axis=1)
+        t = np.empty((rows.size, dim))
+        for ax, i in enumerate(np.unravel_index(rows, tgt_shape)):
+            t[:, ax] = tgt_axes[ax][i]
         x = np.empty((3,) * dim + (rows.size, dim))
         flat = np.zeros((1,) * dim + (rows.size,), dtype=np.intp)
         for ax, (a, n, st, i) in enumerate(zip(src_axes, src_shape, strides,
                                                np.unravel_index(args[rows], src_shape))):
-            near = np.clip(i + step, 0, n - 1).reshape((1,) * ax + (3,) + (1,) * (dim - ax - 1)
-                                                      + (rows.size,))
+            near = np.minimum(np.maximum(i + step, 0), n - 1).reshape(
+                (1,) * ax + (3,) + (1,) * (dim - ax - 1) + (rows.size,))
             x[..., ax] = a[near]
             flat = flat + near * st
         x = x.reshape(-1, rows.size, dim)

@@ -70,11 +70,14 @@ def bilinear_rows(x, m, y) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     out = np.zeros(x.shape[0])
+    term = np.empty(x.shape[0])
     with np.errstate(invalid="ignore", over="ignore"):  # IEEE results, as einsum
         for i, row in enumerate(np.asarray(m, dtype=float).tolist()):
             xi = x[:, i]
             for j, mij in enumerate(row):
-                out += xi * mij * y[:, j]
+                np.multiply(xi, mij, out=term)
+                term *= y[:, j]
+                out += term
     return out
 
 
@@ -304,46 +307,68 @@ def product_space(n: int, kind: str = PRODUCT_TWO, tau: float = 1.0, scale: floa
     return SsdSpace(swap_matrix(n), norm=norm, label=label)
 
 
-# -- pairwise gauge kernels (no (n*m, d) intermediates) -------------------------
+# -- pairwise gauge kernels ------------------------------------------------------
+# Each takes its (n, m) block from one matrix product, (x @ M) @ y.T, and finishes
+# it in place (`pairwise_p` and the split norms: one block per term; the split
+# norms then combine their two root blocks with `combine_halves`), with the
+# operations and operand order of the formula in its docstring, so the same bits.
+
+def _gauge_block(qx, x, m, y, qy):
+    """(qx[:, None] - (x @ m) @ y.T) + qy[None, :]."""
+    out = x @ m @ y.T
+    np.subtract(qx[:, None], out, out=out)
+    out += qy[None, :]
+    return out
+
 
 def pairwise_sq_dists(x_rows, y_rows):
+    """max((sum(x^2)[:, None] - 2 (x @ y.T)) + sum(y^2)[None, :], 0)."""
     x = np.asarray(x_rows, dtype=float)
     y = np.asarray(y_rows, dtype=float)
-    sq = (np.sum(x**2, axis=1)[:, None] - 2.0 * (x @ y.T)) + np.sum(y**2, axis=1)[None, :]
-    return np.maximum(sq, 0.0)
+    out = x @ y.T
+    out *= 2.0
+    np.subtract(np.sum(x**2, axis=1)[:, None], out, out=out)
+    out += np.sum(y**2, axis=1)[None, :]
+    return np.maximum(out, 0.0, out=out)
 
 
 def pairwise_q(space: SsdSpace, x_rows, y_rows):
-    """Matrix of q(x_i - y_j)."""
+    """Matrix of q(x_i - y_j): q(x)[:, None] - x M y^T + q(y)[None, :]."""
     x, _ = _as_points(x_rows, space.dim)
     y, _ = _as_points(y_rows, space.dim)
-    return space.q(x)[:, None] - x @ space.pairing @ y.T + space.q(y)[None, :]
+    return _gauge_block(space.q(x), x, space.pairing, y, space.q(y))
 
 
 def pairwise_g(space: SsdSpace, x_rows, y_rows):
-    """Matrix of g(x_i - y_j)."""
+    """Matrix of g(x_i - y_j): as `pairwise_q` with the weight W for a
+    quadratic norm, else 0.5 (scale combine_halves(a, b))^2 with a, b the
+    distance blocks of the two halves."""
     x, _ = _as_points(x_rows, space.dim)
     y, _ = _as_points(y_rows, space.dim)
     norm = space.norm
     w = norm.quadratic_weight(space.dim)
     if w is not None:
-        qx = 0.5 * bilinear_rows(x, w, x)
-        qy = 0.5 * bilinear_rows(y, w, y)
-        return qx[:, None] - x @ w @ y.T + qy[None, :]
+        return _gauge_block(0.5 * bilinear_rows(x, w, x), x, w, y, 0.5 * bilinear_rows(y, w, y))
     n = space.dim // 2
-    a = np.sqrt(pairwise_sq_dists(x[:, :n], y[:, :n]))
-    b = np.sqrt(pairwise_sq_dists(x[:, n:], y[:, n:]))
+    a = pairwise_sq_dists(x[:, :n], y[:, :n])
+    b = pairwise_sq_dists(x[:, n:], y[:, n:])
+    np.sqrt(a, out=a)
+    np.sqrt(b, out=b)
     return 0.5 * (norm.scale * norm.combine_halves(a, b)) ** 2
 
 
 def pairwise_p(space: SsdSpace, x_rows, y_rows):
-    """Matrix of p(x_i - y_j)."""
-    return pairwise_g(space, x_rows, y_rows) + pairwise_q(space, x_rows, y_rows)
+    """Matrix of p(x_i - y_j): pairwise_g + pairwise_q."""
+    out = pairwise_g(space, x_rows, y_rows)
+    out += pairwise_q(space, x_rows, y_rows)
+    return out
 
 
 def pairwise_norm(space: SsdSpace, x_rows, y_rows):
-    """Matrix of norm(x_i - y_j)."""
-    return np.sqrt(np.maximum(2.0 * pairwise_g(space, x_rows, y_rows), 0.0))
+    """Matrix of norm(x_i - y_j): sqrt(max(2 pairwise_g, 0))."""
+    out = pairwise_g(space, x_rows, y_rows)
+    out *= 2.0
+    return np.sqrt(np.maximum(out, 0.0, out=out), out=out)
 
 
 # -- compatibility and continuity checks ----------------------------------------

@@ -215,3 +215,102 @@ def scan_convexity_defect(shape, values, rtol):
                 midx = flat[tuple(mid_s)].ravel()[where]
                 return int(midx), float(defect.ravel()[where])
     return None
+
+
+# -- temporary-chain oracles of the in-place kernels -----------------------------
+
+def chain_bilinear_rows(x, m, y):
+    """x_n . m y_n summed term by term, i outer and j inner, each term a fresh
+    product xi * mij * y_j added to a running sum from +0.0."""
+    out = np.zeros(x.shape[0])
+    with np.errstate(invalid="ignore", over="ignore"):
+        for i, row in enumerate(np.asarray(m, dtype=float).tolist()):
+            for j, mij in enumerate(row):
+                out += x[:, i] * mij * y[:, j]
+    return out
+
+
+def chain_pairwise_sq_dists(x, y):
+    sq = (np.sum(x**2, axis=1)[:, None] - 2.0 * (x @ y.T)) + np.sum(y**2, axis=1)[None, :]
+    return np.maximum(sq, 0.0)
+
+
+def chain_pairwise_q(space, x, y):
+    m = space.pairing
+    return (0.5 * chain_bilinear_rows(x, m, x)[:, None] - x @ m @ y.T
+            + 0.5 * chain_bilinear_rows(y, m, y)[None, :])
+
+
+def chain_pairwise_g(space, x, y):
+    norm = space.norm
+    w = norm.quadratic_weight(space.dim)
+    if w is not None:
+        return (0.5 * chain_bilinear_rows(x, w, x)[:, None] - x @ w @ y.T
+                + 0.5 * chain_bilinear_rows(y, w, y)[None, :])
+    n = space.dim // 2
+    a = np.sqrt(chain_pairwise_sq_dists(x[:, :n], y[:, :n]))
+    b = np.sqrt(chain_pairwise_sq_dists(x[:, n:], y[:, n:]))
+    return 0.5 * (norm.scale * norm.combine_halves(a, b)) ** 2
+
+
+def chain_pairwise_p(space, x, y):
+    return chain_pairwise_g(space, x, y) + chain_pairwise_q(space, x, y)
+
+
+def chain_pairwise_norm(space, x, y):
+    return np.sqrt(np.maximum(2.0 * chain_pairwise_g(space, x, y), 0.0))
+
+
+def lexsort_distinct_rows(x):
+    """Reference dedup of bitwise-equal rows by a lexsort of the bit patterns:
+    (first, inverse) with first in sorted-key order."""
+    keys = x.view(np.int64)
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    new = np.ones(order.size, dtype=bool)
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
+def take_along_sup_separable(src_axes, offsets_nd, tgt_axes):
+    """Reference separable sup in one block: per-axis sweeps read with
+    `np.take_along_axis`, the argmax composed with `np.take_along_axis`, and
+    the winner and its 3^d clipped neighbours re-scored with `np.vecdot`,
+    the first maximum over the steps kept."""
+    src_axes = [np.asarray(a, dtype=float) for a in src_axes]
+    tgt_axes = [np.asarray(b, dtype=float) for b in tgt_axes]
+    offsets = np.asarray(offsets_nd, dtype=float).ravel()
+    neg = np.where(np.isfinite(offsets), -offsets, -np.inf)
+    table = neg.reshape(-1, src_axes[-1].size, 1)
+    arg, stride = None, 1
+    for k in range(len(src_axes) - 1, -1, -1):
+        a, b = src_axes[k], tgt_axes[k]
+        cand = np.multiply.outer(b, a)[None, :, None, :] + table.transpose(0, 2, 1)[:, None]
+        j = np.argmax(cand, axis=-1)
+        table = np.take_along_axis(cand, j[..., None], axis=-1)[..., 0]
+        arg = j if arg is None else j * stride + np.take_along_axis(arg, j, axis=1)
+        stride *= a.size
+        if k:
+            shape = (-1, src_axes[k - 1].size, table.shape[1] * table.shape[2])
+            table, arg = table.reshape(shape), arg.reshape(shape)
+    args = arg.ravel()
+    dim = len(src_axes)
+    src_shape = tuple(a.size for a in src_axes)
+    tgt_shape = tuple(b.size for b in tgt_axes)
+    strides = np.cumprod((1,) + src_shape[:0:-1])[::-1]
+    rows = np.arange(args.size)
+    t = np.stack([b[i] for b, i in zip(tgt_axes, np.unravel_index(rows, tgt_shape))], axis=1)
+    x = np.empty((3,) * dim + (rows.size, dim))
+    flat = np.zeros((1,) * dim + (rows.size,), dtype=np.intp)
+    for ax, (a, n, st, i) in enumerate(zip(src_axes, src_shape, strides,
+                                           np.unravel_index(args, src_shape))):
+        near = np.clip(i + np.array([[-1], [0], [1]]), 0, n - 1).reshape(
+            (1,) * ax + (3,) + (1,) * (dim - ax - 1) + (rows.size,))
+        x[..., ax] = a[near]
+        flat = flat + near * st
+    flat = flat.reshape(-1, rows.size)
+    score = np.vecdot(t, x.reshape(-1, rows.size, dim)) + neg[flat]
+    k = np.argmax(score, axis=0)
+    return score[k, rows], flat[k, rows]

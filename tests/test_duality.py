@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssdkit import (
+    DimensionMismatch,
     GridMismatch,
     NoDual,
     NormSpec,
@@ -247,6 +248,22 @@ class TestDensity:
             rep = density_report(space, make_dual(space), grid61)
             assert rep.passed
 
+    def test_default_probes_follow_the_dual_inflation(self, prod_space, prod_dual, grid61):
+        # the default probe box is `dual_probe_blocks`' box, coarsened to 7 nodes
+        from unittest import mock
+
+        from ssdkit import duality, fitzpatrick
+        from ssdkit.grids import GridSpec, image_box
+
+        for inflate in (1.5, 2.5):
+            with mock.patch.object(fitzpatrick, "DUAL_INFLATION", inflate), \
+                    mock.patch.object(duality, "p_tilde_density",
+                                      wraps=duality.p_tilde_density) as spy:
+                density_report(prod_space, prod_dual, grid61)
+            box = image_box(grid61, prod_space.pairing, inflate=inflate, include_source=True)
+            want = GridSpec(box.lower, box.upper, np.minimum(box.num, 7)).points()
+            assert np.array_equal(spy.call_args.args[2], want)
+
 
     def test_density_report_is_the_worst_probe(self, grid61):
         rng = np.random.default_rng(5)
@@ -425,6 +442,19 @@ class TestTheorem410:
         with pytest.raises(GridMismatch):
             theorem_4_10_battery(prod_dual, fitz_triple(prod_space, diag121.underlying, grid61),
                                  other)
+
+    @pytest.mark.parametrize("battery", ["theorem_4_10", "theorem_5_8"])
+    def test_dual_of_another_space_refused_before_any_kernel(self, prod_space, grid61,
+                                                             diag121, density61, battery):
+        from ssdkit import theorem_5_8_battery
+
+        run = theorem_4_10_battery if battery == "theorem_4_10" else theorem_5_8_battery
+        triple = fitz_triple(prod_space, diag121.underlying, grid61)
+        other = make_dual(product_space(1, kind="two", tau=1.0))  # equal, but another space
+        with kernel_ledger() as ledger:
+            with pytest.raises(DimensionMismatch):
+                run(other, triple, density61)
+        assert ledger == []
 
     def test_b2_reads_the_mas_dual_minorization(self, prod_space, prod_dual, grid61, diag121,
                                                 density61):

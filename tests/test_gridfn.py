@@ -24,6 +24,7 @@ from ssdkit import (
     rockafellar_sum_identity,
 )
 from ssdkit.catalog import (
+    default_grid,
     double_well_fn,
     half_sq_norm_fn,
     indicator_fn,
@@ -59,9 +60,11 @@ from ssdkit.suites import lower_hull_1d
 from conftest import (
     brute_force_conjugate,
     brute_force_min_plus,
+    lexsort_distinct_rows,
     loop_rescore,
     loop_sweep_axis,
     scan_convexity_defect,
+    take_along_sup_separable,
 )
 
 
@@ -863,6 +866,100 @@ class TestLoopFreeSeparable:
                 ref_vals, ref_args = gridfn._sup_separable(src_axes, offsets, tgt_axes)
         assert np.array_equal(_bits(vals), _bits(ref_vals))
         assert np.array_equal(args, ref_args)
+
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=3))
+    @settings(max_examples=60, deadline=None)
+    def test_sup_separable_matches_take_along_version(self, seed, dim):
+        # integer axes and offsets, so scores tie exactly, with +inf offsets
+        from ssdkit import gridfn
+
+        rng = np.random.default_rng(seed)
+        src_axes = [_tie_axis(rng, int(rng.integers(1, 7))) for _ in range(dim)]
+        tgt_axes = [_tie_axis(rng, int(rng.integers(1, 7))) for _ in range(dim)]
+        shape = tuple(a.size for a in src_axes)
+        offsets = -_tie_values(rng, shape)
+        offsets.flat[rng.integers(offsets.size)] = 1.0
+        vals, args = gridfn._sup_separable(src_axes, offsets, tgt_axes)
+        ref_vals, ref_args = take_along_sup_separable(src_axes, offsets, tgt_axes)
+        assert np.array_equal(_bits(vals), _bits(ref_vals))
+        assert np.array_equal(args, ref_args)
+
+
+def _same_partition(got, want):
+    """Two (first, inverse) results group the rows alike."""
+    (gf, gi), (wf, wi) = got, want
+    return gf.size == wf.size == np.unique(np.stack([gi, wi]), axis=1).shape[1]
+
+
+class TestDistinctRows:
+    """`_distinct_rows`: rows in strictly ascending order skip the sort, any
+    other input gets the lexsort of the bit patterns (kept in conftest)."""
+
+    @staticmethod
+    def _fast(x):
+        from ssdkit import gridfn
+
+        with mock.patch.object(np, "lexsort", side_effect=AssertionError("sorted")):
+            return gridfn._distinct_rows(np.ascontiguousarray(x))
+
+    @pytest.mark.parametrize("dim,num", [(1, 7), (2, 61), (3, 9), (4, 5)])
+    def test_plain_and_scaled_lattices_skip_the_sort(self, dim, num):
+        grid = default_grid(dim, -3.0, 3.0, num)
+        for block in (Lattice(grid), Lattice(grid, np.diag(np.arange(1.0, dim + 1)))):
+            first, inverse = self._fast(block.points())
+            assert np.array_equal(first, np.arange(grid.size))
+            assert np.array_equal(inverse, np.arange(grid.size))
+
+    def test_reordering_lattices_take_the_lexsort(self):
+        from ssdkit import gridfn
+
+        grid = default_grid(2, -3.0, 3.0, 9)
+        for matrix in (swap_matrix(1), np.diag([1.0, -1.0]), np.diag([-1.0, 1.0])):
+            x = Lattice(grid, matrix).points()
+            got = gridfn._distinct_rows(x)
+            want = lexsort_distinct_rows(x)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert got[0].size == grid.size
+
+    @pytest.mark.parametrize("case", ["shuffled", "signed zero", "repeat", "nan"])
+    def test_collapse_as_the_lexsort(self, case):
+        from ssdkit import gridfn
+
+        x = default_grid(2, -2.0, 2.0, 5).points().copy()
+        if case == "shuffled":
+            x = x[np.random.default_rng(1).permutation(x.shape[0])]
+        elif case == "signed zero":  # 0.0 == -0.0 stops the ascending test
+            x = np.insert(x, 13, [-0.0, 0.0], axis=0)
+        elif case == "repeat":
+            x = np.insert(x, 7, x[7], axis=0)
+        else:
+            x[10, 1] = np.nan
+        x = np.ascontiguousarray(x)
+        got = gridfn._distinct_rows(x)
+        want = lexsort_distinct_rows(x)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        expect = {"shuffled": 25, "signed zero": 26, "repeat": 25, "nan": 25}[case]
+        assert got[0].size == expect
+
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=3))
+    @settings(max_examples=80, deadline=None)
+    def test_any_rows_group_as_the_lexsort(self, seed, dim):
+        from ssdkit import gridfn
+
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-2, 3, size=(int(rng.integers(1, 30)), dim)).astype(float)
+        x[rng.random(x.shape) < 0.2] = -0.0
+        if rng.random() < 0.5:
+            x = x[np.lexsort(x.T[::-1])]  # ascending floats, with ties and signed zeros
+        x = np.ascontiguousarray(x)
+        got = gridfn._distinct_rows(x)
+        want = lexsort_distinct_rows(x)
+        assert _same_partition(got, want)
+        assert np.array_equal(x[got[0]][got[1]].view(np.int64), x.view(np.int64))
+        offsets = rng.integers(-1, 2, size=x.shape[0]).astype(float)
+        with mock.patch.object(gridfn, "_distinct_rows", lexsort_distinct_rows):
+            ref = gridfn._cheapest_distinct(x, offsets)
+        assert np.array_equal(gridfn._cheapest_distinct(x, offsets), ref)
 
 
 class TestLatticeInfCollapse:

@@ -193,6 +193,31 @@ class TestTheorem58:
                      density61)
 
 
+class TestSignGraphOffNodeHeights:
+    """At 41^2 (spacing 0.15) +-1 is not an axis node: the branches sit at
+    the nodes nearest +-1, where the vertical segment meets them."""
+
+    def test_branches_meet_the_segment(self):
+        from ssdkit.catalog import default_grid
+
+        pts = sign_graph_set(default_grid(2, -3.0, 3.0, 41)).points
+        for height in (-1.05, 1.05):
+            on_segment = (pts[:, 0] == 0.0) & np.isclose(pts[:, 1], height, rtol=0.0, atol=1e-12)
+            assert np.count_nonzero(on_segment) == 1
+            branch = np.isclose(pts[:, 1], height, rtol=0.0, atol=1e-12)
+            assert np.unique(pts[branch, 1]).size == 1  # one exact node height
+
+    @pytest.mark.parametrize("suite", ["theorem_5_8", "theorem_5_5"])
+    def test_suite_passes_at_41(self, suite):
+        from ssdkit.catalog import default_grid
+        from ssdkit.suites import SuiteOptions, run_suite
+
+        reports = run_suite(suite, SuiteOptions(grid=default_grid(2, -3.0, 3.0, 41)))
+        failed = [(r.meta.get("set"), c.check_id) for r in reports for c in r.checks
+                  if c.status == "fail"]
+        assert not failed
+
+
 class TestNegativeAlignment:
     def test_unit_case_on_diagonal(self, diag121):
         res = negative_alignment(diag121, [1.0], [-1.0], 1.0, 1.0)

@@ -21,7 +21,24 @@ from ssdkit.catalog import (
     space_swap_r3,
 )
 from ssdkit.duality import load_space_document, save_space_document
-from ssdkit.spaces import bilinear_rows, pairwise_norm, pairwise_p, pairwise_q, swap_matrix
+from ssdkit.spaces import (
+    bilinear_rows,
+    pairwise_g,
+    pairwise_norm,
+    pairwise_p,
+    pairwise_q,
+    pairwise_sq_dists,
+    swap_matrix,
+)
+
+from conftest import (
+    chain_bilinear_rows,
+    chain_pairwise_g,
+    chain_pairwise_norm,
+    chain_pairwise_p,
+    chain_pairwise_q,
+    chain_pairwise_sq_dists,
+)
 
 finite_coord = st.floats(min_value=-10, max_value=10, allow_nan=False)
 
@@ -303,6 +320,63 @@ class TestBilinearRows:
         wide = lambda a: np.hstack([a, -a])[:, :d]
         for xx, yy in ((fx, fy), (x, fy), (fx, y), (wide(x), wide(y)), (wide(x), y)):
             assert np.array_equal(_bits(bilinear_rows(xx, m, yy)), want)
+
+
+def _inplace_case(seed, d, variant):
+    """A space of dimension d with the given norm variant, and two row blocks
+    holding +inf entries, -0.0 rows and a row repeated across the blocks."""
+    rng = np.random.default_rng(seed)
+    m = rng.integers(-2, 3, size=(d, d)).astype(float)
+    m = m + m.T
+    if variant in ("one", "two", "inf"):
+        space = product_space(d // 2, variant, tau=float(rng.uniform(0.3, 3.0)),
+                              scale=float(rng.uniform(0.5, 2.0)))
+    elif variant == "quadratic":
+        w = rng.normal(size=(d, d))
+        space = SsdSpace(m, NormSpec("quadratic", weight=w @ w.T + d * np.eye(d),
+                                     scale=float(rng.uniform(0.5, 2.0))))
+    else:
+        space = SsdSpace(m, NormSpec(scale=float(rng.uniform(0.5, 2.0))))
+    x = rng.normal(scale=3.0, size=(int(rng.integers(1, 9)), d))
+    y = np.round(rng.normal(scale=3.0, size=(int(rng.integers(1, 9)), d)))
+    x[rng.random(x.shape) < 0.1] = np.inf
+    y[rng.random(y.shape) < 0.2] = -0.0
+    x[0] = -0.0
+    y[-1] = x[-1]
+    return space, x, y
+
+
+VARIANTS = st.sampled_from([(1, "euclidean"), (2, "euclidean"), (3, "euclidean"),
+                            (4, "euclidean"), (1, "quadratic"), (3, "quadratic"),
+                            (4, "quadratic"), (2, "one"), (2, "two"), (2, "inf"),
+                            (4, "one"), (4, "two"), (4, "inf")])
+
+
+class TestInPlaceKernels:
+    """The in-place pairwise gauges and `bilinear_rows` against the
+    temporary-chain formulas kept in conftest, bit for bit."""
+
+    @given(st.integers(min_value=0, max_value=10_000), VARIANTS)
+    @settings(max_examples=120, deadline=None)
+    def test_pairwise_gauges_match_chains(self, seed, case):
+        space, x, y = _inplace_case(seed, *case)
+        with np.errstate(invalid="ignore", over="ignore"):
+            pairs = [(pairwise_q(space, x, y), chain_pairwise_q(space, x, y)),
+                     (pairwise_g(space, x, y), chain_pairwise_g(space, x, y)),
+                     (pairwise_p(space, x, y), chain_pairwise_p(space, x, y)),
+                     (pairwise_norm(space, x, y), chain_pairwise_norm(space, x, y)),
+                     (pairwise_sq_dists(x, y), chain_pairwise_sq_dists(x, y))]
+        for got, want in pairs:
+            assert got.shape == want.shape
+            assert np.array_equal(_bits(got), _bits(want))
+
+    @given(st.integers(min_value=0, max_value=10_000), VARIANTS)
+    @settings(max_examples=60, deadline=None)
+    def test_bilinear_rows_matches_chain(self, seed, case):
+        space, x, _ = _inplace_case(seed, *case)
+        y = x[::-1].copy()
+        got = bilinear_rows(x, space.pairing, y)
+        assert np.array_equal(_bits(got), _bits(chain_bilinear_rows(x, space.pairing, y)))
 
 
 class TestSerialization:
