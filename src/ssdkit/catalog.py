@@ -1,14 +1,10 @@
 """Built-in spaces, sets, and functions used by the verification suites.
 
-Everything here is deterministic.  `monotone_graph_set`, `cubic_graph_set`
-and `sign_graph_set` snap to the axes of the grid they are given, so their
-points are grid nodes and touching-set recovery is exact.  `vz_catalog`
-samples its diagonal with 2n - 1 points on the box of an n-point grid:
-every diagonal node and the midpoints between them.  `diagonal_set`,
-`helix_set` and `ray_set` are fixed samples that know no grid: the
-`diagonal_set(-3, 3, 121)` of the suites is that same sample at the default
-n = 61, but on other grids it has points off the nodes, misses diagonal
-nodes, or both.
+Everything here is deterministic.  The sets paired with a grid take it:
+`monotone_graph_set`, `cubic_graph_set` and `sign_graph_set` snap to its
+axes, and `diagonal_set` holds every diagonal node, so touching-set
+recovery is exact.  `helix_set` and `ray_set` are fixed samples that know
+no grid.
 """
 
 from __future__ import annotations
@@ -71,8 +67,10 @@ def default_grid(dim: int = 2, lo: float = -3.0, hi: float = 3.0, n: int = 61) -
 
 # -- sets -----------------------------------------------------------------------
 
-def diagonal_set(lo: float = -3.0, hi: float = 3.0, n: int = 121) -> MonotoneSet:
-    t = np.linspace(lo, hi, n)
+def diagonal_set(grid: GridSpec) -> MonotoneSet:
+    """The diagonal sampled with 2n - 1 points on the first axis of an
+    n-point grid: every diagonal node and the midpoints between them."""
+    t = np.linspace(grid.lower[0], grid.upper[0], int(grid.num[0]) * 2 - 1)
     return MonotoneSet.from_points(np.stack([t, t], axis=1), label="diagonal")
 
 
@@ -180,8 +178,7 @@ def indicator_fn(grid: GridSpec, points) -> GridFn:
 def vz_catalog(space: SsdSpace, grid: GridSpec):
     """The four-function verdict catalog: worked example (pass), shifted
     pairing form (fail), and the two diagonal representers (pass)."""
-    diag = diagonal_set(grid.lower[0], grid.upper[0], int(grid.num[0]) * 2 - 1)
-    triple = fitz_triple(space, diag.underlying, grid)
+    triple = fitz_triple(space, diagonal_set(grid).underlying, grid)
     return {
         "worked_example": half_sq_norm_fn(grid),
         "shifted_pairing_form": q_plus_const_fn(space, grid),

@@ -50,7 +50,7 @@ def _load_fn(args) -> GridFn:
 def _load_set(args):
     if args.set_file:
         return PointSet.from_csv(args.set_file)
-    return diagonal_set(-3.0, 3.0, 121).underlying
+    return diagonal_set(default_grid()).underlying
 
 
 def _write_suite_reports(args, name: str, reports, refused: str | None = None) -> bool:

@@ -77,11 +77,9 @@ def mf_set(f: GridFn, space: SsdSpace) -> MonotoneSet:
     Membership within tol_p plus one-cell fattening bounds how far pairwise
     products can dip; the monotonicity recheck runs at that tolerance.
     """
-    tol_p = tols.tol_p_membership()
-    ps = p_set(f, space, tol_p=tol_p, label="represented set")
+    ps = p_set(f, space, label="represented set")
     if len(ps):
-        rep = is_q_positive(space, ps,
-                            tol=tols.touching_positivity_tol(space, f.grid, tol_p))
+        rep = is_q_positive(space, ps, tol=tols.touching_positivity_tol(space, f.grid))
         if not rep.passed:
             raise FBelowQ("touching set of f is not monotone (f dips below the product)")
     return MonotoneSet(ps, space.dim // 2)

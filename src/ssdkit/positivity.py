@@ -187,14 +187,12 @@ def is_maximally_q_positive(space: SsdSpace, a: PointSet,
     return report
 
 
-def p_set(f: GridFn, space: SsdSpace, tol_p: float | None = None,
-          label: str = "") -> PointSet:
-    """Grid nodes where f touches q (gap <= tol_p); may be empty.
+def p_set(f: GridFn, space: SsdSpace, label: str = "") -> PointSet:
+    """Grid nodes where f touches q (gap <= tol_p_membership()); may be empty.
 
     Requires f >= q - tol_p on the whole grid.
     """
-    if tol_p is None:
-        tol_p = tols.tol_p_membership()
+    tol_p = tols.tol_p_membership()
     pts = f.grid.points()
     gap = f.values - space.q(pts)
     mn = float(np.min(gap))

@@ -241,8 +241,8 @@ def suite_lemma_2_13(opts: SuiteOptions):
         rep = lemma_2_13_suite(fitz_triple(space, opts.point_set, own_grid))
         yield _tag(rep, set=opts.point_set.label or "user set")
         return
-    diag = diagonal_set(-3, 3, 121)
-    yield _tag(lemma_2_13_suite(fitz_triple(sp, diag.underlying, grid)), set="diagonal")
+    yield _tag(lemma_2_13_suite(fitz_triple(sp, diagonal_set(grid).underlying, grid)),
+               set="diagonal")
     yield _tag(lemma_2_13_suite(fitz_triple(sp, singleton_origin(2), grid)),
                set="origin singleton")
     grid3 = _grid(opts, dim=3, n=17)
@@ -262,8 +262,8 @@ def suite_theorem_2_9(opts: SuiteOptions):
     grid = _grid(opts, n=121)
     f = half_sq_norm_fn(grid)
     yield dist_bounds_check(f, sp, grid.subsample(2))
-    diag = diagonal_set(-3, 3, 121)
     c_grid = grid.subsample(2)
+    diag = diagonal_set(c_grid)
     triple = fitz_triple(sp, diag.underlying, c_grid)
     for fn, label in ((triple.phi_fn, "primal representer"),
                       (triple.star_theta_fn, "conjugate-back representer")):
@@ -300,8 +300,7 @@ def suite_theorem_2_15(opts: SuiteOptions):
     sp = space_r2_product("two")
     grid = _grid(opts)
     f = half_sq_norm_fn(grid)
-    diag = diagonal_set(-3, 3, 121)
-    triple = fitz_triple(sp, diag.underlying, grid)
+    triple = fitz_triple(sp, diagonal_set(grid).underlying, grid)
     phi_fn, star_fn = triple.phi_fn, triple.star_theta_fn
     candidates = {"primal representer": phi_fn, "conjugate-back": star_fn,
                   "midpoint": GridFn._raw(grid, 0.5 * (phi_fn.values + star_fn.values),
@@ -362,8 +361,7 @@ def suite_lemma_4_7(opts: SuiteOptions):
     tol = opts.tol or 5e-3
     f = half_sq_norm_fn(grid)
     yield _tag(lemma_4_7_identity(sp, dual, f, c_grid, tol=tol), fn="worked example")
-    diag = diagonal_set(-3, 3, 121)
-    phi_fn = fitz_triple(sp, diag.underlying, grid).phi_fn
+    phi_fn = fitz_triple(sp, diagonal_set(c_grid).underlying, grid).phi_fn
     yield _tag(lemma_4_7_identity(sp, dual, phi_fn, c_grid, tol=tol),
                fn="diagonal representer")
     ident = space_identity(2)
@@ -400,13 +398,12 @@ def suite_theorem_4_10(opts: SuiteOptions):
     sp = space_r2_product("two")
     dual = make_dual(sp)
     grid = _grid(opts)
-    diag = diagonal_set(-3, 3, 121)
-    yield theorem_4_10_battery(dual, fitz_triple(sp, diag.underlying, grid),
+    yield theorem_4_10_battery(dual, fitz_triple(sp, diagonal_set(grid).underlying, grid),
                                density_report(sp, dual, grid))
 
 
 def suite_theorem_5_5(opts: SuiteOptions):
-    diag = diagonal_set(-3, 3, 121)
+    diag = diagonal_set(default_grid())  # its alignment reports need (1, 1) on the set
     yield _tag(alignment_report(diag, [1.0], [-1.0], 1.0, 1.0),
                case="unit weights at (1, -1)")
     yield _tag(alignment_report(diag, [1.0], [-1.0], 4.0, 1.0), case="asymmetric weights")
@@ -439,8 +436,8 @@ def suite_theorem_5_8(opts: SuiteOptions):
     grid = _grid(opts)
     user = opts.point_set
     sets = ([(user.label or "user set", MonotoneSet(user, user.dim // 2))]
-            if user is not None and user.dim % 2 == 0 else
-            [("diagonal", diagonal_set(-3, 3, 121)),
+            if user is not None else
+            [("diagonal", diagonal_set(grid)),
              ("clipped cubic graph", cubic_graph_set(grid)),
              ("sign graph", sign_graph_set(grid))])
     dens = density_report(sp, dual, grid)
@@ -454,11 +451,11 @@ def suite_theorem_5_8(opts: SuiteOptions):
 def suite_remark_5_6(opts: SuiteOptions):
     sp = space_r2_product("two")
     grid = _grid(opts, n=121)
-    diag = diagonal_set(-3, 3, 121)
-    yield _tag(remark_5_6_bound(diag, half_sq_norm_fn(grid), sp, grid.subsample(2)),
+    c_grid = grid.subsample(2)
+    yield _tag(remark_5_6_bound(diagonal_set(c_grid), half_sq_norm_fn(grid), sp, c_grid),
                fn="worked example")
-    cubic = cubic_graph_set(grid.subsample(2))
-    phi_fn = fitz_triple(sp, cubic.underlying, grid.subsample(2)).phi_fn
+    cubic = cubic_graph_set(c_grid)
+    phi_fn = fitz_triple(sp, cubic.underlying, c_grid).phi_fn
     yield _tag(remark_5_6_bound(cubic, phi_fn, sp, grid.subsample(4)),
                fn="cubic-graph representer")
 
@@ -533,8 +530,7 @@ def suite_fenchel_moreau(opts: SuiteOptions):
 def suite_theorem_2_16(opts: SuiteOptions):
     sp = space_r2_product("two")
     grid = _grid(opts)
-    diag = diagonal_set(-3, 3, 121)
-    triple = fitz_triple(sp, diag.underlying, grid)
+    triple = fitz_triple(sp, diagonal_set(grid).underlying, grid)
     yield _tag(sigma_minorant_test(triple, triple.phi_fn), candidate="primal representer")
     a0 = np.array([1.0, 1.0])
     affine = GridFn.from_callable(

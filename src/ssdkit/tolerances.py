@@ -73,12 +73,10 @@ def one_cell_q_dip(space, grid) -> float:
     return float(np.max(np.maximum(-space.q(offsets), 0.0)))
 
 
-def touching_positivity_tol(space, grid, tol_p: float | None = None) -> float:
+def touching_positivity_tol(space, grid) -> float:
     """Pairwise-product tolerance for a tol_p-fattened touching set: twice the
     two membership gaps plus the dip of a two-cell relative offset."""
-    if tol_p is None:
-        tol_p = tol_p_membership()
-    return 4.0 * tol_p + 4.0 * one_cell_q_dip(space, grid)
+    return 4.0 * tol_p_membership() + 4.0 * one_cell_q_dip(space, grid)
 
 
 def _neighbor_offsets(dim):

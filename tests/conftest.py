@@ -52,8 +52,8 @@ def density61(prod_space, prod_dual, grid61):
 
 
 @pytest.fixture(scope="session")
-def diag121():
-    return diagonal_set(-3.0, 3.0, 121)
+def diag121(grid61):
+    return diagonal_set(grid61)
 
 
 @pytest.fixture(scope="session")

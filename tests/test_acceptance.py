@@ -169,7 +169,7 @@ def test_criterion_05_two_sided_identity():
     r1 = rep.checks[0].worst_residual
     if not rep.passed:
         failures.append(f"worked example residual {r1:.2e}")
-    phi_fn = fitz_triple(sp, diagonal_set(-3, 3, 121).underlying, grid).phi_fn
+    phi_fn = fitz_triple(sp, diagonal_set(c_grid).underlying, grid).phi_fn
     rep2 = lemma_4_7_identity(sp, dual, phi_fn, c_grid, tol=5e-3)
     r2 = rep2.checks[0].worst_residual
     if not rep2.passed:
@@ -184,7 +184,7 @@ def test_criterion_05_two_sided_identity():
 def test_criterion_06_cross_norm_verdicts():
     grid = default_grid(2, -3.0, 3.0, 61)
     base = space_r2_product("two", tau=1.0)
-    diag = diagonal_set(-3.0, 3.0, 121)
+    diag = diagonal_set(grid)
     triple = fitz_triple(base, diag.underlying, grid)
     fns = {
         "worked_example": half_sq_norm_fn(grid),
@@ -222,7 +222,7 @@ def test_criterion_07_representer_suite():
     grid_parts = ("f_sandwich_upper", "f_sandwich_lower", "g_equalities_on_set")
 
     for label, space, a, grd in (
-            ("diagonal", sp, diagonal_set(-3, 3, 121).underlying, grid),
+            ("diagonal", sp, diagonal_set(grid).underlying, grid),
             ("helix", space_swap_r3(), helix_set(n=61, span=3.0),
              default_grid(3, -3.0, 3.0, 17)),
             ("singleton", sp, singleton_origin(2), grid)):
@@ -277,7 +277,7 @@ def test_criterion_08_projection_certificates():
 
 
 def test_criterion_09_alignment_extraction():
-    diag = diagonal_set(-3.0, 3.0, 121)
+    diag = diagonal_set(default_grid())
     failures = []
     res = negative_alignment(diag, [1.0], [-1.0], 1.0, 1.0)
     if abs(res.omega - 1.0) > 1e-6:
@@ -334,7 +334,7 @@ def test_criterion_11_equivalence_batteries():
     grid = default_grid(2, -3.0, 3.0, 61)
     dens = density_report(sp, dual, grid)
     failures = []
-    for label, mset in (("diagonal", diagonal_set(-3, 3, 121)),
+    for label, mset in (("diagonal", diagonal_set(grid)),
                         ("cubic graph", cubic_graph_set(grid)),
                         ("sign graph", sign_graph_set(grid))):
         rep = theorem_5_8_battery(dual, fitz_triple(sp, mset.underlying, grid), dens)

@@ -57,6 +57,16 @@ class TestVerify:
         assert run(["verify", "--suite", "theorem_5_8", "--set", setfile,
                     "--out", tmp_path]) == 2
 
+    def test_odd_coordinate_set_refuses_battery(self, tmp_path):
+        setfile = tmp_path / "helix.csv"
+        theta = np.linspace(-3.0, 3.0, 31)
+        np.savetxt(setfile, np.stack([np.cos(theta), np.sin(theta), theta], axis=1),
+                   delimiter=",")
+        assert run(["verify", "--suite", "theorem_5_8", "--set", setfile,
+                    "--out", tmp_path]) == 2
+        doc = json.loads((tmp_path / "theorem_5_8.json").read_text())
+        assert doc["reports"] == [] and "length 2n" in doc["refused"]
+
     def test_budget_cap(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SSDKIT_BUDGET", "100")
         assert run(["verify", "--suite", "helix", "--grid=-3:3:61,-3:3:61",

@@ -8,6 +8,7 @@ from ssdkit import (
     EmptySet,
     GridFn,
     GridMismatch,
+    GridSpec,
     NotAMinorant,
     PointSet,
     fitz_triple,
@@ -78,8 +79,8 @@ class TestPhi:
         assert np.max(np.abs(vals)) == 0.0
 
     def test_monotone_in_the_set(self, prod_space, grid61):
-        small = diagonal_set(-1, 1, 41)
-        big = diagonal_set(-3, 3, 121)
+        small = diagonal_set(GridSpec.box(-1.0, 1.0, 21, 2))
+        big = diagonal_set(grid61)
         pts = grid61.points()
         v_small = phi(prod_space, small.underlying, pts)
         v_big = phi(prod_space, big.underlying, pts)
@@ -144,12 +145,12 @@ class TestLemma213Suite:
 
 class TestTheorem215:
     def test_worked_example_with_phi_candidate(self, prod_space, grid61, worked_fn61):
-        triple_h = fitz_triple(prod_space, diagonal_set(-3, 3, 121).underlying, grid61)
+        triple_h = fitz_triple(prod_space, diagonal_set(grid61).underlying, grid61)
         rep, = theorem_2_15_reports(prod_space, worked_fn61, [triple_h.phi_fn])
         assert rep.passed
 
     def test_star_candidate(self, prod_space, grid61, worked_fn61):
-        triple_h = fitz_triple(prod_space, diagonal_set(-3, 3, 121).underlying, grid61)
+        triple_h = fitz_triple(prod_space, diagonal_set(grid61).underlying, grid61)
         rep, = theorem_2_15_reports(prod_space, worked_fn61, [triple_h.star_theta_fn])
         assert rep.passed
 

@@ -3,6 +3,7 @@ import pytest
 
 from ssdkit import (
     EmptySet,
+    GridSpec,
     MonotoneSet,
     PreconditionFailed,
     alignment_report,
@@ -40,7 +41,7 @@ class TestMonotoneSets:
             assert is_q_positive(prod_space, a.underlying).passed is classical
 
     def test_csv_roundtrip(self, tmp_path):
-        a = diagonal_set(-1, 1, 11)
+        a = diagonal_set(GridSpec.box(-1.0, 1.0, 6, 2))
         path = tmp_path / "set.csv"
         a.to_csv(path)
         back = MonotoneSet.from_csv(path)
@@ -110,7 +111,7 @@ class TestStrongRepresentability:
         pinched = ssdkit.GridFn.from_callable(
             grid61, lambda p: np.sum(np.atleast_2d(p) ** 2, axis=1)
             + prod_space.q(np.atleast_2d(p)), form="pinched", require_convex=False)
-        full = diagonal_set(-3, 3, 121)
+        full = diagonal_set(grid61)
         rep = strongly_representable_check(full, pinched, prod_space, prod_dual)
         assert not rep.passed
         w = np.asarray(rep.check("represents_the_set").witness)
@@ -122,12 +123,12 @@ class TestStrongRepresentability:
         import ssdkit
 
         if case == "missing":   # touching set {0}; the sample reaches out to (3, 3)
-            sample = diagonal_set(-1, 3, 41)
+            sample = diagonal_set(GridSpec.box(-1.0, 3.0, 21, 2))
             fn = ssdkit.GridFn.from_callable(
                 grid61, lambda p: np.sum(np.atleast_2d(p) ** 2, axis=1)
                 + prod_space.q(np.atleast_2d(p)), form="pinched", require_convex=False)
         else:                   # touching set the whole diagonal; the sample is [0, 1]
-            sample = diagonal_set(0, 1, 11)
+            sample = diagonal_set(GridSpec.box(0.0, 1.0, 6, 2))
             fn = fitz_triple(prod_space, diag121.underlying, grid61).phi_fn
         touch = mf_set(fn, prod_space).points
         near = lambda rows, others: [min(float(prod_space.norm(r - o)) for o in others)
@@ -166,7 +167,7 @@ class TestTheorem58:
         assert rep.passed
 
     @pytest.mark.parametrize("set_fn", [
-        lambda grid: diagonal_set(-3.0, 3.0, 121), cubic_graph_set, sign_graph_set])
+        lambda grid: diagonal_set(grid), cubic_graph_set, sign_graph_set])
     @pytest.mark.parametrize("prebuilt", [False, True])
     def test_classical_form_matches_dense_max(self, prod_space, prod_dual, grid61,
                                               density61, set_fn, prebuilt):
@@ -191,6 +192,23 @@ class TestTheorem58:
         with pytest.raises(PreconditionFailed):
             _battery(prod_space, prod_dual, MonotoneSet(singleton_origin(2), 1), grid61,
                      density61)
+
+
+class TestDiagonalSet:
+    @pytest.mark.parametrize("n", [41, 61, 81, 121])
+    def test_holds_every_diagonal_node(self, n):
+        grid = GridSpec.box(-3.0, 3.0, n, 2)
+        axis = grid.axes()[0]
+        nodes = np.stack([axis, axis], axis=1)
+        pts = diagonal_set(grid).points
+        assert len(pts) == 2 * n - 1
+        assert all(np.any(np.all(pts == node, axis=1)) for node in nodes)
+
+    def test_default_grid_gives_the_121_point_sample(self):
+        from ssdkit.catalog import default_grid
+
+        t = np.linspace(-3.0, 3.0, 121)
+        assert np.array_equal(diagonal_set(default_grid()).points, np.stack([t, t], axis=1))
 
 
 class TestSignGraphOffNodeHeights:
@@ -304,8 +322,6 @@ class TestRemark56:
         assert dist == pytest.approx(SQRT2 * np.sqrt(neg), abs=1e-9)
 
     def test_on_set_points_have_zero_sides(self, prod_space, worked_fn121, diag121):
-        from ssdkit.grids import GridSpec
-
         probe = GridSpec(np.array([1.0, 1.0]) - 1e-9, np.array([1.0, 1.0]) + 1e-9,
                          np.array([2, 2]))
         rep = remark_5_6_bound(diag121, worked_fn121, prod_space, probe)

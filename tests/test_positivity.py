@@ -10,6 +10,7 @@ from ssdkit import (
     FBelowQ,
     GridFn,
     GridSpec,
+    MonotoneSet,
     NotVZ,
     EpsilonOutOfRange,
     PreconditionFailed,
@@ -121,7 +122,7 @@ class TestBoundedMemory:
 
     @pytest.mark.parametrize("check", [p_dense_check, is_maximally_q_positive])
     def test_peak_does_not_grow_with_probes(self, prod_space, check):
-        a = diagonal_set(-3.0, 3.0, 401).underlying
+        a = diagonal_set(GridSpec.box(-3.0, 3.0, 201, 2)).underlying
         peaks = []
         for num in (101, 201):
             grid = GridSpec.box(-3.0, 3.0, num, 2)
@@ -144,7 +145,8 @@ class TestQPositivityMemory:
     def test_peak_does_not_grow_with_set_size(self, prod_space):
         peaks = []
         for n in (1500, 2000):
-            a = diagonal_set(-3.0, 3.0, n).underlying
+            t = np.linspace(-3.0, 3.0, n)
+            a = MonotoneSet.from_points(np.stack([t, t], axis=1)).underlying
             tracemalloc.start()
             try:
                 assert is_q_positive(prod_space, a).passed
