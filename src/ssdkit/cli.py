@@ -21,12 +21,13 @@ from .catalog import default_grid, diagonal_set, half_sq_norm_fn, space_r2_produ
 from .errors import MissingArtifacts, SsdkitError
 from .fitzpatrick import fitz_triple
 from .gridfn import GridFn, conjugate, default_slope_grid
-from .grids import GridSpec
+from .grids import GridSpec, point_budget
 from .monotone import MonotoneSet, negative_alignment
 from .positivity import PointSet, project_to_p
 from .reports import residual_cell, write_json
 from .spaces import SsdSpace
 from .suites import SUITES, SuiteOptions, run_suite
+from . import __version__
 
 
 def _parse_point(text):
@@ -131,6 +132,8 @@ def cmd_report(args) -> int:
         "n_checks": len(rows),
         "n_failed": sum(r["status"] == "fail" for r in rows),
         "n_skipped": sum(r["status"] == "skipped" for r in rows),
+        "environment": {"ssdkit": __version__, "numpy": np.__version__,
+                        "point_budget": point_budget()},
     }
     write_json(args.out / "summary.json", summary)
     with open(args.out / "summary.csv", "w", newline="", encoding="utf-8") as fh:

@@ -133,7 +133,7 @@ class GridFn:
     @classmethod
     def from_csv(cls, path):
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            lines = [ln for ln in map(str.strip, fh) if ln]
         if not lines or not lines[0].startswith("dim,"):
             raise ValueError("not a gridfn csv: missing dim header")
         dim = int(lines[0].split(",")[1])
@@ -148,7 +148,7 @@ class GridFn:
             row += 1
         if lines[row] != "values":
             raise ValueError("missing values header")
-        vals = np.array([np.inf if tok == "inf" else float(tok) for tok in lines[row + 1:]])
+        vals = np.fromiter(map(float, lines[row + 1:]), float)
         return cls._raw(GridSpec(lo, hi, num), vals)
 
 
@@ -313,8 +313,8 @@ def sup_linear_minus(source_points, offsets, targets):
 
     Rows with +inf offset never attain the max; raises Improper if none is
     finite.  Ties break to the lowest source index.  Bitwise-equal target
-    rows are scored once.  One score block of at most `_score_cap()`
-    entries is live at a time.
+    rows are scored once.  One score block of `_score_cap() >> 3` entries
+    (2 MB), and never fewer than 2 target rows, is live at a time.
     """
     t0 = time.perf_counter()
     offsets = np.asarray(offsets, dtype=float).ravel()
@@ -334,7 +334,7 @@ def sup_linear_minus(source_points, offsets, targets):
     m, n = targets.shape[0], x.shape[0]
     vals = np.empty(m)
     args = np.empty(m, dtype=int)
-    chunk = max(1, _score_cap() // max(1, n))
+    chunk = max(2, (_score_cap() >> 3) // max(1, n))
     buf = np.empty(min(m, chunk) * n)
     for start in range(0, m, chunk):
         t = targets[start:start + chunk]
@@ -351,11 +351,13 @@ def sup_linear_minus(source_points, offsets, targets):
 
 
 def _score_cap() -> int:
-    """Entries of one score block of `sup_linear_minus`: a quarter of
-    `_BLOCK`, 2^21 entries (16 MB).  A full `_BLOCK` buffer (64 MB) is
-    faulted in afresh on every large call and sets the peak RSS; the smaller
-    one scores 14,641 sources x 702 targets in 13 ms instead of 21 ms
-    (2-core Xeon, OpenBLAS)."""
+    """Entries of one `_pair_scan` block, a quarter of `_BLOCK`: 2^21 (16 MB).
+    `sup_linear_minus` scores an eighth of that, 2^18 entries (2 MB, one
+    core's L2 cache on the 2-core Xeon it was sized on), in blocks of at
+    least 2 target rows, since numpy hands a 1-row product to gemv, which
+    rounds t.x unlike gemm.  Neither block moves freely: gemm rounds by the
+    block's shape and the pair scan's block kernels by its row count, so a
+    new size must leave every report bitwise unchanged."""
     return max(1, _BLOCK >> 2)
 
 
@@ -766,7 +768,8 @@ def _pair_scan(add, y, c, k):
     k a block kernel: k(c_block, y) is the (rows, len(y)) matrix of a block
     of c rows.  +inf adds drop their y rows first; ties go to the lowest
     index.  The c rows go in chunks of `_score_cap() // (len(y) d)`, so a
-    block of difference coordinates holds at most `_score_cap()` entries."""
+    block of difference coordinates holds at most `_score_cap()` entries,
+    2^21, eight times the scattered kernel's block."""
     t0 = time.perf_counter()
     back = np.flatnonzero(np.isfinite(add))
     y, a = y[back], add[back]

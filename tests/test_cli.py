@@ -253,6 +253,17 @@ class TestReport:
     def test_empty_dir_is_missing_artifacts(self, tmp_path):
         assert run(["report", "--out", tmp_path / "nothing"]) == 2
 
+    def test_summary_stamps_the_environment(self, tmp_path, monkeypatch):
+        import ssdkit
+
+        assert run(["verify", "--suite", "helix", "--out", tmp_path]) == 0
+        monkeypatch.setenv("SSDKIT_BUDGET", "12345")
+        assert run(["report", "--out", tmp_path]) == 0
+        doc = json.loads((tmp_path / "summary.json").read_text())
+        assert doc["environment"] == {"ssdkit": ssdkit.__version__,
+                                      "numpy": np.__version__,
+                                      "point_budget": 12345}
+
 
 class TestAddWorst:
     """`VerifyReport.add_worst`: the first argmax decides, the residual is

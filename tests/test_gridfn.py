@@ -183,6 +183,9 @@ class TestGridFnBasics:
             for v in fn.values:
                 fh.write("inf\n" if np.isposinf(v) else f"{float(v)!r}\n")
         assert path.read_bytes() == ref.read_bytes()
+        back = GridFn.from_csv(path)
+        assert back.same_grid(fn)
+        assert np.array_equal(_bits(back.values), _bits(fn.values))
         assert b"\n-0.0\n" in path.read_bytes()
 
 
@@ -1409,37 +1412,140 @@ class TestConjugateBudgetScale:
         assert peaks[501] <= 1.25 * (501 / 251) ** 2 * peaks[251]
 
 
+def _scattered_sup_at(entries, sources, offsets, targets):
+    """`sup_linear_minus` with a scattered score block of `entries` entries."""
+    from ssdkit import gridfn
+
+    with mock.patch.object(gridfn, "_BLOCK", entries << 5):
+        assert gridfn._score_cap() >> 3 == entries
+        return gridfn.sup_linear_minus(sources, offsets, targets)
+
+
+def _rows_sup(rows, sources, offsets, targets):
+    """The scattered kernel's block loop with `rows` target rows a block."""
+    vals = np.empty(targets.shape[0])
+    args = np.empty(targets.shape[0], dtype=int)
+    for start in range(0, targets.shape[0], rows):
+        scores = np.matmul(targets[start:start + rows], sources.T)
+        scores -= offsets[None, :]
+        a = np.argmax(scores, axis=1)
+        vals[start:start + rows] = scores[np.arange(a.size), a]
+        args[start:start + rows] = a
+    return vals, args
+
+
+def _captured_sup(module, run):
+    """The arguments of the one `sup_linear_minus` call that `run()` makes
+    through `module`."""
+    calls = []
+    kernel = module.sup_linear_minus
+
+    def record(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    with mock.patch.object(module, "sup_linear_minus", record):
+        run()
+    (sources, offsets, targets), = calls
+    return sources, offsets, targets
+
+
+def _dual_norm_sphere_sup():
+    """The scattered sup of `numerical_dual_norm` under the tau = 2 `two`
+    split norm: the 200,001-point sphere against 100 radius pairs."""
+    from ssdkit import duality
+
+    space = product_space(1, kind="two", tau=2.0)
+    ys = np.random.default_rng(42).uniform(-3.0, 3.0, size=(100, space.dim))
+    return _captured_sup(duality, lambda: duality.numerical_dual_norm(space, ys))
+
+
+def _scattered_961x3721():
+    rng = np.random.default_rng(7)
+    sources = rng.uniform(-3.0, 3.0, size=(961, 2))
+    offsets = 0.5 * np.sum(sources ** 2, axis=1)
+    return sources, offsets, GridSpec.box(-3.0, 3.0, 61, 2).points()
+
+
 class TestScoreBlock:
-    def test_default_block_is_16_mb(self):
+    """The scattered kernel scores 2^18 entries (2 MB) a block, and at least 2
+    target rows; the pair scan 2^21.  gemm rounds t.x by the block's shape, so
+    the smaller block is pinned by bitwise agreement with the 2^21 block it
+    replaced, on the sups that moved when the block was sized."""
+
+    @staticmethod
+    def block_rows(sources, offsets, targets):
+        """Target rows of each score block of one `sup_linear_minus` call."""
+        with mock.patch.object(np, "argmax", wraps=np.argmax) as spy:
+            sup_linear_minus(sources, offsets, targets)
+        return [c.args[0].shape[0] for c in spy.call_args_list]
+
+    @staticmethod
+    def assert_as_at_2_21(sources, offsets, targets):
+        v21, a21 = _scattered_sup_at(1 << 21, sources, offsets, targets)
+        v18, a18 = sup_linear_minus(sources, offsets, targets)
+        assert np.array_equal(_bits(v18), _bits(v21))
+        assert np.array_equal(a18, a21)
+
+    def test_block_sizes(self):
         from ssdkit import gridfn
 
         assert gridfn._score_cap() == 1 << 21
         assert gridfn._candidate_cap() == 1 << 17
+        # 2^18 // 961 = 272 rows a block
+        assert self.block_rows(*_scattered_961x3721()) == [272] * 13 + [185]
+        # 2^18 // 200,001 = 1 row, raised to the floor of 2
+        assert self.block_rows(*_dual_norm_sphere_sup()) == [2] * 50
 
-    def test_block_size_leaves_remark_2_17_sup_bitwise_unchanged(self, prod_space,
-                                                                 worked_fn121):
-        # the scattered sup of remark 2.17's VZ check: 14,641 sources against
-        # a few hundred distinct rows c @ (W + M), one block at 2^23 entries
-        # and several at 2^21
+    def test_pair_scan_keeps_its_block(self):
         from ssdkit import gridfn
 
-        calls = []
-        kernel = gridfn.sup_linear_minus
+        rows = []
 
-        def record(*args):
-            calls.append(args)
-            return kernel(*args)
+        def kernel(c_block, y):
+            rows.append(c_block.shape[0])
+            return np.zeros((c_block.shape[0], y.shape[0]))
 
-        with mock.patch.object(gridfn, "sup_linear_minus", record):
-            is_vz(worked_fn121, prod_space)
-        (sources, offsets, targets), = calls
-        assert sources.shape[0] == 121 ** 2
-        assert np.unique(targets, axis=0).shape[0] > (1 << 21) // sources.shape[0]
-        out = {}
-        for cap in (1 << 23, 1 << 21):
-            with mock.patch.object(gridfn, "_BLOCK", cap << 2):
-                assert gridfn._score_cap() == cap
-                out[cap] = kernel(sources, offsets, targets)
-        (v23, a23), (v21, a21) = out[1 << 23], out[1 << 21]
-        assert np.array_equal(_bits(v21), _bits(v23))
-        assert np.array_equal(a21, a23)
+        y = np.zeros((1000, 2))
+        gridfn._pair_scan(np.zeros(1000), y, GridSpec.box(-3.0, 3.0, 61, 2).points(), kernel)
+        assert rows == [(1 << 21) // (1000 * 2)] * 3 + [3721 - 3 * 1048]
+
+    def test_block_size_leaves_remark_2_17_sup_bitwise_unchanged(self, prod_space, worked_fn121):
+        # remark 2.17's VZ check: 14,641 sources against a few hundred
+        # distinct rows c @ (W + M), one block at 2^21 entries, several at 2^18
+        from ssdkit import gridfn
+
+        case = _captured_sup(gridfn, lambda: is_vz(worked_fn121, prod_space))
+        assert case[0].shape[0] == 121 ** 2
+        assert np.unique(case[2], axis=0).shape[0] > (1 << 18) // 121 ** 2
+        self.assert_as_at_2_21(*case)
+
+    def test_block_size_leaves_961x3721_sup_bitwise_unchanged(self):
+        # 2 blocks of 2,182 rows at 2^21 entries, 14 of 272 at 2^18
+        self.assert_as_at_2_21(*_scattered_961x3721())
+
+    def test_block_size_leaves_dual_norm_sphere_bitwise_unchanged(self):
+        # 10 rows a block at 2^21 entries, 2 at 2^18
+        self.assert_as_at_2_21(*_dual_norm_sphere_sup())
+
+    def test_dual_norm_sphere_moves_with_a_one_row_floor(self):
+        # the block loop above scores as the kernel does at 2 rows a block;
+        # at 1 row, max(1, 2^18 // 200,001), numpy hands each product to
+        # gemv, which rounds t.x otherwise
+        case = _dual_norm_sphere_sup()
+        want, arg = sup_linear_minus(*case)
+        v2, a2 = _rows_sup(2, *case)
+        assert np.array_equal(_bits(v2), _bits(want)) and np.array_equal(a2, arg)
+        v1, _ = _rows_sup(max(1, (1 << 18) // case[0].shape[0]), *case)
+        assert not np.array_equal(_bits(v1), _bits(want))
+
+    def test_one_call_peak_is_one_small_block(self):
+        # the 2^21 block alone is 16 MB; 272 rows of 961 scores are 2.1 MB
+        sources, offsets, targets = _scattered_961x3721()
+        tracemalloc.start()
+        try:
+            sup_linear_minus(sources, offsets, targets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 2 ** 20
