@@ -84,15 +84,11 @@ class GridFn:
     def values_nd(self) -> np.ndarray:
         return self.values.reshape(self.grid.shape())
 
-    @property
-    def finite_mask(self) -> np.ndarray:
-        return np.isfinite(self.values)
-
     def min(self):
         return float(np.min(self.values))
 
     def domain_points(self) -> np.ndarray:
-        return self.grid.points()[self.finite_mask]
+        return self.grid.points()[np.isfinite(self.values)]
 
     def same_grid(self, other: "GridFn") -> bool:
         return (np.array_equal(self.grid.lower, other.grid.lower)
@@ -132,23 +128,24 @@ class GridFn:
 
     @classmethod
     def from_csv(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = [ln for ln in map(str.strip, fh) if ln]
         if not lines or not lines[0].startswith("dim,"):
             raise ValueError("not a gridfn csv: missing dim header")
         dim = int(lines[0].split(",")[1])
+        if len(lines) <= dim + 1:
+            what = "values" if len(lines) > dim else f"axis {len(lines) - 1}"
+            raise ValueError(f"gridfn csv ends before its {what} line")
         lo, hi, num = np.zeros(dim), np.zeros(dim), np.zeros(dim, dtype=int)
-        row = 1
-        for _ in range(dim):
-            parts = lines[row].split(",")
-            if parts[0] != "axis":
-                raise ValueError(f"expected axis line, got {lines[row]!r}")
+        for line in lines[1:dim + 1]:
+            parts = line.split(",")
+            if parts[0] != "axis" or len(parts) != 5:
+                raise ValueError(f"expected axis line, got {line!r}")
             i = int(parts[1])
             lo[i], hi[i], num[i] = float(parts[2]), float(parts[3]), int(parts[4])
-            row += 1
-        if lines[row] != "values":
+        if lines[dim + 1] != "values":
             raise ValueError("missing values header")
-        vals = np.fromiter(map(float, lines[row + 1:]), float)
+        vals = np.fromiter(map(float, lines[dim + 2:]), float)
         return cls._raw(GridSpec(lo, hi, num), vals)
 
 
@@ -313,8 +310,8 @@ def sup_linear_minus(source_points, offsets, targets):
 
     Rows with +inf offset never attain the max; raises Improper if none is
     finite.  Ties break to the lowest source index.  Bitwise-equal target
-    rows are scored once.  One score block of `_score_cap() >> 3` entries
-    (2 MB), and never fewer than 2 target rows, is live at a time.
+    rows are scored once.  One score block of `_score_cap()` entries, in
+    `_row_blocks` of at least 2 target rows, is live at a time.
     """
     t0 = time.perf_counter()
     offsets = np.asarray(offsets, dtype=float).ravel()
@@ -322,10 +319,9 @@ def sup_linear_minus(source_points, offsets, targets):
     if not np.any(finite):
         raise Improper("no finite values to take a supremum over")
     x = np.ascontiguousarray(source_points, dtype=float)
-    c = offsets
     back = np.flatnonzero(finite)
     if back.size < offsets.size:
-        x, c = x[finite], c[finite]
+        x, offsets = x[finite], offsets[finite]
     targets = np.ascontiguousarray(np.atleast_2d(np.asarray(targets, dtype=float)))
     first, inverse = _distinct_rows(targets)
     collapse = first.size < targets.shape[0]
@@ -334,16 +330,16 @@ def sup_linear_minus(source_points, offsets, targets):
     m, n = targets.shape[0], x.shape[0]
     vals = np.empty(m)
     args = np.empty(m, dtype=int)
-    chunk = max(2, (_score_cap() >> 3) // max(1, n))
-    buf = np.empty(min(m, chunk) * n)
-    for start in range(0, m, chunk):
-        t = targets[start:start + chunk]
+    chunk = max(2, _score_cap() // n)
+    buf = np.empty(min(m, chunk + 1) * n)
+    for start, stop in _row_blocks(m, chunk):
+        t = targets[start:stop]
         scores = buf[:t.shape[0] * n].reshape(t.shape[0], n)
         np.matmul(t, x.T, out=scores)
-        scores -= c[None, :]
+        scores -= offsets[None, :]
         a = np.argmax(scores, axis=1)
-        vals[start:start + chunk] = scores[np.arange(t.shape[0]), a]
-        args[start:start + chunk] = back[a]
+        vals[start:stop] = scores[np.arange(t.shape[0]), a]
+        args[start:stop] = back[a]
     _record("scattered", n, m, t0)
     if collapse:
         return vals[inverse], args[inverse]
@@ -351,14 +347,20 @@ def sup_linear_minus(source_points, offsets, targets):
 
 
 def _score_cap() -> int:
-    """Entries of one `_pair_scan` block, a quarter of `_BLOCK`: 2^21 (16 MB).
-    `sup_linear_minus` scores an eighth of that, 2^18 entries (2 MB, one
-    core's L2 cache on the 2-core Xeon it was sized on), in blocks of at
-    least 2 target rows, since numpy hands a 1-row product to gemv, which
-    rounds t.x unlike gemm.  Neither block moves freely: gemm rounds by the
-    block's shape and the pair scan's block kernels by its row count, so a
-    new size must leave every report bitwise unchanged."""
-    return max(1, _BLOCK >> 2)
+    """Entries of one score block of either grid kernel, `sup_linear_minus`
+    or `_pair_scan`: `_BLOCK >> 5`, 2^18 (2 MB, one core's L2 cache on the
+    2-core Xeon it was sized on).  The block does not move freely: gemm
+    rounds t.x by the block's shape, so a new size must leave every report
+    bitwise unchanged."""
+    return _BLOCK >> 5
+
+
+def _row_blocks(m, rows):
+    """(start, stop) of each block of a loop over m rows, `rows` a block
+    (at least 2), with a lone last row joined to the block before it: numpy
+    hands a 1-row product to gemv, which rounds unlike gemm."""
+    stops = [*range(rows, m - 1, rows), m] if m else []
+    return zip([0, *stops], stops)
 
 
 def _distinct_rows(x):
@@ -549,7 +551,7 @@ def _sup_separable(src_axes, offsets_nd, tgt_axes):
 def _candidate_cap() -> int:
     """Entries of one candidate block of the separable kernel: well below
     `_BLOCK`, since the block is one of several temporaries of its size."""
-    return max(1, _BLOCK >> 6)
+    return _BLOCK >> 6
 
 
 def _sweep_axis(a, table, b):
@@ -702,8 +704,7 @@ def nearest(pairwise, x, y):
     to the lowest index.  `pairwise(x_block, y)` is the (rows, len(y))
     matrix of a block of x rows, e.g. a `spaces.pairwise_*` kernel; the pair
     scan evaluates it in bounded row chunks, never on all of x at once."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
+    x, y = _rows(x), _rows(y)
     return _pair_scan(np.zeros(y.shape[0]), y, x, pairwise)
 
 
@@ -767,22 +768,22 @@ def _pair_scan(add, y, c, k):
     """min_j [add_j + k(c, y)[i, j]] and its argmin j for each row c_i, with
     k a block kernel: k(c_block, y) is the (rows, len(y)) matrix of a block
     of c rows.  +inf adds drop their y rows first; ties go to the lowest
-    index.  The c rows go in chunks of `_score_cap() // (len(y) d)`, so a
-    block of difference coordinates holds at most `_score_cap()` entries,
-    2^21, eight times the scattered kernel's block."""
+    index.  The c rows go in `_row_blocks` of `_score_cap() // (len(y) d)`
+    rows, at least 2, so a block of difference coordinates holds about
+    `_score_cap()` entries."""
     t0 = time.perf_counter()
     back = np.flatnonzero(np.isfinite(add))
     y, a = y[back], add[back]
     m, n = c.shape[0], y.shape[0]
     vals = np.empty(m)
     args = np.empty(m, dtype=int)
-    chunk = max(1, _score_cap() // (n * c.shape[1]))
-    for start in range(0, m, chunk):
-        total = np.asarray(k(c[start:start + chunk], y), dtype=float)
+    chunk = max(2, _score_cap() // (n * c.shape[1]))
+    for start, stop in _row_blocks(m, chunk):
+        total = np.asarray(k(c[start:stop], y), dtype=float)
         total += a[None, :]
         j = np.argmin(total, axis=1)
-        vals[start:start + chunk] = total[np.arange(total.shape[0]), j]
-        args[start:start + chunk] = back[j]
+        vals[start:stop] = total[np.arange(total.shape[0]), j]
+        args[start:stop] = back[j]
         del total  # free this block before the kernel builds the next
     _record("pairwise", n, m, t0)
     return vals, args

@@ -361,6 +361,18 @@ class TestConstructions:
     def test_project_requires_point(self, tmp_path):
         assert run(["project", "--out", tmp_path]) == 2
 
+    @pytest.mark.parametrize("text,err", [
+        ("dim,2\n", "ends before its axis 0 line"),
+        ("dim,2\naxis,0,-2.0,2.0,41\n", "ends before its axis 1 line"),
+        ("dim,2\naxis,0,-2.0,2.0,41\naxis,1,-2.0,2.0,41\n", "ends before its values line"),
+        ("dim,2\naxis,0,-2.0,2.0,41\naxis,1,-2.0\nvalues\n", "expected axis line"),
+    ])
+    def test_truncated_fn_csv_is_config_error(self, tmp_path, capsys, text, err):
+        src = tmp_path / "fn.csv"
+        src.write_text(text)
+        assert run(["conjugate", "--fn", src, "--out", tmp_path]) == 2
+        assert err in capsys.readouterr().err
+
 
 class TestFlags:
     """Each subcommand takes only the flags its command reads."""

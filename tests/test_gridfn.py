@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -25,12 +26,14 @@ from ssdkit import (
 )
 from ssdkit.catalog import (
     default_grid,
+    diagonal_set,
     double_well_fn,
     half_sq_norm_fn,
     indicator_fn,
     q_plus_const_fn,
     space_identity,
     space_negated,
+    space_r2_product,
     space_swap_r3,
     space_zero_pairing,
 )
@@ -52,6 +55,7 @@ from ssdkit.spaces import (
     pairwise_norm,
     pairwise_p,
     pairwise_q,
+    pairwise_sq_dists,
     product_space,
     swap_matrix,
 )
@@ -1169,11 +1173,12 @@ class TestMinPlus:
 
     @pytest.mark.parametrize("pairwise", [pairwise_q, pairwise_g, pairwise_p, pairwise_norm])
     @pytest.mark.parametrize("kind", ["euclidean", "quadratic", "one", "two", "inf"])
-    @given(seed=st.integers(min_value=0, max_value=10_000), rows=st.sampled_from([1, 7, None]))
+    @given(seed=st.integers(min_value=0, max_value=10_000), rows=st.sampled_from([2, 7, None]))
     @settings(max_examples=10, deadline=None)
     def test_nearest_matches_dense_min(self, pairwise, kind, seed, rows):
-        # the pair scan in chunks of 1 or 7 rows, or in one chunk, against
-        # np.min / np.argmin over the whole dense matrix
+        # the pair scan in chunks of 2 or 7 rows (a lone last row joins the
+        # chunk before it), or in one chunk, against np.min / np.argmin over
+        # the whole dense matrix
         from ssdkit import gridfn
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 3))
@@ -1193,11 +1198,10 @@ class TestMinPlus:
             calls.append(c.shape[0])
             return pairwise(space, c, ys)
 
-        block = 1 << 23 if rows is None else (rows * y.size) << 2
+        block = 1 << 23 if rows is None else (rows * y.size) << 5
         with mock.patch.object(gridfn, "_BLOCK", block):
             vals, args = gridfn.nearest(kernel, x, y)
-        assert calls == ([x.shape[0]] if rows is None
-                         else [min(rows, x.shape[0] - s) for s in range(0, x.shape[0], rows)])
+        assert calls == ([x.shape[0]] if rows is None else _walk(x.shape[0], rows))
         dense = pairwise(space, x, y)
         if integer:
             assert np.array_equal(vals, np.min(dense, axis=1))
@@ -1205,6 +1209,34 @@ class TestMinPlus:
         else:
             assert np.allclose(vals, np.min(dense, axis=1), rtol=0.0, atol=1e-12)
             assert np.allclose(dense[np.arange(x.shape[0]), args], vals, rtol=0.0, atol=1e-12)
+
+
+    @pytest.mark.parametrize("rows,want", [(7, [7, 8]), (5, [5, 5, 5]), (1, [2] * 6 + [3])])
+    def test_lone_last_row_joins_the_block_before(self, rows, want):
+        # 15 rows at 7 a block leave one row over, which joins the second
+        # block; a block of 1 row is raised to the floor of 2
+        from ssdkit import gridfn
+
+        calls = []
+
+        def kernel(c, ys):
+            calls.append(c.shape[0])
+            return pairwise_sq_dists(c, ys)
+
+        x = np.random.default_rng(0).uniform(-3.0, 3.0, size=(15, 2))
+        with mock.patch.object(gridfn, "_BLOCK", (rows * 4 * 2) << 5):
+            vals, args = gridfn.nearest(kernel, x, x[:4])
+        assert calls == want
+        assert np.array_equal(args[:4], np.arange(4))
+
+
+def _walk(m, rows):
+    """Rows of each block of a loop over m rows, `rows` a block, with a lone
+    last row joined to the block before it."""
+    sizes = [min(rows, m - s) for s in range(0, m, rows)]
+    if len(sizes) > 1 and sizes[-1] == 1:
+        sizes[-2:] = [rows + 1]
+    return sizes
 
 
 class TestSingularSourceCollapse:
@@ -1413,11 +1445,11 @@ class TestConjugateBudgetScale:
 
 
 def _scattered_sup_at(entries, sources, offsets, targets):
-    """`sup_linear_minus` with a scattered score block of `entries` entries."""
+    """`sup_linear_minus` with a score block of `entries` entries."""
     from ssdkit import gridfn
 
     with mock.patch.object(gridfn, "_BLOCK", entries << 5):
-        assert gridfn._score_cap() >> 3 == entries
+        assert gridfn._score_cap() == entries
         return gridfn.sup_linear_minus(sources, offsets, targets)
 
 
@@ -1468,10 +1500,10 @@ def _scattered_961x3721():
 
 
 class TestScoreBlock:
-    """The scattered kernel scores 2^18 entries (2 MB) a block, and at least 2
-    target rows; the pair scan 2^21.  gemm rounds t.x by the block's shape, so
-    the smaller block is pinned by bitwise agreement with the 2^21 block it
-    replaced, on the sups that moved when the block was sized."""
+    """Both grid kernels score 2^18 entries (2 MB) a block, at least 2 rows,
+    with a lone last row joined to the block before it.  gemm rounds t.x by
+    the block's shape, so the block is pinned by bitwise agreement with the
+    2^21 block it replaced, on the sups that moved when it was sized."""
 
     @staticmethod
     def block_rows(sources, offsets, targets):
@@ -1490,7 +1522,7 @@ class TestScoreBlock:
     def test_block_sizes(self):
         from ssdkit import gridfn
 
-        assert gridfn._score_cap() == 1 << 21
+        assert gridfn._score_cap() == 1 << 18
         assert gridfn._candidate_cap() == 1 << 17
         # 2^18 // 961 = 272 rows a block
         assert self.block_rows(*_scattered_961x3721()) == [272] * 13 + [185]
@@ -1508,7 +1540,8 @@ class TestScoreBlock:
 
         y = np.zeros((1000, 2))
         gridfn._pair_scan(np.zeros(1000), y, GridSpec.box(-3.0, 3.0, 61, 2).points(), kernel)
-        assert rows == [(1 << 21) // (1000 * 2)] * 3 + [3721 - 3 * 1048]
+        # 2^18 // (1000 * 2) = 131 rows a block, 3,721 = 28 * 131 + 53
+        assert rows == [131] * 28 + [53]
 
     def test_block_size_leaves_remark_2_17_sup_bitwise_unchanged(self, prod_space, worked_fn121):
         # remark 2.17's VZ check: 14,641 sources against a few hundred
@@ -1519,6 +1552,22 @@ class TestScoreBlock:
         assert case[0].shape[0] == 121 ** 2
         assert np.unique(case[2], axis=0).shape[0] > (1 << 18) // 121 ** 2
         self.assert_as_at_2_21(*case)
+
+    def test_lone_row_fold_keeps_lemma_2_13_sup_at_101(self):
+        # lemma 2.13's sup of theta over the 101^2 dual box at the 201-point
+        # diagonal: 2^18 // 10,201 = 25 rows a block and 201 = 8 * 25 + 1, so
+        # without the fold the last block is one row, scored by gemv, and the
+        # sup moves (e_star_below_q 8.88e-16 -> 3.55e-15)
+        from ssdkit import gridfn
+
+        grid = GridSpec.box(-3.0, 3.0, 101, 2)
+        a = diagonal_set(grid).underlying
+        box = fitz_triple(space_r2_product("two"), a, grid).dual_blocks[0]
+        case = _captured_sup(gridfn, lambda: sup_over_blocks([box], [a.points]))
+        assert self.block_rows(*case) == [25] * 7 + [26]
+        self.assert_as_at_2_21(*case)
+        lone, _ = _rows_sup(25, *case)
+        assert not np.array_equal(_bits(lone), _bits(sup_linear_minus(*case)[0]))
 
     def test_block_size_leaves_961x3721_sup_bitwise_unchanged(self):
         # 2 blocks of 2,182 rows at 2^21 entries, 14 of 272 at 2^18
@@ -1549,3 +1598,115 @@ class TestScoreBlock:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * 2 ** 20
+
+
+def _dyadic_rows(rng, m, d):
+    """m distinct rows of multiples of 1/64 in [-3, 3]^d.  A product of two
+    such numbers is a multiple of 1/4096 below 9 in size, so every score and
+    sum of a few of them is exact and cannot round by the block's shape."""
+    axis = np.arange(-192, 193) / 64.0
+    flat = rng.choice(axis.size ** d, size=m, replace=False)
+    return axis[np.stack(np.unravel_index(flat, (axis.size,) * d), axis=1)]
+
+
+def _pair_kernel(name):
+    space = space_r2_product("two")
+    return pairwise_sq_dists if name == "sq_dists" else lambda c, y: pairwise_q(space, c, y)
+
+
+class TestBlockWalk:
+    """Both grid kernels walk their rows in blocks of `rows`, a lone last row
+    joined to the block before it, and merge the blocks' maxima or minima.
+    On exact data the walk must give bitwise the one-block values and
+    witnesses at any block size, including m = 1 (mod rows)."""
+
+    @given(seed=st.integers(min_value=0, max_value=10_000), rows=st.integers(35, 120),
+           blocks=st.integers(1, 5), extra=st.sampled_from(["none", "one", "some"]))
+    @settings(max_examples=40, deadline=None)
+    def test_scattered_walk_is_one_block(self, seed, rows, blocks, extra):
+        from ssdkit import gridfn
+
+        rng = np.random.default_rng(seed)
+        d, n = int(rng.integers(2, 5)), int(rng.integers(20, 400))
+        m = rows * blocks + {"none": 0, "one": 1, "some": int(rng.integers(2, rows))}[extra]
+        sources = _dyadic_rows(rng, n, d)[rng.integers(0, n, size=n)]  # equal sources tie
+        offsets = rng.integers(-4096, 4097, size=n) / 4096.0
+        offsets[rng.random(n) < 0.1] = np.inf
+        offsets[0] = 0.0
+        targets = _dyadic_rows(rng, m, d)
+        want = _scattered_sup_at(1 << 30, sources, offsets, targets)
+        with mock.patch.object(gridfn, "_BLOCK", (rows * np.isfinite(offsets).sum()) << 5):
+            assert TestScoreBlock.block_rows(sources, offsets, targets) == _walk(m, rows)
+            got = sup_linear_minus(sources, offsets, targets)
+        assert np.array_equal(_bits(got[0]), _bits(want[0]))
+        assert np.array_equal(got[1], want[1])
+
+    @given(seed=st.integers(min_value=0, max_value=10_000), rows=st.integers(35, 120),
+           blocks=st.integers(1, 5), extra=st.sampled_from(["none", "one", "some"]),
+           kernel=st.sampled_from(["sq_dists", "q"]))
+    @settings(max_examples=40, deadline=None)
+    def test_pair_scan_walk_is_one_block(self, seed, rows, blocks, extra, kernel):
+        from ssdkit import gridfn
+
+        rng = np.random.default_rng(seed)
+        m = rows * blocks + {"none": 0, "one": 1, "some": int(rng.integers(2, rows))}[extra]
+        y = _dyadic_rows(rng, int(rng.integers(20, 300)), 2)
+        y = y[rng.integers(0, y.shape[0], size=y.shape[0])]  # equal set rows tie
+        x = _dyadic_rows(rng, m, 2)
+        calls = []
+
+        def k(c, ys):
+            calls.append(c.shape[0])
+            return _pair_kernel(kernel)(c, ys)
+
+        with mock.patch.object(gridfn, "_BLOCK", 1 << 40):
+            want = gridfn.nearest(k, x, y)
+        assert calls == [m]
+        calls.clear()
+        with mock.patch.object(gridfn, "_BLOCK", (rows * y.size) << 5):
+            got = gridfn.nearest(k, x, y)
+        assert calls == _walk(m, rows)
+        assert np.array_equal(_bits(got[0]), _bits(want[0]))
+        assert np.array_equal(got[1], want[1])
+
+
+def _pairwise_case(n, kind):
+    """841 float rows against a 131-row set in the split space R^n x R^n."""
+    rng = np.random.default_rng(5)
+    weight = np.eye(2 * n) + 1.0 if kind == "quadratic" else None
+    space = SsdSpace(swap_matrix(n), norm=NormSpec(kind, tau=1.0, weight=weight))
+    return (space, rng.uniform(-3.0, 3.0, size=(841, 2 * n)),
+            rng.uniform(-3.0, 3.0, size=(131, 2 * n)))
+
+
+class TestPairwiseBlockRounding:
+    """Float data, at the shape the pair scan's block was sized on: the
+    `spaces.pairwise_*` kernels give bitwise the one-block mins in blocks of
+    35, 40 or 100 rows (841 = 24 * 35 + 1 = 21 * 40 + 1: the lone rows fold),
+    but not in 1-row blocks, which numpy scores by gemv.  Other set sizes
+    may round by the block's row count (ROADMAP, Known limits), so the block
+    is verified report by report."""
+
+    @pytest.mark.parametrize("pairwise", [pairwise_q, pairwise_g, pairwise_p, pairwise_norm])
+    @pytest.mark.parametrize("kind", ["euclidean", "quadratic", "one", "two", "inf"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_blocks_of_35_rows_and_more_are_one_block(self, pairwise, kind, n):
+        from ssdkit import gridfn
+
+        space, x, y = _pairwise_case(n, kind)
+        with mock.patch.object(gridfn, "_BLOCK", 1 << 40):
+            want, arg = gridfn.nearest(partial(pairwise, space), x, y)
+        for rows in (35, 40, 100):
+            with mock.patch.object(gridfn, "_BLOCK", (rows * y.size) << 5):
+                got, got_arg = gridfn.nearest(partial(pairwise, space), x, y)
+            assert np.array_equal(_bits(got), _bits(want)) and np.array_equal(got_arg, arg)
+
+    @pytest.mark.parametrize("pairwise", [pairwise_q, pairwise_g, pairwise_p, pairwise_norm])
+    @pytest.mark.parametrize("kind", ["euclidean", "quadratic", "one", "two", "inf"])
+    def test_one_row_blocks_move_the_mins(self, pairwise, kind):
+        from ssdkit import gridfn
+
+        space, x, y = _pairwise_case(2, kind)
+        want, _ = gridfn.nearest(partial(pairwise, space), x, y)
+        one = np.array([np.min(pairwise(space, row[None, :], y)) for row in x])
+        assert not np.array_equal(_bits(one), _bits(want))

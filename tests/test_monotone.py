@@ -1,3 +1,6 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -326,6 +329,30 @@ class TestRemark56:
                          np.array([2, 2]))
         rep = remark_5_6_bound(diag121, worked_fn121, prod_space, probe)
         assert rep.passed
+
+    def test_each_pair_scan_peaks_in_one_small_block(self, prod_space, worked_fn121, grid121,
+                                                     diag121):
+        # the suite's worked-example call: 3,721 probes against the 121-point
+        # diagonal, 2^18 // 242 = 1,083 probe rows a block; in one block of
+        # 2^21 coordinates a scan of this call peaked at 17.2 MB traced
+        from ssdkit import gridfn
+
+        peaks = []
+        scan = gridfn._pair_scan
+
+        def traced(*args):
+            tracemalloc.start()
+            try:
+                out = scan(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            return out
+
+        with mock.patch.object(gridfn, "_pair_scan", traced):
+            remark_5_6_bound(diag121, worked_fn121, prod_space, grid121.subsample(2))
+        assert len(peaks) == 2
+        assert max(peaks) <= 6 << 20
 
     def test_cubic_graph_chain(self, prod_space, prod_dual, grid61):
         cubic = cubic_graph_set(grid61)

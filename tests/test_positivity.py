@@ -117,30 +117,35 @@ class TestMaximality:
 
 
 class TestBoundedMemory:
-    """Mins over a sampled set run in row chunks: the traced peak of a probe
-    check against a 401-point set does not grow with the number of probes."""
+    """Mins over a sampled set run in row blocks of about 2^18 coordinates, so
+    the traced peak of a probe check against a 401-point set grows with the
+    probes only through its O(probes) arrays: by at most 128 B per added
+    probe (p_dense_check about 32 B, maximality about 65 B), where one dense
+    401-column row of the probes-by-set matrix alone is 3,208 B."""
 
     @pytest.mark.parametrize("check", [p_dense_check, is_maximally_q_positive])
-    def test_peak_does_not_grow_with_probes(self, prod_space, check):
+    def test_peak_grows_linearly(self, prod_space, check):
         a = diagonal_set(GridSpec.box(-3.0, 3.0, 201, 2)).underlying
-        peaks = []
-        for num in (101, 201):
+        peaks = {}
+        for num in (101, 201, 401):
             grid = GridSpec.box(-3.0, 3.0, num, 2)
             tracemalloc.start()
             try:
                 check(prod_space, a, grid)
-                peaks.append(tracemalloc.get_traced_memory()[1])
+                peaks[num] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[1] <= 1.25 * peaks[0]
-        assert peaks[1] < 64 << 20
+            if num == 201:  # 3.3-3.6 MB here; checked before a dense matrix could grow 4x
+                assert peaks[201] < 8 << 20
+        for lo, hi in ((101, 201), (201, 401)):
+            assert peaks[hi] - peaks[lo] <= 128 * (hi ** 2 - lo ** 2)
 
 
 class TestQPositivityMemory:
-    """The pairwise-gap min over i < j runs in row chunks of at most 2^21
+    """The pairwise-gap min over i < j runs in row blocks of about 2^18
     index-carrying coordinates and frees each block before building the next,
-    so its traced peak is the same at 1,500 and 2,000 points, under 12 MB (a
-    full 2,000-point q block alone is 32 MB)."""
+    so its traced peak is the same at 1,500 and 2,000 points (about 1 MB),
+    under 12 MB (a full 2,000-point q block alone is 32 MB)."""
 
     def test_peak_does_not_grow_with_set_size(self, prod_space):
         peaks = []
