@@ -51,7 +51,6 @@ from .gridfn import (
     is_mas,
     is_vz,
     lsc_biconjugate_envelope,
-    minus_q,
     rockafellar_sum_identity,
 )
 from .positivity import (

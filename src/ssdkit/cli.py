@@ -80,14 +80,12 @@ def _write_suite_reports(args, name: str, reports, refused: str | None = None) -
 
 
 def cmd_verify(args) -> int:
-    if args.tol is not None and args.tol <= 0:
-        raise SsdkitError("tolerance override must be positive")
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     if any(n not in SUITES for n in names):
         raise SsdkitError(f"unknown suite {args.suite!r}; known: "
                           f"{', '.join(sorted(SUITES))} or 'all'")
-    opts = SuiteOptions(grid=args.grid, tol=args.tol, seed=args.seed,
-                        lam=args.lam, epsilon=args.epsilon)
+    opts = SuiteOptions(grid=args.grid, seed=args.seed, lam=args.lam,
+                        epsilon=args.epsilon)
     if args.set_file:
         opts.point_set = PointSet.from_csv(args.set_file, label=Path(args.set_file).stem)
     all_ok, any_refused = True, False
@@ -192,10 +190,7 @@ def cmd_project(args) -> int:
 
 
 def cmd_align(args) -> int:
-    ps = _load_set(args)
-    if ps.dim % 2 != 0:
-        raise SsdkitError("alignment needs a monotone set of pairs")
-    mset = MonotoneSet(ps, ps.dim // 2)
+    mset = MonotoneSet(_load_set(args))
     if args.point is None or args.dual_point is None:
         raise SsdkitError("align needs --point and --dual-point")
     res = negative_alignment(mset, _parse_point(args.point),
@@ -245,9 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("verify", "run a named verification suite", "--set", "--grid")
     p.add_argument("--suite", default="all",
                    help="suite name or 'all' (known: %s)" % ", ".join(sorted(SUITES)))
-    p.add_argument("--tol", type=float,
-                   help="zero-sum tolerance of the lemma_4_7 suite (default 5e-3); "
-                        "no other suite reads it")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     p.add_argument("--lambda", dest="lam", type=float, default=None,

@@ -44,8 +44,8 @@ from .spaces import (
     PRODUCT_KINDS,
     QUADRATIC,
     SsdSpace,
-    _canonical_direction,
     bilinear_rows,
+    check_banach_ssd,
     pairwise_q,
     swap_matrix,
 )
@@ -103,13 +103,13 @@ def make_dual(space: SsdSpace) -> DualSsd:
     """Construct the canonical dual structure and validate compatibility.
 
     Raises SingularPairing when the pairing has no inverse and NoDual when
-    the dual gauge p-tilde goes below -ATOL_CLOSED (witness and value
-    attached).  The nonnegativity check is analytic whenever the dual norm
-    has a quadratic form and sampled otherwise (p-tilde is 2-homogeneous, so
-    a unit box sample suffices).  The identities are checked on 1000 random
-    vectors of a generator seeded with 42.
+    the dual side fails `check_banach_ssd` (p-tilde >= -ATOL_CLOSED), with
+    its witness and the value of p-tilde there attached.  The check is
+    analytic whenever the dual norm has a quadratic form and sampled on the
+    [-1, 1]^d box otherwise (p-tilde is 2-homogeneous, so a unit box sample
+    suffices).  The identities are checked on 1000 random vectors of a
+    generator seeded with 42.
     """
-    tol = tols.ATOL_CLOSED
     m = space.pairing
     if np.linalg.cond(m) > 1e12:
         raise SingularPairing("pairing matrix is numerically singular")
@@ -131,23 +131,14 @@ def make_dual(space: SsdSpace) -> DualSsd:
     if np.max(np.abs(qt - space.q(b))) > 1e-8 * max(1.0, float(np.max(np.abs(qt)))):
         raise SingularPairing("dual quadratic form fails the pullback identity")
 
-    w = dual_norm.quadratic_weight(space.dim)
-    if w is not None:
-        vals, vecs = np.linalg.eigh(w + m_tilde)
-        lo = float(vals[0])
-        if lo < -tol:
-            witness = _canonical_direction(vecs[:, 0])
-            raise NoDual(f"dual gauge is negative: p_tilde({witness.tolist()}) = "
-                         f"{as_space.p(witness):.6g}",
-                         witness=witness, value=float(as_space.p(witness)))
-    else:
-        grid = GridSpec.box(-1.0, 1.0, _probe_points_per_axis(space.dim), space.dim)
-        pts = grid.points()
-        pv = as_space.p(pts)
-        i = int(np.argmin(pv))
-        if float(pv[i]) < -tol:
-            raise NoDual(f"dual gauge is negative at {pts[i].tolist()}",
-                         witness=pts[i], value=float(pv[i]))
+    probe = "analytic"
+    if dual_norm.quadratic_weight(space.dim) is None:
+        probe = GridSpec.box(-1.0, 1.0, _probe_points_per_axis(space.dim), space.dim)
+    check = check_banach_ssd(as_space, probe).checks[0]
+    if check.status != PASS:
+        value = float(as_space.p(check.witness))
+        raise NoDual(f"dual gauge is negative: p_tilde({check.witness.tolist()}) = "
+                     f"{value:.6g}", witness=check.witness, value=value)
     return dual
 
 
@@ -389,11 +380,10 @@ def theorem_4_10_battery(dual: DualSsd, triple: FitzTriple,
     mid = GridFn._raw(grid, 0.5 * (triple.phi_fn.values + triple.star_theta_fn.values),
                       form="midpoint candidate")
     candidates = [(triple.phi_fn, vz_phi), (triple.star_theta_fn, vz_star), (mid, None)]
-    cell = tols.cell_norm(space, grid)
     for idx, (h, vz) in enumerate(candidates):
         mas = is_mas(h, space, dual)
         touch = p_set(h, space)
-        match, dist = sets_match(space, a.points, touch.points, radius=2.0 * cell)
+        match, dist, _ = sets_match(space, a.points, touch.points, grid)
         verdicts[f"d{idx}"] = mas.passed and match
         report.add(f"d_candidate{idx}_mas_represents", "thm_4_10d", verdicts[f"d{idx}"],
                    residual=dist, note=f"candidate {h.form or idx}")

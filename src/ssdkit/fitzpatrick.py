@@ -177,7 +177,6 @@ def lemma_2_13_suite(triple: FitzTriple) -> VerifyReport:
 
     mx = is_maximally_q_positive(space, a, grid)
     if mx.passed:
-        cell = tols.cell_norm(space, grid)
         report.add_worst("h_phi_dominates_q", "lemma_2_13h", qv - triple.phi_fn.values,
                          pts, tol_grid)
         h2 = float(np.max(st_on_a - q_on_a))
@@ -188,7 +187,7 @@ def lemma_2_13_suite(triple: FitzTriple) -> VerifyReport:
         worst_i = 0.0
         for fn in (triple.star_theta_fn, GridFn._raw(grid, phi_at), triple.phi_fn):
             pset = p_set(fn, space)
-            match, dist = sets_match(space, a.points, pset.points, radius=2.0 * cell)
+            match, dist, _ = sets_match(space, a.points, pset.points, grid)
             ok_i &= match
             worst_i = max(worst_i, dist)
         report.add("i_touching_sets_equal", "lemma_2_13i", ok_i, residual=worst_i,
@@ -256,9 +255,8 @@ def theorem_2_15_reports(space: SsdSpace, f: GridFn, candidates) -> Iterator[Ver
         vz_hat = is_vz(h_at, space)
         report.add("h_conj_vz", "thm_2_15c", vz_hat.passed,
                    residual=vz_hat.check("zero_infconv").worst_residual)
-        cell = tols.cell_norm(space, grid)
         ph = p_set(h, space)
-        match, dist = sets_match(space, a.points, ph.points, radius=2.0 * cell)
+        match, dist, _ = sets_match(space, a.points, ph.points, grid)
         report.add("h_touching_equals_set", "thm_2_15c", match, residual=dist)
         yield report
 
@@ -268,7 +266,7 @@ def sigma_minorant_test(triple: FitzTriple, h: GridFn) -> VerifyReport:
     with h <= q on the triple's set stays below the conjugate-back
     representer, up to half of (h's observed slope + 1) times the dual
     spacing.  The triple must live on h's grid."""
-    if not h.same_grid(triple.phi_fn):
+    if not h.grid.same(triple.grid):
         raise GridMismatch("h and the representer triple must share a grid")
     space, a = triple.space, triple.a
     hq = h.evaluate(a.points) - space.q(a.points)

@@ -84,16 +84,8 @@ class GridFn:
     def values_nd(self) -> np.ndarray:
         return self.values.reshape(self.grid.shape())
 
-    def min(self):
-        return float(np.min(self.values))
-
     def domain_points(self) -> np.ndarray:
         return self.grid.points()[np.isfinite(self.values)]
-
-    def same_grid(self, other: "GridFn") -> bool:
-        return (np.array_equal(self.grid.lower, other.grid.lower)
-                and np.array_equal(self.grid.upper, other.grid.upper)
-                and np.array_equal(self.grid.num, other.grid.num))
 
     def evaluate(self, points) -> np.ndarray:
         """Exact evaluation when tagged, multilinear interpolation otherwise.
@@ -105,15 +97,6 @@ class GridFn:
         if self.exact is not None:
             return np.asarray(self.exact(pts), dtype=float)
         return _interpolate(self.grid, self.values_nd(), pts)
-
-    def shifted_by(self, delta_values, exact_delta=None, form=""):
-        """New function f + delta with delta finite on the grid."""
-        delta = np.asarray(delta_values, dtype=float).ravel()
-        exact = None
-        if self.exact is not None and exact_delta is not None:
-            base, extra = self.exact, exact_delta
-            exact = lambda pts: np.asarray(base(pts), dtype=float) + np.asarray(extra(pts), dtype=float)
-        return GridFn._raw(self.grid, self.values + delta, exact=exact, form=form)
 
     # -- serialization -----------------------------------------------------------
 
@@ -137,11 +120,10 @@ class GridFn:
             what = "values" if len(lines) > dim else f"axis {len(lines) - 1}"
             raise ValueError(f"gridfn csv ends before its {what} line")
         lo, hi, num = np.zeros(dim), np.zeros(dim), np.zeros(dim, dtype=int)
-        for line in lines[1:dim + 1]:
+        for i, line in enumerate(lines[1:dim + 1]):
             parts = line.split(",")
-            if parts[0] != "axis" or len(parts) != 5:
-                raise ValueError(f"expected axis line, got {line!r}")
-            i = int(parts[1])
+            if parts[0] != "axis" or len(parts) != 5 or int(parts[1]) != i:
+                raise ValueError(f"expected axis line {i}, got {line!r}")
             lo[i], hi[i], num[i] = float(parts[2]), float(parts[3]), int(parts[4])
         if lines[dim + 1] != "values":
             raise ValueError("missing values header")
@@ -720,9 +702,9 @@ def _on_differences(k):
 def _offset_table_fits(a, b) -> bool:
     """Both blocks are the same lattice, and its offset lattice keeps within
     the grid point budget (beyond it the pair scan bounds the memory)."""
-    # to_dict compares lower, upper and num exactly; array_equal(None, None) holds
+    # array_equal(None, None) holds
     return (isinstance(a, Lattice) and isinstance(b, Lattice)
-            and a.grid.to_dict() == b.grid.to_dict() and np.array_equal(a.matrix, b.matrix)
+            and a.grid.same(b.grid) and np.array_equal(a.matrix, b.matrix)
             and int(np.prod(2 * a.grid.num - 1)) <= point_budget())
 
 
@@ -833,19 +815,12 @@ def inf_conv(h: GridFn, k, out_grid: GridSpec | None = None) -> GridFn:
     interpolated otherwise, +inf outside its box) or a plain vectorized
     callable.
     """
-    if isinstance(k, GridFn) and not h.same_grid(k):
+    if isinstance(k, GridFn) and not h.grid.same(k.grid):
         raise GridMismatch("inf_conv operands must share a grid")
     target = Lattice(h.grid if out_grid is None else out_grid)
     vals, _ = _min_plus(h.values, Lattice(h.grid), target,
                         k.evaluate if isinstance(k, GridFn) else k)
     return GridFn._raw(target.grid, vals, form="inf-conv")
-
-
-def minus_q(f: GridFn, space: SsdSpace) -> GridFn:
-    """f - q as a grid function, exact when f is."""
-    qv = space.q(f.grid.points())
-    return f.shifted_by(-qv, exact_delta=(lambda pts: -space.q(np.atleast_2d(pts))),
-                        form=(f.form + "-q") if f.form else "f-q")
 
 
 def zero_infconv_residuals(f: GridFn, space: SsdSpace, c_rows) -> tuple[np.ndarray, np.ndarray]:
@@ -943,7 +918,7 @@ def rockafellar_sum_identity(f: GridFn, h: GridFn, dual_grid: GridSpec,
                              tol: float | None = None) -> VerifyReport:
     """Conjugate-of-sum identity: (f + h)* equals the exact inf-convolution
     of f* and h* at every dual grid point, h finite and convex."""
-    if not f.same_grid(h):
+    if not f.grid.same(h.grid):
         raise GridMismatch("operands must share a grid")
     if not np.all(np.isfinite(h.values)):
         raise HNotFinite("h must be finite on the whole grid")

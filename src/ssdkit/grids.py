@@ -84,6 +84,13 @@ class GridSpec:
     def shape(self):
         return tuple(int(k) for k in self.num)
 
+    def same(self, other: "GridSpec") -> bool:
+        """Equal lower, upper and num: the one test of whether two grids are
+        the same grid."""
+        return (np.array_equal(self.lower, other.lower)
+                and np.array_equal(self.upper, other.upper)
+                and np.array_equal(self.num, other.num))
+
     def contains(self, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         eps = 1e-12 * np.maximum(1.0, np.abs(self.upper - self.lower))

@@ -19,9 +19,9 @@ from .errors import DimensionMismatch, EmptySet, FBelowQ, PreconditionFailed
 from .fitzpatrick import FitzTriple
 from .gridfn import GridFn, is_mas, nearest
 from .grids import GridSpec
-from .positivity import PointSet, _hausdorff, is_q_positive, p_set
+from .positivity import PointSet, _hausdorff, is_q_positive, p_set, sets_match
 from .reports import VerifyReport
-from .spaces import SsdSpace, pairwise_norm, pairwise_q, pairwise_sq_dists
+from .spaces import SsdSpace, pairwise_q, pairwise_sq_dists
 from . import tolerances as tols
 
 _SQRT2 = np.sqrt(2.0)
@@ -32,14 +32,18 @@ class MonotoneSet:
     """Finite sample of a monotone set in R^n x R^n."""
 
     underlying: PointSet
-    n: int
 
     def __post_init__(self):
-        if self.underlying.dim != 2 * self.n:
-            raise DimensionMismatch("points must have length 2n")
+        if self.underlying.dim % 2:
+            raise DimensionMismatch("monotone sets need an even coordinate count")
 
     def __len__(self):
         return len(self.underlying)
+
+    @property
+    def n(self):
+        """The dimension of each half, x and x*."""
+        return self.underlying.dim // 2
 
     @property
     def points(self):
@@ -58,17 +62,11 @@ class MonotoneSet:
 
     @classmethod
     def from_csv(cls, path, label=""):
-        ps = PointSet.from_csv(path, label=label)
-        if ps.dim % 2 != 0:
-            raise DimensionMismatch("monotone sets need an even coordinate count")
-        return cls(ps, ps.dim // 2)
+        return cls(PointSet.from_csv(path, label=label))
 
     @classmethod
     def from_points(cls, points, label=""):
-        ps = PointSet(points, label=label)
-        if ps.dim % 2 != 0:
-            raise DimensionMismatch("monotone sets need an even coordinate count")
-        return cls(ps, ps.dim // 2)
+        return cls(PointSet(points, label=label))
 
 
 def mf_set(f: GridFn, space: SsdSpace) -> MonotoneSet:
@@ -82,7 +80,7 @@ def mf_set(f: GridFn, space: SsdSpace) -> MonotoneSet:
         rep = is_q_positive(space, ps, tol=tols.touching_positivity_tol(space, f.grid))
         if not rep.passed:
             raise FBelowQ("touching set of f is not monotone (f dips below the product)")
-    return MonotoneSet(ps, space.dim // 2)
+    return MonotoneSet(ps)
 
 
 def type_ni_check(space: SsdSpace, a: MonotoneSet, dual: DualSsd,
@@ -112,11 +110,10 @@ def strongly_representable_check(a: MonotoneSet, f: GridFn, space: SsdSpace,
     """f is a two-sided minorant and its touching set recovers the sample."""
     mas = is_mas(f, space, dual)
     touch = mf_set(f, space)
-    cell = tols.cell_norm(space, f.grid)
-    dist, far = _hausdorff(a.points, touch.points, partial(pairwise_norm, space))
-    match = dist <= 2.0 * cell
+    match, dist, far = sets_match(space, a.points, touch.points, f.grid)
     report = VerifyReport(suite="strongly_representable", grid=f.grid.to_dict(),
-                          tolerances={**mas.tolerances, "set_radius": 2.0 * cell},
+                          tolerances={**mas.tolerances,
+                                      "set_radius": tols.set_radius(space, f.grid)},
                           meta={"space": space.label, "fn": f.form})
     report.extend(mas)
     report.add("represents_the_set", "def_5_7", match, residual=dist,

@@ -116,10 +116,12 @@ def _hausdorff(a_rows, b_rows, pairwise):
     return float(np.max(extra)), b[int(np.argmax(extra))]
 
 
-def sets_match(space: SsdSpace, a_rows, b_rows, radius: float) -> tuple[bool, float]:
-    """Symmetric Hausdorff comparison in the space norm; (verdict, distance)."""
-    haus, _ = _hausdorff(a_rows, b_rows, partial(pairwise_norm, space))
-    return haus <= radius, haus
+def sets_match(space: SsdSpace, a_rows, b_rows,
+               grid: GridSpec) -> tuple[bool, float, np.ndarray | None]:
+    """Symmetric Hausdorff comparison in the space norm of two sets sampled on
+    `grid`, up to its `tols.set_radius`: (verdict, distance, farthest row)."""
+    haus, far = _hausdorff(a_rows, b_rows, partial(pairwise_norm, space))
+    return haus <= tols.set_radius(space, grid), haus, far
 
 
 # -- positivity ------------------------------------------------------------------

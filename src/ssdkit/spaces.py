@@ -376,9 +376,9 @@ def pairwise_norm(space: SsdSpace, x_rows, y_rows):
 def check_banach_ssd(space: SsdSpace, probe="analytic"):
     """Verify p = g + q >= -ATOL_CLOSED, analytically or on a sample grid.
 
-    `probe` is "analytic" (smallest eigenvalue of W + M, only for norms with
-    a quadratic form) or a GridSpec to minimize p over.  The report carries
-    the minimizing witness on failure.
+    `probe` is "analytic" (smallest eigenvalue of W + M, for any norm with a
+    quadratic form W) or a GridSpec to minimize p over.  The report carries
+    the minimizing witness.
     """
     from .reports import VerifyReport
 
@@ -388,10 +388,10 @@ def check_banach_ssd(space: SsdSpace, probe="analytic"):
     if isinstance(probe, str):
         if probe != "analytic":
             raise UnsupportedProbe(f"unknown probe {probe!r}")
-        if space.norm.is_product:
-            raise UnsupportedProbe("analytic probe does not cover the split "
-                                   "norms; pass a GridSpec to sample instead")
         w = space.norm.quadratic_weight(space.dim)
+        if w is None:
+            raise UnsupportedProbe("analytic probe needs a norm with a quadratic "
+                                   "form; pass a GridSpec to sample instead")
         vals, vecs = np.linalg.eigh(w + space.pairing)
         lo = float(vals[0])
         witness = _canonical_direction(vecs[:, 0])

@@ -88,7 +88,6 @@ SQRT2 = np.sqrt(2.0)
 @dataclass
 class SuiteOptions:
     grid: GridSpec | None = None
-    tol: float | None = None
     seed: int = 42
     lam: float | None = None    # explicit helix pitch, checked verbatim
     epsilon: float = 0.5
@@ -358,7 +357,7 @@ def suite_lemma_4_7(opts: SuiteOptions):
     dual = make_dual(sp)
     grid = _grid(opts, n=121)
     c_grid = grid.subsample(2)
-    tol = opts.tol or 5e-3
+    tol = 5e-3  # the zero-sum tolerance, recorded in each report
     f = half_sq_norm_fn(grid)
     yield _tag(lemma_4_7_identity(sp, dual, f, c_grid, tol=tol), fn="worked example")
     phi_fn = fitz_triple(sp, diagonal_set(c_grid).underlying, grid).phi_fn
@@ -435,7 +434,7 @@ def suite_theorem_5_8(opts: SuiteOptions):
     dual = make_dual(sp)
     grid = _grid(opts)
     user = opts.point_set
-    sets = ([(user.label or "user set", MonotoneSet(user, user.dim // 2))]
+    sets = ([(user.label or "user set", MonotoneSet(user))]
             if user is not None else
             [("diagonal", diagonal_set(grid)),
              ("clipped cubic graph", cubic_graph_set(grid)),

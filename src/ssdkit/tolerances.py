@@ -55,6 +55,12 @@ def cell_norm(space, grid) -> float:
     return float(np.max(space.norm(steps)))
 
 
+def set_radius(space, grid) -> float:
+    """Two grid cells in the space norm: the Hausdorff distance up to which
+    two sets sampled on the grid match (`positivity.sets_match`)."""
+    return 2.0 * cell_norm(space, grid)
+
+
 def one_cell_p_bound(space, grid) -> float:
     """Max of p over all one-cell offsets; the floor for grid-search certificates."""
     h = grid.spacing

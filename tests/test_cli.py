@@ -65,7 +65,20 @@ class TestVerify:
         assert run(["verify", "--suite", "theorem_5_8", "--set", setfile,
                     "--out", tmp_path]) == 2
         doc = json.loads((tmp_path / "theorem_5_8.json").read_text())
-        assert doc["reports"] == [] and "length 2n" in doc["refused"]
+        assert doc["reports"] == [] and "even coordinate count" in doc["refused"]
+
+    def test_odd_coordinate_set_refused_alike_by_align(self, tmp_path, capsys):
+        setfile = tmp_path / "odd.csv"
+        np.savetxt(setfile, np.arange(9.0).reshape(3, 3), delimiter=",")
+        assert run(["verify", "--suite", "theorem_5_8", "--set", setfile,
+                    "--out", tmp_path / "verify"]) == 2
+        refused = json.loads((tmp_path / "verify" / "theorem_5_8.json").read_text())["refused"]
+        capsys.readouterr()
+        assert run(["align", "--set", setfile, "--point", "0", "--dual-point", "0",
+                    "--out", tmp_path / "align"]) == 2
+        assert capsys.readouterr().err == f"error: {refused}\n"
+        assert refused == "monotone sets need an even coordinate count"
+        assert not (tmp_path / "align").exists()
 
     def test_budget_cap(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SSDKIT_BUDGET", "100")
@@ -373,12 +386,24 @@ class TestConstructions:
         assert run(["conjugate", "--fn", src, "--out", tmp_path]) == 2
         assert err in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [
+        ("axis,0,-2.0,2.0,3", "axis,2,-1.0,1.0,3"),    # out of range
+        ("axis,0,-2.0,2.0,3", "axis,-1,-1.0,1.0,3"),   # negative
+        ("axis,0,-2.0,2.0,3", "axis,0,-1.0,1.0,3"),    # repeated
+    ])
+    def test_bad_axis_index_is_config_error(self, tmp_path, capsys, bad):
+        src = tmp_path / "fn.csv"
+        src.write_text("dim,2\n" + "\n".join(bad) + "\nvalues\n" + "0.0\n" * 9)
+        assert run(["conjugate", "--fn", src, "--out", tmp_path / "out"]) == 2
+        assert repr(bad[1]) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestFlags:
     """Each subcommand takes only the flags its command reads."""
 
     READ = {
-        "verify": {"--out", "--set", "--grid", "--suite", "--tol", "--seed", "--format",
+        "verify": {"--out", "--set", "--grid", "--suite", "--seed", "--format",
                    "--lambda", "--epsilon"},
         "report": {"--out"},
         "conjugate": {"--out", "--fn", "--grid"},
@@ -411,6 +436,8 @@ class TestFlags:
         assert run(argv + ["--out", tmp_path / "out"]) == 2
         assert not (tmp_path / "out").exists()
 
-    def test_nonpositive_tolerance_is_config_error(self, tmp_path):
-        assert run(["verify", "--suite", "helix", "--tol", "0", "--out", tmp_path / "out"]) == 2
+    @pytest.mark.parametrize("value", ["0", "1e-3"])
+    def test_tolerance_flag_is_usage_error(self, tmp_path, value):
+        assert run(["verify", "--suite", "lemma_4_7", "--tol", value,
+                    "--out", tmp_path / "out"]) == 2
         assert not (tmp_path / "out").exists()

@@ -55,6 +55,30 @@ class TestMakeDual:
         assert w == pytest.approx([1.0, -1.0], abs=1e-12)
         assert exc.value.value == pytest.approx(-0.75, abs=1e-12)
 
+    @pytest.mark.parametrize("kind", ["one", "inf"])
+    def test_scaled_kinked_norm_has_no_dual_on_the_sampled_box(self, kind):
+        space = product_space(1, kind, scale=2.0)
+        with pytest.raises(NoDual) as exc:
+            make_dual(space)
+        # independent brute force over the same 81^2 box on [-1, 1]^2: the
+        # dual norm is the sup of <x, c> over the primal unit sphere, scanned
+        # on the quarter circle (both halves are scalars, so their radii are
+        # |c_1| and |c_2|); the kinked spheres' corners lie on the scan
+        axis = np.linspace(-1.0, 1.0, 81)
+        box = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        ts = np.linspace(0.0, np.pi / 2.0, 257)
+        lengths = space.norm.scale * space.norm.combine_halves(np.cos(ts), np.sin(ts))
+        dual_norm = np.max((np.abs(box[:, :1]) * np.cos(ts) + np.abs(box[:, 1:]) * np.sin(ts))
+                           / lengths, axis=1)
+        q_tilde = 0.5 * np.sum((box @ np.linalg.inv(space.pairing)) * box, axis=1)
+        p_tilde = 0.5 * dual_norm**2 + q_tilde
+        first = int(np.flatnonzero(p_tilde <= p_tilde.min() + 1e-12)[0])
+        assert np.array_equal(exc.value.witness, box[first])
+        assert exc.value.value == pytest.approx(float(p_tilde.min()), abs=1e-12)
+        assert np.array_equal(exc.value.witness, [-1.0, 1.0])
+        assert exc.value.value == pytest.approx(-0.75, abs=1e-12)
+        assert "p_tilde([-1.0, 1.0]) = -0.75" in str(exc.value)
+
     def test_special_norms_all_admit_duals(self):
         for kind in ("one", "two", "inf"):
             for tau in (0.5, 1.0, 2.0):

@@ -64,7 +64,7 @@ class TestMfSet:
         graph = monotone_graph_set(grid61, lambda t: 2 * t, label="doubling graph")
         phi_fn = fitz_triple(prod_space, graph.underlying, grid61).phi_fn
         mf = mf_set(phi_fn, prod_space)
-        ok, dist = sets_match(prod_space, graph.points, mf.points, radius=0.2)
+        ok, dist, _ = sets_match(prod_space, graph.points, mf.points, grid61)
         assert ok, dist
 
     def test_shifted_form_is_empty(self, prod_space, grid61):
@@ -78,7 +78,7 @@ class TestTypeNI:
         assert rep.passed
 
     def test_origin_singleton_fails_at_positive_quadrant(self, prod_space, prod_dual, grid61):
-        a = MonotoneSet(singleton_origin(2), 1)
+        a = MonotoneSet(singleton_origin(2))
         rep = type_ni_check(prod_space, a, prod_dual, grid61)
         assert not rep.passed
         # over the set {0} the infimum at a probe c is q~(c) = c1 c2, worst
@@ -193,7 +193,7 @@ class TestTheorem58:
 
     def test_singleton_refused(self, prod_space, prod_dual, grid61, density61):
         with pytest.raises(PreconditionFailed):
-            _battery(prod_space, prod_dual, MonotoneSet(singleton_origin(2), 1), grid61,
+            _battery(prod_space, prod_dual, MonotoneSet(singleton_origin(2)), grid61,
                      density61)
 
 
@@ -292,7 +292,7 @@ class TestNegativeAlignment:
     def test_empty_set_rejected(self):
         from ssdkit.positivity import PointSet
 
-        empty = MonotoneSet(PointSet(np.zeros((0, 2)), allow_empty=True), 1)
+        empty = MonotoneSet(PointSet(np.zeros((0, 2)), allow_empty=True))
         with pytest.raises(EmptySet):
             negative_alignment(empty, [0.0], [0.0], 1.0, 1.0)
 

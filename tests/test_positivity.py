@@ -21,6 +21,7 @@ from ssdkit import (
     is_q_positive,
     lemma_2_8_suite,
     p_dense_check,
+    product_space,
     p_set,
     project_to_p,
     recheck_trace,
@@ -188,6 +189,58 @@ class TestTouchingSet:
         ps = p_set(phi_fn, prod_space)
         # every touching node sits within one cell of the diagonal
         assert np.max(np.abs(ps.points[:, 0] - ps.points[:, 1])) <= 0.1 + 1e-9
+
+
+class TestSetsMatch:
+    """`sets_match` against a dense Hausdorff oracle: every distance from
+    `space.norm` of one difference, the radius two cells of the grid."""
+
+    GRID = GridSpec(np.array([-3.0, -2.0]), np.array([3.0, 2.0]), np.array([61, 41]))
+
+    @staticmethod
+    def _oracle(space, a, b, grid):
+        d = np.array([[space.norm(x - y) for y in b] for x in a])
+        steps = np.diag(grid.spacing)
+        radius = 2.0 * max(space.norm(step) for step in steps)
+        return d.min(axis=1), d.min(axis=0), radius
+
+    @pytest.mark.parametrize("kind", ["one", "two", "inf"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_dense_oracle(self, kind, seed):
+        from ssdkit.positivity import sets_match
+
+        space = product_space(1, kind, tau=0.5 + 0.25 * (seed % 4))
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-2.0, 2.0, size=(int(rng.integers(2, 15)), 2))
+        b = a + rng.normal(scale=0.06, size=a.shape)
+        if seed % 2:  # a row missing from b and an extra one in it
+            b = np.vstack([b[1:], rng.uniform(-2.0, 2.0, size=(1, 2))])
+        missing, extra, radius = self._oracle(space, a, b, self.GRID)
+        haus = max(missing.max(), extra.max())
+        match, dist, far = sets_match(space, a, b, self.GRID)
+        assert dist == pytest.approx(haus, abs=1e-12)
+        if abs(haus - radius) > 1e-12:
+            assert match == (haus <= radius)
+        # the farthest row is one of either set whose distance to the other is dist
+        far_dists = [missing[i] for i in range(len(a)) if np.array_equal(a[i], far)]
+        far_dists += [extra[j] for j in range(len(b)) if np.array_equal(b[j], far)]
+        assert far_dists and min(abs(v - haus) for v in far_dists) <= 1e-12
+
+    def test_empty_sides(self, prod_space):
+        from ssdkit.positivity import sets_match
+
+        some, none = np.ones((3, 2)), np.zeros((0, 2))
+        assert sets_match(prod_space, none, none, self.GRID) == (True, 0.0, None)
+        assert sets_match(prod_space, some, none, self.GRID) == (False, np.inf, None)
+        assert sets_match(prod_space, none, some, self.GRID) == (False, np.inf, None)
+
+    def test_radius_is_two_cells_of_the_grid(self, prod_space):
+        from ssdkit.positivity import sets_match
+
+        a = np.zeros((1, 2))
+        # prod_space's norm of a 0.1 step along axis 0 is 0.1: two cells is 0.2
+        assert sets_match(prod_space, a, [[0.2, 0.0]], self.GRID)[0]
+        assert not sets_match(prod_space, a, [[0.2 + 1e-9, 0.0]], self.GRID)[0]
 
 
 class TestDensity:

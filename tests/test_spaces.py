@@ -179,9 +179,22 @@ class TestBanachCompatibility:
         assert w[0] == pytest.approx(-w[1], abs=1e-12)  # anti-diagonal witness
 
     def test_analytic_probe_rejects_split_norms(self):
-        for kind in ("one", "two", "inf"):
+        """Only the kinked split norms lack a quadratic form; `two` has one,
+        so its analytic probe runs and agrees with the sampled one."""
+        for kind in ("one", "inf"):
             with pytest.raises(UnsupportedProbe):
                 check_banach_ssd(product_space(1, kind))
+        grid = GridSpec.box(-3, 3, 61, 2)
+        for scale in (1.0, 0.5):
+            space = product_space(1, "two", scale=scale)
+            analytic = check_banach_ssd(space)
+            sampled = check_banach_ssd(space, probe=grid)
+            assert analytic.meta["method"] == "analytic"
+            assert analytic.passed == sampled.passed == (scale == 1.0)
+        # the halved norm: W + M = [[1/4, 1], [1, 1/4]], least eigenvalue -3/4
+        w = np.asarray(analytic.check("gauge_nonnegative").witness)
+        assert np.array_equal(w, [1.0, -1.0])
+        assert analytic.check("gauge_nonnegative").worst_residual == pytest.approx(0.75, abs=1e-12)
 
     def test_analytic_probe_on_quadratic_norms(self, ident2, swap3):
         assert check_banach_ssd(ident2).passed
