@@ -51,8 +51,6 @@ from .spaces import (
 )
 from . import tolerances as tols
 
-_SQRT2 = np.sqrt(2.0)
-
 
 @dataclass(frozen=True, eq=False)
 class DualSsd:

@@ -153,9 +153,8 @@ def lemma_2_13_suite(triple: FitzTriple) -> VerifyReport:
     mapped_grid = Lattice(grid, space.pairing)
     mapped_set = a.points @ space.pairing
 
-    h_d = float(np.max(triple.theta_fn.grid.spacing))
     lip = tols.observed_lipschitz(triple.star_theta_fn.values_nd(), grid.spacing)
-    tol_conj = max(tols.ATOL_GRID, 0.5 * lip * h_d)
+    tol_conj = tols.half_slope_tol(lip, triple.theta_fn.grid)
     back, _ = sup_over_blocks([(mapped_grid, st_nodes), (mapped_set, st_on_a)], [Lattice(grid)])
     report.tolerances["tol_conj"] = tol_conj
     report.add_worst("d_conjugate_back", "lemma_2_13d", np.abs(back - triple.phi_fn.values),
@@ -273,9 +272,8 @@ def sigma_minorant_test(triple: FitzTriple, h: GridFn) -> VerifyReport:
     worst_on_a = float(np.max(hq))
     if worst_on_a > tols.tol_p_membership():
         raise NotAMinorant(f"h exceeds q on the set by {worst_on_a:.3e}")
-    h_d = float(np.max(triple.theta_fn.grid.spacing))
     lip = tols.observed_lipschitz(h.values_nd(), h.grid.spacing)
-    tol = max(tols.ATOL_GRID, 0.5 * (lip + 1.0) * h_d)
+    tol = tols.half_slope_tol(lip + 1.0, triple.theta_fn.grid)
     gap = h.values - triple.star_theta_fn.values
     report = VerifyReport(suite="sigma_minorant", grid=h.grid.to_dict(),
                           tolerances={"tol": tol},

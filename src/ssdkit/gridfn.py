@@ -36,7 +36,13 @@ from .reports import VerifyReport
 from .spaces import SsdSpace, bilinear_rows
 from . import tolerances as tols
 
-_BLOCK = 1 << 23  # max entries of a score matrix held at once
+# Score block of `sup_linear_minus` and `_pair_scan`, in entries: 2 MB, one
+# core's L2 cache on the 2-core Xeon it was sized on.  gemm rounds t.x by the
+# block's shape, so a new size must leave every report bitwise unchanged.
+_SCORE_BLOCK = 1 << 18
+# Candidate block of `_sweep_axis`, `_rescore` and `_offset_scan`: smaller,
+# since each is one of several temporaries of its size.
+_CANDIDATE_BLOCK = 1 << 17
 
 CONVEXITY_RTOL = 1e-8
 
@@ -106,29 +112,41 @@ class GridFn:
             for i in range(self.grid.dim):
                 fh.write(f"axis,{i},{float(self.grid.lower[i])!r},"
                          f"{float(self.grid.upper[i])!r},{int(self.grid.num[i])}\n")
-            fh.write("values\n")
-            fh.write("\n".join(map(repr, self.values.tolist())) + "\n")
+            fh.write("values\n" + "\n".join(map(repr, self.values.tolist())) + "\n")
 
     @classmethod
     def from_csv(cls, path):
         with open(path, encoding="utf-8") as fh:
-            lines = [ln for ln in map(str.strip, fh) if ln]
-        if not lines or not lines[0].startswith("dim,"):
-            raise ValueError("not a gridfn csv: missing dim header")
-        dim = int(lines[0].split(",")[1])
+            lines = list(filter(None, map(str.strip, fh)))
+        dim, = _csv_fields(lines[0] if lines else "", "dim line", "dim,", int)
+        if dim < 1:
+            raise ValueError(f"expected dim line, got {lines[0]!r}")
         if len(lines) <= dim + 1:
             what = "values" if len(lines) > dim else f"axis {len(lines) - 1}"
             raise ValueError(f"gridfn csv ends before its {what} line")
-        lo, hi, num = np.zeros(dim), np.zeros(dim), np.zeros(dim, dtype=int)
-        for i, line in enumerate(lines[1:dim + 1]):
-            parts = line.split(",")
-            if parts[0] != "axis" or len(parts) != 5 or int(parts[1]) != i:
-                raise ValueError(f"expected axis line {i}, got {line!r}")
-            lo[i], hi[i], num[i] = float(parts[2]), float(parts[3]), int(parts[4])
+        axes = [_csv_fields(line, f"axis line {i}", f"axis,{i},", float, float, int)
+                for i, line in enumerate(lines[1:dim + 1])]
         if lines[dim + 1] != "values":
-            raise ValueError("missing values header")
-        vals = np.fromiter(map(float, lines[dim + 2:]), float)
-        return cls._raw(GridSpec(lo, hi, num), vals)
+            raise ValueError(f"expected values line, got {lines[dim + 1]!r}")
+        body = lines[dim + 2:]
+        try:
+            vals = np.fromiter(map(float, body), float)
+        except ValueError:
+            for line in body:  # raises at the line float() failed on
+                _csv_fields(line, "a value", "", float)
+            raise
+        return cls._raw(GridSpec(*zip(*axes)), vals)
+
+
+# the comma-separated fields of a CSV line after its `head`, each converted by
+# its type; a ValueError that quotes the line if any of that fails
+def _csv_fields(line, what, head, *types):
+    try:
+        if not line.startswith(head):
+            raise ValueError
+        return [t(p) for t, p in zip(types, line.removeprefix(head).split(","), strict=True)]
+    except ValueError:
+        raise ValueError(f"expected {what}, got {line!r}")
 
 
 # -- convexity ------------------------------------------------------------------
@@ -292,7 +310,7 @@ def sup_linear_minus(source_points, offsets, targets):
 
     Rows with +inf offset never attain the max; raises Improper if none is
     finite.  Ties break to the lowest source index.  Bitwise-equal target
-    rows are scored once.  One score block of `_score_cap()` entries, in
+    rows are scored once.  One score block of `_SCORE_BLOCK` entries, in
     `_row_blocks` of at least 2 target rows, is live at a time.
     """
     t0 = time.perf_counter()
@@ -312,7 +330,7 @@ def sup_linear_minus(source_points, offsets, targets):
     m, n = targets.shape[0], x.shape[0]
     vals = np.empty(m)
     args = np.empty(m, dtype=int)
-    chunk = max(2, _score_cap() // n)
+    chunk = max(2, _SCORE_BLOCK // n)
     buf = np.empty(min(m, chunk + 1) * n)
     for start, stop in _row_blocks(m, chunk):
         t = targets[start:stop]
@@ -326,15 +344,6 @@ def sup_linear_minus(source_points, offsets, targets):
     if collapse:
         return vals[inverse], args[inverse]
     return vals, args
-
-
-def _score_cap() -> int:
-    """Entries of one score block of either grid kernel, `sup_linear_minus`
-    or `_pair_scan`: `_BLOCK >> 5`, 2^18 (2 MB, one core's L2 cache on the
-    2-core Xeon it was sized on).  The block does not move freely: gemm
-    rounds t.x by the block's shape, so a new size must leave every report
-    bitwise unchanged."""
-    return _BLOCK >> 5
 
 
 def _row_blocks(m, rows):
@@ -498,7 +507,7 @@ def _sup_separable(src_axes, offsets_nd, tgt_axes):
     results are row-major over the target grid, argmax row-major over the
     source grid.  The last source axis is swept first; each step takes the
     first maximum over the source index, so ties go to the lowest row-major
-    index, and builds its candidates in blocks of at most `_candidate_cap()`
+    index, and builds its candidates in blocks of at most `_CANDIDATE_BLOCK`
     entries.  The per-axis sums round
     differently from t . x, so the winner and its 3^d grid neighbours are
     re-scored as t . x - f(x) and the best kept (ties to the lowest flat
@@ -510,8 +519,6 @@ def _sup_separable(src_axes, offsets_nd, tgt_axes):
     tgt_axes = [np.asarray(b, dtype=float) for b in tgt_axes]
     offsets = np.asarray(offsets_nd, dtype=float).ravel()
     finite = np.isfinite(offsets)
-    if not np.any(finite):
-        raise Improper("no finite values to take a supremum over")
     neg = np.where(finite, -offsets, -np.inf)
     table = neg.reshape(-1, src_axes[-1].size, 1)
     arg = None
@@ -530,12 +537,6 @@ def _sup_separable(src_axes, offsets_nd, tgt_axes):
     return vals, args
 
 
-def _candidate_cap() -> int:
-    """Entries of one candidate block of the separable kernel: well below
-    `_BLOCK`, since the block is one of several temporaries of its size."""
-    return _BLOCK >> 6
-
-
 def _sweep_axis(a, table, b):
     """best[p, s, q] = max_j [a_j b_s + table[p, j, q]] with its lowest argmax j.
 
@@ -549,10 +550,9 @@ def _sweep_axis(a, table, b):
     tt = np.ascontiguousarray(table.transpose(0, 2, 1))
     best = np.empty((p_len, m, q_len))
     arg = np.empty((p_len, m, q_len), dtype=np.intp)
-    cap = _candidate_cap()
-    sc = min(m, max(1, cap // n))
-    qc = min(q_len, max(1, cap // (n * sc)))
-    pc = min(p_len, max(1, cap // (n * sc * qc)))
+    sc = min(m, max(1, _CANDIDATE_BLOCK // n))
+    qc = min(q_len, max(1, _CANDIDATE_BLOCK // (n * sc)))
+    pc = min(p_len, max(1, _CANDIDATE_BLOCK // (n * sc * qc)))
     buf = np.empty(pc * sc * qc * n)
     for p0 in range(0, p_len, pc):
         for s0 in range(0, m, sc):
@@ -591,7 +591,7 @@ def _rescore(src_axes, neg, tgt_axes, args):
     best_args = np.empty(m, dtype=int)
     # a chunk's temporaries, one of 3^d * rows * d entries and a few of
     # 3^d * rows, stay within one candidate block in total
-    chunk = max(1, _candidate_cap() // (8 * 3 ** dim * dim))
+    chunk = max(1, _CANDIDATE_BLOCK // (8 * 3 ** dim * dim))
     for start in range(0, m, chunk):
         rows = np.arange(start, min(m, start + chunk))
         t = np.empty((rows.size, dim))
@@ -718,7 +718,7 @@ def _offset_scan(add, lattice: Lattice, k):
     """`_min_plus` with sources and targets both `lattice`: node i minus node
     j is node i - j + num - 1 of the offset lattice, so k is tabulated there
     once.  Finite sources go in row-major order, in cache-sized blocks of
-    `_candidate_cap()` entries; each block takes its first minimum and the
+    `_CANDIDATE_BLOCK` entries; each block takes its first minimum and the
     blocks merge with a strict `<`, as a running strict-`<` min would."""
     t0 = time.perf_counter()
     grid = lattice.grid
@@ -732,7 +732,7 @@ def _offset_scan(add, lattice: Lattice, k):
     m = grid.size
     vals = np.full(m, np.inf)
     args = np.full(m, sources[0])
-    chunk = max(1, _candidate_cap() // m)
+    chunk = max(1, _CANDIDATE_BLOCK // m)
     for start in range(0, sources.size, chunk):
         j = sources[start:start + chunk]
         cand = window[tuple(i[start:start + chunk] for i in index)].reshape(j.size, m)
@@ -750,16 +750,16 @@ def _pair_scan(add, y, c, k):
     """min_j [add_j + k(c, y)[i, j]] and its argmin j for each row c_i, with
     k a block kernel: k(c_block, y) is the (rows, len(y)) matrix of a block
     of c rows.  +inf adds drop their y rows first; ties go to the lowest
-    index.  The c rows go in `_row_blocks` of `_score_cap() // (len(y) d)`
+    index.  The c rows go in `_row_blocks` of `_SCORE_BLOCK // (len(y) d)`
     rows, at least 2, so a block of difference coordinates holds about
-    `_score_cap()` entries."""
+    `_SCORE_BLOCK` entries."""
     t0 = time.perf_counter()
     back = np.flatnonzero(np.isfinite(add))
     y, a = y[back], add[back]
     m, n = c.shape[0], y.shape[0]
     vals = np.empty(m)
     args = np.empty(m, dtype=int)
-    chunk = max(2, _score_cap() // (n * c.shape[1]))
+    chunk = max(2, _SCORE_BLOCK // (n * c.shape[1]))
     for start, stop in _row_blocks(m, chunk):
         total = np.asarray(k(c[start:stop], y), dtype=float)
         total += a[None, :]
@@ -929,9 +929,8 @@ def rockafellar_sum_identity(f: GridFn, h: GridFn, dual_grid: GridSpec,
     # pair scan, not the offset table: h* at offset nodes moves the RHS by up to 9.1e-15
     rhs, _ = _pair_scan(fstar.values, ys, ys, _on_differences(hstar.evaluate))
     if tol is None:
-        h_d = float(np.max(dual_grid.spacing))
         lip = tols.observed_lipschitz(lhs.values_nd(), dual_grid.spacing)
-        tol = max(tols.ATOL_GRID, 0.5 * lip * h_d)
+        tol = tols.half_slope_tol(lip, dual_grid)
     resid = np.abs(lhs.values - rhs)
     report = VerifyReport(suite="rockafellar_sum", grid=dual_grid.to_dict(),
                           tolerances={"tol": tol})

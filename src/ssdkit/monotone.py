@@ -295,15 +295,15 @@ def remark_5_6_bound(a: MonotoneSet, f: GridFn, space: SsdSpace,
     dist = np.sqrt(sq)
     neg_inf = np.maximum(0.0, -inner)
     fq = f.evaluate(pts) - space.q(pts)
-    cell = tols.cell_norm(space, c_grid)
+    slack = tols.set_radius(space, c_grid)
     report = VerifyReport(suite="remark_5_6", grid=c_grid.to_dict(),
-                          tolerances={"tol": tol, "cell_slack": 2.0 * cell},
+                          tolerances={"tol": tol, "cell_slack": slack},
                           meta={"space": space.label, "fn": f.form})
     report.add_worst("dist_vs_product", "remark_5_6",
-                     dist - (_SQRT2 * np.sqrt(neg_inf) + 2.0 * cell), pts)
+                     dist - (_SQRT2 * np.sqrt(neg_inf) + slack), pts)
     r2 = neg_inf - (np.maximum(fq, 0.0) + tols.tol_p_membership() + tol)
     report.add_worst("product_vs_gap", "remark_5_6", np.where(np.isfinite(r2), r2, -np.inf), pts)
-    r3 = dist - (2.0 * np.sqrt(np.maximum(fq, 0.0)) + 2.0 * cell)
+    r3 = dist - (2.0 * np.sqrt(np.maximum(fq, 0.0)) + slack)
     report.add_worst("classical_constant_two", "remark_5_6",
                      np.where(np.isfinite(r3), r3, -np.inf), pts,
                      note="weaker literature bound, for context")

@@ -166,7 +166,7 @@ def is_maximally_q_positive(space: SsdSpace, a: PointSet,
     if len(a) == 0:
         raise EmptySet("maximality needs a nonempty set")
     q_tol = tols.ATOL_CLOSED
-    dist_tol = 2.0 * tols.cell_norm(space, candidate_grid)
+    dist_tol = tols.set_radius(space, candidate_grid)
     pts = candidate_grid.points()
     dists, _ = nearest(partial(pairwise_norm, space), pts, a.points)
     outside = dists > dist_tol
@@ -365,15 +365,14 @@ def dist_bounds_check(f: GridFn, space: SsdSpace, c_grid: GridSpec) -> VerifyRep
     Checks dist(c, P) <= sqrt(2) sqrt(-inf q(c - P)) + slack and
     dist(c, P) <= sqrt(2) sqrt((f - q)(c)), plus the chain
     -inf q(c - P) <= (f - q)(c).  Records max dist / sqrt(-inf q) over
-    candidates whose denominator clears ratio_floor, 16 squared grid cells.
+    candidates whose denominator clears ratio_floor, 4 squared slacks.
     The gap terms are held to ATOL_GRID.
     """
     p = p_set(f, space)
     if len(p) == 0:
         raise PreconditionFailed("touching set is empty")
     tol = tols.ATOL_GRID
-    cell = tols.cell_norm(space, c_grid)
-    slack = 2.0 * cell
+    slack = tols.set_radius(space, c_grid)
     pts = c_grid.points()
     dists, _ = nearest(partial(pairwise_norm, space), pts, p.points)
     inf_q, _ = nearest(partial(pairwise_q, space), pts, p.points)
@@ -389,7 +388,7 @@ def dist_bounds_check(f: GridFn, space: SsdSpace, c_grid: GridSpec) -> VerifyRep
                      note="additive slack of two grid cells for the sampled set")
     report.add_worst("infq_below_gap", "remark_2_17",
                      neg_inf_q - (np.maximum(fq, 0.0) + tol), pts)
-    ratio_floor = 16.0 * cell**2
+    ratio_floor = 4.0 * slack**2
     valid = neg_inf_q >= ratio_floor
     if np.any(valid):
         ratios = dists[valid] / np.sqrt(neg_inf_q[valid])
@@ -413,24 +412,24 @@ def lemma_2_8_suite(space: SsdSpace, a: PointSet, h: GridFn, c_grid: GridSpec) -
     if not (pos.passed and dense.passed):
         raise PreconditionFailed("set is not a grid-verified dense positive set")
     tol = tols.one_cell_p_bound(space, c_grid)
-    cell = tols.cell_norm(space, c_grid)
+    slack = tols.set_radius(space, c_grid)
     pts = c_grid.points()
     report = VerifyReport(suite="lemma_2_8", grid=c_grid.to_dict(),
-                          tolerances={"tol": tol, "cell_slack": 2.0 * cell},
+                          tolerances={"tol": tol, "cell_slack": slack},
                           meta={"space": space.label, "set": a.label})
     inf_q, _ = nearest(partial(pairwise_q, space), pts, a.points)
     report.add_worst("infq_nonpositive", "lemma_2_8a", inf_q, pts, tol,
                      note="one-cell slack for the sampled set")
     dists, _ = nearest(partial(pairwise_norm, space), pts, a.points)
     report.add_worst("dist_bound", "lemma_2_8a",
-                     dists - (_SQRT2 * np.sqrt(np.maximum(0.0, -inf_q)) + 2.0 * cell), pts)
+                     dists - (_SQRT2 * np.sqrt(np.maximum(0.0, -inf_q)) + slack), pts)
     hq = h.values - space.q(h.grid.points())
     above = float(np.min(hq)) >= -tols.tol_p_membership()
     touch = p_set(h, space) if above else None
     covers = False
     if touch is not None and len(touch):
         near, _ = nearest(partial(pairwise_norm, space), a.points, touch.points)
-        covers = bool(np.max(near) <= 2.0 * cell)
+        covers = bool(np.max(near) <= slack)
     if above and covers:
         vz = is_vz(h, space, c_grid=c_grid)
         report.add("induced_vz", "lemma_2_8b", vz.passed,

@@ -277,16 +277,16 @@ def suite_lemma_2_7(opts: SuiteOptions):
     rng = np.random.default_rng(opts.seed)
     nodes = grid.points()
     picks = nodes[rng.integers(0, nodes.shape[0], size=n_points)]
-    cell = tols.cell_norm(sp, grid)
+    slack = tols.set_radius(sp, grid)
     rep = VerifyReport(grid=grid.to_dict(), seed=opts.seed,
-                       tolerances={"epsilon": opts.epsilon, "cell_slack": 2 * cell})
+                       tolerances={"epsilon": opts.epsilon, "cell_slack": slack})
     worst_cert = 0.0
     worst_dist = -np.inf
     for c in picks:
         trace = project_to_p(f, sp, c, opts.epsilon)
         check = recheck_trace(trace, f, sp)
         worst_cert = max(worst_cert, check.check("per_step_certificates").worst_residual)
-        excess = trace.achieved_distance - (trace.bound() + 2 * cell)
+        excess = trace.achieved_distance - (trace.bound() + slack)
         worst_dist = max(worst_dist, excess)
     rep.add("certificates_rechecked", "lemma_2_7a", worst_cert <= 1e-12,
             residual=worst_cert, note=f"{n_points} random starts")

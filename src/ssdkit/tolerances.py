@@ -49,23 +49,27 @@ def vz_tolerance(fn) -> float:
     return max(1e-8, VZ_LIP_FACTOR * lip * h)
 
 
+def half_slope_tol(lip: float, dual_grid) -> float:
+    """Half an observed slope times the largest dual-grid spacing: how far a
+    grid sup over `dual_grid` can fall short of the sup it samples."""
+    return max(ATOL_GRID, 0.5 * lip * float(np.max(dual_grid.spacing)))
+
+
 def cell_norm(space, grid) -> float:
     """Largest norm of a single-axis grid step."""
-    steps = np.diag(grid.spacing) if grid.dim > 1 else np.array([[grid.spacing[0]]])
-    return float(np.max(space.norm(steps)))
+    return float(np.max(space.norm(np.diag(grid.spacing))))
 
 
 def set_radius(space, grid) -> float:
     """Two grid cells in the space norm: the Hausdorff distance up to which
-    two sets sampled on the grid match (`positivity.sets_match`)."""
+    two sets sampled on the grid match (`positivity.sets_match`), the reach
+    of grid maximality and the slack of the sampled distance chains."""
     return 2.0 * cell_norm(space, grid)
 
 
 def one_cell_p_bound(space, grid) -> float:
     """Max of p over all one-cell offsets; the floor for grid-search certificates."""
-    h = grid.spacing
-    offsets = np.array([off for off in _neighbor_offsets(grid.dim)], dtype=float) * h
-    return float(np.max(space.p(offsets)))
+    return float(np.max(space.p(_one_cell_offsets(grid))))
 
 
 def one_cell_q_dip(space, grid) -> float:
@@ -74,9 +78,7 @@ def one_cell_q_dip(space, grid) -> float:
     Touching sets extracted at grid resolution are fattened by up to a cell,
     so their pairwise products can dip this far below zero.
     """
-    h = grid.spacing
-    offsets = np.array([off for off in _neighbor_offsets(grid.dim)], dtype=float) * h
-    return float(np.max(np.maximum(-space.q(offsets), 0.0)))
+    return float(np.max(np.maximum(-space.q(_one_cell_offsets(grid)), 0.0)))
 
 
 def touching_positivity_tol(space, grid) -> float:
@@ -85,7 +87,8 @@ def touching_positivity_tol(space, grid) -> float:
     return 4.0 * tol_p_membership() + 4.0 * one_cell_q_dip(space, grid)
 
 
-def _neighbor_offsets(dim):
-    grids = np.meshgrid(*([[-1, 0, 1]] * dim), indexing="ij")
-    all_off = np.stack([g.ravel() for g in grids], axis=1)
-    return all_off[np.any(all_off != 0, axis=1)]
+def _one_cell_offsets(grid):
+    """The 3^d - 1 nonzero offsets of at most one step along each axis."""
+    steps = np.meshgrid(*([[-1, 0, 1]] * grid.dim), indexing="ij")
+    off = np.stack([g.ravel() for g in steps], axis=1)
+    return off[np.any(off != 0, axis=1)].astype(float) * grid.spacing

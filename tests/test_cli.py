@@ -398,6 +398,29 @@ class TestConstructions:
         assert repr(bad[1]) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("at,line,err", [
+        (0, "dim,two", "expected dim line"),
+        (0, "dim,2,2", "expected dim line"),
+        (0, "dim,0", "expected dim line"),
+        (2, "axis,one,-1.0,1.0,3", "expected axis line 1"),
+        (2, "axis,1,lo,1.0,3", "expected axis line 1"),
+        (2, "axis,1,-1.0,1.0,three", "expected axis line 1"),
+        (3, "value", "expected values line"),
+        (7, "zero", "expected a value"),
+        (7, "0.0,1.0", "expected a value"),
+    ])
+    def test_unparsable_fn_csv_line_is_quoted(self, tmp_path, capsys, at, line, err):
+        # the same file with the good line back in converts
+        lines = ["dim,2", "axis,0,-2.0,2.0,3", "axis,1,-1.0,1.0,3", "values"] + ["1.0"] * 9
+        src = tmp_path / "fn.csv"
+        src.write_text("\n".join(lines) + "\n")
+        assert run(["conjugate", "--fn", src, "--out", tmp_path / "good"]) == 0
+        lines[at] = line
+        src.write_text("\n".join(lines) + "\n")
+        assert run(["conjugate", "--fn", src, "--out", tmp_path / "out"]) == 2
+        assert f"{err}, got {line!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestFlags:
     """Each subcommand takes only the flags its command reads."""

@@ -616,7 +616,8 @@ class TestSeparableKernel:
         dual = _random_target_grid(rng, 3, 6)
         full = conjugate(f, dual).values
         scattered, _ = gridfn.sup_linear_minus(f.grid.points(), f.values, dual.points())
-        monkeypatch.setattr(gridfn, "_BLOCK", 7)
+        monkeypatch.setattr(gridfn, "_SCORE_BLOCK", 0)
+        monkeypatch.setattr(gridfn, "_CANDIDATE_BLOCK", 0)
         assert np.array_equal(conjugate(f, dual).values, full)
         small, _ = gridfn.sup_linear_minus(f.grid.points(), f.values, dual.points())
         assert np.allclose(small, scattered, rtol=0.0, atol=1e-12)  # BLAS rounds by shape
@@ -800,8 +801,8 @@ def _tie_values(rng, shape):
     return vals
 
 
-# `_BLOCK` values whose candidate cap (`_BLOCK >> 6`) is 1, 3, 17 and the default
-BLOCKS = st.sampled_from([1, 64 * 3, 64 * 17, 1 << 23])
+# `_CANDIDATE_BLOCK` values: 0 (one entry a block), 3, 17 and the default
+BLOCKS = st.sampled_from([0, 3, 17, 1 << 17])
 
 
 class TestLoopFreeSeparable:
@@ -824,7 +825,7 @@ class TestLoopFreeSeparable:
             a = a + rng.normal(size=n)
             table += rng.normal(size=table.shape)
         ref_best, ref_arg = loop_sweep_axis(a, table, b)
-        with mock.patch.object(gridfn, "_BLOCK", block):
+        with mock.patch.object(gridfn, "_CANDIDATE_BLOCK", block):
             best, arg = gridfn._sweep_axis(a, table, b)
         assert np.array_equal(_bits(best), _bits(ref_best))
         assert np.array_equal(arg, ref_arg)
@@ -845,7 +846,7 @@ class TestLoopFreeSeparable:
         m = int(np.prod([b.size for b in tgt_axes]))
         args = rng.integers(0, size, size=m)
         ref_vals, ref_args = loop_rescore(src_axes, neg, tgt_axes, args)
-        with mock.patch.object(gridfn, "_BLOCK", block):
+        with mock.patch.object(gridfn, "_CANDIDATE_BLOCK", block):
             vals, got_args = gridfn._rescore(src_axes, neg, tgt_axes, args)
         assert np.array_equal(_bits(vals), _bits(ref_vals))
         assert np.array_equal(got_args, ref_args)
@@ -865,7 +866,7 @@ class TestLoopFreeSeparable:
         if rng.random() < 0.5:
             src_axes = [a + rng.normal(size=a.size) for a in src_axes]
             offsets = offsets + rng.normal(size=shape)
-        with mock.patch.object(gridfn, "_BLOCK", block):
+        with mock.patch.object(gridfn, "_CANDIDATE_BLOCK", block):
             vals, args = gridfn._sup_separable(src_axes, offsets, tgt_axes)
             with mock.patch.object(gridfn, "_sweep_axis", loop_sweep_axis), \
                     mock.patch.object(gridfn, "_rescore", loop_rescore):
@@ -1064,14 +1065,15 @@ class TestMinPlus:
 
     @pytest.mark.parametrize("same", [True, False])
     @given(seed=st.integers(min_value=0, max_value=10_000), dim=st.integers(1, 3),
-           block=st.sampled_from([64, 640, 1 << 23]))
+           blocks=st.sampled_from([(2, 1), (20, 10), (1 << 18, 1 << 17)]))
     @settings(max_examples=30, deadline=None)
-    def test_integer_data_exact(self, same, seed, dim, block):
+    def test_integer_data_exact(self, same, seed, dim, blocks):
         from ssdkit import gridfn
         rng = np.random.default_rng(seed)
         nodes, targets = _min_plus_blocks(rng, dim, integer=True, same=same)
         add = _min_plus_adds(rng, nodes.size, integer=True)
-        with mock.patch.object(gridfn, "_BLOCK", block):
+        with mock.patch.object(gridfn, "_SCORE_BLOCK", blocks[0]), \
+                mock.patch.object(gridfn, "_CANDIDATE_BLOCK", blocks[1]):
             vals, args = gridfn._min_plus(add, nodes, targets, _min_plus_k)
         ref_vals, ref_args = brute_force_min_plus(add, block_points([nodes]),
                                                   block_points([targets]), _min_plus_k)
@@ -1197,8 +1199,8 @@ class TestMinPlus:
             calls.append(c.shape[0])
             return pairwise(space, c, ys)
 
-        block = 1 << 23 if rows is None else (rows * y.size) << 5
-        with mock.patch.object(gridfn, "_BLOCK", block):
+        block = 1 << 18 if rows is None else rows * y.size
+        with mock.patch.object(gridfn, "_SCORE_BLOCK", block):
             vals, args = gridfn.nearest(kernel, x, y)
         assert calls == ([x.shape[0]] if rows is None else _walk(x.shape[0], rows))
         dense = pairwise(space, x, y)
@@ -1223,7 +1225,7 @@ class TestMinPlus:
             return pairwise_sq_dists(c, ys)
 
         x = np.random.default_rng(0).uniform(-3.0, 3.0, size=(15, 2))
-        with mock.patch.object(gridfn, "_BLOCK", (rows * 4 * 2) << 5):
+        with mock.patch.object(gridfn, "_SCORE_BLOCK", rows * 4 * 2):
             vals, args = gridfn.nearest(kernel, x, x[:4])
         assert calls == want
         assert np.array_equal(args[:4], np.arange(4))
@@ -1447,8 +1449,7 @@ def _scattered_sup_at(entries, sources, offsets, targets):
     """`sup_linear_minus` with a score block of `entries` entries."""
     from ssdkit import gridfn
 
-    with mock.patch.object(gridfn, "_BLOCK", entries << 5):
-        assert gridfn._score_cap() == entries
+    with mock.patch.object(gridfn, "_SCORE_BLOCK", entries):
         return gridfn.sup_linear_minus(sources, offsets, targets)
 
 
@@ -1521,8 +1522,8 @@ class TestScoreBlock:
     def test_block_sizes(self):
         from ssdkit import gridfn
 
-        assert gridfn._score_cap() == 1 << 18
-        assert gridfn._candidate_cap() == 1 << 17
+        assert gridfn._SCORE_BLOCK == 1 << 18
+        assert gridfn._CANDIDATE_BLOCK == 1 << 17
         # 2^18 // 961 = 272 rows a block
         assert self.block_rows(*_scattered_961x3721()) == [272] * 13 + [185]
         # 2^18 // 200,001 = 1 row, raised to the floor of 2
@@ -1634,7 +1635,7 @@ class TestBlockWalk:
         offsets[0] = 0.0
         targets = _dyadic_rows(rng, m, d)
         want = _scattered_sup_at(1 << 30, sources, offsets, targets)
-        with mock.patch.object(gridfn, "_BLOCK", (rows * np.isfinite(offsets).sum()) << 5):
+        with mock.patch.object(gridfn, "_SCORE_BLOCK", rows * np.isfinite(offsets).sum()):
             assert TestScoreBlock.block_rows(sources, offsets, targets) == _walk(m, rows)
             got = sup_linear_minus(sources, offsets, targets)
         assert np.array_equal(_bits(got[0]), _bits(want[0]))
@@ -1658,11 +1659,11 @@ class TestBlockWalk:
             calls.append(c.shape[0])
             return _pair_kernel(kernel)(c, ys)
 
-        with mock.patch.object(gridfn, "_BLOCK", 1 << 40):
+        with mock.patch.object(gridfn, "_SCORE_BLOCK", 1 << 35):
             want = gridfn.nearest(k, x, y)
         assert calls == [m]
         calls.clear()
-        with mock.patch.object(gridfn, "_BLOCK", (rows * y.size) << 5):
+        with mock.patch.object(gridfn, "_SCORE_BLOCK", rows * y.size):
             got = gridfn.nearest(k, x, y)
         assert calls == _walk(m, rows)
         assert np.array_equal(_bits(got[0]), _bits(want[0]))
@@ -1693,10 +1694,10 @@ class TestPairwiseBlockRounding:
         from ssdkit import gridfn
 
         space, x, y = _pairwise_case(n, kind)
-        with mock.patch.object(gridfn, "_BLOCK", 1 << 40):
+        with mock.patch.object(gridfn, "_SCORE_BLOCK", 1 << 35):
             want, arg = gridfn.nearest(partial(pairwise, space), x, y)
         for rows in (35, 40, 100):
-            with mock.patch.object(gridfn, "_BLOCK", (rows * y.size) << 5):
+            with mock.patch.object(gridfn, "_SCORE_BLOCK", rows * y.size):
                 got, got_arg = gridfn.nearest(partial(pairwise, space), x, y)
             assert np.array_equal(_bits(got), _bits(want)) and np.array_equal(got_arg, arg)
 

@@ -84,8 +84,8 @@ class TestQPositivity:
         pts = rng.integers(-2, 3, size=(int(rng.integers(2, 40)), space.dim)).astype(float)
         a = PointSet(pts)
         n = len(a)
-        block = 1 << 23 if rows is None else (rows * n * (space.dim + 1)) << 2
-        with mock.patch.object(gridfn, "_BLOCK", block):
+        block = 1 << 18 if rows is None else (rows * n * (space.dim + 1)) >> 3
+        with mock.patch.object(gridfn, "_SCORE_BLOCK", block):
             rep = is_q_positive(space, a)
         worst, (i, j) = triu_min_q(space, a.points)
         check = rep.check("pairwise_gap")

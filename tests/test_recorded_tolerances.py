@@ -10,6 +10,7 @@ from ssdkit import (
     dist_bounds_check,
     dual_norm_check,
     fitz_triple,
+    is_maximally_q_positive,
     is_vz,
     lemma_2_8_suite,
     lipschitz_checks,
@@ -22,6 +23,9 @@ from ssdkit import (
     type_ni_check,
 )
 from ssdkit import tolerances as tols
+from ssdkit.catalog import diagonal_set, half_sq_norm_fn, space_r2_product
+from ssdkit.grids import GridSpec
+from ssdkit.suites import SuiteOptions, run_suite
 
 
 def _sigma_tol(space, a, h):
@@ -87,3 +91,38 @@ class _Context:
 def test_report_records_its_deciding_tolerance(case, request):
     report, expected = CASES[case](_Context(request))
     assert report.tolerances["tol"] == expected
+
+
+# a square grid, and one whose axes have unequal spacings (0.1 and 0.15), so
+# that the two-cell radius takes its max over the axes
+SLACK_GRIDS = {
+    "square": GridSpec.box(-3.0, 3.0, 61, 2),
+    "unequal": GridSpec(np.array([-3.0, -3.0]), np.array([3.0, 3.0]), np.array([61, 41])),
+}
+
+
+def _recorded_slacks(space, dual, grid):
+    """Each two-cell slack that a report on `grid` records, by report."""
+    diag = diagonal_set(grid)
+    fn = half_sq_norm_fn(grid)
+    phi = fitz_triple(space, diag.underlying, grid).phi_fn
+    dist = dist_bounds_check(fn, space, grid)
+    lemma_2_7, = run_suite("lemma_2_7", SuiteOptions(grid=grid))
+    return {
+        "dist_tol": is_maximally_q_positive(space, diag.underlying, grid).tolerances["dist_tol"],
+        "dist_bounds_check": dist.tolerances["cell_slack"],
+        "ratio_floor": dist.meta["ratio_floor"],
+        "lemma_2_8": lemma_2_8_suite(space, diag.underlying, phi, grid).tolerances["cell_slack"],
+        "remark_5_6": remark_5_6_bound(diag, fn, space, grid).tolerances["cell_slack"],
+        "set_radius": strongly_representable_check(diag, phi, space, dual).tolerances["set_radius"],
+        "lemma_2_7": lemma_2_7.tolerances["cell_slack"],
+    }
+
+
+@pytest.mark.parametrize("grid", sorted(SLACK_GRIDS))
+def test_two_cell_slacks_are_the_set_radius(grid, prod_space, prod_dual):
+    probe = SLACK_GRIDS[grid]
+    radius = tols.set_radius(prod_space, probe)
+    assert tols.set_radius(space_r2_product("two"), probe) == radius  # lemma_2_7's space
+    recorded = _recorded_slacks(prod_space, prod_dual, probe)
+    assert recorded == dict.fromkeys(recorded, radius) | {"ratio_floor": 4.0 * radius ** 2}
