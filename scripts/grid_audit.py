@@ -13,9 +13,9 @@ and even.  Each box's report tree goes to OUT/<box>/, so
 Prints each box's exit code, then one line per refusing suite and per
 failing `suite:check_id` (with its count when several reports fail it), as
 `ssdkit report` summarises the box's tree in its summary.json.
-Exits 1 when any check fails on any box, else 0.  A refusal alone does not
-count: it names an unmet precondition.  A box can exit 2 and still hold
-FAILs in the suites that ran, so the FAIL lines, not the exit code, decide.
+Exits 1 when any check fails on any box, that is when any box's `verify`
+exits 1, else 0.  A refusal alone (a box that exits 2) does not count: it
+names an unmet precondition, and `verify` exits 2 only when no check failed.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def main(argv=None) -> int:
         print(f"{box}: exit {code}")
         for line in lines:
             print(f"  {line}")
-        failed |= any(line.startswith("fail ") for line in lines)
+        failed |= code == 1
     return int(failed)
 
 

@@ -88,15 +88,17 @@ def cmd_verify(args) -> int:
                         epsilon=args.epsilon)
     if args.set_file:
         opts.point_set = PointSet.from_csv(args.set_file, label=Path(args.set_file).stem)
-    all_ok, any_refused = True, False
+    failed = any_refused = False
     for name in names:
         try:
             reports, refused = run_suite(name, opts), None
         except SsdkitError as exc:
             reports, refused = [], str(exc)
-            any_refused = True
-        all_ok &= _write_suite_reports(args, name, reports, refused)
-    return 2 if any_refused else 0 if all_ok else 1
+        passed = _write_suite_reports(args, name, reports, refused)
+        any_refused |= refused is not None
+        failed |= refused is None and not passed
+    # a FAIL outranks a refusal, so exit 2 never hides one
+    return 1 if failed else 2 if any_refused else 0
 
 
 def cmd_report(args) -> int:

@@ -26,7 +26,7 @@ from .fitzpatrick import FitzTriple, dual_probe_blocks, phi, theta
 from .gridfn import (
     GridFn,
     Lattice,
-    _on_differences,
+    _OnDifferences,
     block_points,
     is_mas,
     is_vz,
@@ -215,7 +215,7 @@ def p_tilde_density(space: SsdSpace, dual: DualSsd, bstar, primal_grid: GridSpec
     b = np.asarray(bstar, dtype=float)
     probes = np.atleast_2d(b)
     nodes = primal_grid.points()
-    vals, args = nearest(_on_differences(dual.p_tilde), probes, nodes @ space.pairing.T)
+    vals, args = nearest(_OnDifferences(dual.p_tilde), probes, nodes @ space.pairing.T)
     wits = nodes[args]
     candidates = []
     if (space.norm.variant in PRODUCT_KINDS and space.norm.scale == 1.0

@@ -40,6 +40,9 @@ from . import tolerances as tols
 # core's L2 cache on the 2-core Xeon it was sized on.  gemm rounds t.x by the
 # block's shape, so a new size must leave every report bitwise unchanged.
 _SCORE_BLOCK = 1 << 18
+# Arrays of its difference block's size that an `_OnDifferences` kernel
+# builds at most: the differences, then k's squares, norms and products.
+_DIFFERENCE_ARRAYS = 8
 # Candidate block of `_sweep_axis`, `_rescore` and `_offset_scan`: smaller,
 # since each is one of several temporaries of its size.
 _CANDIDATE_BLOCK = 1 << 17
@@ -678,25 +681,34 @@ def _min_plus(add, nodes, targets, k):
         raise Improper("no finite values to take an infimum over")
     if _offset_table_fits(nodes, targets):
         return _offset_scan(add, nodes, k)
-    return _pair_scan(add, _rows(nodes), _rows(targets), _on_differences(k))
+    return _pair_scan(add, _rows(nodes), _rows(targets), _OnDifferences(k))
 
 
 def nearest(pairwise, x, y):
     """For each row x_i: min_j pairwise(x, y)[i, j] and its argmin j, ties
     to the lowest index.  `pairwise(x_block, y)` is the (rows, len(y))
-    matrix of a block of x rows, e.g. a `spaces.pairwise_*` kernel; the pair
-    scan evaluates it in bounded row chunks, never on all of x at once."""
+    matrix of a block of x rows: a gemm kernel such as `spaces.pairwise_*`,
+    or an `_OnDifferences` kernel.  The pair scan evaluates it in row blocks
+    of the size `_pair_scan` gives each kind, never on all of x at once."""
     x, y = _rows(x), _rows(y)
     return _pair_scan(np.zeros(y.shape[0]), y, x, pairwise)
 
 
-def _on_differences(k):
-    """The block kernel of a point kernel: k on the difference vectors
-    c_i - y_j of a block of c rows against all of y."""
-    def block(c, y):
-        diffs = c[:, None, :] - y[None, :, :]
-        return np.asarray(k(diffs.reshape(-1, c.shape[1])), dtype=float).reshape(-1, y.shape[0])
-    return block
+@dataclass(frozen=True)
+class _OnDifferences:
+    """The block kernel of a point kernel k: k on the difference vectors
+    c_i - y_j of a block of c rows against all of y.  k must be row-wise
+    and call no BLAS; `_pair_scan` gives it `_DIFFERENCE_ARRAYS` times fewer
+    rows a block than a gemm kernel."""
+
+    k: object
+
+    def __call__(self, c, y):
+        diffs = np.empty((c.shape[0], y.shape[0], c.shape[1]))
+        for i in range(c.shape[1]):  # a coordinate at a time, so numpy's inner loop runs over y
+            np.subtract(c[:, None, i], y[None, :, i], out=diffs[:, :, i])
+        return np.asarray(self.k(diffs.reshape(-1, c.shape[1])),
+                          dtype=float).reshape(-1, y.shape[0])
 
 
 def _offset_table_fits(a, b) -> bool:
@@ -750,17 +762,24 @@ def _pair_scan(add, y, c, k):
     """min_j [add_j + k(c, y)[i, j]] and its argmin j for each row c_i, with
     k a block kernel: k(c_block, y) is the (rows, len(y)) matrix of a block
     of c rows.  +inf adds drop their y rows first; ties go to the lowest
-    index.  The c rows go in `_row_blocks` of `_SCORE_BLOCK // (len(y) d)`
-    rows, at least 2, so a block of difference coordinates holds about
-    `_SCORE_BLOCK` entries."""
+    index.
+
+    The c rows go in `_row_blocks` of at least 2 rows.  A gemm kernel takes
+    `_SCORE_BLOCK // (len(y) d)` rows, the block its reports were verified
+    at: gemm rounds by the block's shape (ROADMAP, Known limits).  An
+    `_OnDifferences` kernel takes `_DIFFERENCE_ARRAYS` times fewer, so that
+    all the temporaries it builds, not just its difference coordinates, hold
+    about `_SCORE_BLOCK` entries; it is row-wise, so any block gives its bits."""
     t0 = time.perf_counter()
     back = np.flatnonzero(np.isfinite(add))
     y, a = y[back], add[back]
     m, n = c.shape[0], y.shape[0]
     vals = np.empty(m)
     args = np.empty(m, dtype=int)
-    chunk = max(2, _SCORE_BLOCK // (n * c.shape[1]))
-    for start, stop in _row_blocks(m, chunk):
+    rows = _SCORE_BLOCK // (n * c.shape[1])
+    if isinstance(k, _OnDifferences):
+        rows //= _DIFFERENCE_ARRAYS
+    for start, stop in _row_blocks(m, max(2, rows)):
         total = np.asarray(k(c[start:stop], y), dtype=float)
         total += a[None, :]
         j = np.argmin(total, axis=1)
@@ -927,7 +946,7 @@ def rockafellar_sum_identity(f: GridFn, h: GridFn, dual_grid: GridSpec,
     hstar = conjugate(h, _offset_grid(dual_grid))
     ys = dual_grid.points()
     # pair scan, not the offset table: h* at offset nodes moves the RHS by up to 9.1e-15
-    rhs, _ = _pair_scan(fstar.values, ys, ys, _on_differences(hstar.evaluate))
+    rhs, _ = _pair_scan(fstar.values, ys, ys, _OnDifferences(hstar.evaluate))
     if tol is None:
         lip = tols.observed_lipschitz(lhs.values_nd(), dual_grid.spacing)
         tol = tols.half_slope_tol(lip, dual_grid)

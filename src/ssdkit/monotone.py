@@ -17,14 +17,12 @@ import numpy as np
 from .duality import DualSsd, theorem_4_10_battery
 from .errors import DimensionMismatch, EmptySet, FBelowQ, PreconditionFailed
 from .fitzpatrick import FitzTriple
-from .gridfn import GridFn, is_mas, nearest
+from .gridfn import GridFn, _OnDifferences, is_mas, nearest
 from .grids import GridSpec
 from .positivity import PointSet, _hausdorff, is_q_positive, p_set, sets_match
 from .reports import VerifyReport
-from .spaces import SsdSpace, pairwise_q, pairwise_sq_dists
+from .spaces import SsdSpace, _SQRT2, pairwise_q, pairwise_sq_dists
 from . import tolerances as tols
-
-_SQRT2 = np.sqrt(2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,11 +266,6 @@ def alignment_report(a: MonotoneSet, x, xstar, alpha, beta) -> VerifyReport:
     return report
 
 
-def _halves(c, y, n):
-    """The x and x* halves of the differences c_i - y_j, each (rows, len(y), n)."""
-    return c[:, None, :n] - y[None, :, :n], c[:, None, n:] - y[None, :, n:]
-
-
 def remark_5_6_bound(a: MonotoneSet, f: GridFn, space: SsdSpace,
                      c_grid: GridSpec) -> VerifyReport:
     """Distance chain at every probe pair: Euclidean distance to the set is at
@@ -283,15 +276,14 @@ def remark_5_6_bound(a: MonotoneSet, f: GridFn, space: SsdSpace,
     pts = c_grid.points()
     n = a.n
 
-    def sq_dist(c, y):
-        dx, dxs = _halves(c, y, n)
-        return np.sum(dx**2, axis=2) + np.sum(dxs**2, axis=2)
+    def sq_dist(d):
+        return np.sum(d[:, :n]**2, axis=1) + np.sum(d[:, n:]**2, axis=1)
 
-    def product(c, y):
-        return np.einsum("mni,mni->mn", *_halves(c, y, n))
+    def product(d):
+        return np.einsum("ni,ni->n", d[:, :n], d[:, n:])
 
-    sq, _ = nearest(sq_dist, pts, a.points)
-    inner, _ = nearest(product, pts, a.points)
+    sq, _ = nearest(_OnDifferences(sq_dist), pts, a.points)
+    inner, _ = nearest(_OnDifferences(product), pts, a.points)
     dist = np.sqrt(sq)
     neg_inf = np.maximum(0.0, -inner)
     fq = f.evaluate(pts) - space.q(pts)

@@ -23,10 +23,8 @@ from .errors import (
 from .gridfn import GridFn, is_vz, min_values_plus_gauge, nearest
 from .grids import GridSpec
 from .reports import VerifyReport
-from .spaces import SsdSpace, _as_points, pairwise_norm, pairwise_p, pairwise_q
+from .spaces import SsdSpace, _SQRT2, _as_points, pairwise_norm, pairwise_p, pairwise_q
 from . import tolerances as tols
-
-_SQRT2 = np.sqrt(2.0)
 
 
 @dataclass(frozen=True, eq=False)

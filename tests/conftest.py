@@ -1,4 +1,8 @@
+import hashlib
 import itertools
+import tracemalloc
+from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -314,3 +318,67 @@ def take_along_sup_separable(src_axes, offsets_nd, tgt_axes):
     score = np.vecdot(t, x.reshape(-1, rows.size, dim)) + neg[flat]
     k = np.argmax(score, axis=0)
     return score[k, rows], flat[k, rows]
+
+
+# -- the pair scan's difference blocks ----------------------------------------------
+
+@dataclass
+class DifferenceScan:
+    """One `_pair_scan` call with an `_OnDifferences` kernel: its values and
+    argmins, the blocks its point kernel was called on, a digest of every
+    value the point kernel returned, in row order, and its tracemalloc peak
+    (what the scan allocated above what was live when it began)."""
+
+    vals: np.ndarray
+    args: np.ndarray
+    blocks: int
+    digest: str
+    peak: int
+
+
+def difference_scans(run, score_block=None):
+    """Call `run()` and return a `DifferenceScan` per difference-kernel pair
+    scan it made, with `gridfn._SCORE_BLOCK` patched to `score_block` if given."""
+    from ssdkit import gridfn
+
+    scan, scans = gridfn._pair_scan, []
+
+    def traced(add, y, c, k):
+        if not isinstance(k, gridfn._OnDifferences):
+            return scan(add, y, c, k)
+        blocks, digest = [], hashlib.sha256()
+
+        def point(d):
+            out = np.ascontiguousarray(k.k(d), dtype=float)
+            blocks.append(d.shape[0])
+            digest.update(memoryview(out))
+            return out
+
+        tracemalloc.start()
+        try:
+            vals, args = scan(add, y, c, gridfn._OnDifferences(point))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        scans.append(DifferenceScan(vals, args, len(blocks), digest.hexdigest(), peak))
+        return vals, args
+
+    block = gridfn._SCORE_BLOCK if score_block is None else score_block
+    with mock.patch.object(gridfn, "_pair_scan", traced), \
+            mock.patch.object(gridfn, "_SCORE_BLOCK", block):
+        run()
+    return scans
+
+
+def assert_scans_bitwise_one_block(run):
+    """The difference scans of `run()` walk several blocks and give bitwise
+    the kernel values, minima and argmins of one block (`_SCORE_BLOCK` =
+    2^30).  The kernel values catch what a min can hide: a BLAS call in the
+    point kernel that rounds a few entries by the block's row count."""
+    got, want = difference_scans(run), difference_scans(run, score_block=1 << 30)
+    assert [s.blocks for s in want] == [1] * len(got)
+    for g, w in zip(got, want):
+        assert g.blocks > 1
+        assert g.digest == w.digest
+        assert np.array_equal(g.vals.view(np.int64), w.vals.view(np.int64))
+        assert np.array_equal(g.args, w.args)

@@ -203,7 +203,8 @@ def three_suites(monkeypatch):
 class TestRefusal:
     def test_refused_suite_is_recorded_and_the_rest_run(self, tmp_path, three_suites,
                                                          capsys):
-        assert run(["verify", "--suite", "all", "--out", tmp_path]) == 2
+        # c_third FAILs, and a FAIL outranks b_refuses's refusal
+        assert run(["verify", "--suite", "all", "--out", tmp_path]) == 1
         out = capsys.readouterr().out.splitlines()
         assert "b_refuses: REFUSED (set is not grid-maximal)" in out
         assert out[-1].startswith("c_third: FAIL (1/1)")
@@ -222,7 +223,7 @@ class TestRefusal:
         assert summary["n_checks"] == 2 and summary["n_failed"] == 1
 
     def test_infinite_residual_is_one_cell_in_both_csv_files(self, tmp_path, three_suites):
-        assert run(["verify", "--suite", "all", "--format", "csv", "--out", tmp_path]) == 2
+        assert run(["verify", "--suite", "all", "--format", "csv", "--out", tmp_path]) == 1
         assert run(["report", "--out", tmp_path]) == 0
         with open(tmp_path / "c_third.csv", newline="") as fh:
             suite_rows = list(csv.reader(fh))
@@ -233,6 +234,15 @@ class TestRefusal:
         assert suite_rows[1] in summary_rows
         assert ["a_first", "one", "plumbing", "pass", "0.25"] in summary_rows
         assert (tmp_path / "b_refuses.csv").read_text().splitlines() == [",".join(suite_rows[0])]
+
+    def test_refusal_with_no_fail_exits_2(self, tmp_path, three_suites, monkeypatch, capsys):
+        from ssdkit import cli
+
+        monkeypatch.delitem(cli.SUITES, "c_third")
+        assert run(["verify", "--suite", "all", "--out", tmp_path]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == "b_refuses: REFUSED (set is not grid-maximal)"
+        assert json.loads((tmp_path / "a_first.json").read_text())["passed"] is True
 
     def test_non_dividing_grid_refuses_one_suite_and_the_rest_run(self, tmp_path, capsys):
         # 30 intervals per axis: remark_5_6 takes every 4th node, which does not divide

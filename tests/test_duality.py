@@ -21,6 +21,7 @@ from ssdkit import (
     vz_mas_equivalence,
 )
 from ssdkit.catalog import (
+    all_special_spaces,
     default_grid,
     half_sq_norm_fn,
     q_plus_const_fn,
@@ -33,7 +34,7 @@ from ssdkit.catalog import (
 from ssdkit.duality import density_report
 from ssdkit.gridfn import kernel_ledger
 
-from conftest import dense_sphere_scan
+from conftest import assert_scans_bitwise_one_block, dense_sphere_scan, difference_scans
 
 SQRT2 = np.sqrt(2.0)
 
@@ -299,6 +300,24 @@ class TestDensity:
             worst = int(np.argmax(vals))
             assert rep.checks[0].worst_residual == max(0.0, vals[worst])
             assert np.array_equal(rep.checks[0].witness, probes[worst])
+
+
+class TestDensityScanBlocks:
+    """`p_tilde_density`'s pair scan: 49 probes against the 3,721 image nodes
+    of a 61^2 grid, in blocks of 4 probe rows whose p-tilde temporaries
+    total about one score block; in 35-row blocks, the gemm kernels' rule,
+    the scan peaked at 8.1 MB."""
+
+    def test_scan_peaks_in_one_score_block(self, prod_space, prod_dual, grid61):
+        scans = difference_scans(lambda: density_report(prod_space, prod_dual, grid61))
+        assert len(scans) == 1
+        assert scans[0].peak <= 2.5 * 2 ** 20
+
+    @pytest.mark.parametrize("space", [*all_special_spaces(), space_identity(2)],
+                             ids=lambda sp: sp.label)
+    def test_blocks_give_the_one_block_bits(self, space, grid61):
+        dual = make_dual(space)
+        assert_scans_bitwise_one_block(lambda: density_report(space, dual, grid61))
 
 
 class TestLemma47:

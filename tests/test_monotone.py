@@ -28,6 +28,9 @@ from ssdkit.catalog import (
     sign_graph_set,
     singleton_origin,
 )
+from ssdkit.suites import SUITES, SuiteOptions
+
+from conftest import assert_scans_bitwise_one_block, difference_scans
 
 SQRT2 = np.sqrt(2.0)
 
@@ -333,8 +336,9 @@ class TestRemark56:
     def test_each_pair_scan_peaks_in_one_small_block(self, prod_space, worked_fn121, grid121,
                                                      diag121):
         # the suite's worked-example call: 3,721 probes against the 121-point
-        # diagonal, 2^18 // 242 = 1,083 probe rows a block; in one block of
-        # 2^21 coordinates a scan of this call peaked at 17.2 MB traced
+        # diagonal, 2^18 // (242 * 8) = 135 probe rows a block; in one block
+        # of 2^21 coordinates a scan of this call peaked at 17.2 MB traced,
+        # and in 1,083-row blocks at 5.1 MB
         from ssdkit import gridfn
 
         peaks = []
@@ -353,6 +357,16 @@ class TestRemark56:
             remark_5_6_bound(diag121, worked_fn121, prod_space, grid121.subsample(2))
         assert len(peaks) == 2
         assert max(peaks) <= 6 << 20
+
+    def test_suite_scans_peak_in_one_score_block(self):
+        # two scans per call: 3,721 probes against the 121-point diagonal in
+        # blocks of 135 rows, then 961 against the 99-point cubic graph in 165
+        scans = difference_scans(lambda: list(SUITES["remark_5_6"](SuiteOptions())))
+        assert len(scans) == 4
+        assert max(s.peak for s in scans) <= 2 << 20
+
+    def test_suite_scans_give_the_one_block_bits(self):
+        assert_scans_bitwise_one_block(lambda: list(SUITES["remark_5_6"](SuiteOptions())))
 
     def test_cubic_graph_chain(self, prod_space, prod_dual, grid61):
         cubic = cubic_graph_set(grid61)
