@@ -13,6 +13,8 @@ Usage: python3 scripts/grid_convergence.py [CSV_PATH]
 import sys
 from functools import partial
 
+# first, so that numpy loads OpenBLAS with one thread, as the CLI does
+import ssdkit  # noqa: F401
 import numpy as np
 
 from ssdkit import is_vz, make_dual, p_set

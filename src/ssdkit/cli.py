@@ -30,6 +30,15 @@ from .suites import SUITES, SuiteOptions, run_suite
 from . import __version__
 
 
+def _grid_arg(text):
+    """`GridSpec.from_string` for argparse, which prints the message of an
+    `ArgumentTypeError` but only "invalid from_string value" for a `ValueError`."""
+    try:
+        return GridSpec.from_string(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_point(text):
     return np.array([float(tok) for tok in text.split(",")], dtype=float)
 
@@ -221,7 +230,7 @@ SHARED_FLAGS = {
     "--space": {"dest": "space_file", "help": "space description (json)"},
     "--fn": {"dest": "fn_file", "help": "grid function (csv)"},
     "--set": {"dest": "set_file", "help": "point set (csv, one point per row)"},
-    "--grid": {"type": GridSpec.from_string, "help": "grid override: lo:hi:n[,lo:hi:n...]"},
+    "--grid": {"type": _grid_arg, "help": "grid override: lo:hi:n[,lo:hi:n...]"},
 }
 
 

@@ -7,6 +7,7 @@ the tolerances that scope the claim are recorded in every report.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -20,7 +21,7 @@ from .errors import (
     PreconditionFailed,
     StepInfeasible,
 )
-from .gridfn import GridFn, is_vz, min_values_plus_gauge, nearest
+from .gridfn import GridFn, _csv_fields, is_vz, min_values_plus_gauge, nearest
 from .grids import GridSpec
 from .reports import VerifyReport
 from .spaces import SsdSpace, _SQRT2, _as_points, pairwise_norm, pairwise_p, pairwise_q
@@ -61,8 +62,29 @@ class PointSet:
 
     @classmethod
     def from_csv(cls, path, label=""):
-        pts = np.loadtxt(path, delimiter=",", ndmin=2)
+        """One point per line, comma separated; `#` starts a comment.  A line
+        that is not as many numbers as the first raises a ValueError that
+        quotes it with its 1-based line number."""
+        with warnings.catch_warnings():
+            # numpy warns on a file with no data; the empty set raises EmptySet
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            try:
+                pts = np.loadtxt(path, delimiter=",", ndmin=2)
+            except ValueError:
+                _raise_at_bad_line(path)
+                raise
         return cls(pts, label=label)
+
+
+def _raise_at_bad_line(path):
+    """Quote the first line of a point file that `float` cannot read as
+    many numbers as its first line has."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [(no, text) for no, raw in enumerate(fh, 1)
+                 if (text := raw.partition("#")[0].strip())]
+    dim = lines[0][1].count(",") + 1 if lines else 0
+    for no, text in lines:
+        _csv_fields(text, f"{dim} numbers on line {no}", "", *[float] * dim)
 
 
 def _dedup(pts):

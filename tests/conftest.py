@@ -4,6 +4,8 @@ import tracemalloc
 from dataclasses import dataclass
 from unittest import mock
 
+# first, so that numpy loads OpenBLAS with one thread, as the CLI does
+import ssdkit  # noqa: F401
 import numpy as np
 import pytest
 

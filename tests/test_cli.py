@@ -12,6 +12,7 @@ from ssdkit.cli import main
 from ssdkit.catalog import default_grid, half_sq_norm_fn, space_r2_product
 from ssdkit.duality import density_report, save_space_document
 from ssdkit.gridfn import GridFn, kernel_ledger
+from ssdkit.positivity import PointSet
 from ssdkit.reports import FAIL, PASS, VerifyReport, write_json
 
 
@@ -45,6 +46,18 @@ class TestVerify:
     def test_bad_grid_string_is_config_error(self, tmp_path):
         assert run(["verify", "--suite", "helix", "--grid", "0..1..5",
                     "--out", tmp_path]) == 2
+
+    @pytest.mark.parametrize("grid,reason", [
+        ("-3:3:1,-3:3:1", "need at least 2 points per axis"),
+        ("3:-3:61,-3:3:61", "need lower < upper on every axis"),
+        ("-3:3,-3:3:61", "bad grid axis '-3:3', expected lo:hi:n"),
+        ("a:3:61,-3:3:61", "could not convert string to float: 'a'"),
+    ])
+    def test_bad_grid_says_why(self, tmp_path, capsys, grid, reason):
+        for command in ("verify", "conjugate", "fitzpatrick", "project"):
+            assert run([command, f"--grid={grid}", "--out", tmp_path / "out"]) == 2
+            assert f"argument --grid: {reason}\n" in capsys.readouterr().err, command
+            assert not (tmp_path / "out").exists()
 
     def test_malformed_space_json(self, tmp_path):
         bad = tmp_path / "space.json"
@@ -430,6 +443,31 @@ class TestConstructions:
         assert run(["conjugate", "--fn", src, "--out", tmp_path / "out"]) == 2
         assert f"{err}, got {line!r}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text,err", [
+        ("1,2\n3,4,5\n", "expected 2 numbers on line 2, got '3,4,5'"),
+        ("# label: x\n1,2\n\na,1\n", "expected 2 numbers on line 4, got 'a,1'"),
+        ("1,2\n3,4,\n", "expected 2 numbers on line 2, got '3,4,'"),
+        ("", "point set must be nonempty"),
+        ("# label: x\n", "point set must be nonempty"),
+    ])
+    @pytest.mark.filterwarnings("error")   # no numpy warning on the way
+    def test_bad_set_csv_says_why(self, tmp_path, capsys, text, err):
+        src = tmp_path / "set.csv"
+        src.write_text(text)
+        for argv in (["fitzpatrick"], ["align", "--point", "0", "--dual-point", "0"],
+                     ["verify", "--suite", "theorem_5_8"]):
+            assert run(argv + ["--set", src, "--out", tmp_path / "out"]) == 2
+            assert capsys.readouterr().err == f"error: {err}\n", argv
+            assert not (tmp_path / "out").exists()
+
+    def test_set_csv_roundtrip_is_bitwise(self, tmp_path):
+        rng = np.random.default_rng(0)
+        pts = PointSet(rng.standard_normal((50, 3)) * 10.0 ** rng.integers(-9, 9, (50, 1)),
+                       label="x")
+        pts.to_csv(tmp_path / "set.csv")
+        back = PointSet.from_csv(tmp_path / "set.csv")
+        assert back.points.tobytes() == pts.points.tobytes()
 
 
 class TestFlags:
