@@ -8,17 +8,10 @@ sets), `DualSsd` (inverse pairing + dual norm), and `VerifyReport`
 shipped verification batteries end to end.
 """
 
-import os
-import sys
-
-# One OpenBLAS thread, set before numpy loads it: every gemm here has K <= 4
-# columns in 2 MB blocks, too small to gain from a second thread.  On a 2-core
-# host that thread adds about 60 ms to `import numpy`, a gemm that has to wake
-# it was seen to stall for 8-16 ms (0.1-0.2 ms at one thread), and gemm bits
-# change with the thread count.  A user's OPENBLAS_NUM_THREADS wins, and a
-# process that loaded numpy first keeps its BLAS as it was.
-if "numpy" not in sys.modules:
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# First, before any import that loads numpy: `blas` pins OpenBLAS to one
+# thread at load when ssdkit loads numpy, and gives the gemm kernels a scope
+# that runs them on one thread however numpy was loaded (see its docstring).
+from . import blas  # noqa: F401
 
 from .errors import (
     BracketViolated,

@@ -10,7 +10,8 @@ lattice) and the pair scan (anything else).  `nearest`, the pair scan with
 no adds, is the min over a sampled set for the rest of the package.  The
 brute-force double loops they must match live in the tests as oracles.
 Minimizer/maximizer ties break to the lowest row-major index so witnesses
-are deterministic.  Each kernel call records itself in an open `kernel_ledger`.
+are deterministic.  Each kernel call records itself in an open `kernel_ledger`;
+`sup_linear_minus` and `_pair_scan` run OpenBLAS on one thread (`blas.one_thread`).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .blas import one_thread
 from .errors import (
     DimensionMismatch,
     GridMismatch,
@@ -308,6 +310,7 @@ def _record(kernel, sources, targets, t0):
         _ledger.append((kernel, sources, targets, time.perf_counter() - t0))
 
 
+@one_thread
 def sup_linear_minus(source_points, offsets, targets):
     """For each target t: max_i [t . source_i - offsets_i], with argmax.
 
@@ -758,6 +761,7 @@ def _offset_scan(add, lattice: Lattice, k):
     return vals, args
 
 
+@one_thread
 def _pair_scan(add, y, c, k):
     """min_j [add_j + k(c, y)[i, j]] and its argmin j for each row c_i, with
     k a block kernel: k(c_block, y) is the (rows, len(y)) matrix of a block
