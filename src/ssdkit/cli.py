@@ -10,7 +10,6 @@ suite's report file records the message, and the exit code is 2.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -24,7 +23,7 @@ from .gridfn import GridFn, conjugate, default_slope_grid
 from .grids import GridSpec, point_budget
 from .monotone import MonotoneSet, negative_alignment
 from .positivity import PointSet, project_to_p
-from .reports import residual_cell, write_json
+from .reports import residual_cell, write_csv, write_json
 from .spaces import SsdSpace
 from .suites import SUITES, SuiteOptions, run_suite
 from . import __version__
@@ -76,11 +75,7 @@ def _write_suite_reports(args, name: str, reports, refused: str | None = None) -
         doc["refused"] = refused
     write_json(args.out / f"{name}.json", doc)
     if args.fmt == "csv":
-        with open(args.out / f"{name}.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["suite", "check_id", "anchor", "status", "worst_residual"])
-            for rep in reports:
-                writer.writerows(rep.rows())
+        write_csv(args.out / f"{name}.csv", [row for rep in reports for row in rep.rows()])
     for rep in reports:
         print(rep.summary_line())
     if refused is not None:
@@ -145,12 +140,9 @@ def cmd_report(args) -> int:
                         "point_budget": point_budget()},
     }
     write_json(args.out / "summary.json", summary)
-    with open(args.out / "summary.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["suite", "check_id", "anchor", "status", "worst_residual"])
-        for r in rows:
-            writer.writerow([r["suite"], r["check_id"], r["anchor"], r["status"],
-                             residual_cell(r["worst_residual"])])
+    write_csv(args.out / "summary.csv",
+              [(r["suite"], r["check_id"], r["anchor"], r["status"],
+                residual_cell(r["worst_residual"])) for r in rows])
     print(f"{summary['n_checks']} checks aggregated from {len(files)} suites; "
           f"{summary['n_failed']} failed, {summary['n_skipped']} skipped")
     return 0

@@ -113,7 +113,7 @@ def strongly_representable_check(a: MonotoneSet, f: GridFn, space: SsdSpace,
                           tolerances={**mas.tolerances,
                                       "set_radius": tols.set_radius(space, f.grid)},
                           meta={"space": space.label, "fn": f.form})
-    report.extend(mas)
+    report.checks += mas.checks
     report.add("represents_the_set", "def_5_7", match, residual=dist,
                witness=None if match else far,
                note="set equality up to two grid cells; witness is the worst "

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,6 +32,15 @@ def write_json(path, doc) -> None:
     """Write `doc` as JSON indented by two, keys sorted, with a final newline:
     the one layout of every JSON file the toolkit writes."""
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def write_csv(path, rows) -> None:
+    """Write check rows (suite, check_id, anchor, status, worst_residual cell)
+    under their header: the one layout of every check CSV the toolkit writes."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["suite", "check_id", "anchor", "status", "worst_residual"])
+        writer.writerows(rows)
 
 
 def residual_cell(value) -> str:
@@ -100,12 +110,6 @@ class VerifyReport:
         worst = float(excess[i])
         return self.add(check_id, anchor, worst <= tol, residual=max(0.0, worst),
                         witness=witnesses[i], note=note)
-
-    def extend(self, other: "VerifyReport"):
-        for c in other.checks:
-            self.checks.append(CheckResult(c.check_id, c.anchor, c.status, c.worst_residual,
-                                           c.witness, c.note))
-        self.tolerances.update(other.tolerances)
 
     def check(self, check_id):
         for c in self.checks:

@@ -1,7 +1,9 @@
 """Named verification batteries: the catalog of runnable suites behind the
-command line.  Each suite builds its own spaces/functions from the built-in
-catalog, runs the relevant checks, and yields reports; `run_suite` stamps
-each with the suite's name, its wall time and the kernels it ran.  Nothing
+command line.  Each suite builds its functions from the built-in catalog over
+the module's shared spaces (`TWO`, `SWAP`, `SPECIAL`, `BANACH`), runs the
+relevant checks, and yields reports; `theorem_4_10` and `theorem_5_8` also
+take their space as a parameter, `TWO` by default.  `run_suite` stamps each
+report with the suite's name, its wall time and the kernels it ran.  Nothing
 here raises on a failed inequality (only on broken preconditions or inputs).
 """
 
@@ -83,6 +85,12 @@ from .reports import VerifyReport
 from .spaces import NormSpec, bilinear_rows, check_banach_ssd, lipschitz_checks
 
 SQRT2 = np.sqrt(2.0)
+# the suites' spaces; an SsdSpace is immutable after build, so suites share them
+TWO = space_r2_product("two")
+SWAP = space_swap_r3()
+SPECIAL = tuple(all_special_spaces())
+BANACH = (space_identity(2), space_negated(2), SWAP,
+          space_r2_product("one"), TWO, space_r2_product("inf"))
 
 
 @dataclass
@@ -105,77 +113,78 @@ def _tag(rep: VerifyReport, **meta) -> VerifyReport:
     return rep
 
 
+def _norm(sp) -> str:
+    return f"{sp.norm.variant},{sp.norm.tau:g}"
+
+
+def _expect_fail(bad: VerifyReport, check_id, anchor, note, **meta) -> VerifyReport:
+    """A negative control: one check that passes when `bad` fails, carrying
+    the residual and witness of `bad`'s first check."""
+    first = bad.checks[0]
+    rep = VerifyReport(tolerances=bad.tolerances, meta=meta)
+    rep.add(check_id, anchor, not bad.passed, residual=first.worst_residual,
+            witness=first.witness, note=note)
+    return rep
+
+
 # -- individual suites ---------------------------------------------------------------
 
 
 def suite_banach_ssd(opts: SuiteOptions):
     grid = _grid(opts)
-    spaces = [space_identity(2), space_negated(2), space_swap_r3(),
-              space_r2_product("one"), space_r2_product("two"), space_r2_product("inf")]
-    for sp in spaces:
+    for sp in BANACH:
         probe = default_grid(sp.dim, -3, 3, 61) if sp.norm.is_product else "analytic"
         yield _tag(check_banach_ssd(sp, probe=probe), space=sp.label)
         yield lipschitz_checks(sp, n_pairs=2000, seed=opts.seed)
     failing = space_r2_product("two", scale=0.5)
-    bad = check_banach_ssd(failing, probe=default_grid(2, -3, 3, 61))
-    flip = VerifyReport(tolerances=bad.tolerances, meta={"space": failing.label})
-    flip.add("halved_norm_fails", "eq_2_1_1", not bad.passed,
-             residual=bad.checks[0].worst_residual, witness=bad.checks[0].witness,
-             note="negative gauge expected for the halved norm")
-    yield flip
+    yield _expect_fail(check_banach_ssd(failing, probe=default_grid(2, -3, 3, 61)),
+                       "halved_norm_fails", "eq_2_1_1",
+                       "negative gauge expected for the halved norm", space=failing.label)
     comp = VerifyReport(tolerances={"tol": 1e-10})
-    sp = space_r2_product("two")
-    gap = conjugate_composition_gap(half_sq_norm_fn(grid), sp, grid)
+    gap = conjugate_composition_gap(half_sq_norm_fn(grid), TWO, grid)
     comp.add("conjugate_composition", "eq_2_1_6", gap <= 1e-10, residual=gap,
              note="pairing-conjugate vs dot-conjugate through the dual map")
     yield comp
 
 
 def suite_helix(opts: SuiteOptions):
-    sp = space_swap_r3()
-    yield is_q_positive(sp, helix_set(pitch=1.0))
+    yield is_q_positive(SWAP, helix_set(pitch=1.0))
     if opts.lam is not None:
         # an explicitly requested pitch is checked verbatim (and a flattened
         # helix is expected to fail, driving the exit code)
-        yield _tag(is_q_positive(sp, helix_set(pitch=opts.lam)), pitch=opts.lam)
-    bad = is_q_positive(sp, helix_set(pitch=0.5))
-    flip = VerifyReport(tolerances=bad.tolerances,
-                        meta={"pitch": 0.5,
-                              "min_pairwise_q": bad.meta["min_pairwise_q"]})
-    flip.add("flattened_helix_fails", "ex_1_3c", not bad.passed,
-             residual=bad.checks[0].worst_residual, witness=bad.checks[0].witness,
-             note="pitch 0.5 must break positivity")
-    yield flip
-    yield is_q_positive(sp, ray_set())
-    yield is_q_positive(sp, PointSet([[1.0, 0.0, 0.0]], label="singleton"))
+        yield _tag(is_q_positive(SWAP, helix_set(pitch=opts.lam)), pitch=opts.lam)
+    bad = is_q_positive(SWAP, helix_set(pitch=0.5))
+    yield _expect_fail(bad, "flattened_helix_fails", "ex_1_3c", "pitch 0.5 must break positivity",
+                       pitch=0.5, min_pairwise_q=bad.meta["min_pairwise_q"])
+    yield is_q_positive(SWAP, ray_set())
+    yield is_q_positive(SWAP, PointSet([[1.0, 0.0, 0.0]], label="singleton"))
 
 
 def suite_remark_2_17(opts: SuiteOptions):
-    sp = space_r2_product("two", tau=1.0)
     grid = _grid(opts, n=121)
     f = half_sq_norm_fn(grid)
     pts = grid.points()
     rep = VerifyReport(grid=grid.to_dict(),
                        tolerances={"closed_form": tols.ATOL_CLOSED},
-                       meta={"space": sp.label})
-    gap = f.values - sp.q(pts)
+                       meta={"space": TWO.label})
+    gap = f.values - TWO.q(pts)
     expected = 0.5 * (pts[:, 0] - pts[:, 1]) ** 2
     r = float(np.max(np.abs(gap - expected)))
     rep.add("gap_closed_form", "remark_2_17", r <= tols.ATOL_CLOSED, residual=r)
     p_expected = 0.5 * (pts[:, 0] + pts[:, 1]) ** 2
-    rp = float(np.max(np.abs(sp.p(pts) - p_expected)))
+    rp = float(np.max(np.abs(TWO.p(pts) - p_expected)))
     rep.add("gauge_closed_form", "remark_2_17", rp <= tols.ATOL_CLOSED, residual=rp)
-    vz = is_vz(f, sp)
+    vz = is_vz(f, TWO)
     rep.add("worked_example_vz", "remark_2_17", vz.passed,
             residual=vz.check("zero_infconv").worst_residual)
-    touching = p_set(f, sp)
+    touching = p_set(f, TWO)
     on_diag = len(touching) == int(grid.num[0]) and float(
         np.max(np.abs(touching.points[:, 0] - touching.points[:, 1]))) < 1e-12
     rep.add("touching_set_is_diagonal", "remark_2_17", on_diag,
             residual=0.0 if on_diag else 1.0)
     yield _tag(rep, vz_tol=vz.tolerances["tol"])
     probe = grid.subsample(2)
-    db = dist_bounds_check(f, sp, probe)
+    db = dist_bounds_check(f, TWO, probe)
     yield db
     sharp = VerifyReport(grid=probe.to_dict(), tolerances={"window": 0.01})
     ratio = db.meta.get("max_ratio", float("nan"))
@@ -188,12 +197,11 @@ def suite_remark_2_17(opts: SuiteOptions):
 def suite_lemma_1_6(opts: SuiteOptions):
     grid = _grid(opts)
     rng = np.random.default_rng(opts.seed)
-    sp = space_r2_product("two")
-    fns = vz_catalog(sp, grid)  # its diagonal lies on the grid's nodes
+    fns = vz_catalog(TWO, grid)  # its diagonal lies on the grid's nodes
     cases = [
-        (sp, fns["worked_example"], "worked example"),
+        (TWO, fns["worked_example"], "worked example"),
         (space_identity(2), q_plus_const_fn(space_identity(2), grid), "shifted form"),
-        (sp, fns["phi_diagonal"], "diagonal representer"),
+        (TWO, fns["phi_diagonal"], "diagonal representer"),
     ]
     for space, f, label in cases:
         pts = f.grid.points()
@@ -214,12 +222,12 @@ def suite_lemma_1_6(opts: SuiteOptions):
                 residual=max(0.0, worst2))
         yield rep
     f = fns["worked_example"]
-    touching = p_set(f, sp)
-    fat = intrinsic_conjugate(f, sp)
+    touching = p_set(f, TWO)
+    fat = intrinsic_conjugate(f, TWO)
     sample = touching.points[:: max(1, len(touching) // 50)]
-    sup, _ = sup_over_blocks([(Lattice(f.grid, sp.pairing), f.values)], [sample])
-    worst_pair = float(np.max(sup - sp.q(sample), initial=0.0))
-    worst_conj = float(np.max(np.abs(fat.values[f.grid.nearest_index(sample)] - sp.q(sample)),
+    sup, _ = sup_over_blocks([(Lattice(f.grid, TWO.pairing), f.values)], [sample])
+    worst_pair = float(np.max(sup - TWO.q(sample), initial=0.0))
+    worst_conj = float(np.max(np.abs(fat.values[f.grid.nearest_index(sample)] - TWO.q(sample)),
                               initial=0.0))
     rep = VerifyReport(tolerances={"tol": 1e-6})
     rep.add("touching_affine_bound", "lemma_1_11a", worst_pair <= 1e-6,
@@ -230,22 +238,21 @@ def suite_lemma_1_6(opts: SuiteOptions):
 
 
 def suite_lemma_2_13(opts: SuiteOptions):
-    sp = space_r2_product("two")
     grid = _grid(opts)
     if opts.point_set is not None:
-        space = sp if opts.point_set.dim == 2 else space_swap_r3()
+        space = TWO if opts.point_set.dim == 2 else SWAP
         if opts.point_set.dim not in (2, 3):
             raise SsdkitError("built-in spaces cover dimensions 2 and 3 only")
         own_grid = _grid(opts, dim=opts.point_set.dim, n=61 if opts.point_set.dim == 2 else 17)
         rep = lemma_2_13_suite(fitz_triple(space, opts.point_set, own_grid))
         yield _tag(rep, set=opts.point_set.label or "user set")
         return
-    yield _tag(lemma_2_13_suite(fitz_triple(sp, diagonal_set(grid).underlying, grid)),
+    yield _tag(lemma_2_13_suite(fitz_triple(TWO, diagonal_set(grid).underlying, grid)),
                set="diagonal")
-    yield _tag(lemma_2_13_suite(fitz_triple(sp, singleton_origin(2), grid)),
+    yield _tag(lemma_2_13_suite(fitz_triple(TWO, singleton_origin(2), grid)),
                set="origin singleton")
     grid3 = _grid(opts, dim=3, n=17)
-    yield _tag(lemma_2_13_suite(fitz_triple(space_swap_r3(), helix_set(n=61, span=3.0), grid3)),
+    yield _tag(lemma_2_13_suite(fitz_triple(SWAP, helix_set(n=61, span=3.0), grid3)),
                set="helix sample")
     two_points = PointSet([[-1.0, -1.0], [1.0, 1.0]], label="two points")
     gap, witness = remark_2_14_gap(fitz_triple(space_zero_pairing(2), two_points, grid))
@@ -257,34 +264,32 @@ def suite_lemma_2_13(opts: SuiteOptions):
 
 
 def suite_theorem_2_9(opts: SuiteOptions):
-    sp = space_r2_product("two")
     grid = _grid(opts, n=121)
     f = half_sq_norm_fn(grid)
-    yield dist_bounds_check(f, sp, grid.subsample(2))
+    yield dist_bounds_check(f, TWO, grid.subsample(2))
     c_grid = grid.subsample(2)
     diag = diagonal_set(c_grid)
-    triple = fitz_triple(sp, diag.underlying, c_grid)
+    triple = fitz_triple(TWO, diag.underlying, c_grid)
     for fn, label in ((triple.phi_fn, "primal representer"),
                       (triple.star_theta_fn, "conjugate-back representer")):
-        yield _tag(lemma_2_8_suite(sp, diag.underlying, fn, c_grid), fn=label)
+        yield _tag(lemma_2_8_suite(TWO, diag.underlying, fn, c_grid), fn=label)
 
 
 def suite_lemma_2_7(opts: SuiteOptions):
     n_points = 50
-    sp = space_r2_product("two")
     grid = _grid(opts, n=121)
     f = half_sq_norm_fn(grid)
     rng = np.random.default_rng(opts.seed)
     nodes = grid.points()
     picks = nodes[rng.integers(0, nodes.shape[0], size=n_points)]
-    slack = tols.set_radius(sp, grid)
+    slack = tols.set_radius(TWO, grid)
     rep = VerifyReport(grid=grid.to_dict(), seed=opts.seed,
                        tolerances={"epsilon": opts.epsilon, "cell_slack": slack})
     worst_cert = 0.0
     worst_dist = -np.inf
     for c in picks:
-        trace = project_to_p(f, sp, c, opts.epsilon)
-        check = recheck_trace(trace, f, sp)
+        trace = project_to_p(f, TWO, c, opts.epsilon)
+        check = recheck_trace(trace, f, TWO)
         worst_cert = max(worst_cert, check.check("per_step_certificates").worst_residual)
         excess = trace.achieved_distance - (trace.bound() + slack)
         worst_dist = max(worst_dist, excess)
@@ -296,29 +301,27 @@ def suite_lemma_2_7(opts: SuiteOptions):
 
 
 def suite_theorem_2_15(opts: SuiteOptions):
-    sp = space_r2_product("two")
     grid = _grid(opts)
     f = half_sq_norm_fn(grid)
-    triple = fitz_triple(sp, diagonal_set(grid).underlying, grid)
+    triple = fitz_triple(TWO, diagonal_set(grid).underlying, grid)
     phi_fn, star_fn = triple.phi_fn, triple.star_theta_fn
     candidates = {"primal representer": phi_fn, "conjugate-back": star_fn,
                   "midpoint": GridFn._raw(grid, 0.5 * (phi_fn.values + star_fn.values),
                                           form="midpoint")}
-    for label, rep in zip(candidates, theorem_2_15_reports(sp, f, candidates.values())):
+    for label, rep in zip(candidates, theorem_2_15_reports(TWO, f, candidates.values())):
         yield _tag(rep, candidate=label)
 
 
 def suite_example_2_4(opts: SuiteOptions):
-    for sp in all_special_spaces():
-        rep = dual_norm_check(sp, make_dual(sp), n_samples=100, seed=opts.seed)
-        yield _tag(rep, norm=f"{sp.norm.variant},{sp.norm.tau:g}")
-    rep = VerifyReport(tolerances={"tol": 1e-12})
     ok = True
-    for sp in all_special_spaces():
+    for sp in SPECIAL:
+        rep = dual_norm_check(sp, make_dual(sp), n_samples=100, seed=opts.seed)
+        yield _tag(rep, norm=_norm(sp))
         back = sp.norm.dual().dual()
         ok &= (back.variant == sp.norm.variant
                and abs(back.tau - sp.norm.tau) < 1e-12
                and abs(back.scale - sp.norm.scale) < 1e-12)
+    rep = VerifyReport(tolerances={"tol": 1e-12})
     rep.add("duality_involution", "ex_2_4", ok, residual=0.0 if ok else 1.0)
     rng = np.random.default_rng(opts.seed)
     pts = rng.normal(size=(500, 4))
@@ -347,21 +350,19 @@ def suite_example_4_4(opts: SuiteOptions):
                 residual=abs(exc.value + 0.75), witness=w,
                 note=f"negative dual gauge {exc.value!r} at the witness")
     yield rep
-    for sp in all_special_spaces():
-        yield _tag(density_report(sp, make_dual(sp), grid),
-                   norm=f"{sp.norm.variant},{sp.norm.tau:g}")
+    for sp in SPECIAL:
+        yield _tag(density_report(sp, make_dual(sp), grid), norm=_norm(sp))
 
 
 def suite_lemma_4_7(opts: SuiteOptions):
-    sp = space_r2_product("two")
-    dual = make_dual(sp)
+    dual = make_dual(TWO)
     grid = _grid(opts, n=121)
     c_grid = grid.subsample(2)
     tol = 5e-3  # the zero-sum tolerance, recorded in each report
     f = half_sq_norm_fn(grid)
-    yield _tag(lemma_4_7_identity(sp, dual, f, c_grid, tol=tol), fn="worked example")
-    phi_fn = fitz_triple(sp, diagonal_set(c_grid).underlying, grid).phi_fn
-    yield _tag(lemma_4_7_identity(sp, dual, phi_fn, c_grid, tol=tol),
+    yield _tag(lemma_4_7_identity(TWO, dual, f, c_grid, tol=tol), fn="worked example")
+    phi_fn = fitz_triple(TWO, diagonal_set(c_grid).underlying, grid).phi_fn
+    yield _tag(lemma_4_7_identity(TWO, dual, phi_fn, c_grid, tol=tol),
                fn="diagonal representer")
     ident = space_identity(2)
     rep = lemma_4_7_identity(ident, make_dual(ident), q_plus_const_fn(ident, grid),
@@ -372,13 +373,13 @@ def suite_lemma_4_7(opts: SuiteOptions):
 def suite_theorem_4_9(opts: SuiteOptions):
     grid = _grid(opts)
     verdict_table = {}
-    for sp in all_special_spaces():
+    for sp in SPECIAL:
         dual = make_dual(sp)
         dens = density_report(sp, dual, grid)
         for name, fn in vz_catalog(sp, grid).items():
             rep = vz_mas_equivalence(sp, dual, fn, dens)
             verdict_table.setdefault(name, set()).add(rep.meta["vz"])
-            yield _tag(rep, norm=f"{sp.norm.variant},{sp.norm.tau:g}", fn=name)
+            yield _tag(rep, norm=_norm(sp), fn=name)
     cross = VerifyReport(grid=grid.to_dict(),
                          meta={"norms": "3 kinds x tau in {0.5, 1, 2}"})
     stable = all(len(v) == 1 for v in verdict_table.values())
@@ -393,8 +394,7 @@ def suite_theorem_4_9(opts: SuiteOptions):
     yield cross
 
 
-def suite_theorem_4_10(opts: SuiteOptions):
-    sp = space_r2_product("two")
+def suite_theorem_4_10(opts: SuiteOptions, sp=TWO):
     dual = make_dual(sp)
     grid = _grid(opts)
     yield theorem_4_10_battery(dual, fitz_triple(sp, diagonal_set(grid).underlying, grid),
@@ -422,15 +422,13 @@ def suite_theorem_5_5(opts: SuiteOptions):
     rep.add("omega_unique_across_restarts", "thm_5_5b", spread <= 1e-6,
             residual=spread, note="10 reorderings of the sample")
     yield rep
-    sp = space_r2_product("two")
     grid = _grid(opts)
-    yield _tag(projection_closure_check(half_sq_norm_fn(grid), sp), fn="worked example")
-    phi_sign = fitz_triple(sp, sign_graph_set(grid).underlying, grid).phi_fn
-    yield _tag(projection_closure_check(phi_sign, sp), fn="sign-graph representer")
+    yield _tag(projection_closure_check(half_sq_norm_fn(grid), TWO), fn="worked example")
+    phi_sign = fitz_triple(TWO, sign_graph_set(grid).underlying, grid).phi_fn
+    yield _tag(projection_closure_check(phi_sign, TWO), fn="sign-graph representer")
 
 
-def suite_theorem_5_8(opts: SuiteOptions):
-    sp = space_r2_product("two")
+def suite_theorem_5_8(opts: SuiteOptions, sp=TWO):
     dual = make_dual(sp)
     grid = _grid(opts)
     user = opts.point_set
@@ -448,14 +446,13 @@ def suite_theorem_5_8(opts: SuiteOptions):
 
 
 def suite_remark_5_6(opts: SuiteOptions):
-    sp = space_r2_product("two")
     grid = _grid(opts, n=121)
     c_grid = grid.subsample(2)
-    yield _tag(remark_5_6_bound(diagonal_set(c_grid), half_sq_norm_fn(grid), sp, c_grid),
+    yield _tag(remark_5_6_bound(diagonal_set(c_grid), half_sq_norm_fn(grid), TWO, c_grid),
                fn="worked example")
     cubic = cubic_graph_set(c_grid)
-    phi_fn = fitz_triple(sp, cubic.underlying, c_grid).phi_fn
-    yield _tag(remark_5_6_bound(cubic, phi_fn, sp, grid.subsample(4)),
+    phi_fn = fitz_triple(TWO, cubic.underlying, c_grid).phi_fn
+    yield _tag(remark_5_6_bound(cubic, phi_fn, TWO, grid.subsample(4)),
                fn="cubic-graph representer")
 
 
@@ -527,13 +524,12 @@ def suite_fenchel_moreau(opts: SuiteOptions):
 
 
 def suite_theorem_2_16(opts: SuiteOptions):
-    sp = space_r2_product("two")
     grid = _grid(opts)
-    triple = fitz_triple(sp, diagonal_set(grid).underlying, grid)
+    triple = fitz_triple(TWO, diagonal_set(grid).underlying, grid)
     yield _tag(sigma_minorant_test(triple, triple.phi_fn), candidate="primal representer")
     a0 = np.array([1.0, 1.0])
     affine = GridFn.from_callable(
-        grid, lambda p: np.atleast_2d(p) @ sp.pairing @ a0 - sp.q(a0),
+        grid, lambda p: np.atleast_2d(p) @ TWO.pairing @ a0 - TWO.q(a0),
         form="affine tangent")
     yield _tag(sigma_minorant_test(triple, affine), candidate="affine tangent")
 
