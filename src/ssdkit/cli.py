@@ -4,7 +4,9 @@ constructions, writing machine-readable reports.
 Exit codes: 0 when every non-skipped check passes, 1 when a check fails,
 2 on configuration, input, or precondition errors.  `verify` runs every
 requested suite even when one refuses (a precondition fails): the refused
-suite's report file records the message, and the exit code is 2.
+suite's report file records the message.  A failed check outranks a
+refusal: `verify` exits 1 when any check fails, and 2 only when suites
+refused and no check failed.
 """
 
 from __future__ import annotations

@@ -26,7 +26,6 @@ from .fitzpatrick import FitzTriple, dual_probe_blocks, phi, theta
 from .gridfn import (
     GridFn,
     Lattice,
-    _OnDifferences,
     block_points,
     is_mas,
     is_vz,
@@ -37,6 +36,7 @@ from .gridfn import (
     zero_infconv_residuals,
 )
 from .grids import GridSpec, image_box
+from .kernels import _OnDifferences
 from .positivity import is_maximally_q_positive, p_set, sets_match
 from .reports import PASS, VerifyReport, write_json
 from .spaces import (

@@ -36,13 +36,18 @@ from . import tolerances as tols
 DUAL_INFLATION = 1.5
 
 
-def theta(space: SsdSpace, a: PointSet, bstar) -> float | np.ndarray:
-    """Support-type function on the dual: max over the set of <a, b*> - q(a)."""
+def _set_max(a: PointSet, sources, offsets, at) -> float | np.ndarray:
+    """max_i [x . sources_i - offsets_i] at each point x of `at`: a float for
+    one point, an array for rows.  EmptySet when the set `a` is empty."""
     if len(a) == 0:
         raise EmptySet("representer needs a nonempty set")
-    pts = np.atleast_2d(np.asarray(bstar, dtype=float))
-    vals, _ = sup_linear_minus(a.points, space.q(a.points), pts)
-    return float(vals[0]) if np.asarray(bstar).ndim == 1 else vals
+    vals, _ = sup_linear_minus(sources, offsets, np.atleast_2d(np.asarray(at, dtype=float)))
+    return float(vals[0]) if np.asarray(at).ndim == 1 else vals
+
+
+def theta(space: SsdSpace, a: PointSet, bstar) -> float | np.ndarray:
+    """Support-type function on the dual: max over the set of <a, b*> - q(a)."""
+    return _set_max(a, a.points, space.q(a.points), bstar)
 
 
 def phi(space: SsdSpace, a: PointSet, b) -> float | np.ndarray:
@@ -51,11 +56,7 @@ def phi(space: SsdSpace, a: PointSet, b) -> float | np.ndarray:
     Computed as max[pair(a, b) - q(a)]; `lemma_2_13_suite` checks it
     against the second formula q(b) - inf q(b - a).
     """
-    if len(a) == 0:
-        raise EmptySet("representer needs a nonempty set")
-    pts = np.atleast_2d(np.asarray(b, dtype=float))
-    vals, _ = sup_linear_minus(a.points @ space.pairing, space.q(a.points), pts)
-    return float(vals[0]) if np.asarray(b).ndim == 1 else vals
+    return _set_max(a, a.points @ space.pairing, space.q(a.points), b)
 
 
 def dual_probe_blocks(space: SsdSpace, grid: GridSpec) -> list:
@@ -69,13 +70,8 @@ def dual_probe_blocks(space: SsdSpace, grid: GridSpec) -> list:
 def star_theta(space: SsdSpace, a: PointSet, probes, c) -> float | np.ndarray:
     """Conjugate of the dual-side representer back on the primal side,
     sup taken over the supplied dual probe points (an under-approximation)."""
-    if len(a) == 0:
-        raise EmptySet("representer needs a nonempty set")
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    theta_vals = theta(space, a, probes)
-    pts = np.atleast_2d(np.asarray(c, dtype=float))
-    vals, _ = sup_linear_minus(probes, theta_vals, pts)
-    return float(vals[0]) if np.asarray(c).ndim == 1 else vals
+    return _set_max(a, probes, theta(space, a, probes), c)
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,8 +17,9 @@ import numpy as np
 from .duality import DualSsd, theorem_4_10_battery
 from .errors import DimensionMismatch, EmptySet, FBelowQ, PreconditionFailed
 from .fitzpatrick import FitzTriple
-from .gridfn import GridFn, _OnDifferences, is_mas, nearest
+from .gridfn import GridFn, is_mas, nearest
 from .grids import GridSpec
+from .kernels import _OnDifferences
 from .positivity import PointSet, _hausdorff, is_q_positive, p_set, sets_match
 from .reports import VerifyReport
 from .spaces import SsdSpace, _SQRT2, pairwise_q, pairwise_sq_dists

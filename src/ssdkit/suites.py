@@ -57,11 +57,11 @@ from .gridfn import (
     conjugate_composition_gap,
     intrinsic_conjugate,
     is_vz,
-    kernel_ledger,
     lsc_biconjugate_envelope,
     sup_over_blocks,
 )
 from .grids import GridSpec
+from .kernels import kernel_ledger
 from .monotone import (
     MonotoneSet,
     alignment_report,
@@ -82,9 +82,8 @@ from .positivity import (
     recheck_trace,
 )
 from .reports import VerifyReport
-from .spaces import NormSpec, bilinear_rows, check_banach_ssd, lipschitz_checks
+from .spaces import NormSpec, _SQRT2, bilinear_rows, check_banach_ssd, lipschitz_checks
 
-SQRT2 = np.sqrt(2.0)
 # the suites' spaces; an SsdSpace is immutable after build, so suites share them
 TWO = space_r2_product("two")
 SWAP = space_swap_r3()
@@ -188,8 +187,8 @@ def suite_remark_2_17(opts: SuiteOptions):
     yield db
     sharp = VerifyReport(grid=probe.to_dict(), tolerances={"window": 0.01})
     ratio = db.meta.get("max_ratio", float("nan"))
-    ok = SQRT2 - 0.01 <= ratio <= SQRT2 + 1e-9
-    sharp.add("sharpness_ratio", "eq_2_7_1", ok, residual=abs(ratio - SQRT2),
+    ok = _SQRT2 - 0.01 <= ratio <= _SQRT2 + 1e-9
+    sharp.add("sharpness_ratio", "eq_2_7_1", ok, residual=abs(ratio - _SQRT2),
               note=f"max distance ratio {ratio:.12f} vs sqrt(2)")
     yield sharp
 

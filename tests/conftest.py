@@ -340,13 +340,14 @@ class DifferenceScan:
 
 def difference_scans(run, score_block=None):
     """Call `run()` and return a `DifferenceScan` per difference-kernel pair
-    scan it made, with `gridfn._SCORE_BLOCK` patched to `score_block` if given."""
-    from ssdkit import gridfn
+    scan that `gridfn.nearest` made in it, with `kernels._SCORE_BLOCK` patched
+    to `score_block` if given."""
+    from ssdkit import gridfn, kernels
 
     scan, scans = gridfn._pair_scan, []
 
     def traced(add, y, c, k):
-        if not isinstance(k, gridfn._OnDifferences):
+        if not isinstance(k, kernels._OnDifferences):
             return scan(add, y, c, k)
         blocks, digest = [], hashlib.sha256()
 
@@ -358,16 +359,16 @@ def difference_scans(run, score_block=None):
 
         tracemalloc.start()
         try:
-            vals, args = scan(add, y, c, gridfn._OnDifferences(point))
+            vals, args = scan(add, y, c, kernels._OnDifferences(point))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         scans.append(DifferenceScan(vals, args, len(blocks), digest.hexdigest(), peak))
         return vals, args
 
-    block = gridfn._SCORE_BLOCK if score_block is None else score_block
+    block = kernels._SCORE_BLOCK if score_block is None else score_block
     with mock.patch.object(gridfn, "_pair_scan", traced), \
-            mock.patch.object(gridfn, "_SCORE_BLOCK", block):
+            mock.patch.object(kernels, "_SCORE_BLOCK", block):
         run()
     return scans
 

@@ -11,7 +11,8 @@ from ssdkit import PreconditionFailed
 from ssdkit.cli import main
 from ssdkit.catalog import default_grid, half_sq_norm_fn, space_r2_product
 from ssdkit.duality import density_report, save_space_document
-from ssdkit.gridfn import GridFn, kernel_ledger
+from ssdkit.gridfn import GridFn
+from ssdkit.kernels import kernel_ledger
 from ssdkit.positivity import PointSet
 from ssdkit.reports import FAIL, PASS, VerifyReport, write_json
 

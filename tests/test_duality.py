@@ -32,7 +32,7 @@ from ssdkit.catalog import (
     space_zero_pairing,
 )
 from ssdkit.duality import density_report
-from ssdkit.gridfn import kernel_ledger
+from ssdkit.kernels import kernel_ledger
 
 from conftest import assert_scans_bitwise_one_block, dense_sphere_scan, difference_scans
 

@@ -28,7 +28,8 @@ from ssdkit.catalog import (
     space_zero_pairing,
 )
 from ssdkit.fitzpatrick import dual_probe_blocks
-from ssdkit.gridfn import block_points, kernel_ledger
+from ssdkit.gridfn import block_points
+from ssdkit.kernels import kernel_ledger
 from ssdkit.spaces import pairwise_q
 
 

@@ -40,13 +40,13 @@ from ssdkit.catalog import (
 from ssdkit.gridfn import (
     Lattice,
     block_points,
-    kernel_ledger,
     min_values_plus_gauge,
     sup_linear_minus,
     sup_over_blocks,
     zero_infconv_residuals,
 )
 from ssdkit.grids import image_box
+from ssdkit.kernels import kernel_ledger
 from ssdkit.spaces import (
     NormSpec,
     SsdSpace,
@@ -584,7 +584,7 @@ class TestSeparableKernel:
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=3))
     @settings(max_examples=20, deadline=None)
     def test_descending_axes_and_argmax(self, seed, dim):
-        from ssdkit.gridfn import _sup_separable
+        from ssdkit.kernels import _sup_separable
 
         rng = np.random.default_rng(seed)
         f = _random_grid_fn(rng, dim, self.MAX_NUM[dim])
@@ -600,7 +600,8 @@ class TestSeparableKernel:
         assert np.allclose(attained, vals, rtol=0.0, atol=1e-12)
 
     def test_ties_break_to_lowest_row_major_index(self):
-        from ssdkit.gridfn import _sup_separable, sup_linear_minus
+        from ssdkit.gridfn import sup_linear_minus
+        from ssdkit.kernels import _sup_separable
 
         grid = GridSpec.box(-1, 1, 5, 2)
         vals, args = _sup_separable(grid.axes(), np.zeros(grid.shape()), [[0.0], [0.0]])
@@ -609,15 +610,15 @@ class TestSeparableKernel:
         assert args[0] == ref_args[0]
 
     def test_small_blocks_give_same_result(self, monkeypatch):
-        from ssdkit import gridfn
+        from ssdkit import gridfn, kernels
 
         rng = np.random.default_rng(3)
         f = _random_grid_fn(rng, 3, 6)
         dual = _random_target_grid(rng, 3, 6)
         full = conjugate(f, dual).values
         scattered, _ = gridfn.sup_linear_minus(f.grid.points(), f.values, dual.points())
-        monkeypatch.setattr(gridfn, "_SCORE_BLOCK", 0)
-        monkeypatch.setattr(gridfn, "_CANDIDATE_BLOCK", 0)
+        monkeypatch.setattr(kernels, "_SCORE_BLOCK", 0)
+        monkeypatch.setattr(kernels, "_CANDIDATE_BLOCK", 0)
         assert np.array_equal(conjugate(f, dual).values, full)
         small, _ = gridfn.sup_linear_minus(f.grid.points(), f.values, dual.points())
         assert np.allclose(small, scattered, rtol=0.0, atol=1e-12)  # BLAS rounds by shape
@@ -812,7 +813,7 @@ class TestLoopFreeSeparable:
     @given(st.integers(min_value=0, max_value=10_000), BLOCKS)
     @settings(max_examples=80, deadline=None)
     def test_sweep_axis_matches_loop(self, seed, block):
-        from ssdkit import gridfn
+        from ssdkit import kernels
 
         rng = np.random.default_rng(seed)
         p_len, n, m, q_len = (int(k) for k in rng.integers(1, 7, size=4))
@@ -825,8 +826,8 @@ class TestLoopFreeSeparable:
             a = a + rng.normal(size=n)
             table += rng.normal(size=table.shape)
         ref_best, ref_arg = loop_sweep_axis(a, table, b)
-        with mock.patch.object(gridfn, "_CANDIDATE_BLOCK", block):
-            best, arg = gridfn._sweep_axis(a, table, b)
+        with mock.patch.object(kernels, "_CANDIDATE_BLOCK", block):
+            best, arg = kernels._sweep_axis(a, table, b)
         assert np.array_equal(_bits(best), _bits(ref_best))
         assert np.array_equal(arg, ref_arg)
 
@@ -834,7 +835,7 @@ class TestLoopFreeSeparable:
            BLOCKS)
     @settings(max_examples=60, deadline=None)
     def test_rescore_matches_loop(self, seed, dim, block):
-        from ssdkit import gridfn
+        from ssdkit import kernels
 
         rng = np.random.default_rng(seed)
         src_axes = [_tie_axis(rng, int(rng.integers(1, 6))) for _ in range(dim)]
@@ -846,8 +847,8 @@ class TestLoopFreeSeparable:
         m = int(np.prod([b.size for b in tgt_axes]))
         args = rng.integers(0, size, size=m)
         ref_vals, ref_args = loop_rescore(src_axes, neg, tgt_axes, args)
-        with mock.patch.object(gridfn, "_CANDIDATE_BLOCK", block):
-            vals, got_args = gridfn._rescore(src_axes, neg, tgt_axes, args)
+        with mock.patch.object(kernels, "_CANDIDATE_BLOCK", block):
+            vals, got_args = kernels._rescore(src_axes, neg, tgt_axes, args)
         assert np.array_equal(_bits(vals), _bits(ref_vals))
         assert np.array_equal(got_args, ref_args)
 
@@ -855,7 +856,7 @@ class TestLoopFreeSeparable:
            BLOCKS)
     @settings(max_examples=60, deadline=None)
     def test_sup_separable_matches_loop_kernel(self, seed, dim, block):
-        from ssdkit import gridfn
+        from ssdkit import kernels
 
         rng = np.random.default_rng(seed)
         src_axes = [_tie_axis(rng, int(rng.integers(1, 6))) for _ in range(dim)]
@@ -866,11 +867,11 @@ class TestLoopFreeSeparable:
         if rng.random() < 0.5:
             src_axes = [a + rng.normal(size=a.size) for a in src_axes]
             offsets = offsets + rng.normal(size=shape)
-        with mock.patch.object(gridfn, "_CANDIDATE_BLOCK", block):
-            vals, args = gridfn._sup_separable(src_axes, offsets, tgt_axes)
-            with mock.patch.object(gridfn, "_sweep_axis", loop_sweep_axis), \
-                    mock.patch.object(gridfn, "_rescore", loop_rescore):
-                ref_vals, ref_args = gridfn._sup_separable(src_axes, offsets, tgt_axes)
+        with mock.patch.object(kernels, "_CANDIDATE_BLOCK", block):
+            vals, args = kernels._sup_separable(src_axes, offsets, tgt_axes)
+            with mock.patch.object(kernels, "_sweep_axis", loop_sweep_axis), \
+                    mock.patch.object(kernels, "_rescore", loop_rescore):
+                ref_vals, ref_args = kernels._sup_separable(src_axes, offsets, tgt_axes)
         assert np.array_equal(_bits(vals), _bits(ref_vals))
         assert np.array_equal(args, ref_args)
 
@@ -878,7 +879,7 @@ class TestLoopFreeSeparable:
     @settings(max_examples=60, deadline=None)
     def test_sup_separable_matches_take_along_version(self, seed, dim):
         # integer axes and offsets, so scores tie exactly, with +inf offsets
-        from ssdkit import gridfn
+        from ssdkit import kernels
 
         rng = np.random.default_rng(seed)
         src_axes = [_tie_axis(rng, int(rng.integers(1, 7))) for _ in range(dim)]
@@ -886,7 +887,7 @@ class TestLoopFreeSeparable:
         shape = tuple(a.size for a in src_axes)
         offsets = -_tie_values(rng, shape)
         offsets.flat[rng.integers(offsets.size)] = 1.0
-        vals, args = gridfn._sup_separable(src_axes, offsets, tgt_axes)
+        vals, args = kernels._sup_separable(src_axes, offsets, tgt_axes)
         ref_vals, ref_args = take_along_sup_separable(src_axes, offsets, tgt_axes)
         assert np.array_equal(_bits(vals), _bits(ref_vals))
         assert np.array_equal(args, ref_args)
@@ -904,10 +905,10 @@ class TestDistinctRows:
 
     @staticmethod
     def _fast(x):
-        from ssdkit import gridfn
+        from ssdkit import kernels
 
         with mock.patch.object(np, "lexsort", side_effect=AssertionError("sorted")):
-            return gridfn._distinct_rows(np.ascontiguousarray(x))
+            return kernels._distinct_rows(np.ascontiguousarray(x))
 
     @pytest.mark.parametrize("dim,num", [(1, 7), (2, 61), (3, 9), (4, 5)])
     def test_plain_and_scaled_lattices_skip_the_sort(self, dim, num):
@@ -918,19 +919,19 @@ class TestDistinctRows:
             assert np.array_equal(inverse, np.arange(grid.size))
 
     def test_reordering_lattices_take_the_lexsort(self):
-        from ssdkit import gridfn
+        from ssdkit import kernels
 
         grid = default_grid(2, -3.0, 3.0, 9)
         for matrix in (swap_matrix(1), np.diag([1.0, -1.0]), np.diag([-1.0, 1.0])):
             x = Lattice(grid, matrix).points()
-            got = gridfn._distinct_rows(x)
+            got = kernels._distinct_rows(x)
             want = lexsort_distinct_rows(x)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
             assert got[0].size == grid.size
 
     @pytest.mark.parametrize("case", ["shuffled", "signed zero", "repeat", "nan"])
     def test_collapse_as_the_lexsort(self, case):
-        from ssdkit import gridfn
+        from ssdkit import kernels
 
         x = default_grid(2, -2.0, 2.0, 5).points().copy()
         if case == "shuffled":
@@ -942,7 +943,7 @@ class TestDistinctRows:
         else:
             x[10, 1] = np.nan
         x = np.ascontiguousarray(x)
-        got = gridfn._distinct_rows(x)
+        got = kernels._distinct_rows(x)
         want = lexsort_distinct_rows(x)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         expect = {"shuffled": 25, "signed zero": 26, "repeat": 25, "nan": 25}[case]
@@ -951,7 +952,7 @@ class TestDistinctRows:
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=3))
     @settings(max_examples=80, deadline=None)
     def test_any_rows_group_as_the_lexsort(self, seed, dim):
-        from ssdkit import gridfn
+        from ssdkit import kernels
 
         rng = np.random.default_rng(seed)
         x = rng.integers(-2, 3, size=(int(rng.integers(1, 30)), dim)).astype(float)
@@ -959,14 +960,14 @@ class TestDistinctRows:
         if rng.random() < 0.5:
             x = x[np.lexsort(x.T[::-1])]  # ascending floats, with ties and signed zeros
         x = np.ascontiguousarray(x)
-        got = gridfn._distinct_rows(x)
+        got = kernels._distinct_rows(x)
         want = lexsort_distinct_rows(x)
         assert _same_partition(got, want)
         assert np.array_equal(x[got[0]][got[1]].view(np.int64), x.view(np.int64))
         offsets = rng.integers(-1, 2, size=x.shape[0]).astype(float)
-        with mock.patch.object(gridfn, "_distinct_rows", lexsort_distinct_rows):
-            ref = gridfn._cheapest_distinct(x, offsets)
-        assert np.array_equal(gridfn._cheapest_distinct(x, offsets), ref)
+        with mock.patch.object(kernels, "_distinct_rows", lexsort_distinct_rows):
+            ref = kernels._cheapest_distinct(x, offsets)
+        assert np.array_equal(kernels._cheapest_distinct(x, offsets), ref)
 
 
 class TestLatticeInfCollapse:
@@ -1068,13 +1069,13 @@ class TestMinPlus:
            blocks=st.sampled_from([(2, 1), (20, 10), (1 << 18, 1 << 17)]))
     @settings(max_examples=30, deadline=None)
     def test_integer_data_exact(self, same, seed, dim, blocks):
-        from ssdkit import gridfn
+        from ssdkit import kernels
         rng = np.random.default_rng(seed)
         nodes, targets = _min_plus_blocks(rng, dim, integer=True, same=same)
         add = _min_plus_adds(rng, nodes.size, integer=True)
-        with mock.patch.object(gridfn, "_SCORE_BLOCK", blocks[0]), \
-                mock.patch.object(gridfn, "_CANDIDATE_BLOCK", blocks[1]):
-            vals, args = gridfn._min_plus(add, nodes, targets, _min_plus_k)
+        with mock.patch.object(kernels, "_SCORE_BLOCK", blocks[0]), \
+                mock.patch.object(kernels, "_CANDIDATE_BLOCK", blocks[1]):
+            vals, args = kernels._min_plus(add, nodes, targets, _min_plus_k)
         ref_vals, ref_args = brute_force_min_plus(add, block_points([nodes]),
                                                   block_points([targets]), _min_plus_k)
         assert np.array_equal(_bits(vals), _bits(ref_vals))
@@ -1084,11 +1085,11 @@ class TestMinPlus:
     @given(seed=st.integers(min_value=0, max_value=10_000), dim=st.integers(1, 3))
     @settings(max_examples=30, deadline=None)
     def test_float_data(self, same, seed, dim):
-        from ssdkit import gridfn
+        from ssdkit import kernels
         rng = np.random.default_rng(seed)
         nodes, targets = _min_plus_blocks(rng, dim, integer=False, same=same)
         add = _min_plus_adds(rng, nodes.size, integer=False)
-        vals, args = gridfn._min_plus(add, nodes, targets, _min_plus_k)
+        vals, args = kernels._min_plus(add, nodes, targets, _min_plus_k)
         y, c = block_points([nodes]), block_points([targets])
         ref_vals, _ = brute_force_min_plus(add, y, c, _min_plus_k)
         assert np.allclose(vals, ref_vals, rtol=0.0, atol=1e-12)
@@ -1106,9 +1107,9 @@ class TestMinPlus:
         assert np.allclose(vals, ref, rtol=0.0, atol=1e-12)
 
     def test_all_inf_adds_rejected(self, grid61):
-        from ssdkit import gridfn
+        from ssdkit import kernels
         with pytest.raises(Improper):
-            gridfn._min_plus(np.full(grid61.size, np.inf), Lattice(grid61), Lattice(grid61),
+            kernels._min_plus(np.full(grid61.size, np.inf), Lattice(grid61), Lattice(grid61),
                              _min_plus_k)
 
     @pytest.mark.parametrize("kind", ["one", "inf"])
@@ -1160,7 +1161,7 @@ class TestMinPlus:
     @given(seed=st.integers(min_value=0, max_value=10_000), dim=st.integers(1, 2))
     @settings(max_examples=15, deadline=None)
     def test_rockafellar_rhs(self, seed, dim):
-        from ssdkit.gridfn import _offset_grid
+        from ssdkit.kernels import _offset_grid
         rng = np.random.default_rng(seed)
         f = _random_grid_fn(rng, dim, 7)
         h = GridFn._raw(f.grid, rng.normal(size=f.grid.size))
@@ -1180,7 +1181,7 @@ class TestMinPlus:
         # the pair scan in chunks of 2 or 7 rows (a lone last row joins the
         # chunk before it), or in one chunk, against np.min / np.argmin over
         # the whole dense matrix
-        from ssdkit import gridfn
+        from ssdkit import gridfn, kernels
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 3))
         weight = np.eye(2 * n) + 1.0 if kind == "quadratic" else None
@@ -1200,7 +1201,7 @@ class TestMinPlus:
             return pairwise(space, c, ys)
 
         block = 1 << 18 if rows is None else rows * y.size
-        with mock.patch.object(gridfn, "_SCORE_BLOCK", block):
+        with mock.patch.object(kernels, "_SCORE_BLOCK", block):
             vals, args = gridfn.nearest(kernel, x, y)
         assert calls == ([x.shape[0]] if rows is None else _walk(x.shape[0], rows))
         dense = pairwise(space, x, y)
@@ -1216,7 +1217,7 @@ class TestMinPlus:
     def test_lone_last_row_joins_the_block_before(self, rows, want):
         # 15 rows at 7 a block leave one row over, which joins the second
         # block; a block of 1 row is raised to the floor of 2
-        from ssdkit import gridfn
+        from ssdkit import gridfn, kernels
 
         calls = []
 
@@ -1225,7 +1226,7 @@ class TestMinPlus:
             return pairwise_sq_dists(c, ys)
 
         x = np.random.default_rng(0).uniform(-3.0, 3.0, size=(15, 2))
-        with mock.patch.object(gridfn, "_SCORE_BLOCK", rows * 4 * 2):
+        with mock.patch.object(kernels, "_SCORE_BLOCK", rows * 4 * 2):
             vals, args = gridfn.nearest(kernel, x, x[:4])
         assert calls == want
         assert np.array_equal(args[:4], np.arange(4))
@@ -1447,9 +1448,9 @@ class TestConjugateBudgetScale:
 
 def _scattered_sup_at(entries, sources, offsets, targets):
     """`sup_linear_minus` with a score block of `entries` entries."""
-    from ssdkit import gridfn
+    from ssdkit import gridfn, kernels
 
-    with mock.patch.object(gridfn, "_SCORE_BLOCK", entries):
+    with mock.patch.object(kernels, "_SCORE_BLOCK", entries):
         return gridfn.sup_linear_minus(sources, offsets, targets)
 
 
@@ -1520,17 +1521,17 @@ class TestScoreBlock:
         assert np.array_equal(a18, a21)
 
     def test_block_sizes(self):
-        from ssdkit import gridfn
+        from ssdkit import kernels
 
-        assert gridfn._SCORE_BLOCK == 1 << 18
-        assert gridfn._CANDIDATE_BLOCK == 1 << 17
+        assert kernels._SCORE_BLOCK == 1 << 18
+        assert kernels._CANDIDATE_BLOCK == 1 << 17
         # 2^18 // 961 = 272 rows a block
         assert self.block_rows(*_scattered_961x3721()) == [272] * 13 + [185]
         # 2^18 // 200,001 = 1 row, raised to the floor of 2
         assert self.block_rows(*_dual_norm_sphere_sup()) == [2] * 50
 
     def test_pair_scan_keeps_its_block(self):
-        from ssdkit import gridfn
+        from ssdkit import kernels
 
         rows = []
 
@@ -1539,7 +1540,7 @@ class TestScoreBlock:
             return np.zeros((c_block.shape[0], y.shape[0]))
 
         y = np.zeros((1000, 2))
-        gridfn._pair_scan(np.zeros(1000), y, GridSpec.box(-3.0, 3.0, 61, 2).points(), kernel)
+        kernels._pair_scan(np.zeros(1000), y, GridSpec.box(-3.0, 3.0, 61, 2).points(), kernel)
         # 2^18 // (1000 * 2) = 131 rows a block, 3,721 = 28 * 131 + 53
         assert rows == [131] * 28 + [53]
 
@@ -1600,6 +1601,25 @@ class TestScoreBlock:
         assert peak <= 2.5 * 2 ** 20
 
 
+def test_block_constants_live_in_kernels_alone():
+    # a block constant imported into gridfn would let a patch on gridfn
+    # succeed without reaching the kernels that read it
+    import ast
+    import inspect
+
+    from ssdkit import gridfn, kernels
+
+    for name in ("_SCORE_BLOCK", "_CANDIDATE_BLOCK", "_DIFFERENCE_ARRAYS"):
+        assert hasattr(kernels, name) and not hasattr(gridfn, name)
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(kernels))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.name for alias in node.names)
+    assert imported and not any("gridfn" in name for name in imported)
+
+
 def _dyadic_rows(rng, m, d):
     """m distinct rows of multiples of 1/64 in [-3, 3]^d.  A product of two
     such numbers is a multiple of 1/4096 below 9 in size, so every score and
@@ -1624,7 +1644,7 @@ class TestBlockWalk:
            blocks=st.integers(1, 5), extra=st.sampled_from(["none", "one", "some"]))
     @settings(max_examples=40, deadline=None)
     def test_scattered_walk_is_one_block(self, seed, rows, blocks, extra):
-        from ssdkit import gridfn
+        from ssdkit import kernels
 
         rng = np.random.default_rng(seed)
         d, n = int(rng.integers(2, 5)), int(rng.integers(20, 400))
@@ -1635,7 +1655,7 @@ class TestBlockWalk:
         offsets[0] = 0.0
         targets = _dyadic_rows(rng, m, d)
         want = _scattered_sup_at(1 << 30, sources, offsets, targets)
-        with mock.patch.object(gridfn, "_SCORE_BLOCK", rows * np.isfinite(offsets).sum()):
+        with mock.patch.object(kernels, "_SCORE_BLOCK", rows * np.isfinite(offsets).sum()):
             assert TestScoreBlock.block_rows(sources, offsets, targets) == _walk(m, rows)
             got = sup_linear_minus(sources, offsets, targets)
         assert np.array_equal(_bits(got[0]), _bits(want[0]))
@@ -1646,7 +1666,7 @@ class TestBlockWalk:
            kernel=st.sampled_from(["sq_dists", "q"]))
     @settings(max_examples=40, deadline=None)
     def test_pair_scan_walk_is_one_block(self, seed, rows, blocks, extra, kernel):
-        from ssdkit import gridfn
+        from ssdkit import gridfn, kernels
 
         rng = np.random.default_rng(seed)
         m = rows * blocks + {"none": 0, "one": 1, "some": int(rng.integers(2, rows))}[extra]
@@ -1659,11 +1679,11 @@ class TestBlockWalk:
             calls.append(c.shape[0])
             return _pair_kernel(kernel)(c, ys)
 
-        with mock.patch.object(gridfn, "_SCORE_BLOCK", 1 << 35):
+        with mock.patch.object(kernels, "_SCORE_BLOCK", 1 << 35):
             want = gridfn.nearest(k, x, y)
         assert calls == [m]
         calls.clear()
-        with mock.patch.object(gridfn, "_SCORE_BLOCK", rows * y.size):
+        with mock.patch.object(kernels, "_SCORE_BLOCK", rows * y.size):
             got = gridfn.nearest(k, x, y)
         assert calls == _walk(m, rows)
         assert np.array_equal(_bits(got[0]), _bits(want[0]))
@@ -1691,13 +1711,13 @@ class TestPairwiseBlockRounding:
     @pytest.mark.parametrize("kind", ["euclidean", "quadratic", "one", "two", "inf"])
     @pytest.mark.parametrize("n", [1, 2])
     def test_blocks_of_35_rows_and_more_are_one_block(self, pairwise, kind, n):
-        from ssdkit import gridfn
+        from ssdkit import gridfn, kernels
 
         space, x, y = _pairwise_case(n, kind)
-        with mock.patch.object(gridfn, "_SCORE_BLOCK", 1 << 35):
+        with mock.patch.object(kernels, "_SCORE_BLOCK", 1 << 35):
             want, arg = gridfn.nearest(partial(pairwise, space), x, y)
         for rows in (35, 40, 100):
-            with mock.patch.object(gridfn, "_SCORE_BLOCK", rows * y.size):
+            with mock.patch.object(kernels, "_SCORE_BLOCK", rows * y.size):
                 got, got_arg = gridfn.nearest(partial(pairwise, space), x, y)
             assert np.array_equal(_bits(got), _bits(want)) and np.array_equal(got_arg, arg)
 

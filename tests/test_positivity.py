@@ -77,7 +77,7 @@ class TestQPositivity:
         # in q(0) = 0 from i = j would show
         from unittest import mock
 
-        from ssdkit import gridfn
+        from ssdkit import kernels
 
         rng = np.random.default_rng(seed)
         space = (prod_space, swap3, ident2)[seed % 3]
@@ -85,7 +85,7 @@ class TestQPositivity:
         a = PointSet(pts)
         n = len(a)
         block = 1 << 18 if rows is None else (rows * n * (space.dim + 1)) >> 3
-        with mock.patch.object(gridfn, "_SCORE_BLOCK", block):
+        with mock.patch.object(kernels, "_SCORE_BLOCK", block):
             rep = is_q_positive(space, a)
         worst, (i, j) = triu_min_q(space, a.points)
         check = rep.check("pairwise_gap")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ssdkit.catalog import space_r2_product
-from ssdkit.gridfn import kernel_ledger
+from ssdkit.kernels import kernel_ledger
 from ssdkit.reports import FAIL, PASS, VerifyReport
 from ssdkit.suites import (
     SPECIAL,
