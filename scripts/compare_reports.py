@@ -8,9 +8,12 @@ same relative path in the other, so trees of per-suite `--out` directories
 compare too: check ids, statuses, residuals, witnesses, tolerances, grids
 and meta must be equal, values exactly: floats by value and sign, so 0.0
 and -0.0 differ.  A `wall_time` key is ignored at any depth, and so is any
-meta key named with `--ignore-meta` (for keys one side adds).  Prints one
-line per difference and exits 1 if there is any, else 0; exits 2 when the
-parent tree holds no JSON file, since then nothing was compared.
+meta key named with `--ignore-meta` (for keys one side adds).  Every CSV
+file (the per-suite files of `verify --format csv`, `summary.csv`) is
+compared the same way byte for byte, and a difference names its first
+differing line.  Prints one line per difference and exits 1 if there is
+any, else 0; exits 2 when the parent tree holds no JSON file, since then
+nothing was compared.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 
@@ -73,24 +77,39 @@ def diff(a, b, path=""):
     return [] if same else [f"{path}: {a!r} != {b!r}"]
 
 
-def report_files(tree: Path) -> set:
-    """Paths of the JSON files at any depth under the tree, relative to it."""
-    return {p.relative_to(tree).as_posix() for p in tree.glob("**/*.json")}
+def csv_diff(left: Path, right: Path) -> list:
+    """One line naming the first line where two CSV files differ, if any."""
+    pairs = zip_longest(left.read_bytes().splitlines(keepends=True),
+                        right.read_bytes().splitlines(keepends=True), fillvalue=b"")
+    for no, (a, b) in enumerate(pairs, 1):
+        if a != b:
+            return [f"line {no}: {a.decode(errors='replace')!r} != "
+                    f"{b.decode(errors='replace')!r}"]
+    return []
+
+
+def report_files(tree: Path, pattern: str = "*.json") -> set:
+    """Paths of the files matching `pattern` at any depth under the tree,
+    relative to it."""
+    return {p.relative_to(tree).as_posix() for p in tree.glob(f"**/{pattern}")}
 
 
 def compare_trees(parent: Path, change: Path, ignore_meta=()) -> list:
-    names = sorted(report_files(parent) | report_files(change))
+    def json_diff(left, right):
+        docs = [_strip(json.loads(p.read_text(encoding="utf-8")), set(ignore_meta))
+                for p in (left, right)]
+        return diff(*docs)
+
     out = []
-    for name in names:
-        left, right = parent / name, change / name
-        if not left.exists():
-            out.append(f"{name}: only in change")
-        elif not right.exists():
-            out.append(f"{name}: only in parent")
-        else:
-            docs = [_strip(json.loads(p.read_text(encoding="utf-8")), set(ignore_meta))
-                    for p in (left, right)]
-            out += [f"{name}: {line}" for line in diff(*docs)]
+    for pattern, compare in (("*.json", json_diff), ("*.csv", csv_diff)):
+        for name in sorted(report_files(parent, pattern) | report_files(change, pattern)):
+            left, right = parent / name, change / name
+            if not left.exists():
+                out.append(f"{name}: only in change")
+            elif not right.exists():
+                out.append(f"{name}: only in parent")
+            else:
+                out += [f"{name}: {line}" for line in compare(left, right)]
     return out
 
 
@@ -111,7 +130,9 @@ def main(argv=None) -> int:
     lines = compare_trees(args.parent, args.change, args.ignore_meta)
     for line in lines:
         print(line)
-    print(f"{len(lines)} difference(s) over {n} parent report file(s)")
+    n_csv = len(report_files(args.parent, "*.csv"))
+    print(f"{len(lines)} difference(s) over {n} parent report file(s) "
+          f"and {n_csv} parent CSV file(s)")
     return 1 if lines else 0
 
 

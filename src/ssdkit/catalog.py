@@ -1,6 +1,7 @@
 """Built-in spaces, sets, and functions used by the verification suites.
 
-Everything here is deterministic.  The sets paired with a grid take it:
+Everything here is deterministic.  The sets paired with a grid take it and
+are `MonotoneSet`s, so they go to every `PointSet` routine as they are:
 `monotone_graph_set`, `cubic_graph_set` and `sign_graph_set` snap to its
 axes, and `diagonal_set` holds every diagonal node, so touching-set
 recovery is exact.  `helix_set` and `ray_set` are fixed samples that know
@@ -54,11 +55,6 @@ def all_special_spaces() -> list[SsdSpace]:
             for tau in (0.5, 1.0, 2.0)]
 
 
-def cyclic_pairing_matrix() -> np.ndarray:
-    """The non-symmetric cyclic form on R^3 (rejected by construction)."""
-    return np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-
-
 # -- grids ----------------------------------------------------------------------
 
 def default_grid(dim: int = 2, lo: float = -3.0, hi: float = 3.0, n: int = 61) -> GridSpec:
@@ -71,7 +67,7 @@ def diagonal_set(grid: GridSpec) -> MonotoneSet:
     """The diagonal sampled with 2n - 1 points on the first axis of an
     n-point grid: every diagonal node and the midpoints between them."""
     t = np.linspace(grid.lower[0], grid.upper[0], int(grid.num[0]) * 2 - 1)
-    return MonotoneSet.from_points(np.stack([t, t], axis=1), label="diagonal")
+    return MonotoneSet(np.stack([t, t], axis=1), label="diagonal")
 
 
 def singleton_origin(dim: int = 2) -> PointSet:
@@ -116,7 +112,7 @@ def monotone_graph_set(grid: GridSpec, fn, label: str = "monotone graph") -> Mon
         jump = ax1[(ax1 > ys[i - 1]) & (ax1 < ys[i])]
         if jump.size:
             pts.append(np.stack([np.full(jump.size, ax0[i]), jump], axis=1))
-    return MonotoneSet.from_points(np.vstack(pts), label=label)
+    return MonotoneSet(np.vstack(pts), label=label)
 
 
 def cubic_graph_set(grid: GridSpec) -> MonotoneSet:
@@ -138,8 +134,7 @@ def sign_graph_set(grid: GridSpec) -> MonotoneSet:
     lo_ray = np.stack([np.full(lo_ray_vals.size, ax0[0]), lo_ray_vals], axis=1)
     hi_ray_vals = ax1[ax1 >= hi]
     hi_ray = np.stack([np.full(hi_ray_vals.size, ax0[-1]), hi_ray_vals], axis=1)
-    return MonotoneSet.from_points(np.vstack([lo_ray, left, seg, right, hi_ray]),
-                                   label="sign graph")
+    return MonotoneSet(np.vstack([lo_ray, left, seg, right, hi_ray]), label="sign graph")
 
 
 # -- grid functions ---------------------------------------------------------------
@@ -166,19 +161,10 @@ def double_well_fn(grid: GridSpec) -> GridFn:
         form="double well", require_convex=False)
 
 
-def indicator_fn(grid: GridSpec, points) -> GridFn:
-    """Indicator of the given points snapped to grid nodes (0 there, +inf off)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    vals = np.full(grid.size, np.inf)
-    for p in pts:
-        vals[grid.nearest_index(p)] = 0.0
-    return GridFn(grid, vals, form="indicator", require_convex=False)
-
-
 def vz_catalog(space: SsdSpace, grid: GridSpec):
     """The four-function verdict catalog: worked example (pass), shifted
     pairing form (fail), and the two diagonal representers (pass)."""
-    triple = fitz_triple(space, diagonal_set(grid).underlying, grid)
+    triple = fitz_triple(space, diagonal_set(grid), grid)
     return {
         "worked_example": half_sq_norm_fn(grid),
         "shifted_pairing_form": q_plus_const_fn(space, grid),

@@ -61,7 +61,7 @@ def _load_fn(args) -> GridFn:
 def _load_set(args):
     if args.set_file:
         return PointSet.from_csv(args.set_file)
-    return diagonal_set(default_grid()).underlying
+    return diagonal_set(default_grid())
 
 
 def _write_suite_reports(args, name: str, reports, refused: str | None = None) -> bool:
@@ -195,7 +195,8 @@ def cmd_project(args) -> int:
 
 
 def cmd_align(args) -> int:
-    mset = MonotoneSet(_load_set(args))
+    mset = (MonotoneSet.from_csv(args.set_file) if args.set_file
+            else diagonal_set(default_grid()))
     if args.point is None or args.dual_point is None:
         raise SsdkitError("align needs --point and --dual-point")
     res = negative_alignment(mset, _parse_point(args.point),

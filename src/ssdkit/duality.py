@@ -44,6 +44,7 @@ from .spaces import (
     PRODUCT_KINDS,
     QUADRATIC,
     SsdSpace,
+    _pairing_entry,
     bilinear_rows,
     check_banach_ssd,
     pairwise_q,
@@ -90,7 +91,8 @@ def load_space_document(path) -> tuple[SsdSpace, DualSsd | None]:
     dual = None
     if "dual" in doc:
         dual = make_dual(space)
-        stored = np.asarray(doc["dual"]["pairing"], dtype=float)
+        stored = np.asarray(_pairing_entry(doc["dual"], "space document's 'dual'"),
+                            dtype=float)
         if np.max(np.abs(stored - dual.as_space.pairing)) > 1e-9:
             raise SingularPairing("stored dual pairing disagrees with the "
                                   "canonical one for this space")
@@ -249,7 +251,7 @@ def density_report(space: SsdSpace, dual: DualSsd, primal_grid: GridSpec,
     worst = float(np.max(vals, initial=-np.inf))
     report = VerifyReport(suite="p_tilde_density", grid=primal_grid.to_dict(),
                           tolerances={"tol_density": tol_density},
-                          meta={"space": space.label, "n_probes": len(probe_points)})
+                          meta={"space": space.label, "n_probes": probes.shape[0]})
     report.add("image_density", "eq_4_2_1", worst <= tol_density,
                residual=max(0.0, worst),
                witness=probes[np.argmax(vals)] if vals.size else None,

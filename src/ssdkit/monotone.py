@@ -3,8 +3,8 @@ Fitzpatrick notation, the nonpositive-infimum condition on the dual side,
 strong representability, and the negative-alignment extraction.
 
 A set of pairs is monotone exactly when it is positive for the swap pairing,
-so everything here delegates to the general machinery with the coordinates
-relabeled.
+so a `MonotoneSet` is a `PointSet`: it goes straight to the general
+machinery, and only adds the even-dimension check and the halves x, x*.
 """
 
 from __future__ import annotations
@@ -27,26 +27,19 @@ from . import tolerances as tols
 
 
 @dataclass(frozen=True, eq=False)
-class MonotoneSet:
-    """Finite sample of a monotone set in R^n x R^n."""
-
-    underlying: PointSet
+class MonotoneSet(PointSet):
+    """Finite sample of a monotone set in R^n x R^n: a `PointSet` of even
+    dimension whose rows are pairs (x, x*)."""
 
     def __post_init__(self):
-        if self.underlying.dim % 2:
+        super().__post_init__()
+        if self.dim % 2:
             raise DimensionMismatch("monotone sets need an even coordinate count")
-
-    def __len__(self):
-        return len(self.underlying)
 
     @property
     def n(self):
         """The dimension of each half, x and x*."""
-        return self.underlying.dim // 2
-
-    @property
-    def points(self):
-        return self.underlying.points
+        return self.dim // 2
 
     @property
     def x(self):
@@ -55,17 +48,6 @@ class MonotoneSet:
     @property
     def xstar(self):
         return self.points[:, self.n:]
-
-    def to_csv(self, path):
-        self.underlying.to_csv(path)
-
-    @classmethod
-    def from_csv(cls, path, label=""):
-        return cls(PointSet.from_csv(path, label=label))
-
-    @classmethod
-    def from_points(cls, points, label=""):
-        return cls(PointSet(points, label=label))
 
 
 def mf_set(f: GridFn, space: SsdSpace) -> MonotoneSet:
@@ -79,7 +61,7 @@ def mf_set(f: GridFn, space: SsdSpace) -> MonotoneSet:
         rep = is_q_positive(space, ps, tol=tols.touching_positivity_tol(space, f.grid))
         if not rep.passed:
             raise FBelowQ("touching set of f is not monotone (f dips below the product)")
-    return MonotoneSet(ps)
+    return MonotoneSet(ps.points, label=ps.label, allow_empty=True)
 
 
 def type_ni_check(space: SsdSpace, a: MonotoneSet, dual: DualSsd,
@@ -98,7 +80,7 @@ def type_ni_check(space: SsdSpace, a: MonotoneSet, dual: DualSsd,
                       a.points @ space.pairing.T)
     report = VerifyReport(suite="type_ni_check",
                           tolerances={"tol": tol},
-                          meta={"space": space.label, "set": a.underlying.label,
+                          meta={"space": space.label, "set": a.label,
                                 "reading": "bidual identified with the primal space"})
     report.add_worst("nonpositive_infimum", "def_5_7", gaps, probes, tol)
     return report

@@ -284,10 +284,20 @@ class SsdSpace:
     @classmethod
     def from_dict(cls, doc):
         return cls(
-            pairing=np.asarray(doc["pairing"], dtype=float),
+            pairing=np.asarray(_pairing_entry(doc, "space document"), dtype=float),
             norm=NormSpec.from_dict(doc.get("norm", {})),
             label=doc.get("label", ""),
         )
+
+
+def _pairing_entry(doc, what: str):
+    """The "pairing" of a space document's object `doc`; a ValueError that
+    names `what` when `doc` is not an object or has no such key."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} is not a JSON object")
+    if "pairing" not in doc:
+        raise ValueError(f"{what} has no 'pairing' key")
+    return doc["pairing"]
 
 
 def swap_matrix(n: int) -> np.ndarray:

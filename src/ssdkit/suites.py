@@ -246,8 +246,7 @@ def suite_lemma_2_13(opts: SuiteOptions):
         rep = lemma_2_13_suite(fitz_triple(space, opts.point_set, own_grid))
         yield _tag(rep, set=opts.point_set.label or "user set")
         return
-    yield _tag(lemma_2_13_suite(fitz_triple(TWO, diagonal_set(grid).underlying, grid)),
-               set="diagonal")
+    yield _tag(lemma_2_13_suite(fitz_triple(TWO, diagonal_set(grid), grid)), set="diagonal")
     yield _tag(lemma_2_13_suite(fitz_triple(TWO, singleton_origin(2), grid)),
                set="origin singleton")
     grid3 = _grid(opts, dim=3, n=17)
@@ -268,10 +267,10 @@ def suite_theorem_2_9(opts: SuiteOptions):
     yield dist_bounds_check(f, TWO, grid.subsample(2))
     c_grid = grid.subsample(2)
     diag = diagonal_set(c_grid)
-    triple = fitz_triple(TWO, diag.underlying, c_grid)
+    triple = fitz_triple(TWO, diag, c_grid)
     for fn, label in ((triple.phi_fn, "primal representer"),
                       (triple.star_theta_fn, "conjugate-back representer")):
-        yield _tag(lemma_2_8_suite(TWO, diag.underlying, fn, c_grid), fn=label)
+        yield _tag(lemma_2_8_suite(TWO, diag, fn, c_grid), fn=label)
 
 
 def suite_lemma_2_7(opts: SuiteOptions):
@@ -302,7 +301,7 @@ def suite_lemma_2_7(opts: SuiteOptions):
 def suite_theorem_2_15(opts: SuiteOptions):
     grid = _grid(opts)
     f = half_sq_norm_fn(grid)
-    triple = fitz_triple(TWO, diagonal_set(grid).underlying, grid)
+    triple = fitz_triple(TWO, diagonal_set(grid), grid)
     phi_fn, star_fn = triple.phi_fn, triple.star_theta_fn
     candidates = {"primal representer": phi_fn, "conjugate-back": star_fn,
                   "midpoint": GridFn._raw(grid, 0.5 * (phi_fn.values + star_fn.values),
@@ -360,7 +359,7 @@ def suite_lemma_4_7(opts: SuiteOptions):
     tol = 5e-3  # the zero-sum tolerance, recorded in each report
     f = half_sq_norm_fn(grid)
     yield _tag(lemma_4_7_identity(TWO, dual, f, c_grid, tol=tol), fn="worked example")
-    phi_fn = fitz_triple(TWO, diagonal_set(c_grid).underlying, grid).phi_fn
+    phi_fn = fitz_triple(TWO, diagonal_set(c_grid), grid).phi_fn
     yield _tag(lemma_4_7_identity(TWO, dual, phi_fn, c_grid, tol=tol),
                fn="diagonal representer")
     ident = space_identity(2)
@@ -396,7 +395,7 @@ def suite_theorem_4_9(opts: SuiteOptions):
 def suite_theorem_4_10(opts: SuiteOptions, sp=TWO):
     dual = make_dual(sp)
     grid = _grid(opts)
-    yield theorem_4_10_battery(dual, fitz_triple(sp, diagonal_set(grid).underlying, grid),
+    yield theorem_4_10_battery(dual, fitz_triple(sp, diagonal_set(grid), grid),
                                density_report(sp, dual, grid))
 
 
@@ -414,7 +413,7 @@ def suite_theorem_5_5(opts: SuiteOptions):
     omegas = []
     for _ in range(10):
         perm = rng.permutation(len(diag))
-        shuffled = MonotoneSet.from_points(diag.points[perm])
+        shuffled = MonotoneSet(diag.points[perm])
         omegas.append(negative_alignment(shuffled, [1.0], [-1.0], 1.0, 1.0).omega)
     spread = max(omegas) - min(omegas)
     rep = VerifyReport(seed=opts.seed, tolerances={"tol": 1e-6})
@@ -423,7 +422,7 @@ def suite_theorem_5_5(opts: SuiteOptions):
     yield rep
     grid = _grid(opts)
     yield _tag(projection_closure_check(half_sq_norm_fn(grid), TWO), fn="worked example")
-    phi_sign = fitz_triple(TWO, sign_graph_set(grid).underlying, grid).phi_fn
+    phi_sign = fitz_triple(TWO, sign_graph_set(grid), grid).phi_fn
     yield _tag(projection_closure_check(phi_sign, TWO), fn="sign-graph representer")
 
 
@@ -431,14 +430,14 @@ def suite_theorem_5_8(opts: SuiteOptions, sp=TWO):
     dual = make_dual(sp)
     grid = _grid(opts)
     user = opts.point_set
-    sets = ([(user.label or "user set", MonotoneSet(user))]
+    sets = ([(user.label or "user set", MonotoneSet(user.points, label=user.label))]
             if user is not None else
             [("diagonal", diagonal_set(grid)),
              ("clipped cubic graph", cubic_graph_set(grid)),
              ("sign graph", sign_graph_set(grid))])
     dens = density_report(sp, dual, grid)
     for label, mset in sets:
-        triple = fitz_triple(sp, mset.underlying, grid)
+        triple = fitz_triple(sp, mset, grid)
         yield _tag(theorem_5_8_battery(dual, triple, dens), set=label)
         yield _tag(type_ni_check(sp, mset, dual, grid), set=label)
         yield _tag(strongly_representable_check(mset, triple.phi_fn, sp, dual), set=label)
@@ -450,7 +449,7 @@ def suite_remark_5_6(opts: SuiteOptions):
     yield _tag(remark_5_6_bound(diagonal_set(c_grid), half_sq_norm_fn(grid), TWO, c_grid),
                fn="worked example")
     cubic = cubic_graph_set(c_grid)
-    phi_fn = fitz_triple(TWO, cubic.underlying, c_grid).phi_fn
+    phi_fn = fitz_triple(TWO, cubic, c_grid).phi_fn
     yield _tag(remark_5_6_bound(cubic, phi_fn, TWO, grid.subsample(4)),
                fn="cubic-graph representer")
 
@@ -524,7 +523,7 @@ def suite_fenchel_moreau(opts: SuiteOptions):
 
 def suite_theorem_2_16(opts: SuiteOptions):
     grid = _grid(opts)
-    triple = fitz_triple(TWO, diagonal_set(grid).underlying, grid)
+    triple = fitz_triple(TWO, diagonal_set(grid), grid)
     yield _tag(sigma_minorant_test(triple, triple.phi_fn), candidate="primal representer")
     a0 = np.array([1.0, 1.0])
     affine = GridFn.from_callable(

@@ -9,7 +9,7 @@ import ssdkit  # noqa: F401
 import numpy as np
 import pytest
 
-from ssdkit import make_dual, product_space
+from ssdkit import GridFn, make_dual, product_space
 from ssdkit.duality import density_report
 from ssdkit.catalog import (
     default_grid,
@@ -70,6 +70,20 @@ def worked_fn61(grid61):
 @pytest.fixture(scope="session")
 def worked_fn121(grid121):
     return half_sq_norm_fn(grid121)
+
+
+def cyclic_pairing_matrix():
+    """The non-symmetric cyclic form on R^3 (rejected by construction)."""
+    return np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+
+
+def indicator_fn(grid, points):
+    """Indicator of the given points snapped to grid nodes (0 there, +inf off)."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    vals = np.full(grid.size, np.inf)
+    for p in pts:
+        vals[grid.nearest_index(p)] = 0.0
+    return GridFn(grid, vals, form="indicator", require_convex=False)
 
 
 def brute_force_conjugate(points, values, targets):

@@ -169,7 +169,7 @@ def test_criterion_05_two_sided_identity():
     r1 = rep.checks[0].worst_residual
     if not rep.passed:
         failures.append(f"worked example residual {r1:.2e}")
-    phi_fn = fitz_triple(sp, diagonal_set(c_grid).underlying, grid).phi_fn
+    phi_fn = fitz_triple(sp, diagonal_set(c_grid), grid).phi_fn
     rep2 = lemma_4_7_identity(sp, dual, phi_fn, c_grid, tol=5e-3)
     r2 = rep2.checks[0].worst_residual
     if not rep2.passed:
@@ -185,7 +185,7 @@ def test_criterion_06_cross_norm_verdicts():
     grid = default_grid(2, -3.0, 3.0, 61)
     base = space_r2_product("two", tau=1.0)
     diag = diagonal_set(grid)
-    triple = fitz_triple(base, diag.underlying, grid)
+    triple = fitz_triple(base, diag, grid)
     fns = {
         "worked_example": half_sq_norm_fn(grid),
         "shifted_pairing_form": q_plus_const_fn(base, grid),
@@ -222,7 +222,7 @@ def test_criterion_07_representer_suite():
     grid_parts = ("f_sandwich_upper", "f_sandwich_lower", "g_equalities_on_set")
 
     for label, space, a, grd in (
-            ("diagonal", sp, diagonal_set(grid).underlying, grid),
+            ("diagonal", sp, diagonal_set(grid), grid),
             ("helix", space_swap_r3(), helix_set(n=61, span=3.0),
              default_grid(3, -3.0, 3.0, 17)),
             ("singleton", sp, singleton_origin(2), grid)):
@@ -288,7 +288,7 @@ def test_criterion_09_alignment_extraction():
     omegas = []
     for _ in range(10):
         perm = rng.permutation(len(diag))
-        shuffled = MonotoneSet.from_points(diag.points[perm])
+        shuffled = MonotoneSet(diag.points[perm])
         omegas.append(negative_alignment(shuffled, [1.0], [-1.0], 1.0, 1.0).omega)
     spread = max(omegas) - min(omegas)
     if spread > 1e-6:
@@ -337,7 +337,7 @@ def test_criterion_11_equivalence_batteries():
     for label, mset in (("diagonal", diagonal_set(grid)),
                         ("cubic graph", cubic_graph_set(grid)),
                         ("sign graph", sign_graph_set(grid))):
-        rep = theorem_5_8_battery(dual, fitz_triple(sp, mset.underlying, grid), dens)
+        rep = theorem_5_8_battery(dual, fitz_triple(sp, mset, grid), dens)
         for cid in ("a_infqt_nonpositive", "b_theta_dominates_qt",
                     "c_phistar_dominates_qt", "f_phi_vz", "g_star_vz",
                     "b_classical_form", "unanimity"):

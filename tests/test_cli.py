@@ -65,6 +65,22 @@ class TestVerify:
         bad.write_text("{not json")
         assert run(["fitzpatrick", "--space", bad, "--out", tmp_path]) == 2
 
+    @pytest.mark.parametrize("doc,message", [
+        ({"dim": 2, "label": "no pairing"}, "space document has no 'pairing' key"),
+        ({"pairing": [[0.0, 1.0], [1.0, 0.0]], "dual": {"norm": {}}},
+         "space document's 'dual' has no 'pairing' key"),
+        ([[0.0, 1.0], [1.0, 0.0]], "space document is not a JSON object"),
+    ])
+    def test_space_document_without_pairing_is_input_error(self, tmp_path, capsys, doc,
+                                                           message):
+        bad = tmp_path / "space.json"
+        bad.write_text(json.dumps(doc))
+        for command in ("fitzpatrick", "project"):
+            assert run([command, "--space", bad, "--out", tmp_path / "out"]) == 2, command
+            err = capsys.readouterr().err
+            assert err == f"error: {message}\n", command
+            assert not (tmp_path / "out").exists()
+
     def test_singleton_set_refuses_battery(self, tmp_path):
         setfile = tmp_path / "singleton.csv"
         np.savetxt(setfile, np.zeros((1, 2)), delimiter=",")

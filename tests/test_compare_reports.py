@@ -132,3 +132,46 @@ def test_empty_parent_tree_is_refused(compare, trees, tmp_path, capsys):
     assert compare([str(empty), str(change)]) == 2
     captured = capsys.readouterr()
     assert "difference(s)" not in captured.out and "nothing to compare" in captured.err
+
+
+@pytest.fixture
+def csv_trees(tmp_path):
+    """A `verify --format csv` tree with its `report` summary, and a copy."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    assert main(["verify", "--suite", "helix", "--format", "csv", "--out", str(parent)]) == 0
+    assert main(["report", "--out", str(parent)]) == 0
+    shutil.copytree(parent, change)
+    return parent, change
+
+
+def test_equal_csv_files(compare, csv_trees, capsys):
+    assert compare([str(p) for p in csv_trees]) == 0
+    assert ("0 difference(s) over 2 parent report file(s) and 2 parent CSV file(s)"
+            in capsys.readouterr().out)
+
+
+def test_differing_csv_names_its_first_differing_line(compare, csv_trees, capsys):
+    parent, change = csv_trees
+    path = change / "helix.csv"
+    text = path.read_bytes()
+    path.write_bytes(text.replace(b"1.0194239718136417", b"1.0194239718136418"))
+    assert compare([str(parent), str(change)]) == 1
+    out = capsys.readouterr().out
+    line = next(ln for ln in out.splitlines() if ln.startswith("helix.csv"))
+    assert line.startswith("helix.csv: line 3: 'helix,flattened_helix_fails,")
+    assert "1.0194239718136417" in line and "1.0194239718136418" in line
+    assert "1 difference(s)" in out
+    # a byte past the last line, such as a trailing blank line, differs too
+    path.write_bytes(text + b"\n")
+    assert compare([str(parent), str(change)]) == 1
+    assert "helix.csv: line 6: '' != '\\n'" in capsys.readouterr().out
+
+
+def test_csv_in_one_tree_only(compare, csv_trees, capsys):
+    parent, change = csv_trees
+    (change / "summary.csv").unlink()
+    (change / "extra.csv").write_text("a,b\n")
+    assert compare([str(parent), str(change)]) == 1
+    out = capsys.readouterr().out
+    assert "summary.csv: only in parent" in out and "extra.csv: only in change" in out
+    assert "2 difference(s)" in out

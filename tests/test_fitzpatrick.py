@@ -45,7 +45,7 @@ class TestTheta:
     def test_diagonal_closed_form(self, prod_space, diag121):
         # sup_t [t(y + y*) - t^2] = (y + y*)^2 / 4, via a dense 1-d scan oracle
         ys = np.array([[1.0, 0.5], [-2.0, 1.0], [0.3, 0.3], [2.0, -2.0]])
-        got = theta(prod_space, diag121.underlying, ys)
+        got = theta(prod_space, diag121, ys)
         ts = np.linspace(-3, 3, 200_001)
         for y, g in zip(ys, got):
             oracle = np.max(ts * (y[0] + y[1]) - ts**2)
@@ -59,7 +59,7 @@ class TestTheta:
 
 class TestPhi:
     def test_two_formulas_agree_everywhere(self, prod_space, grid61, diag121):
-        a, pts = diag121.underlying, grid61.points()
+        a, pts = diag121, grid61.points()
         v1 = phi(prod_space, a, pts)
         v2 = prod_space.q(pts) - np.min(pairwise_q(prod_space, pts, a.points), axis=1)
         assert np.max(np.abs(v1 - v2)) < 1e-12
@@ -71,7 +71,7 @@ class TestPhi:
 
     def test_diagonal_closed_form(self, prod_space, grid61, diag121):
         pts = grid61.points()
-        vals = phi(prod_space, diag121.underlying, pts)
+        vals = phi(prod_space, diag121, pts)
         expected = pts[:, 0] * pts[:, 1] + 0.25 * (pts[:, 0] - pts[:, 1]) ** 2
         assert vals == pytest.approx(expected, abs=1e-9)
 
@@ -83,14 +83,14 @@ class TestPhi:
         small = diagonal_set(GridSpec.box(-1.0, 1.0, 21, 2))
         big = diagonal_set(grid61)
         pts = grid61.points()
-        v_small = phi(prod_space, small.underlying, pts)
-        v_big = phi(prod_space, big.underlying, pts)
+        v_small = phi(prod_space, small, pts)
+        v_big = phi(prod_space, big, pts)
         assert np.all(v_small <= v_big + 1e-12)
 
 
 class TestStarTheta:
     def test_matches_q_on_diagonal_nodes(self, prod_space, grid61, diag121):
-        triple = fitz_triple(prod_space, diag121.underlying, grid61)
+        triple = fitz_triple(prod_space, diag121, grid61)
         pts = grid61.points()
         on_diag = np.abs(pts[:, 0] - pts[:, 1]) < 1e-12
         got = triple.star_theta_fn.values[on_diag]
@@ -117,7 +117,7 @@ class TestStarTheta:
 
 class TestLemma213Suite:
     def test_diagonal_all_parts(self, prod_space, grid61, diag121):
-        rep = lemma_2_13_suite(fitz_triple(prod_space, diag121.underlying, grid61))
+        rep = lemma_2_13_suite(fitz_triple(prod_space, diag121, grid61))
         assert rep.passed
         for part in ("a_two_formulas", "b_phi_touches", "e_star_below_q",
                      "f_sandwich_upper", "f_sandwich_lower", "g_equalities_on_set"):
@@ -146,12 +146,12 @@ class TestLemma213Suite:
 
 class TestTheorem215:
     def test_worked_example_with_phi_candidate(self, prod_space, grid61, worked_fn61):
-        triple_h = fitz_triple(prod_space, diagonal_set(grid61).underlying, grid61)
+        triple_h = fitz_triple(prod_space, diagonal_set(grid61), grid61)
         rep, = theorem_2_15_reports(prod_space, worked_fn61, [triple_h.phi_fn])
         assert rep.passed
 
     def test_star_candidate(self, prod_space, grid61, worked_fn61):
-        triple_h = fitz_triple(prod_space, diagonal_set(grid61).underlying, grid61)
+        triple_h = fitz_triple(prod_space, diagonal_set(grid61), grid61)
         rep, = theorem_2_15_reports(prod_space, worked_fn61, [triple_h.star_theta_fn])
         assert rep.passed
 
@@ -169,7 +169,7 @@ class TestTheorem215:
 
 class TestSigmaMinorant:
     def test_phi_is_a_minorant(self, prod_space, grid61, diag121):
-        triple = fitz_triple(prod_space, diag121.underlying, grid61)
+        triple = fitz_triple(prod_space, diag121, grid61)
         rep = sigma_minorant_test(triple, triple.phi_fn)
         assert rep.passed
 
@@ -179,7 +179,7 @@ class TestSigmaMinorant:
             grid61,
             lambda p: np.atleast_2d(p) @ prod_space.pairing @ a0 - prod_space.q(a0),
             form="affine tangent at a set point")
-        rep = sigma_minorant_test(fitz_triple(prod_space, diag121.underlying, grid61), fn)
+        rep = sigma_minorant_test(fitz_triple(prod_space, diag121, grid61), fn)
         assert rep.passed
 
     def test_above_q_on_set_rejected(self, prod_space, grid61, diag121):
@@ -187,14 +187,14 @@ class TestSigmaMinorant:
             grid61, lambda p: prod_space.q(np.atleast_2d(p)) + 1.0,
             form="above q", require_convex=False)
         with pytest.raises(NotAMinorant):
-            sigma_minorant_test(fitz_triple(prod_space, diag121.underlying, grid61), fn)
+            sigma_minorant_test(fitz_triple(prod_space, diag121, grid61), fn)
 
     def test_triple_on_another_box_refused(self, prod_space, grid61, diag121):
         # same node count as h's grid, shifted box: the triple does not live on h's grid
         other = default_grid(2, -2.0, 4.0, 61)
         assert other.size == grid61.size
-        triple = fitz_triple(prod_space, diag121.underlying, other)
-        h = fitz_triple(prod_space, diag121.underlying, grid61).phi_fn
+        triple = fitz_triple(prod_space, diag121, other)
+        h = fitz_triple(prod_space, diag121, grid61).phi_fn
         with pytest.raises(GridMismatch):
             sigma_minorant_test(triple, h)
 
@@ -203,13 +203,13 @@ class TestConjugateBracket:
     def test_phi_star_dominates_theta(self, prod_space, grid61, diag121):
         from ssdkit.gridfn import sup_linear_minus
 
-        triple = fitz_triple(prod_space, diag121.underlying, grid61)
+        triple = fitz_triple(prod_space, diag121, grid61)
         pts = grid61.points()
         sources = np.vstack([pts, diag121.points])
         vals = np.concatenate([triple.phi_fn.values,
-                               phi(prod_space, diag121.underlying, diag121.points)])
+                               phi(prod_space, diag121, diag121.points)])
         phi_star, _ = sup_linear_minus(sources, vals, triple.dual_points)
-        theta_vals = theta(prod_space, diag121.underlying, triple.dual_points)
+        theta_vals = theta(prod_space, diag121, triple.dual_points)
         assert np.all(phi_star >= theta_vals - 1e-9)
 
 
@@ -246,7 +246,7 @@ class TestBlockRouting:
             return [e[:3] for e in ledger if e[0] in ("separable", "scattered")]
 
         sep, to_set, n = ("separable", 3721, 3721), ("scattered", 3721, 121), 121
-        assert sups(prod_space, diag121.underlying) == [
+        assert sups(prod_space, diag121) == [
             # theta on the dual box, the image lattice and the set image; phi
             ("scattered", n, 3721), ("scattered", n, 3721), ("scattered", n, n),
             ("scattered", n, 3721),

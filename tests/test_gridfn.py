@@ -29,7 +29,6 @@ from ssdkit.catalog import (
     diagonal_set,
     double_well_fn,
     half_sq_norm_fn,
-    indicator_fn,
     q_plus_const_fn,
     space_identity,
     space_negated,
@@ -63,6 +62,7 @@ from ssdkit.suites import lower_hull_1d
 from conftest import (
     brute_force_conjugate,
     brute_force_min_plus,
+    indicator_fn,
     lexsort_distinct_rows,
     loop_rescore,
     loop_sweep_axis,
@@ -391,7 +391,7 @@ class TestVzMas:
         assert rep.passed
 
     def test_representers_pass_both(self, prod_space, prod_dual, grid61, diag121):
-        triple = fitz_triple(prod_space, diag121.underlying, grid61)
+        triple = fitz_triple(prod_space, diag121, grid61)
         for fn in (triple.phi_fn, triple.star_theta_fn):
             assert is_vz(fn, prod_space).passed
             assert is_mas(fn, prod_space, prod_dual).passed
@@ -1562,7 +1562,7 @@ class TestScoreBlock:
         from ssdkit import gridfn
 
         grid = GridSpec.box(-3.0, 3.0, 101, 2)
-        a = diagonal_set(grid).underlying
+        a = diagonal_set(grid)
         box = fitz_triple(space_r2_product("two"), a, grid).dual_blocks[0]
         case = _captured_sup(gridfn, lambda: sup_over_blocks([box], [a.points]))
         assert self.block_rows(*case) == [25] * 7 + [26]

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from ssdkit import (
+    DimensionMismatch,
     EmptySet,
     GridSpec,
     MonotoneSet,
+    PointSet,
     PreconditionFailed,
     alignment_report,
     fitz_triple,
@@ -26,7 +28,6 @@ from ssdkit.catalog import (
     diagonal_set,
     q_plus_const_fn,
     sign_graph_set,
-    singleton_origin,
 )
 from ssdkit.suites import SUITES, SuiteOptions
 
@@ -40,18 +41,50 @@ class TestMonotoneSets:
         rng = np.random.default_rng(12)
         for _ in range(20):
             pts = rng.normal(size=(12, 2))
-            a = MonotoneSet.from_points(pts)
+            a = MonotoneSet(pts)
             classical = all(
                 (pts[i, 0] - pts[j, 0]) * (pts[i, 1] - pts[j, 1]) >= 0
                 for i in range(12) for j in range(i))
-            assert is_q_positive(prod_space, a.underlying).passed is classical
+            assert is_q_positive(prod_space, a).passed is classical
 
     def test_csv_roundtrip(self, tmp_path):
         a = diagonal_set(GridSpec.box(-1.0, 1.0, 6, 2))
         path = tmp_path / "set.csv"
         a.to_csv(path)
         back = MonotoneSet.from_csv(path)
-        assert np.allclose(back.points, a.points)
+        assert isinstance(back, MonotoneSet) and isinstance(back, PointSet) and back.n == 1
+        for got, want in ((back.points, a.points), (back.x, a.x), (back.xstar, a.xstar)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_a_monotone_set_is_a_point_set(self, prod_space, grid61, diag121):
+        assert isinstance(diag121, PointSet)
+        rep = lemma_2_13_suite(fitz_triple(prod_space, diag121, grid61))
+        assert rep.passed and rep.meta["set"] == "diagonal"
+        # the same triple, bit for bit, as from a plain point set of those rows
+        got = fitz_triple(prod_space, diag121, grid61)
+        want = fitz_triple(prod_space, PointSet(diag121.points, label="diagonal"), grid61)
+        for name in ("phi_fn", "theta_fn", "star_theta_fn"):
+            assert np.array_equal(getattr(got, name).values.view(np.int64),
+                                  getattr(want, name).values.view(np.int64)), name
+        docs = [{k: v for k, v in r.to_dict().items() if k != "wall_time"}
+                for r in (rep, lemma_2_13_suite(want))]
+        assert docs[0] == docs[1]
+
+    def test_odd_coordinate_count_refused_after_the_point_checks(self, tmp_path):
+        message = "monotone sets need an even coordinate count"
+        with pytest.raises(DimensionMismatch) as exc:
+            MonotoneSet(np.arange(9.0).reshape(3, 3))
+        assert str(exc.value) == message
+        path = tmp_path / "odd.csv"
+        np.savetxt(path, np.arange(9.0).reshape(3, 3), delimiter=",")
+        with pytest.raises(DimensionMismatch) as exc:
+            MonotoneSet.from_csv(path)
+        assert str(exc.value) == message
+        # the point set's own refusals come first, as when it was built apart
+        with pytest.raises(EmptySet):
+            MonotoneSet(np.zeros((0, 3)))
+        with pytest.raises(ValueError, match="points must be finite"):
+            MonotoneSet([[np.nan, 0.0, 0.0]])
 
 
 class TestMfSet:
@@ -65,7 +98,7 @@ class TestMfSet:
         from ssdkit.positivity import sets_match
 
         graph = monotone_graph_set(grid61, lambda t: 2 * t, label="doubling graph")
-        phi_fn = fitz_triple(prod_space, graph.underlying, grid61).phi_fn
+        phi_fn = fitz_triple(prod_space, graph, grid61).phi_fn
         mf = mf_set(phi_fn, prod_space)
         ok, dist, _ = sets_match(prod_space, graph.points, mf.points, grid61)
         assert ok, dist
@@ -81,7 +114,7 @@ class TestTypeNI:
         assert rep.passed
 
     def test_origin_singleton_fails_at_positive_quadrant(self, prod_space, prod_dual, grid61):
-        a = MonotoneSet(singleton_origin(2))
+        a = MonotoneSet(np.zeros((1, 2)), label="origin singleton")
         rep = type_ni_check(prod_space, a, prod_dual, grid61)
         assert not rep.passed
         # over the set {0} the infimum at a probe c is q~(c) = c1 c2, worst
@@ -105,7 +138,7 @@ class TestTypeNI:
 
 class TestStrongRepresentability:
     def test_diagonal_with_both_representers(self, prod_space, prod_dual, grid61, diag121):
-        triple = fitz_triple(prod_space, diag121.underlying, grid61)
+        triple = fitz_triple(prod_space, diag121, grid61)
         for fn in (triple.phi_fn, triple.star_theta_fn):
             rep = strongly_representable_check(diag121, fn, prod_space, prod_dual)
             assert rep.passed
@@ -135,7 +168,7 @@ class TestStrongRepresentability:
                 + prod_space.q(np.atleast_2d(p)), form="pinched", require_convex=False)
         else:                   # touching set the whole diagonal; the sample is [0, 1]
             sample = diagonal_set(GridSpec.box(0.0, 1.0, 6, 2))
-            fn = fitz_triple(prod_space, diag121.underlying, grid61).phi_fn
+            fn = fitz_triple(prod_space, diag121, grid61).phi_fn
         touch = mf_set(fn, prod_space).points
         near = lambda rows, others: [min(float(prod_space.norm(r - o)) for o in others)
                                      for r in rows]
@@ -154,7 +187,7 @@ class TestStrongRepresentability:
 
 
 def _battery(space, dual, mset, grid, density):
-    return theorem_5_8_battery(dual, fitz_triple(space, mset.underlying, grid), density)
+    return theorem_5_8_battery(dual, fitz_triple(space, mset, grid), density)
 
 
 class TestTheorem58:
@@ -181,7 +214,7 @@ class TestTheorem58:
         # a dense numpy max over the set x image-of-grid matrix; a prebuilt
         # triple has already been read by another check before the battery
         a = set_fn(grid61)
-        triple = fitz_triple(prod_space, a.underlying, grid61)
+        triple = fitz_triple(prod_space, a, grid61)
         if prebuilt:
             assert lemma_2_13_suite(triple).passed
         rep = theorem_5_8_battery(prod_dual, triple, density61)
@@ -196,8 +229,8 @@ class TestTheorem58:
 
     def test_singleton_refused(self, prod_space, prod_dual, grid61, density61):
         with pytest.raises(PreconditionFailed):
-            _battery(prod_space, prod_dual, MonotoneSet(singleton_origin(2)), grid61,
-                     density61)
+            _battery(prod_space, prod_dual,
+                     MonotoneSet(np.zeros((1, 2)), label="origin singleton"), grid61, density61)
 
 
 class TestDiagonalSet:
@@ -276,7 +309,7 @@ class TestNegativeAlignment:
         omegas = []
         for _ in range(8):
             perm = rng.permutation(len(diag121))
-            shuffled = MonotoneSet.from_points(diag121.points[perm])
+            shuffled = MonotoneSet(diag121.points[perm])
             omegas.append(negative_alignment(shuffled, [1.0], [-1.0], 1.0, 1.0).omega)
         assert max(omegas) - min(omegas) <= 1e-6
 
@@ -293,9 +326,7 @@ class TestNegativeAlignment:
         assert res.rho < 1.2 and res.sigma < 1.2
 
     def test_empty_set_rejected(self):
-        from ssdkit.positivity import PointSet
-
-        empty = MonotoneSet(PointSet(np.zeros((0, 2)), allow_empty=True))
+        empty = MonotoneSet(np.zeros((0, 2)), allow_empty=True)
         with pytest.raises(EmptySet):
             negative_alignment(empty, [0.0], [0.0], 1.0, 1.0)
 
@@ -304,7 +335,7 @@ class TestNegativeAlignment:
         # balanced minimizer for ((1,0), (-1,0)) is the origin with omega 1
         t = np.linspace(-2, 2, 41)
         vv = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
-        ident_graph = MonotoneSet.from_points(np.hstack([vv, vv]))
+        ident_graph = MonotoneSet(np.hstack([vv, vv]))
         res = negative_alignment(ident_graph, [1.0, 0.0], [-1.0, 0.0], 1.0, 1.0)
         assert res.objective_min == pytest.approx(0.0, abs=1e-12)
         assert res.minimizer == pytest.approx([0.0, 0.0, 0.0, 0.0])
@@ -370,7 +401,7 @@ class TestRemark56:
 
     def test_cubic_graph_chain(self, prod_space, prod_dual, grid61):
         cubic = cubic_graph_set(grid61)
-        phi_fn = fitz_triple(prod_space, cubic.underlying, grid61).phi_fn
+        phi_fn = fitz_triple(prod_space, cubic, grid61).phi_fn
         rep = remark_5_6_bound(cubic, phi_fn, prod_space, grid61.subsample(2))
         assert rep.passed
 
@@ -382,7 +413,7 @@ class TestProjectionClosure:
 
     def test_sign_graph_dual_projection_is_segment(self, prod_space, grid61):
         sign = sign_graph_set(grid61)
-        phi_fn = fitz_triple(prod_space, sign.underlying, grid61).phi_fn
+        phi_fn = fitz_triple(prod_space, sign, grid61).phi_fn
         rep = projection_closure_check(phi_fn, prod_space)
         assert rep.passed
         mf = mf_set(phi_fn, prod_space)

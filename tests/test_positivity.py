@@ -101,7 +101,7 @@ class TestQPositivity:
 
 class TestMaximality:
     def test_diagonal_is_grid_maximal(self, prod_space, grid61, diag121):
-        rep = is_maximally_q_positive(prod_space, diag121.underlying, grid61)
+        rep = is_maximally_q_positive(prod_space, diag121, grid61)
         assert rep.passed
 
     def test_origin_singleton_not_maximal(self, prod_space, grid61):
@@ -126,7 +126,7 @@ class TestBoundedMemory:
 
     @pytest.mark.parametrize("check", [p_dense_check, is_maximally_q_positive])
     def test_peak_grows_linearly(self, prod_space, check):
-        a = diagonal_set(GridSpec.box(-3.0, 3.0, 201, 2)).underlying
+        a = diagonal_set(GridSpec.box(-3.0, 3.0, 201, 2))
         peaks = {}
         for num in (101, 201, 401):
             grid = GridSpec.box(-3.0, 3.0, num, 2)
@@ -152,7 +152,7 @@ class TestQPositivityMemory:
         peaks = []
         for n in (1500, 2000):
             t = np.linspace(-3.0, 3.0, n)
-            a = MonotoneSet.from_points(np.stack([t, t], axis=1)).underlying
+            a = MonotoneSet(np.stack([t, t], axis=1))
             tracemalloc.start()
             try:
                 assert is_q_positive(prod_space, a).passed
@@ -185,7 +185,7 @@ class TestTouchingSet:
             p_set(f, prod_space)
 
     def test_representer_recovers_diagonal(self, prod_space, grid61, diag121):
-        phi_fn = fitz_triple(prod_space, diag121.underlying, grid61).phi_fn
+        phi_fn = fitz_triple(prod_space, diag121, grid61).phi_fn
         ps = p_set(phi_fn, prod_space)
         # every touching node sits within one cell of the diagonal
         assert np.max(np.abs(ps.points[:, 0] - ps.points[:, 1])) <= 0.1 + 1e-9
@@ -245,12 +245,12 @@ class TestSetsMatch:
 
 class TestDensity:
     def test_diagonal_is_dense(self, prod_space, grid61, diag121):
-        rep = p_dense_check(prod_space, diag121.underlying, grid61)
+        rep = p_dense_check(prod_space, diag121, grid61)
         assert rep.passed
 
     def test_diagonal_density_is_exact_here(self, prod_space, grid61, diag121):
         # midpoints of 61-grid sums are 121-grid nodes: achieved inf is zero
-        rep = p_dense_check(prod_space, diag121.underlying, grid61, tol_density=1e-12)
+        rep = p_dense_check(prod_space, diag121, grid61, tol_density=1e-12)
         assert rep.passed
 
     def test_singleton_fails_at_corner(self, prod_space, grid61):
@@ -281,7 +281,7 @@ class TestProjection:
         assert trace.achieved_distance == 0.0
 
     def test_representer_projection_from_antidiagonal(self, prod_space, grid121, diag121):
-        phi_fn = fitz_triple(prod_space, diag121.underlying, grid121).phi_fn
+        phi_fn = fitz_triple(prod_space, diag121, grid121).phi_fn
         trace = project_to_p(phi_fn, prod_space, np.array([1.0, -1.0]), 0.5)
         assert trace.limit == pytest.approx([0.0, 0.0], abs=1e-9)
         assert trace.achieved_distance == pytest.approx(SQRT2, abs=1e-9)
@@ -353,11 +353,11 @@ class TestDistBounds:
 
 class TestLemma28:
     def test_diagonal_with_representer(self, prod_space, grid61, diag121):
-        triple = fitz_triple(prod_space, diag121.underlying, grid61)
+        triple = fitz_triple(prod_space, diag121, grid61)
         phi_fn, star_fn = triple.phi_fn, triple.star_theta_fn
-        rep = lemma_2_8_suite(prod_space, diag121.underlying, phi_fn, grid61)
+        rep = lemma_2_8_suite(prod_space, diag121, phi_fn, grid61)
         assert rep.passed
-        rep2 = lemma_2_8_suite(prod_space, diag121.underlying, star_fn, grid61)
+        rep2 = lemma_2_8_suite(prod_space, diag121, star_fn, grid61)
         assert rep2.passed
 
     def test_sparse_set_refused(self, prod_space, grid61):
@@ -373,7 +373,7 @@ class TestEquivalenceOfVzAndDensity:
     def test_catalog(self, prod_space, grid61, diag121):
         from ssdkit import is_vz
 
-        triple = fitz_triple(prod_space, diag121.underlying, grid61)
+        triple = fitz_triple(prod_space, diag121, grid61)
         phi_fn, star_fn = triple.phi_fn, triple.star_theta_fn
         worked = half_sq_norm_fn(grid61)
         ident = space_identity(2)

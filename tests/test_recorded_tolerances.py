@@ -41,8 +41,8 @@ CASES = {
     "is_vz": lambda c: (is_vz(c.worked_fn61, c.prod_space),
                         tols.vz_tolerance(c.worked_fn61)),
     "sigma_minorant_test": lambda c: (
-        sigma_minorant_test(fitz_triple(c.prod_space, c.diag121.underlying, c.grid61), c.phi61),
-        _sigma_tol(c.prod_space, c.diag121.underlying, c.phi61)),
+        sigma_minorant_test(fitz_triple(c.prod_space, c.diag121, c.grid61), c.phi61),
+        _sigma_tol(c.prod_space, c.diag121, c.phi61)),
     "theorem_2_15_reports_no_candidate": lambda c: (
         next(theorem_2_15_reports(c.prod_space, c.worked_fn61, [None])), tols.ATOL_GRID),
     "theorem_2_15_reports": lambda c: (
@@ -68,7 +68,7 @@ CASES = {
         dist_bounds_check(c.worked_fn61, c.prod_space, c.grid61.subsample(2)),
         tols.ATOL_GRID),
     "lemma_2_8_suite": lambda c: (
-        lemma_2_8_suite(c.prod_space, c.diag121.underlying, c.phi61, c.grid61),
+        lemma_2_8_suite(c.prod_space, c.diag121, c.phi61, c.grid61),
         tols.one_cell_p_bound(c.prod_space, c.grid61)),
     "dual_norm_check": lambda c: (dual_norm_check(c.prod_space, c.prod_dual, n_samples=20),
                                   1e-4),
@@ -81,7 +81,7 @@ class _Context:
 
     def __getattr__(self, name):
         if name == "diag_triple61":
-            return fitz_triple(self.prod_space, self.diag121.underlying, self.grid61)
+            return fitz_triple(self.prod_space, self.diag121, self.grid61)
         if name == "phi61":
             return self.diag_triple61.phi_fn
         return self._request.getfixturevalue(name)
@@ -105,14 +105,14 @@ def _recorded_slacks(space, dual, grid):
     """Each two-cell slack that a report on `grid` records, by report."""
     diag = diagonal_set(grid)
     fn = half_sq_norm_fn(grid)
-    phi = fitz_triple(space, diag.underlying, grid).phi_fn
+    phi = fitz_triple(space, diag, grid).phi_fn
     dist = dist_bounds_check(fn, space, grid)
     lemma_2_7, = run_suite("lemma_2_7", SuiteOptions(grid=grid))
     return {
-        "dist_tol": is_maximally_q_positive(space, diag.underlying, grid).tolerances["dist_tol"],
+        "dist_tol": is_maximally_q_positive(space, diag, grid).tolerances["dist_tol"],
         "dist_bounds_check": dist.tolerances["cell_slack"],
         "ratio_floor": dist.meta["ratio_floor"],
-        "lemma_2_8": lemma_2_8_suite(space, diag.underlying, phi, grid).tolerances["cell_slack"],
+        "lemma_2_8": lemma_2_8_suite(space, diag, phi, grid).tolerances["cell_slack"],
         "remark_5_6": remark_5_6_bound(diag, fn, space, grid).tolerances["cell_slack"],
         "set_radius": strongly_representable_check(diag, phi, space, dual).tolerances["set_radius"],
         "lemma_2_7": lemma_2_7.tolerances["cell_slack"],

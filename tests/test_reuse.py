@@ -25,7 +25,7 @@ def _doc(rep):
 
 class TestPrebuiltDensity:
     def test_failed_density_given_still_refuses(self, prod_space, prod_dual, grid61):
-        triple = fitz_triple(prod_space, cubic_graph_set(grid61).underlying, grid61)
+        triple = fitz_triple(prod_space, cubic_graph_set(grid61), grid61)
         failed = density_report(prod_space, prod_dual, grid61, tol_density=-1.0)
         assert not failed.passed
         with pytest.raises(DensityNotVerified):
@@ -36,7 +36,7 @@ class TestPrebuiltDensity:
 
 class TestTheorem215Reports:
     def test_equal_to_separate_calls(self, prod_space, grid61, worked_fn61, diag121):
-        triple = fitz_triple(prod_space, diag121.underlying, grid61)
+        triple = fitz_triple(prod_space, diag121, grid61)
         mid = GridFn._raw(grid61, 0.5 * (triple.phi_fn.values + triple.star_theta_fn.values),
                           form="midpoint")
         cands = [triple.phi_fn, triple.star_theta_fn, mid, None]
@@ -47,7 +47,7 @@ class TestTheorem215Reports:
             assert _doc(rep) == _doc(alone)
 
     def test_reports_are_independent(self, prod_space, grid61, worked_fn61, diag121):
-        triple = fitz_triple(prod_space, diag121.underlying, grid61)
+        triple = fitz_triple(prod_space, diag121, grid61)
         first, second = theorem_2_15_reports(prod_space, worked_fn61,
                                              [triple.phi_fn, triple.star_theta_fn])
         assert first is not second

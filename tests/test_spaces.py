@@ -15,7 +15,6 @@ from ssdkit import (
     product_space,
 )
 from ssdkit.catalog import (
-    cyclic_pairing_matrix,
     space_identity,
     space_negated,
     space_swap_r3,
@@ -38,6 +37,7 @@ from conftest import (
     chain_pairwise_p,
     chain_pairwise_q,
     chain_pairwise_sq_dists,
+    cyclic_pairing_matrix,
 )
 
 finite_coord = st.floats(min_value=-10, max_value=10, allow_nan=False)
