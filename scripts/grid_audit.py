@@ -16,6 +16,8 @@ failing `suite:check_id` (with its count when several reports fail it), as
 Exits 1 when any check fails on any box, that is when any box's `verify`
 exits 1, else 0.  A refusal alone (a box that exits 2) does not count: it
 names an unmet precondition, and `verify` exits 2 only when no check failed.
+Every box is parsed before any runs: one that is not a valid `--grid` (a
+mistyped flag such as `--out` reads as a box) exits 2 naming it, and no box runs.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from collections import Counter
 from pathlib import Path
 
 from ssdkit.cli import main as ssdkit_main
+from ssdkit.grids import GridSpec
 
 # the baseline's boxes, then four off-centre boxes with unequal node counts,
 # odd on both axes, the first, the second and neither (drawn once with numpy's
@@ -68,6 +71,12 @@ def main(argv=None) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     out, boxes = Path(argv[0]), argv[1:] or FIXED_BOXES
+    for box in boxes:
+        try:
+            GridSpec.from_string(grid_arg(box))
+        except ValueError as exc:
+            print(f"error: bad box {box!r}: {exc}", file=sys.stderr)
+            return 2
     failed = False
     for box in boxes:
         code, lines = audit_box(box, out / box)

@@ -75,6 +75,7 @@ from .fitzpatrick import (
     fitz_triple,
     lemma_2_13_suite,
     phi,
+    phi_on_grid,
     remark_2_14_gap,
     sigma_minorant_test,
     star_theta,

@@ -74,6 +74,15 @@ def star_theta(space: SsdSpace, a: PointSet, probes, c) -> float | np.ndarray:
     return _set_max(a, probes, theta(space, a, probes), c)
 
 
+def phi_on_grid(space: SsdSpace, a: PointSet, grid: GridSpec) -> GridFn:
+    """The primal representer on the grid's nodes, `exact` off them: the
+    triple's `phi_fn` alone, for checks that read no dual-side representer."""
+    return GridFn._raw(
+        grid, phi(space, a, grid.points()),
+        exact=(lambda xs, _s=space, _a=a: phi(_s, _a, np.atleast_2d(xs))),
+        form="phi")
+
+
 @dataclass(frozen=True, eq=False)
 class FitzTriple:
     """The three representers of a set materialized on grids."""
@@ -106,11 +115,7 @@ def fitz_triple(space: SsdSpace, a: PointSet, grid: GridSpec) -> FitzTriple:
     dual_blocks = ((box, theta_fn.values),
                    (image, theta(space, a, image.points())),
                    (set_image, theta(space, a, set_image)))
-    pts = grid.points()
-    phi_fn = GridFn._raw(
-        grid, phi(space, a, pts),
-        exact=(lambda xs, _s=space, _a=a: phi(_s, _a, np.atleast_2d(xs))),
-        form="phi")
+    phi_fn = phi_on_grid(space, a, grid)
     st, _ = sup_over_blocks(dual_blocks, [Lattice(grid)])
     star_fn = GridFn._raw(grid, st, form="star_theta")
     return FitzTriple(a, space, theta_fn, phi_fn, star_fn, dual_blocks)

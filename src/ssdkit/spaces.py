@@ -283,9 +283,13 @@ class SsdSpace:
 
     @classmethod
     def from_dict(cls, doc):
+        pairing = _pairing_entry(doc, "space document")
+        norm = doc.get("norm", {})
+        if not isinstance(norm, dict):
+            raise ValueError("space document's 'norm' is not a JSON object")
         return cls(
-            pairing=np.asarray(_pairing_entry(doc, "space document"), dtype=float),
-            norm=NormSpec.from_dict(doc.get("norm", {})),
+            pairing=np.asarray(pairing, dtype=float),
+            norm=NormSpec.from_dict(norm),
             label=doc.get("label", ""),
         )
 

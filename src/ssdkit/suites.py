@@ -47,6 +47,7 @@ from .errors import NoDual, SsdkitError
 from .fitzpatrick import (
     fitz_triple,
     lemma_2_13_suite,
+    phi_on_grid,
     remark_2_14_gap,
     sigma_minorant_test,
     theorem_2_15_reports,
@@ -196,11 +197,12 @@ def suite_remark_2_17(opts: SuiteOptions):
 def suite_lemma_1_6(opts: SuiteOptions):
     grid = _grid(opts)
     rng = np.random.default_rng(opts.seed)
-    fns = vz_catalog(TWO, grid)  # its diagonal lies on the grid's nodes
+    worked = half_sq_norm_fn(grid)
     cases = [
-        (TWO, fns["worked_example"], "worked example"),
+        (TWO, worked, "worked example"),
         (space_identity(2), q_plus_const_fn(space_identity(2), grid), "shifted form"),
-        (TWO, fns["phi_diagonal"], "diagonal representer"),
+        # the diagonal lies on the grid's nodes
+        (TWO, phi_on_grid(TWO, diagonal_set(grid), grid), "diagonal representer"),
     ]
     for space, f, label in cases:
         pts = f.grid.points()
@@ -220,7 +222,7 @@ def suite_lemma_1_6(opts: SuiteOptions):
         rep.add("doubled_gap_bound", "remark_1_7", worst2 <= tols.ATOL_GRID,
                 residual=max(0.0, worst2))
         yield rep
-    f = fns["worked_example"]
+    f = worked
     touching = p_set(f, TWO)
     fat = intrinsic_conjugate(f, TWO)
     sample = touching.points[:: max(1, len(touching) // 50)]
@@ -359,7 +361,7 @@ def suite_lemma_4_7(opts: SuiteOptions):
     tol = 5e-3  # the zero-sum tolerance, recorded in each report
     f = half_sq_norm_fn(grid)
     yield _tag(lemma_4_7_identity(TWO, dual, f, c_grid, tol=tol), fn="worked example")
-    phi_fn = fitz_triple(TWO, diagonal_set(c_grid), grid).phi_fn
+    phi_fn = phi_on_grid(TWO, diagonal_set(c_grid), grid)
     yield _tag(lemma_4_7_identity(TWO, dual, phi_fn, c_grid, tol=tol),
                fn="diagonal representer")
     ident = space_identity(2)
@@ -422,7 +424,7 @@ def suite_theorem_5_5(opts: SuiteOptions):
     yield rep
     grid = _grid(opts)
     yield _tag(projection_closure_check(half_sq_norm_fn(grid), TWO), fn="worked example")
-    phi_sign = fitz_triple(TWO, sign_graph_set(grid), grid).phi_fn
+    phi_sign = phi_on_grid(TWO, sign_graph_set(grid), grid)
     yield _tag(projection_closure_check(phi_sign, TWO), fn="sign-graph representer")
 
 
@@ -449,7 +451,7 @@ def suite_remark_5_6(opts: SuiteOptions):
     yield _tag(remark_5_6_bound(diagonal_set(c_grid), half_sq_norm_fn(grid), TWO, c_grid),
                fn="worked example")
     cubic = cubic_graph_set(c_grid)
-    phi_fn = fitz_triple(TWO, cubic, c_grid).phi_fn
+    phi_fn = phi_on_grid(TWO, cubic, c_grid)
     yield _tag(remark_5_6_bound(cubic, phi_fn, TWO, grid.subsample(4)),
                fn="cubic-graph representer")
 

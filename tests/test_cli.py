@@ -81,6 +81,17 @@ class TestVerify:
             assert err == f"error: {message}\n", command
             assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("norm", [[1], "two", 1.0, None])
+    def test_space_document_with_non_object_norm_is_input_error(self, tmp_path, capsys,
+                                                                norm):
+        bad = tmp_path / "space.json"
+        bad.write_text(json.dumps({"pairing": [[0.0, 1.0], [1.0, 0.0]], "norm": norm}))
+        for command in ("fitzpatrick", "project"):
+            assert run([command, "--space", bad, "--out", tmp_path / "out"]) == 2, command
+            err = capsys.readouterr().err
+            assert err == "error: space document's 'norm' is not a JSON object\n", command
+            assert not (tmp_path / "out").exists()
+
     def test_singleton_set_refuses_battery(self, tmp_path):
         setfile = tmp_path / "singleton.csv"
         np.savetxt(setfile, np.zeros((1, 2)), delimiter=",")

@@ -14,6 +14,8 @@ from ssdkit import (
     fitz_triple,
     lemma_2_13_suite,
     phi,
+    phi_on_grid,
+    product_space,
     remark_2_14_gap,
     sigma_minorant_test,
     star_theta,
@@ -25,6 +27,8 @@ from ssdkit.catalog import (
     diagonal_set,
     helix_set,
     singleton_origin,
+    space_identity,
+    space_swap_r3,
     space_zero_pairing,
 )
 from ssdkit.fitzpatrick import dual_probe_blocks
@@ -213,6 +217,38 @@ class TestConjugateBracket:
         assert np.all(phi_star >= theta_vals - 1e-9)
 
 
+def _random_case(space_name, seed):
+    """A named space, a random small grid and a random set of up to 7 points."""
+    space = {"swap": lambda: product_space(1), "identity": lambda: space_identity(2),
+             "zero": lambda: space_zero_pairing(2), "swap_r3": space_swap_r3}[space_name]()
+    rng = np.random.default_rng(seed)
+    grid = default_grid(space.dim, -2.0, 2.0, int(rng.integers(3, 10 if space.dim == 2 else 6)))
+    a = PointSet(rng.uniform(-2.0, 2.0, size=(int(rng.integers(1, 8)), space.dim)))
+    return space, grid, a
+
+
+class TestPhiOnGrid:
+    """`phi_on_grid` is the triple's phi, built without the dual side."""
+
+    @pytest.mark.parametrize("space_name", ["swap", "identity", "zero", "swap_r3"])
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=10, deadline=None)
+    def test_bitwise_the_triples_phi(self, space_name, seed):
+        space, grid, a = _random_case(space_name, seed)
+        alone, ref = phi_on_grid(space, a, grid), fitz_triple(space, a, grid).phi_fn
+        assert alone.grid is grid and ref.grid is grid
+        assert alone.form == ref.form == "phi"
+        assert alone.values.tobytes() == ref.values.tobytes()
+        off_nodes = np.random.default_rng(seed).uniform(-2.5, 2.5, size=(9, space.dim))
+        assert alone.evaluate(off_nodes).tobytes() == ref.evaluate(off_nodes).tobytes()
+        assert alone.evaluate(off_nodes).tobytes() == phi(space, a, off_nodes).tobytes()
+
+    def test_runs_only_the_phi_sup(self, prod_space, grid61, diag121):
+        with kernel_ledger() as ledger:
+            phi_on_grid(prod_space, diag121, grid61)
+        assert [e[:3] for e in ledger] == [("scattered", 121, 3721)]
+
+
 class TestBlockRouting:
     """`fitz_triple` takes its sups over probe blocks; the stacked
     `star_theta` over the same rows is the reference."""
@@ -221,15 +257,9 @@ class TestBlockRouting:
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=10, deadline=None)
     def test_star_theta_matches_stacked_probes(self, space_name, seed):
-        from ssdkit import product_space
-        from ssdkit.catalog import space_identity, space_swap_r3
         from ssdkit.grids import image_box
 
-        space = {"swap": lambda: product_space(1), "identity": lambda: space_identity(2),
-                 "zero": lambda: space_zero_pairing(2), "swap_r3": space_swap_r3}[space_name]()
-        rng = np.random.default_rng(seed)
-        grid = default_grid(space.dim, -2.0, 2.0, int(rng.integers(3, 10 if space.dim == 2 else 6)))
-        a = PointSet(rng.uniform(-2.0, 2.0, size=(int(rng.integers(1, 8)), space.dim)))
+        space, grid, a = _random_case(space_name, seed)
         triple = fitz_triple(space, a, grid)
         box = image_box(grid, space.pairing, inflate=1.5, include_source=True)
         stacked = np.vstack([box.points(), grid.points() @ space.pairing.T,

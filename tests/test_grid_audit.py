@@ -32,3 +32,18 @@ def test_last_boxes_are_off_centre_with_unequal_odd_and_even_counts(audit):
         assert all(lo != -hi for lo, hi in zip(grid.lower, grid.upper))
         parities.append(tuple(grid.num % 2))
     assert set(parities) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+
+@pytest.mark.parametrize("argv,bad", [
+    (["out", "-3:3:41", "1:0:5"], "1:0:5"),
+    (["out", "-3:3:41", "--out"], "--out"),
+    (["--out", "out", "-3:3:41"], "out"),  # OUT is "--out", and "out" reads as a box
+])
+def test_bad_box_exits_2_before_any_box_runs(audit, tmp_path, monkeypatch, capsys, argv,
+                                             bad):
+    monkeypatch.chdir(tmp_path)
+    assert audit.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: bad box {bad!r}: ")
+    assert list(tmp_path.iterdir()) == []

@@ -59,12 +59,22 @@ class TestTheorem215Reports:
         assert _doc(second) == before
 
 
-# sup-kernel calls of one run of each suite, with each representer triple,
-# VZ verdict and pairing-conjugate built once; a rebuild raises a count
+# sup-kernel calls of one run of each representer suite, with each representer
+# triple, VZ verdict and pairing-conjugate built once and no triple built where
+# a suite reads phi alone; a rebuild or an unread triple raises a count
 SUITE_KERNEL_CALLS = {
+    "fenchel_moreau": 42,
+    "lemma_1_6": 3,
+    "lemma_2_7": 42,
+    "lemma_2_13": 59,
+    "lemma_4_7": 10,
+    "remark_2_17": 1,
+    "remark_5_6": 2,
+    "theorem_2_9": 9,
     "theorem_2_15": 36,
     "theorem_2_16": 8,
     "theorem_4_10": 19,
+    "theorem_5_5": 1,
     "theorem_5_8": 60,
 }
 

@@ -402,3 +402,9 @@ class TestSerialization:
         assert np.array_equal(back.pairing, prod_space.pairing)
         assert back.norm.variant == prod_space.norm.variant
         assert back.norm.tau == prod_space.norm.tau
+
+    @pytest.mark.parametrize("norm", [[1], "two", None])
+    def test_non_object_norm_names_the_key(self, norm):
+        doc = {"pairing": [[0.0, 1.0], [1.0, 0.0]], "norm": norm}
+        with pytest.raises(ValueError, match="^space document's 'norm' is not a JSON object$"):
+            SsdSpace.from_dict(doc)
