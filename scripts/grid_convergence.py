@@ -17,7 +17,7 @@ from functools import partial
 import ssdkit  # noqa: F401
 import numpy as np
 
-from ssdkit import is_vz, make_dual, p_set
+from ssdkit import is_vz, p_set
 from ssdkit.catalog import default_grid, half_sq_norm_fn, space_r2_product
 from ssdkit.duality import lemma_4_7_identity
 from ssdkit.gridfn import nearest
@@ -28,13 +28,12 @@ SQRT2 = np.sqrt(2.0)
 
 def sweep(sizes=(21, 31, 41, 61, 81, 121)):
     sp = space_r2_product("two", tau=1.0)
-    dual = make_dual(sp)
     rows = []
     for n in sizes:
         grid = default_grid(2, -3.0, 3.0, n)
         f = half_sq_norm_fn(grid)
         vz = is_vz(f, sp).check("zero_infconv").worst_residual
-        ident = lemma_4_7_identity(sp, dual, f, grid, tol=1.0)
+        ident = lemma_4_7_identity(sp, f, grid, tol=1.0)
         ident_res = ident.checks[0].worst_residual
         touching = p_set(f, sp)
         pts = grid.points()

@@ -3,9 +3,10 @@
 Core objects: `SsdSpace` (pairing + norm + gauges q, g, p), `GridFn`
 (extended-real samples on a box grid with brute-force conjugation and
 inf-convolution), `PointSet`/`MonotoneSet` (sampled positive and monotone
-sets), `DualSsd` (inverse pairing + dual norm), and `VerifyReport`
-(structured check outcomes).  The `suites` registry and the CLI drive the
-shipped verification batteries end to end.
+sets), and `VerifyReport` (structured check outcomes).  A space's dual, the
+inverse pairing with the dual norm, is itself an `SsdSpace`: `space.dual`.
+The `suites` registry and the CLI drive the shipped verification batteries
+end to end.
 """
 
 # First, before any import that loads numpy: `blas` pins OpenBLAS to one
@@ -83,11 +84,9 @@ from .fitzpatrick import (
     theta,
 )
 from .duality import (
-    DualSsd,
     density_report,
     dual_norm_check,
     lemma_4_7_identity,
-    make_dual,
     numerical_dual_norm,
     p_tilde_density,
     theorem_4_10_battery,

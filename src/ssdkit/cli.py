@@ -48,7 +48,7 @@ def _load_space(args) -> SsdSpace:
     if args.space_file:
         from .duality import load_space_document
 
-        return load_space_document(args.space_file)[0]
+        return load_space_document(args.space_file)
     return space_r2_product("two", tau=1.0)
 
 

@@ -4,21 +4,19 @@ equivalence battery for maximal sets.
 
 The dual of R^d is R^d under the dot product, so the compatible dual pairing
 is the matrix inverse of the primal one and the dual side is itself a space
-of the same kind; we materialize it as an `SsdSpace` and reuse all gauges.
+of the same kind: `space.dual`, an `SsdSpace` whose q and p are q-tilde and
+p-tilde.  Every check here reads it from the space it is given.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .errors import (
     DensityNotVerified,
-    DimensionMismatch,
     GridMismatch,
-    NoDual,
     PreconditionFailed,
     SingularPairing,
 )
@@ -44,106 +42,49 @@ from .spaces import (
     PRODUCT_KINDS,
     QUADRATIC,
     SsdSpace,
-    _pairing_entry,
-    bilinear_rows,
-    check_banach_ssd,
     pairwise_q,
     swap_matrix,
 )
 from . import tolerances as tols
 
 
-@dataclass(frozen=True, eq=False)
-class DualSsd:
-    """Dual pairing and dual norm attached to a space, as a space in its own
-    right: `as_space` carries the dual pairing and norm, and q-tilde and
-    p-tilde as its q and p."""
-
-    space: SsdSpace
-    as_space: SsdSpace
-
-    def q_tilde(self, c):
-        return self.as_space.q(c)
-
-    def p_tilde(self, c):
-        return self.as_space.p(c)
-
-    def to_dict(self):
-        return {"pairing": self.as_space.pairing.tolist(),
-                "norm": self.as_space.norm.to_dict()}
-
-
-def save_space_document(space: SsdSpace, path, dual: DualSsd | None = None) -> None:
-    """One JSON document for a space, with the dual structure under "dual"."""
+def save_space_document(space: SsdSpace, path, dual: bool = False) -> None:
+    """One JSON document for a space, with the pairing and norm of its dual
+    under "dual" when `dual` is set."""
     doc = space.to_dict()
-    if dual is not None:
-        doc["dual"] = dual.to_dict()
+    if dual:
+        doc["dual"] = {"pairing": space.dual.pairing.tolist(),
+                       "norm": space.dual.norm.to_dict()}
     write_json(path, doc)
 
 
-def load_space_document(path) -> tuple[SsdSpace, DualSsd | None]:
-    """Read a space document; reconstructs and revalidates the dual if present."""
+def load_space_document(path) -> SsdSpace:
+    """Read a space document.  A stored "dual" is read by the rules of the
+    space itself, and its pairing and its norm's variant, tau, scale and
+    weight must match `space.dual` to 1e-9."""
     import json
 
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     space = SsdSpace.from_dict(doc)
-    dual = None
     if "dual" in doc:
-        dual = make_dual(space)
-        stored = np.asarray(_pairing_entry(doc["dual"], "space document's 'dual'"),
-                            dtype=float)
-        if np.max(np.abs(stored - dual.as_space.pairing)) > 1e-9:
+        what = "space document's 'dual'"
+        stored = SsdSpace.from_dict(doc["dual"], what)
+        dual = space.dual
+        if not _close(stored.pairing, dual.pairing):
             raise SingularPairing("stored dual pairing disagrees with the "
                                   "canonical one for this space")
-    return space, dual
+        a, b = stored.norm, dual.norm
+        if not (a.variant == b.variant and _close(a.tau, b.tau) and _close(a.scale, b.scale)
+                and (a.variant != QUADRATIC or _close(a.weight, b.weight))):
+            raise ValueError(f"{what}'s 'norm' disagrees with the canonical dual "
+                             "norm for this space")
+    return space
 
 
-def make_dual(space: SsdSpace) -> DualSsd:
-    """Construct the canonical dual structure and validate compatibility.
-
-    Raises SingularPairing when the pairing has no inverse and NoDual when
-    the dual side fails `check_banach_ssd` (p-tilde >= -ATOL_CLOSED), with
-    its witness and the value of p-tilde there attached.  The check is
-    analytic whenever the dual norm has a quadratic form and sampled on the
-    [-1, 1]^d box otherwise (p-tilde is 2-homogeneous, so a unit box sample
-    suffices).  The identities are checked on 1000 random vectors of a
-    generator seeded with 42.
-    """
-    m = space.pairing
-    if np.linalg.cond(m) > 1e12:
-        raise SingularPairing("pairing matrix is numerically singular")
-    m_inv = np.linalg.inv(m)
-    m_tilde = 0.5 * (m_inv + m_inv.T)
-    dual_norm = space.norm.dual()
-    as_space = SsdSpace(m_tilde, norm=dual_norm,
-                        label=(space.label + " (dual)") if space.label else "dual")
-    dual = DualSsd(space, as_space)
-
-    rng = np.random.default_rng(42)
-    b = rng.standard_normal((1000, space.dim))
-    cstar = rng.standard_normal((1000, space.dim))
-    lhs = bilinear_rows(b @ m.T, m_tilde, cstar)
-    rhs = np.einsum("ni,ni->n", b, cstar)
-    if np.max(np.abs(lhs - rhs)) > 1e-8 * max(1.0, float(np.max(np.abs(rhs)))):
-        raise SingularPairing("dual pairing fails the compatibility identity")
-    qt = as_space.q(b @ m.T)
-    if np.max(np.abs(qt - space.q(b))) > 1e-8 * max(1.0, float(np.max(np.abs(qt)))):
-        raise SingularPairing("dual quadratic form fails the pullback identity")
-
-    probe = "analytic"
-    if dual_norm.quadratic_weight(space.dim) is None:
-        probe = GridSpec.box(-1.0, 1.0, _probe_points_per_axis(space.dim), space.dim)
-    check = check_banach_ssd(as_space, probe).checks[0]
-    if check.status != PASS:
-        value = float(as_space.p(check.witness))
-        raise NoDual(f"dual gauge is negative: p_tilde({check.witness.tolist()}) = "
-                     f"{value:.6g}", witness=check.witness, value=value)
-    return dual
-
-
-def _probe_points_per_axis(dim):
-    return {1: 201, 2: 81, 3: 21, 4: 21}.get(dim, 9)
+def _close(x, y) -> bool:
+    """Same shape and every entry within 1e-9."""
+    return np.shape(x) == np.shape(y) and bool(np.all(np.abs(np.subtract(x, y)) <= 1e-9))
 
 
 # -- dual norms -----------------------------------------------------------------
@@ -179,13 +120,13 @@ def numerical_dual_norm(space: SsdSpace, ystar) -> float | np.ndarray:
     return float(vals[0]) if y.ndim == 1 else vals
 
 
-def dual_norm_check(space: SsdSpace, dual: DualSsd, n_samples: int = 100,
-                    seed: int = 42, tol: float = 1e-4) -> VerifyReport:
+def dual_norm_check(space: SsdSpace, n_samples: int = 100, seed: int = 42,
+                    tol: float = 1e-4) -> VerifyReport:
     """Numerical dual norm vs the claimed closed form on random dual vectors
     drawn from [-3, 3]^d."""
     rng = np.random.default_rng(seed)
     ys = rng.uniform(-3.0, 3.0, size=(n_samples, space.dim))
-    dual_norm = dual.as_space.norm
+    dual_norm = space.dual.norm
     errs = np.abs(numerical_dual_norm(space, ys) - dual_norm(ys))
     worst = float(np.max(errs, initial=0.0))
     report = VerifyReport(suite="dual_norm_check", seed=seed,
@@ -201,7 +142,7 @@ def dual_norm_check(space: SsdSpace, dual: DualSsd, n_samples: int = 100,
 
 # -- image density ------------------------------------------------------------------
 
-def p_tilde_density(space: SsdSpace, dual: DualSsd, bstar, primal_grid: GridSpec):
+def p_tilde_density(space: SsdSpace, bstar, primal_grid: GridSpec):
     """(achieved infimum of p_tilde(b* - iota(c)), witnessing primal c) for
     one probe b*, or (array, witness rows) for rows of probes.
 
@@ -217,7 +158,8 @@ def p_tilde_density(space: SsdSpace, dual: DualSsd, bstar, primal_grid: GridSpec
     b = np.asarray(bstar, dtype=float)
     probes = np.atleast_2d(b)
     nodes = primal_grid.points()
-    vals, args = nearest(_OnDifferences(dual.p_tilde), probes, nodes @ space.pairing.T)
+    p_tilde = space.dual.p
+    vals, args = nearest(_OnDifferences(p_tilde), probes, nodes @ space.pairing.T)
     wits = nodes[args]
     candidates = []
     if (space.norm.variant in PRODUCT_KINDS and space.norm.scale == 1.0
@@ -229,7 +171,7 @@ def p_tilde_density(space: SsdSpace, dual: DualSsd, bstar, primal_grid: GridSpec
     if np.linalg.cond(space.pairing) < 1e12:
         candidates.append(np.linalg.solve(space.pairing, probes.T).T)
     for w in candidates:
-        val = dual.p_tilde(probes - space.iota_apply(w))
+        val = p_tilde(probes - space.iota_apply(w))
         better = val < vals
         vals = np.where(better, val, vals)
         wits = np.where(better[:, None], w, wits)
@@ -238,7 +180,7 @@ def p_tilde_density(space: SsdSpace, dual: DualSsd, bstar, primal_grid: GridSpec
     return vals, wits
 
 
-def density_report(space: SsdSpace, dual: DualSsd, primal_grid: GridSpec,
+def density_report(space: SsdSpace, primal_grid: GridSpec,
                    probe_points=None, tol_density: float = tols.DENSITY_TOL) -> VerifyReport:
     """Image density over a deterministic set of dual probe points, by
     default up to 7 nodes per axis of the box of `dual_probe_blocks`."""
@@ -247,7 +189,7 @@ def density_report(space: SsdSpace, dual: DualSsd, primal_grid: GridSpec,
         coarse = GridSpec(box.lower, box.upper, np.minimum(box.num, 7))
         probe_points = coarse.points()
     probes = np.atleast_2d(np.asarray(probe_points, dtype=float))
-    vals, _ = p_tilde_density(space, dual, probes, primal_grid)
+    vals, _ = p_tilde_density(space, probes, primal_grid)
     worst = float(np.max(vals, initial=-np.inf))
     report = VerifyReport(suite="p_tilde_density", grid=primal_grid.to_dict(),
                           tolerances={"tol_density": tol_density},
@@ -261,7 +203,7 @@ def density_report(space: SsdSpace, dual: DualSsd, primal_grid: GridSpec,
 
 # -- the two-sided identity -----------------------------------------------------------
 
-def lemma_4_7_identity(space: SsdSpace, dual: DualSsd, f: GridFn, c_grid: GridSpec,
+def lemma_4_7_identity(space: SsdSpace, f: GridFn, c_grid: GridSpec,
                        tol: float | None = None,
                        dual_grid: GridSpec | None = None) -> VerifyReport:
     """Zero-sum identity between the primal and dual inf-convolutions:
@@ -271,18 +213,19 @@ def lemma_4_7_identity(space: SsdSpace, dual: DualSsd, f: GridFn, c_grid: GridSp
     `dual_grid` widens it (needed when the effective domain of f is much
     smaller than the box, which pushes the dual minimizer outside the image).
     """
+    dual = space.dual
     if tol is None:
         tol = max(tols.ATOL_GRID,
                   tols.one_cell_p_bound(space, f.grid)
-                  + tols.one_cell_p_bound(dual.as_space, f.grid))
+                  + tols.one_cell_p_bound(dual, f.grid))
     c_block = Lattice(c_grid)
     term1, _ = zero_infconv_residuals(f, space, c_block)
     dual_block = Lattice(f.grid, space.pairing.T) if dual_grid is None else Lattice(dual_grid)
     dual_nodes = dual_block.points()
     fstar, _ = sup_over_blocks([(Lattice(f.grid), f.values)], [dual_block])
-    gap = fstar - dual.q_tilde(dual_nodes)
+    gap = fstar - dual.q(dual_nodes)
     image_block = Lattice(c_grid, space.pairing.T)
-    term2, _ = min_values_plus_gauge(dual.as_space, gap, dual_block, image_block)
+    term2, _ = min_values_plus_gauge(dual, gap, dual_block, image_block)
     resid = np.abs(term1 + term2)
     i = int(np.argmax(resid))
     report = VerifyReport(suite="lemma_4_7", grid=c_grid.to_dict(),
@@ -306,14 +249,13 @@ def _require_density(density: VerifyReport, grid: GridSpec) -> None:
         raise GridMismatch("the density report was built on another grid")
 
 
-def vz_mas_equivalence(space: SsdSpace, dual: DualSsd, f: GridFn,
-                       density: VerifyReport) -> VerifyReport:
+def vz_mas_equivalence(space: SsdSpace, f: GridFn, density: VerifyReport) -> VerifyReport:
     """The two predicates must agree once image density is verified:
-    `density` is `density_report(space, dual, f.grid)`, and the check
+    `density` is `density_report(space, f.grid)`, and the check
     refuses when it failed or was built on another grid."""
     _require_density(density, f.grid)
     vz = is_vz(f, space)
-    mas = is_mas(f, space, dual)
+    mas = is_mas(f, space)
     report = VerifyReport(suite="vz_mas_equivalence", grid=f.grid.to_dict(),
                           tolerances={**vz.tolerances, **mas.tolerances},
                           meta={"space": space.label, "fn": f.form,
@@ -327,19 +269,15 @@ def vz_mas_equivalence(space: SsdSpace, dual: DualSsd, f: GridFn,
 
 # -- the equivalence battery ------------------------------------------------------------
 
-def theorem_4_10_battery(dual: DualSsd, triple: FitzTriple,
-                         density: VerifyReport) -> VerifyReport:
+def theorem_4_10_battery(triple: FitzTriple, density: VerifyReport) -> VerifyReport:
     """Equivalent conditions for the triple's set, grid-maximal and positive,
     on the triple's grid, held to ATOL_GRID; verdicts must be unanimous.
-    `density` is `density_report(triple.space, dual, triple.grid)`.  Refuses
-    a `dual` of another space at entry, before any kernel runs, and refuses
-    when maximality or image density fails, or when the density report was
-    built on another grid.
+    `density` is `density_report(triple.space, triple.grid)`.  Refuses when
+    maximality or image density fails, or when the density report was built
+    on another grid.
     """
     tol = tols.ATOL_GRID
     space, a, grid = triple.space, triple.a, triple.grid
-    if dual.space is not space:
-        raise DimensionMismatch("dual structure belongs to a different space")
     mx = is_maximally_q_positive(space, a, grid)
     if not mx.passed:
         raise PreconditionFailed("set is not grid-maximal; battery does not apply")
@@ -354,8 +292,8 @@ def theorem_4_10_battery(dual: DualSsd, triple: FitzTriple,
                                 "dual_probe": "image box lattice + image of grid nodes"})
     verdicts = {}
 
-    qt = dual.q_tilde(image_nodes)
-    inf_qt, _ = nearest(partial(pairwise_q, dual.as_space), image_nodes,
+    qt = space.dual.q(image_nodes)
+    inf_qt, _ = nearest(partial(pairwise_q, space.dual), image_nodes,
                         a.points @ space.pairing.T)
     verdicts["a"] = report.add_worst("a_infqt_nonpositive", "thm_4_10a", inf_qt,
                                      image_nodes, tol).status == PASS
@@ -381,7 +319,7 @@ def theorem_4_10_battery(dual: DualSsd, triple: FitzTriple,
                       form="midpoint candidate")
     candidates = [(triple.phi_fn, vz_phi), (triple.star_theta_fn, vz_star), (mid, None)]
     for idx, (h, vz) in enumerate(candidates):
-        mas = is_mas(h, space, dual)
+        mas = is_mas(h, space)
         touch = p_set(h, space)
         match, dist, _ = sets_match(space, a.points, touch.points, grid)
         verdicts[f"d{idx}"] = mas.passed and match

@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import BracketViolated, EmptySet, GridMismatch, NotAMinorant
+from .errors import BracketViolated, DimensionMismatch, EmptySet, GridMismatch, NotAMinorant
 from .gridfn import (
     GridFn,
     Lattice,
@@ -74,9 +74,16 @@ def star_theta(space: SsdSpace, a: PointSet, probes, c) -> float | np.ndarray:
     return _set_max(a, probes, theta(space, a, probes), c)
 
 
+def _require_grid_dim(space: SsdSpace, grid: GridSpec) -> None:
+    if grid.dim != space.dim:
+        raise DimensionMismatch(f"the space has dimension {space.dim} but the grid "
+                                f"has dimension {grid.dim}")
+
+
 def phi_on_grid(space: SsdSpace, a: PointSet, grid: GridSpec) -> GridFn:
     """The primal representer on the grid's nodes, `exact` off them: the
     triple's `phi_fn` alone, for checks that read no dual-side representer."""
+    _require_grid_dim(space, grid)
     return GridFn._raw(
         grid, phi(space, a, grid.points()),
         exact=(lambda xs, _s=space, _a=a: phi(_s, _a, np.atleast_2d(xs))),
@@ -109,6 +116,7 @@ class FitzTriple:
 
 
 def fitz_triple(space: SsdSpace, a: PointSet, grid: GridSpec) -> FitzTriple:
+    _require_grid_dim(space, grid)
     box, image = dual_probe_blocks(space, grid)
     theta_fn = GridFn._raw(box.grid, theta(space, a, box.points()), form="theta")
     set_image = a.points @ space.pairing.T

@@ -526,7 +526,7 @@ def is_vz(f: GridFn, space: SsdSpace, c_grid: GridSpec | None = None) -> VerifyR
     return report
 
 
-def is_mas(f: GridFn, space: SsdSpace, dual) -> VerifyReport:
+def is_mas(f: GridFn, space: SsdSpace) -> VerifyReport:
     """Two-sided minorization test, each side held to ATOL_GRID: f >= q on
     the grid and the conjugate dominates the dual quadratic form on the
     image lattice.
@@ -536,8 +536,6 @@ def is_mas(f: GridFn, space: SsdSpace, dual) -> VerifyReport:
     (the map is onto in finite dimensions); probing an inflated dual box
     instead would only report truncation artifacts of the grid sup.
     """
-    if dual is not None and dual.space is not space:
-        raise DimensionMismatch("dual structure belongs to a different space")
     tol = tols.ATOL_GRID
     pts = f.grid.points()
     report = VerifyReport(suite="is_mas", grid=f.grid.to_dict(),

@@ -14,7 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from .duality import DualSsd, theorem_4_10_battery
+from .duality import theorem_4_10_battery
 from .errors import DimensionMismatch, EmptySet, FBelowQ, PreconditionFailed
 from .fitzpatrick import FitzTriple
 from .gridfn import GridFn, is_mas, nearest
@@ -64,8 +64,7 @@ def mf_set(f: GridFn, space: SsdSpace) -> MonotoneSet:
     return MonotoneSet(ps.points, label=ps.label, allow_empty=True)
 
 
-def type_ni_check(space: SsdSpace, a: MonotoneSet, dual: DualSsd,
-                  grid: GridSpec) -> VerifyReport:
+def type_ni_check(space: SsdSpace, a: MonotoneSet, grid: GridSpec) -> VerifyReport:
     """Nonpositive infimum over the set at every dual probe point, up to
     ATOL_GRID.
 
@@ -76,7 +75,7 @@ def type_ni_check(space: SsdSpace, a: MonotoneSet, dual: DualSsd,
         raise EmptySet("need a nonempty monotone set")
     tol = tols.ATOL_GRID
     probes = grid.points() @ space.pairing.T
-    gaps, _ = nearest(partial(pairwise_q, dual.as_space), probes,
+    gaps, _ = nearest(partial(pairwise_q, space.dual), probes,
                       a.points @ space.pairing.T)
     report = VerifyReport(suite="type_ni_check",
                           tolerances={"tol": tol},
@@ -86,10 +85,9 @@ def type_ni_check(space: SsdSpace, a: MonotoneSet, dual: DualSsd,
     return report
 
 
-def strongly_representable_check(a: MonotoneSet, f: GridFn, space: SsdSpace,
-                                 dual: DualSsd) -> VerifyReport:
+def strongly_representable_check(a: MonotoneSet, f: GridFn, space: SsdSpace) -> VerifyReport:
     """f is a two-sided minorant and its touching set recovers the sample."""
-    mas = is_mas(f, space, dual)
+    mas = is_mas(f, space)
     touch = mf_set(f, space)
     match, dist, far = sets_match(space, a.points, touch.points, f.grid)
     report = VerifyReport(suite="strongly_representable", grid=f.grid.to_dict(),
@@ -104,19 +102,18 @@ def strongly_representable_check(a: MonotoneSet, f: GridFn, space: SsdSpace,
     return report
 
 
-def theorem_5_8_battery(dual: DualSsd, triple: FitzTriple,
-                        density: VerifyReport) -> VerifyReport:
+def theorem_5_8_battery(triple: FitzTriple, density: VerifyReport) -> VerifyReport:
     """Product-space reading of the equivalence battery for the triple's set
     of pairs, plus the explicit classical form of the dual-side support
     inequality, held to ATOL_GRID like the battery.  `density` is as for
     `theorem_4_10_battery`.  The classical form's sup over the set, max over
     a of <a, b*> - q(a) at the image b* of each grid node, is the triple's
     theta on that image."""
-    report = theorem_4_10_battery(dual, triple, density)
+    report = theorem_4_10_battery(triple, density)
     report.suite = "theorem_5_8"
     image, sup_vals = triple.dual_blocks[1]
     image_nodes = image.points()
-    report.add_worst("b_classical_form", "thm_5_8b", dual.q_tilde(image_nodes) - sup_vals,
+    report.add_worst("b_classical_form", "thm_5_8b", triple.space.dual.q(image_nodes) - sup_vals,
                      image_nodes, tols.ATOL_GRID,
                      note="support of the set dominates the duality product")
     return report

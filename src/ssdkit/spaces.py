@@ -25,15 +25,20 @@ layout of the rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    NoDual,
     NotSymmetric,
+    SingularPairing,
     UnsupportedProbe,
     ZeroDimension,
 )
+from .grids import GridSpec
+from .reports import PASS, VerifyReport
 from .tolerances import ATOL_CLOSED
 
 EUCLIDEAN = "euclidean"
@@ -113,7 +118,13 @@ class NormSpec:
             if self.weight is None:
                 raise ValueError("quadratic norm needs a weight matrix")
             w = np.asarray(self.weight, dtype=float)
-            object.__setattr__(self, "weight", 0.5 * (w + w.T))
+            if w.ndim != 2 or w.shape[0] != w.shape[1] or w.size == 0:
+                raise ValueError(f"quadratic norm weight must be a square matrix, "
+                                 f"got shape {w.shape}")
+            w = 0.5 * (w + w.T)
+            if not np.linalg.eigvalsh(w)[0] > 0:
+                raise ValueError("quadratic norm weight is not positive definite")
+            object.__setattr__(self, "weight", w)
 
     @property
     def is_product(self) -> bool:
@@ -194,7 +205,11 @@ class NormSpec:
 
 
 class SsdSpace:
-    """R^d with symmetric pairing matrix M and a norm; immutable after build."""
+    """R^d with symmetric pairing matrix M and a norm; immutable after build.
+
+    `dual` is the canonical dual space, built on first access and then held
+    by the instance.
+    """
 
     def __init__(self, pairing, norm: NormSpec | None = None, label: str = ""):
         m = np.asarray(pairing, dtype=float)
@@ -271,6 +286,52 @@ class SsdSpace:
         u /= self.norm(u)[:, None]
         return float(np.max(self.norm.dual()(u @ self.pairing.T))), True
 
+    # -- the dual space ----------------------------------------------------------
+
+    @cached_property
+    def dual(self) -> SsdSpace:
+        """The canonical dual space: pairing M^-1, the dual norm, and
+        q-tilde and p-tilde as its q and p.
+
+        Raises SingularPairing when the pairing has no inverse and NoDual when
+        the dual side fails `check_banach_ssd` (p-tilde >= -ATOL_CLOSED), with
+        its witness and the value of p-tilde there attached; nothing is held
+        then, so every access raises alike.  The check is analytic whenever
+        the dual norm has a quadratic form and sampled on the [-1, 1]^d box
+        otherwise (p-tilde is 2-homogeneous, so a unit box sample suffices).
+        The identities are checked on 1000 random vectors of a generator
+        seeded with 42.
+        """
+        m = self.pairing
+        if np.linalg.cond(m) > 1e12:
+            raise SingularPairing("pairing matrix is numerically singular")
+        m_inv = np.linalg.inv(m)
+        m_tilde = 0.5 * (m_inv + m_inv.T)
+        dual = SsdSpace(m_tilde, norm=self.norm.dual(),
+                        label=(self.label + " (dual)") if self.label else "dual")
+
+        rng = np.random.default_rng(42)
+        b = rng.standard_normal((1000, self.dim))
+        cstar = rng.standard_normal((1000, self.dim))
+        lhs = bilinear_rows(b @ m.T, m_tilde, cstar)
+        rhs = np.einsum("ni,ni->n", b, cstar)
+        if np.max(np.abs(lhs - rhs)) > 1e-8 * max(1.0, float(np.max(np.abs(rhs)))):
+            raise SingularPairing("dual pairing fails the compatibility identity")
+        qt = dual.q(b @ m.T)
+        if np.max(np.abs(qt - self.q(b))) > 1e-8 * max(1.0, float(np.max(np.abs(qt)))):
+            raise SingularPairing("dual quadratic form fails the pullback identity")
+
+        probe = "analytic"
+        if dual.norm.quadratic_weight(self.dim) is None:
+            n = {1: 201, 2: 81, 3: 21, 4: 21}.get(self.dim, 9)
+            probe = GridSpec.box(-1.0, 1.0, n, self.dim)
+        check = check_banach_ssd(dual, probe).checks[0]
+        if check.status != PASS:
+            value = float(dual.p(check.witness))
+            raise NoDual(f"dual gauge is negative: p_tilde({check.witness.tolist()}) = "
+                         f"{value:.6g}", witness=check.witness, value=value)
+        return dual
+
     # -- serialization ---------------------------------------------------------
 
     def to_dict(self):
@@ -282,11 +343,13 @@ class SsdSpace:
         }
 
     @classmethod
-    def from_dict(cls, doc):
-        pairing = _pairing_entry(doc, "space document")
+    def from_dict(cls, doc, what: str = "space document"):
+        """The space of a space document's object `doc`; a ValueError that
+        names `what` when it has no pairing or a norm that is not an object."""
+        pairing = _pairing_entry(doc, what)
         norm = doc.get("norm", {})
         if not isinstance(norm, dict):
-            raise ValueError("space document's 'norm' is not a JSON object")
+            raise ValueError(f"{what}'s 'norm' is not a JSON object")
         return cls(
             pairing=np.asarray(pairing, dtype=float),
             norm=NormSpec.from_dict(norm),
@@ -394,8 +457,6 @@ def check_banach_ssd(space: SsdSpace, probe="analytic"):
     quadratic form W) or a GridSpec to minimize p over.  The report carries
     the minimizing witness.
     """
-    from .reports import VerifyReport
-
     tol = ATOL_CLOSED
     report = VerifyReport(suite="check_banach_ssd", tolerances={"tol": tol},
                           meta={"space": space.label})
@@ -440,8 +501,6 @@ def lipschitz_checks(space: SsdSpace, n_pairs: int = 1000, seed: int = 42):
     |p(d) - p(e)| <= 0.5*(1+|iota|)*|d-e|*(|d|+|e|); when the operator norm
     is a sampled estimate the report says so.
     """
-    from .reports import VerifyReport
-
     radius, tol = 3.0, ATOL_CLOSED
     rng = np.random.default_rng(seed)
     d = rng.uniform(-radius, radius, size=(n_pairs, space.dim))

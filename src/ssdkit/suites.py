@@ -39,7 +39,6 @@ from .duality import (
     density_report,
     dual_norm_check,
     lemma_4_7_identity,
-    make_dual,
     theorem_4_10_battery,
     vz_mas_equivalence,
 )
@@ -315,7 +314,7 @@ def suite_theorem_2_15(opts: SuiteOptions):
 def suite_example_2_4(opts: SuiteOptions):
     ok = True
     for sp in SPECIAL:
-        rep = dual_norm_check(sp, make_dual(sp), n_samples=100, seed=opts.seed)
+        rep = dual_norm_check(sp, n_samples=100, seed=opts.seed)
         yield _tag(rep, norm=_norm(sp))
         back = sp.norm.dual().dual()
         ok &= (back.variant == sp.norm.variant
@@ -339,7 +338,7 @@ def suite_example_4_4(opts: SuiteOptions):
     grid = _grid(opts)
     rep = VerifyReport(tolerances={"exact": 1e-12})
     try:
-        make_dual(space_nodual())
+        space_nodual().dual
         rep.add("scaled_norm_has_no_dual", "ex_4_4", False, residual=1.0,
                 note="construction unexpectedly succeeded")
     except NoDual as exc:
@@ -351,22 +350,20 @@ def suite_example_4_4(opts: SuiteOptions):
                 note=f"negative dual gauge {exc.value!r} at the witness")
     yield rep
     for sp in SPECIAL:
-        yield _tag(density_report(sp, make_dual(sp), grid), norm=_norm(sp))
+        yield _tag(density_report(sp, grid), norm=_norm(sp))
 
 
 def suite_lemma_4_7(opts: SuiteOptions):
-    dual = make_dual(TWO)
     grid = _grid(opts, n=121)
     c_grid = grid.subsample(2)
     tol = 5e-3  # the zero-sum tolerance, recorded in each report
     f = half_sq_norm_fn(grid)
-    yield _tag(lemma_4_7_identity(TWO, dual, f, c_grid, tol=tol), fn="worked example")
+    yield _tag(lemma_4_7_identity(TWO, f, c_grid, tol=tol), fn="worked example")
     phi_fn = phi_on_grid(TWO, diagonal_set(c_grid), grid)
-    yield _tag(lemma_4_7_identity(TWO, dual, phi_fn, c_grid, tol=tol),
+    yield _tag(lemma_4_7_identity(TWO, phi_fn, c_grid, tol=tol),
                fn="diagonal representer")
     ident = space_identity(2)
-    rep = lemma_4_7_identity(ident, make_dual(ident), q_plus_const_fn(ident, grid),
-                             c_grid, tol=tol)
+    rep = lemma_4_7_identity(ident, q_plus_const_fn(ident, grid), c_grid, tol=tol)
     yield _tag(rep, fn="shifted quadratic (terms +1/-1)")
 
 
@@ -374,10 +371,9 @@ def suite_theorem_4_9(opts: SuiteOptions):
     grid = _grid(opts)
     verdict_table = {}
     for sp in SPECIAL:
-        dual = make_dual(sp)
-        dens = density_report(sp, dual, grid)
+        dens = density_report(sp, grid)
         for name, fn in vz_catalog(sp, grid).items():
-            rep = vz_mas_equivalence(sp, dual, fn, dens)
+            rep = vz_mas_equivalence(sp, fn, dens)
             verdict_table.setdefault(name, set()).add(rep.meta["vz"])
             yield _tag(rep, norm=_norm(sp), fn=name)
     cross = VerifyReport(grid=grid.to_dict(),
@@ -395,10 +391,9 @@ def suite_theorem_4_9(opts: SuiteOptions):
 
 
 def suite_theorem_4_10(opts: SuiteOptions, sp=TWO):
-    dual = make_dual(sp)
     grid = _grid(opts)
-    yield theorem_4_10_battery(dual, fitz_triple(sp, diagonal_set(grid), grid),
-                               density_report(sp, dual, grid))
+    yield theorem_4_10_battery(fitz_triple(sp, diagonal_set(grid), grid),
+                               density_report(sp, grid))
 
 
 def suite_theorem_5_5(opts: SuiteOptions):
@@ -429,7 +424,6 @@ def suite_theorem_5_5(opts: SuiteOptions):
 
 
 def suite_theorem_5_8(opts: SuiteOptions, sp=TWO):
-    dual = make_dual(sp)
     grid = _grid(opts)
     user = opts.point_set
     sets = ([(user.label or "user set", MonotoneSet(user.points, label=user.label))]
@@ -437,12 +431,12 @@ def suite_theorem_5_8(opts: SuiteOptions, sp=TWO):
             [("diagonal", diagonal_set(grid)),
              ("clipped cubic graph", cubic_graph_set(grid)),
              ("sign graph", sign_graph_set(grid))])
-    dens = density_report(sp, dual, grid)
+    dens = density_report(sp, grid)
     for label, mset in sets:
         triple = fitz_triple(sp, mset, grid)
-        yield _tag(theorem_5_8_battery(dual, triple, dens), set=label)
-        yield _tag(type_ni_check(sp, mset, dual, grid), set=label)
-        yield _tag(strongly_representable_check(mset, triple.phi_fn, sp, dual), set=label)
+        yield _tag(theorem_5_8_battery(triple, dens), set=label)
+        yield _tag(type_ni_check(sp, mset, grid), set=label)
+        yield _tag(strongly_representable_check(mset, triple.phi_fn, sp), set=label)
 
 
 def suite_remark_5_6(opts: SuiteOptions):

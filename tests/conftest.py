@@ -9,7 +9,7 @@ import ssdkit  # noqa: F401
 import numpy as np
 import pytest
 
-from ssdkit import GridFn, make_dual, product_space
+from ssdkit import GridFn, product_space
 from ssdkit.duality import density_report
 from ssdkit.catalog import (
     default_grid,
@@ -24,11 +24,6 @@ from ssdkit.catalog import (
 def prod_space():
     """R^2 = R x R with the swap pairing and the tau=1 quadratic split norm."""
     return product_space(1, kind="two", tau=1.0)
-
-
-@pytest.fixture(scope="session")
-def prod_dual(prod_space):
-    return make_dual(prod_space)
 
 
 @pytest.fixture(scope="session")
@@ -52,9 +47,9 @@ def grid121():
 
 
 @pytest.fixture(scope="session")
-def density61(prod_space, prod_dual, grid61):
+def density61(prod_space, grid61):
     """The image-density report of the product plane on `grid61`."""
-    return density_report(prod_space, prod_dual, grid61)
+    return density_report(prod_space, grid61)
 
 
 @pytest.fixture(scope="session")

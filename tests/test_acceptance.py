@@ -17,7 +17,6 @@ from ssdkit import (
     is_vz,
     lemma_2_13_suite,
     lsc_biconjugate_envelope,
-    make_dual,
     negative_alignment,
     p_set,
     project_to_p,
@@ -145,7 +144,7 @@ def test_criterion_03_dual_norms_r4():
 def test_criterion_04_no_dual_counterexample():
     failures = []
     try:
-        make_dual(space_nodual())
+        space_nodual().dual
         failures.append("doubled norm unexpectedly admitted a dual")
     except NoDual as exc:
         w = np.asarray(exc.witness)
@@ -160,17 +159,16 @@ def test_criterion_04_no_dual_counterexample():
 def test_criterion_05_two_sided_identity():
     t0 = time.perf_counter()
     sp = space_r2_product("two", tau=1.0)
-    dual = make_dual(sp)
     grid = default_grid(2, -3.0, 3.0, 121)
     c_grid = grid.subsample(2)
     failures = []
     f = half_sq_norm_fn(grid)
-    rep = lemma_4_7_identity(sp, dual, f, c_grid, tol=5e-3)
+    rep = lemma_4_7_identity(sp, f, c_grid, tol=5e-3)
     r1 = rep.checks[0].worst_residual
     if not rep.passed:
         failures.append(f"worked example residual {r1:.2e}")
     phi_fn = fitz_triple(sp, diagonal_set(c_grid), grid).phi_fn
-    rep2 = lemma_4_7_identity(sp, dual, phi_fn, c_grid, tol=5e-3)
+    rep2 = lemma_4_7_identity(sp, phi_fn, c_grid, tol=5e-3)
     r2 = rep2.checks[0].worst_residual
     if not rep2.passed:
         failures.append(f"diagonal representer residual {r2:.2e}")
@@ -198,10 +196,9 @@ def test_criterion_06_cross_norm_verdicts():
     vz_table = {name: set() for name in fns}
     mas_table = {name: set() for name in fns}
     for sp in all_special_spaces():
-        dual = make_dual(sp)
         for name, fn in fns.items():
             vz_table[name].add(is_vz(fn, sp).passed)
-            mas_table[name].add(is_mas(fn, sp, dual).passed)
+            mas_table[name].add(is_mas(fn, sp).passed)
     for name in fns:
         if len(vz_table[name]) != 1:
             failures.append(f"{name}: verdict varies across norms")
@@ -330,14 +327,13 @@ def test_criterion_10_biconjugation():
 
 def test_criterion_11_equivalence_batteries():
     sp = space_r2_product("two", tau=1.0)
-    dual = make_dual(sp)
     grid = default_grid(2, -3.0, 3.0, 61)
-    dens = density_report(sp, dual, grid)
+    dens = density_report(sp, grid)
     failures = []
     for label, mset in (("diagonal", diagonal_set(grid)),
                         ("cubic graph", cubic_graph_set(grid)),
                         ("sign graph", sign_graph_set(grid))):
-        rep = theorem_5_8_battery(dual, fitz_triple(sp, mset, grid), dens)
+        rep = theorem_5_8_battery(fitz_triple(sp, mset, grid), dens)
         for cid in ("a_infqt_nonpositive", "b_theta_dominates_qt",
                     "c_phistar_dominates_qt", "f_phi_vz", "g_star_vz",
                     "b_classical_form", "unanimity"):
@@ -348,7 +344,7 @@ def test_criterion_11_equivalence_batteries():
             failures.append(f"{label}: conditions not unanimously true")
     refused = False
     try:
-        theorem_5_8_battery(dual, fitz_triple(sp, singleton_origin(2), grid), dens)
+        theorem_5_8_battery(fitz_triple(sp, singleton_origin(2), grid), dens)
     except PreconditionFailed:
         refused = True
     if not refused:

@@ -92,6 +92,46 @@ class TestVerify:
             assert err == "error: space document's 'norm' is not a JSON object\n", command
             assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("norm,dual_norm,message", [
+        ({"variant": "two"}, "x", "space document's 'dual''s 'norm' is not a JSON object"),
+        ({"variant": "two"}, {"variant": "one", "tau": 3},
+         "space document's 'dual''s 'norm' disagrees with the canonical dual norm "
+         "for this space"),
+        ({"variant": "two"}, {"variant": "two", "scale": 2.0},
+         "space document's 'dual''s 'norm' disagrees with the canonical dual norm "
+         "for this space"),
+        ({"variant": "quadratic", "weight": [[1.0, 0.0], [0.0, -1.0]]}, None,
+         "quadratic norm weight is not positive definite"),
+        ({"variant": "quadratic", "weight": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]}, None,
+         "quadratic norm weight must be a square matrix, got shape (3, 2)"),
+    ])
+    def test_space_document_norm_is_input_error(self, tmp_path, capsys, norm, dual_norm,
+                                                message):
+        swap = [[0.0, 1.0], [1.0, 0.0]]
+        doc = {"pairing": swap, "norm": norm}
+        if dual_norm is not None:
+            doc["dual"] = {"pairing": swap, "norm": dual_norm}
+        bad = tmp_path / "space.json"
+        bad.write_text(json.dumps(doc))
+        for command in ("fitzpatrick", "project"):
+            assert run([command, "--space", bad, "--out", tmp_path / "out"]) == 2, command
+            assert capsys.readouterr().err == f"error: {message}\n", command
+            assert not (tmp_path / "out").exists()
+
+    def test_canonical_stored_dual_round_trips(self, tmp_path):
+        space_file = tmp_path / "space.json"
+        save_space_document(space_r2_product("two"), space_file, dual=True)
+        assert "dual" in json.loads(space_file.read_text())
+        assert run(["fitzpatrick", "--space", space_file, "--out", tmp_path / "f"]) == 0
+        assert run(["project", "--space", space_file, "--point", "1,0",
+                    "--out", tmp_path / "p"]) == 0
+
+    def test_grid_of_another_dimension_is_input_error(self, tmp_path, capsys):
+        assert run(["fitzpatrick", "--grid=-1:1:5", "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == ("error: the space has dimension 2 but the grid "
+                                           "has dimension 1\n")
+        assert not (tmp_path / "out").exists()
+
     def test_singleton_set_refuses_battery(self, tmp_path):
         setfile = tmp_path / "singleton.csv"
         np.savetxt(setfile, np.zeros((1, 2)), delimiter=",")
@@ -140,7 +180,7 @@ class TestVerify:
         assert statuses and all(s == "pass" for s in statuses)
 
     def test_vz_path_and_tolerance_reach_the_written_reports(self, tmp_path, prod_space,
-                                                             prod_dual, grid61):
+                                                             grid61):
         from ssdkit import is_vz, vz_mas_equivalence
 
         assert run(["verify", "--suite", "remark_2_17", "--out", tmp_path]) == 0
@@ -149,8 +189,8 @@ class TestVerify:
         assert [k["kernel"] for k in meta["kernels"]] == ["scattered"]
         fn = half_sq_norm_fn(grid61)
         with kernel_ledger() as ledger:
-            rep = vz_mas_equivalence(prod_space, prod_dual, fn,
-                                     density_report(prod_space, prod_dual, grid61))
+            rep = vz_mas_equivalence(prod_space, fn,
+                                     density_report(prod_space, grid61))
         write_json(tmp_path / "vz_mas.json", rep.to_dict())
         meta = json.loads((tmp_path / "vz_mas.json").read_text())["meta"]
         with kernel_ledger() as vz_ledger:

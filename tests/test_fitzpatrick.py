@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from ssdkit import (
     BracketViolated,
+    DimensionMismatch,
     EmptySet,
     GridFn,
     GridMismatch,
@@ -247,6 +248,18 @@ class TestPhiOnGrid:
         with kernel_ledger() as ledger:
             phi_on_grid(prod_space, diag121, grid61)
         assert [e[:3] for e in ledger] == [("scattered", 121, 3721)]
+
+    @pytest.mark.parametrize("build", [phi_on_grid, fitz_triple], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("grid_dim", [1, 3])
+    def test_grid_of_another_dimension_refused_before_any_kernel(self, prod_space, diag121,
+                                                                 build, grid_dim):
+        grid = default_grid(grid_dim, -1.0, 1.0, 5)
+        with kernel_ledger() as ledger:
+            with pytest.raises(DimensionMismatch,
+                               match=f"^the space has dimension 2 but the grid has "
+                                     f"dimension {grid_dim}$"):
+                build(prod_space, diag121, grid)
+        assert ledger == []
 
 
 class TestBlockRouting:

@@ -373,12 +373,12 @@ class TestVzMas:
     def test_worked_example_is_vz(self, prod_space, worked_fn121):
         assert is_vz(worked_fn121, prod_space).passed
 
-    def test_shifted_form_fails_both_ways(self, prod_space, prod_dual, grid61):
+    def test_shifted_form_fails_both_ways(self, prod_space, grid61):
         f = q_plus_const_fn(prod_space, grid61)
         vz = is_vz(f, prod_space)
         assert not vz.passed
         assert vz.check("zero_gap_infimum").worst_residual == pytest.approx(1.0)
-        mas = is_mas(f, prod_space, prod_dual)
+        mas = is_mas(f, prod_space)
         assert not mas.passed
 
     def test_concave_q_rejected_at_construction(self, grid61):
@@ -386,15 +386,15 @@ class TestVzMas:
         with pytest.raises(NotConvex):
             GridFn.from_callable(grid61, lambda p: space.q(np.atleast_2d(p)))
 
-    def test_worked_example_is_mas(self, prod_space, prod_dual, worked_fn121):
-        rep = is_mas(worked_fn121, prod_space, prod_dual)
+    def test_worked_example_is_mas(self, prod_space, worked_fn121):
+        rep = is_mas(worked_fn121, prod_space)
         assert rep.passed
 
-    def test_representers_pass_both(self, prod_space, prod_dual, grid61, diag121):
+    def test_representers_pass_both(self, prod_space, grid61, diag121):
         triple = fitz_triple(prod_space, diag121, grid61)
         for fn in (triple.phi_fn, triple.star_theta_fn):
             assert is_vz(fn, prod_space).passed
-            assert is_mas(fn, prod_space, prod_dual).passed
+            assert is_mas(fn, prod_space).passed
 
     def test_vz_for_remark_2_17_has_closed_form_gap(self, prod_space, worked_fn121, grid121):
         # (f - q)(x) = (x1 - x2)^2 / 2 exactly
@@ -623,15 +623,15 @@ class TestSeparableKernel:
         small, _ = gridfn.sup_linear_minus(f.grid.points(), f.values, dual.points())
         assert np.allclose(small, scattered, rtol=0.0, atol=1e-12)  # BLAS rounds by shape
 
-    def test_is_mas_records_conjugate_path(self, prod_space, prod_dual, worked_fn61):
+    def test_is_mas_records_conjugate_path(self, prod_space, worked_fn61):
         from ssdkit import SsdSpace
 
         with kernel_ledger() as ledger:
-            is_mas(worked_fn61, prod_space, prod_dual)
+            is_mas(worked_fn61, prod_space)
         assert _kernels(ledger) == ["separable"]
         tilted = SsdSpace(np.array([[1.0, 0.5], [0.5, 1.0]]))
         with kernel_ledger() as ledger:
-            is_mas(worked_fn61, tilted, None)
+            is_mas(worked_fn61, tilted)
         assert _kernels(ledger) == ["scattered"]
 
 

@@ -109,41 +109,41 @@ class TestMfSet:
 
 
 class TestTypeNI:
-    def test_diagonal_passes(self, prod_space, prod_dual, grid61, diag121):
-        rep = type_ni_check(prod_space, diag121, prod_dual, grid61)
+    def test_diagonal_passes(self, prod_space, grid61, diag121):
+        rep = type_ni_check(prod_space, diag121, grid61)
         assert rep.passed
 
-    def test_origin_singleton_fails_at_positive_quadrant(self, prod_space, prod_dual, grid61):
+    def test_origin_singleton_fails_at_positive_quadrant(self, prod_space, grid61):
         a = MonotoneSet(np.zeros((1, 2)), label="origin singleton")
-        rep = type_ni_check(prod_space, a, prod_dual, grid61)
+        rep = type_ni_check(prod_space, a, grid61)
         assert not rep.passed
         # over the set {0} the infimum at a probe c is q~(c) = c1 c2, worst
         # (9) at the first corner probe (-3, -3)
         probes = grid61.points() @ prod_space.pairing.T
-        gaps = prod_dual.q_tilde(probes)
+        gaps = prod_space.dual.q(probes)
         i = int(np.argmax(gaps))
         check = rep.check("nonpositive_infimum")
         assert check.worst_residual == pytest.approx(9.0)
         assert check.worst_residual == float(gaps[i])
         assert np.array_equal(check.witness, probes[i])
 
-    def test_cubic_graph_passes(self, prod_space, prod_dual, grid61):
-        rep = type_ni_check(prod_space, cubic_graph_set(grid61), prod_dual, grid61)
+    def test_cubic_graph_passes(self, prod_space, grid61):
+        rep = type_ni_check(prod_space, cubic_graph_set(grid61), grid61)
         assert rep.passed
 
-    def test_sign_graph_passes(self, prod_space, prod_dual, grid61):
-        rep = type_ni_check(prod_space, sign_graph_set(grid61), prod_dual, grid61)
+    def test_sign_graph_passes(self, prod_space, grid61):
+        rep = type_ni_check(prod_space, sign_graph_set(grid61), grid61)
         assert rep.passed
 
 
 class TestStrongRepresentability:
-    def test_diagonal_with_both_representers(self, prod_space, prod_dual, grid61, diag121):
+    def test_diagonal_with_both_representers(self, prod_space, grid61, diag121):
         triple = fitz_triple(prod_space, diag121, grid61)
         for fn in (triple.phi_fn, triple.star_theta_fn):
-            rep = strongly_representable_check(diag121, fn, prod_space, prod_dual)
+            rep = strongly_representable_check(diag121, fn, prod_space)
             assert rep.passed
 
-    def test_smaller_touching_set_fails_with_witness(self, prod_space, prod_dual, grid61):
+    def test_smaller_touching_set_fails_with_witness(self, prod_space, grid61):
         import ssdkit
 
         # touching set is the origin alone: gap (f - q) = |x|^2 vanishes only there
@@ -151,13 +151,13 @@ class TestStrongRepresentability:
             grid61, lambda p: np.sum(np.atleast_2d(p) ** 2, axis=1)
             + prod_space.q(np.atleast_2d(p)), form="pinched", require_convex=False)
         full = diagonal_set(grid61)
-        rep = strongly_representable_check(full, pinched, prod_space, prod_dual)
+        rep = strongly_representable_check(full, pinched, prod_space)
         assert not rep.passed
         w = np.asarray(rep.check("represents_the_set").witness)
         assert np.abs(w[0]) > 1.0  # a missing far-out diagonal point
 
     @pytest.mark.parametrize("case", ["missing", "extra"])
-    def test_witness_is_the_brute_force_farthest_point(self, case, prod_space, prod_dual,
+    def test_witness_is_the_brute_force_farthest_point(self, case, prod_space,
                                                        grid61, diag121):
         import ssdkit
 
@@ -179,36 +179,36 @@ class TestStrongRepresentability:
         else:
             assert max(extra) > max(missing)
             expected = touch[int(np.argmax(extra))]
-        check = strongly_representable_check(sample, fn, prod_space, prod_dual) \
+        check = strongly_representable_check(sample, fn, prod_space) \
             .check("represents_the_set")
         assert check.status == "fail"
         assert np.array_equal(check.witness, expected)
         assert check.worst_residual == pytest.approx(max(missing + extra), rel=1e-12)
 
 
-def _battery(space, dual, mset, grid, density):
-    return theorem_5_8_battery(dual, fitz_triple(space, mset, grid), density)
+def _battery(space, mset, grid, density):
+    return theorem_5_8_battery(fitz_triple(space, mset, grid), density)
 
 
 class TestTheorem58:
-    def test_diagonal_battery(self, prod_space, prod_dual, grid61, diag121, density61):
-        rep = _battery(prod_space, prod_dual, diag121, grid61, density61)
+    def test_diagonal_battery(self, prod_space, grid61, diag121, density61):
+        rep = _battery(prod_space, diag121, grid61, density61)
         assert rep.passed
         assert all(rep.meta["verdicts"].values())
         assert rep.check("b_classical_form").status == "pass"
 
-    def test_cubic_graph_battery(self, prod_space, prod_dual, grid61, density61):
-        rep = _battery(prod_space, prod_dual, cubic_graph_set(grid61), grid61, density61)
+    def test_cubic_graph_battery(self, prod_space, grid61, density61):
+        rep = _battery(prod_space, cubic_graph_set(grid61), grid61, density61)
         assert rep.passed
 
-    def test_sign_graph_battery(self, prod_space, prod_dual, grid61, density61):
-        rep = _battery(prod_space, prod_dual, sign_graph_set(grid61), grid61, density61)
+    def test_sign_graph_battery(self, prod_space, grid61, density61):
+        rep = _battery(prod_space, sign_graph_set(grid61), grid61, density61)
         assert rep.passed
 
     @pytest.mark.parametrize("set_fn", [
         lambda grid: diagonal_set(grid), cubic_graph_set, sign_graph_set])
     @pytest.mark.parametrize("prebuilt", [False, True])
-    def test_classical_form_matches_dense_max(self, prod_space, prod_dual, grid61,
+    def test_classical_form_matches_dense_max(self, prod_space, grid61,
                                               density61, set_fn, prebuilt):
         # the classical form's sup over the set, read from the triple, against
         # a dense numpy max over the set x image-of-grid matrix; a prebuilt
@@ -217,19 +217,19 @@ class TestTheorem58:
         triple = fitz_triple(prod_space, a, grid61)
         if prebuilt:
             assert lemma_2_13_suite(triple).passed
-        rep = theorem_5_8_battery(prod_dual, triple, density61)
+        rep = theorem_5_8_battery(triple, density61)
         image = grid61.points() @ prod_space.pairing.T
         dense = np.max(a.points @ image.T - prod_space.q(a.points)[:, None], axis=0)
-        gap = prod_dual.q_tilde(image) - dense
+        gap = prod_space.dual.q(image) - dense
         i = int(np.argmax(gap))
         check = rep.check("b_classical_form")
         assert check.worst_residual == max(0.0, float(gap[i]))
         assert np.array_equal(check.witness, image[i])
         assert np.array_equal(triple.dual_blocks[1][1], dense)
 
-    def test_singleton_refused(self, prod_space, prod_dual, grid61, density61):
+    def test_singleton_refused(self, prod_space, grid61, density61):
         with pytest.raises(PreconditionFailed):
-            _battery(prod_space, prod_dual,
+            _battery(prod_space,
                      MonotoneSet(np.zeros((1, 2)), label="origin singleton"), grid61, density61)
 
 
@@ -399,7 +399,7 @@ class TestRemark56:
     def test_suite_scans_give_the_one_block_bits(self):
         assert_scans_bitwise_one_block(lambda: list(SUITES["remark_5_6"](SuiteOptions())))
 
-    def test_cubic_graph_chain(self, prod_space, prod_dual, grid61):
+    def test_cubic_graph_chain(self, prod_space, grid61):
         cubic = cubic_graph_set(grid61)
         phi_fn = fitz_triple(prod_space, cubic, grid61).phi_fn
         rep = remark_5_6_bound(cubic, phi_fn, prod_space, grid61.subsample(2))

@@ -48,13 +48,13 @@ CASES = {
     "theorem_2_15_reports": lambda c: (
         next(theorem_2_15_reports(c.prod_space, c.worked_fn61, [c.phi61])), tols.ATOL_GRID),
     "theorem_4_10_battery": lambda c: (
-        theorem_4_10_battery(c.prod_dual, c.diag_triple61, c.density61), tols.ATOL_GRID),
+        theorem_4_10_battery(c.diag_triple61, c.density61), tols.ATOL_GRID),
     "theorem_5_8_battery": lambda c: (
-        theorem_5_8_battery(c.prod_dual, c.diag_triple61, c.density61), tols.ATOL_GRID),
+        theorem_5_8_battery(c.diag_triple61, c.density61), tols.ATOL_GRID),
     "type_ni_check": lambda c: (
-        type_ni_check(c.prod_space, c.diag121, c.prod_dual, c.grid61), tols.ATOL_GRID),
+        type_ni_check(c.prod_space, c.diag121, c.grid61), tols.ATOL_GRID),
     "strongly_representable_check": lambda c: (
-        strongly_representable_check(c.diag121, c.phi61, c.prod_space, c.prod_dual),
+        strongly_representable_check(c.diag121, c.phi61, c.prod_space),
         tols.ATOL_GRID),
     "alignment_report": lambda c: (alignment_report(c.diag121, [1.0], [-1.0], 1.0, 1.0), 1e-6),
     "remark_5_6_bound": lambda c: (
@@ -70,7 +70,7 @@ CASES = {
     "lemma_2_8_suite": lambda c: (
         lemma_2_8_suite(c.prod_space, c.diag121, c.phi61, c.grid61),
         tols.one_cell_p_bound(c.prod_space, c.grid61)),
-    "dual_norm_check": lambda c: (dual_norm_check(c.prod_space, c.prod_dual, n_samples=20),
+    "dual_norm_check": lambda c: (dual_norm_check(c.prod_space, n_samples=20),
                                   1e-4),
 }
 
@@ -101,7 +101,7 @@ SLACK_GRIDS = {
 }
 
 
-def _recorded_slacks(space, dual, grid):
+def _recorded_slacks(space, grid):
     """Each two-cell slack that a report on `grid` records, by report."""
     diag = diagonal_set(grid)
     fn = half_sq_norm_fn(grid)
@@ -114,15 +114,15 @@ def _recorded_slacks(space, dual, grid):
         "ratio_floor": dist.meta["ratio_floor"],
         "lemma_2_8": lemma_2_8_suite(space, diag, phi, grid).tolerances["cell_slack"],
         "remark_5_6": remark_5_6_bound(diag, fn, space, grid).tolerances["cell_slack"],
-        "set_radius": strongly_representable_check(diag, phi, space, dual).tolerances["set_radius"],
+        "set_radius": strongly_representable_check(diag, phi, space).tolerances["set_radius"],
         "lemma_2_7": lemma_2_7.tolerances["cell_slack"],
     }
 
 
 @pytest.mark.parametrize("grid", sorted(SLACK_GRIDS))
-def test_two_cell_slacks_are_the_set_radius(grid, prod_space, prod_dual):
+def test_two_cell_slacks_are_the_set_radius(grid, prod_space):
     probe = SLACK_GRIDS[grid]
     radius = tols.set_radius(prod_space, probe)
     assert tols.set_radius(space_r2_product("two"), probe) == radius  # lemma_2_7's space
-    recorded = _recorded_slacks(prod_space, prod_dual, probe)
+    recorded = _recorded_slacks(prod_space, probe)
     assert recorded == dict.fromkeys(recorded, radius) | {"ratio_floor": 4.0 * radius ** 2}

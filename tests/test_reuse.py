@@ -24,14 +24,14 @@ def _doc(rep):
 
 
 class TestPrebuiltDensity:
-    def test_failed_density_given_still_refuses(self, prod_space, prod_dual, grid61):
+    def test_failed_density_given_still_refuses(self, prod_space, grid61):
         triple = fitz_triple(prod_space, cubic_graph_set(grid61), grid61)
-        failed = density_report(prod_space, prod_dual, grid61, tol_density=-1.0)
+        failed = density_report(prod_space, grid61, tol_density=-1.0)
         assert not failed.passed
         with pytest.raises(DensityNotVerified):
-            theorem_4_10_battery(prod_dual, triple, failed)
+            theorem_4_10_battery(triple, failed)
         with pytest.raises(DensityNotVerified):
-            theorem_5_8_battery(prod_dual, triple, failed)
+            theorem_5_8_battery(triple, failed)
 
 
 class TestTheorem215Reports:

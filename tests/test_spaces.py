@@ -1,3 +1,7 @@
+import json
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +9,7 @@ from hypothesis import strategies as st
 
 from ssdkit import (
     GridSpec,
+    NoDual,
     NormSpec,
     NotSymmetric,
     SsdSpace,
@@ -12,12 +17,16 @@ from ssdkit import (
     ZeroDimension,
     check_banach_ssd,
     lipschitz_checks,
+    SingularPairing,
     product_space,
 )
 from ssdkit.catalog import (
     space_identity,
     space_negated,
+    space_nodual,
+    space_r2_product,
     space_swap_r3,
+    space_zero_pairing,
 )
 from ssdkit.duality import load_space_document, save_space_document
 from ssdkit.spaces import (
@@ -77,6 +86,29 @@ class TestConstruction:
     def test_pairing_symmetry(self, b, c):
         space = space_swap_r3()
         assert space.pair(b, c) == pytest.approx(space.pair(c, b), abs=1e-9)
+
+
+class TestQuadraticWeight:
+    @pytest.mark.parametrize("weight", [
+        [[1.0, 0.0], [0.0, -1.0]],   # indefinite: the norm of (0, 1) would be 0
+        [[1.0, 0.0], [0.0, 0.0]],    # singular
+        [[1.0, 2.0], [2.0, 1.0]],    # symmetric, eigenvalues 3 and -1
+    ])
+    def test_weight_not_positive_definite_refused(self, weight):
+        with pytest.raises(ValueError, match="^quadratic norm weight is not positive definite$"):
+            NormSpec("quadratic", weight=weight)
+
+    @pytest.mark.parametrize("weight", [np.ones((3, 2)), np.ones(2), np.ones((2, 2, 2)),
+                                        np.zeros((0, 0))], ids=lambda w: str(w.shape))
+    def test_weight_not_square_refused(self, weight):
+        message = f"quadratic norm weight must be a square matrix, got shape {weight.shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            NormSpec("quadratic", weight=weight)
+
+    def test_positive_definite_weight_is_symmetrized(self):
+        spec = NormSpec("quadratic", weight=[[2.0, 1.0], [0.0, 2.0]])
+        assert np.array_equal(spec.weight, [[2.0, 0.5], [0.5, 2.0]])
+        assert spec([0.0, 1.0]) == pytest.approx(np.sqrt(2.0), abs=1e-15)
 
 
 class TestGauges:
@@ -396,8 +428,8 @@ class TestSerialization:
     def test_space_roundtrip(self, tmp_path, prod_space):
         path = tmp_path / "space.json"
         save_space_document(prod_space, path)
-        back, dual = load_space_document(path)
-        assert dual is None
+        back = load_space_document(path)
+        assert "dual" not in json.loads(path.read_text())
         assert back.dim == prod_space.dim
         assert np.array_equal(back.pairing, prod_space.pairing)
         assert back.norm.variant == prod_space.norm.variant
@@ -408,3 +440,39 @@ class TestSerialization:
         doc = {"pairing": [[0.0, 1.0], [1.0, 0.0]], "norm": norm}
         with pytest.raises(ValueError, match="^space document's 'norm' is not a JSON object$"):
             SsdSpace.from_dict(doc)
+
+
+class TestSpaceDual:
+    def test_built_once_and_held(self):
+        sp = space_r2_product("two")
+        assert sp.dual is sp.dual
+        assert np.array_equal(sp.dual.pairing, swap_matrix(1))
+        assert sp.dual.norm.variant == "two" and sp.dual.label == sp.label + " (dual)"
+
+    def test_a_second_suite_run_builds_no_dual(self):
+        from ssdkit import spaces
+        from ssdkit.suites import SuiteOptions, run_suite
+
+        opts = SuiteOptions(grid=GridSpec.box(-3.0, 3.0, 21, 2))
+        run_suite("theorem_5_8", opts)
+        with mock.patch.object(spaces, "check_banach_ssd",
+                               wraps=spaces.check_banach_ssd) as spy:
+            run_suite("theorem_5_8", opts)
+            assert spy.call_count == 0
+            space_r2_product("two").dual  # a new space builds its own, once
+            assert spy.call_count == 1
+
+    def test_no_dual_raises_on_every_access(self):
+        sp = space_nodual()
+        for _ in range(2):
+            with pytest.raises(NoDual) as exc:
+                sp.dual
+            assert np.array_equal(exc.value.witness, [1.0, -1.0])
+            assert exc.value.value == -0.75
+        assert "dual" not in vars(sp)
+
+    def test_zero_pairing_raises_on_every_access(self):
+        sp = space_zero_pairing(2)
+        for _ in range(2):
+            with pytest.raises(SingularPairing, match="numerically singular"):
+                sp.dual
